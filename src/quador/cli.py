@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -41,37 +42,60 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _numbers(kind, count: int = 1, low: float = -math.inf, high: float = math.inf):
+    """An argparse ``type=`` for ``count`` comma-separated finite ``kind``
+    values in ``[low, high]``; one comes back bare, several as a list."""
+
+    def parse(text: str):
+        try:
+            values = [kind(v) for v in text.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != count or not all(math.isfinite(v) and low <= v <= high
+                                           for v in values):
+            expected = f"{count} {kind.__name__} value(s), finite and in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return values[0] if count == 1 else values
+
+    return parse
+
+
+def _bounds(text: str):
+    return text if text == "auto" else _numbers(float, count=6)(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="quador", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[], help="run the invariant suite")
     p.add_argument("lattice", help="lattice JSON file")
-    p.add_argument("--tol", type=float, default=1e-9, help="base tolerance")
-    p.add_argument("--samples", type=int, default=10000, help="random sample count")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--tol", type=_numbers(float, low=0), default=1e-9, help="base tolerance")
+    p.add_argument("--samples", type=_numbers(int, low=1), default=10000,
+                   help="random sample count")
+    p.add_argument("--seed", type=_numbers(int, low=0), default=0, help="random seed")
     p.add_argument("--report", help="write the JSON report here")
 
     p = sub.add_parser("mesh", help="polygonize the solid and write STL/OBJ")
     p.add_argument("lattice")
-    p.add_argument("--resolution", type=int, default=64, help="cells per axis (2..1024)")
-    p.add_argument(
-        "--bounds",
-        default="auto",
-        help="'auto' or x0,y0,z0,x1,y1,z1",
-    )
+    p.add_argument("--resolution", type=_numbers(int, low=2, high=1024), default=64,
+                   help="cells per axis (2..1024)")
+    p.add_argument("--bounds", type=_bounds, default="auto",
+                   help="'auto' or x0,y0,z0,x1,y1,z1")
     p.add_argument("--format", choices=("stl", "obj"), default="stl")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("conics", help="export fillet tangency conics as OBJ polylines")
     p.add_argument("lattice")
-    p.add_argument("--samples-per-curve", type=int, default=128)
+    p.add_argument("--samples-per-curve", type=_numbers(int, low=2), default=128)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("sample", help="classify points from a CSV or grid")
     p.add_argument("lattice")
-    p.add_argument("--points", help="CSV of x,y,z query points")
-    p.add_argument("--grid", help="nx,ny,nz uniform grid over auto bounds")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--points", help="CSV of x,y,z query points")
+    source.add_argument("--grid", type=_numbers(int, count=3, low=1),
+                        help="nx,ny,nz uniform grid over auto bounds")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("classify", help="print quadric classes of beams and fillets")
@@ -108,30 +132,13 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_INVARIANT
 
 
-def _parse_bounds(assembly, text: str):
-    if text == "auto":
-        return auto_bounds(assembly)
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise SystemExit(EXIT_USAGE)
-    vals = [float(v) for v in parts]
-    return np.array(vals[:3]), np.array(vals[3:])
-
-
 def _cmd_mesh(args) -> int:
-    if not 2 <= args.resolution <= 1024:
-        print(
-            f"quador: resolution must be in [2, 1024], got {args.resolution}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     lattice = _load(args.lattice)
     assembly = build_assembly(lattice)
-    try:
-        bounds = _parse_bounds(assembly, args.bounds)
-    except ValueError:
-        print(f"quador: bad --bounds {args.bounds!r}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.bounds == "auto":
+        bounds = auto_bounds(assembly)
+    else:
+        bounds = args.bounds[:3], args.bounds[3:]
     mesh = marching_cubes(assembly, bounds, args.resolution)
     try:
         if args.format == "stl":
@@ -201,19 +208,12 @@ def _read_points_csv(path: str) -> list[tuple[float, float, float]]:
 
 
 def _cmd_sample(args) -> int:
-    if (args.points is None) == (args.grid is None):
-        print("quador: exactly one of --points/--grid is required", file=sys.stderr)
-        return EXIT_USAGE
     lattice = _load(args.lattice)
     assembly = build_assembly(lattice)
     if args.points:
         pts = _read_points_csv(args.points)
     else:
-        try:
-            nx, ny, nz = (int(v) for v in args.grid.split(","))
-        except ValueError:
-            print(f"quador: bad --grid {args.grid!r}", file=sys.stderr)
-            return EXIT_USAGE
+        nx, ny, nz = args.grid
         lo, hi = auto_bounds(assembly)
         pts = [
             (x, y, z)

@@ -46,6 +46,14 @@ class DegenerateBeamError(QuadorError):
     code = "DEGENERATE_K"
 
 
+class NonPositiveRadiusError(QuadorError, ValueError):
+    code = "NONPOSITIVE_RADIUS"
+
+
+class CoincidentHubsError(QuadorError, ValueError):
+    code = "COINCIDENT_HUBS"
+
+
 class PlaneMissesSphereError(QuadorError):
     """A beam tangency plane does not cut its hub sphere."""
 

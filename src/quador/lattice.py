@@ -9,22 +9,30 @@ forms are sign-normalized positive toward the far hub, which leaves the
 beam quadric unchanged.
 
 Everything here is immutable after construction and safe for concurrent
-reads.
+reads.  Each lattice builds its parts once, on first use (``_resolve``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebra import LinearForm, Quadric, subtract_square
 from .errors import (
+    CoincidentHubsError,
     DegenerateBeamError,
+    NonPositiveRadiusError,
     PlaneMissesSphereError,
+    QuadorError,
     UnknownHubError,
 )
+
+if TYPE_CHECKING:
+    from .fillet import FilletPatch
 
 __all__ = [
     "Hub",
@@ -72,20 +80,23 @@ class Lattice:
     beams: tuple[Beam, ...] = ()
     fillets: tuple[FilletSpec, ...] = ()
 
+    @cached_property
+    def _resolved(self) -> _Resolution:
+        # Frozen, so never stale; threads racing here at most build it twice.
+        return _resolve(self)
+
     def hub(self, hub_id: str) -> Hub:
-        for h in self.hubs:
-            if h.id == hub_id:
-                return h
-        raise UnknownHubError(hub_id)
+        if hub_id not in self._resolved.hubs:
+            raise UnknownHubError(hub_id)
+        return self._resolved.hubs[hub_id]
 
     def beam(self, beam_id: str) -> Beam:
-        for b in self.beams:
-            if b.id == beam_id:
-                return b
-        raise KeyError(f"no beam with id {beam_id!r}")
+        if beam_id not in self._resolved.beams:
+            raise KeyError(f"no beam with id {beam_id!r}")
+        return self._resolved.beams[beam_id]
 
     def beams_at(self, hub_id: str) -> tuple[Beam, ...]:
-        return tuple(b for b in self.beams if hub_id in (b.hub_a, b.hub_b))
+        return tuple(b for b, _ in self._resolved.incident.get(hub_id, ()))
 
     def without_fillets(self) -> "Lattice":
         return Lattice(self.hubs, self.beams, ())
@@ -94,7 +105,7 @@ class Lattice:
 def sphere_quadric(hub: Hub) -> Quadric:
     """Implicit sphere ``|x - c|^2 - r^2``: negative inside, increasing outward."""
     if hub.radius <= 0.0:
-        raise ValueError(f"hub {hub.id!r} radius must be positive")
+        raise NonPositiveRadiusError(f"hub {hub.id!r} radius must be positive")
     c = np.asarray(hub.center, dtype=float)
     return Quadric(np.eye(3), -c, float(c @ c) - hub.radius**2)
 
@@ -134,7 +145,7 @@ def beam_quador(hub_a: Hub, hub_b: Hub, k: float) -> BeamGeometry:
     cb = np.asarray(hub_b.center, dtype=float)
     d = float(np.linalg.norm(cb - ca))
     if d == 0.0:
-        raise ValueError(f"hubs {hub_a.id!r} and {hub_b.id!r} are coincident")
+        raise CoincidentHubsError(f"hubs {hub_a.id!r} and {hub_b.id!r} are coincident")
 
     # L = S_a - S_b is linear; divide out k to get the tangency planes.
     gl = 2.0 * (cb - ca)
@@ -203,27 +214,12 @@ class StubView:
         object.__setattr__(self, "axis", ax)
 
 
-def _build_geometry(lattice: Lattice, beam: Beam) -> BeamGeometry:
-    geom = beam_quador(lattice.hub(beam.hub_a), lattice.hub(beam.hub_b), beam.k)
-    return BeamGeometry(
-        beam, geom.hub_a, geom.hub_b, geom.H, geom.G_a, geom.G_b,
-        geom.axis, geom.length, geom.lam, geom.g0,
-    )
-
-
 def stub_views_at_hub(lattice: Lattice, hub_id: str) -> list[StubView]:
-    """One :class:`StubView` per beam incident to the hub."""
-    hub = lattice.hub(hub_id)  # raises UnknownHubError
-    sphere = sphere_quadric(hub)
-    views = []
-    for beam in lattice.beams_at(hub_id):
-        geom = _build_geometry(lattice, beam)
-        if beam.hub_a == hub_id:
-            g, axis = geom.G_a, geom.axis
-        else:
-            g, axis = geom.G_b, -geom.axis
-        views.append(StubView(hub, beam, g, subtract_square(sphere, g), axis))
-    return views
+    """One :class:`StubView` per beam at the hub, or the error building one raised."""
+    views = lattice._resolved.stubs.get(hub_id, UnknownHubError(hub_id))
+    if isinstance(views, QuadorError):
+        raise views.with_traceback(None)  # the stored error; keep its traceback from growing
+    return list(views)
 
 
 # ---------------------------------------------------------------------------
@@ -264,55 +260,103 @@ class ValidationReport:
         return {e.code for e in self.entries}
 
 
-def validate_lattice(lattice: Lattice, wedge_samples: int = 512) -> ValidationReport:
+_WEDGE_SAMPLES = 512  # points sampled by each fillet check in validation
+
+
+@dataclass(frozen=True, eq=False)
+class _Resolution:
+    """Everything built from one lattice, each part once."""
+
+    hubs: dict[str, Hub]  # first match wins on duplicate ids
+    beams: dict[str, Beam]
+    incident: dict[str, list]  # hub id -> [(beam, geometry or its error)]
+    geometry: tuple[BeamGeometry | QuadorError, ...]  # one per lattice beam
+    stubs: dict[str, tuple[StubView, ...] | QuadorError]  # per hub id
+    locality: dict[str, float]  # fillet-clipping ball radius per hub id
+    patches: tuple[FilletPatch | None, ...]  # one per spec; None if it failed
+    issues: tuple[ValidationIssue, ...]
+
+
+def validate_lattice(lattice: Lattice) -> ValidationReport:
     """Check structural and geometric consistency; never raises.
 
-    Errors: duplicate/missing ids, non-positive radii, ``k = 0``, tangency
-    plane missing its sphere, fillet beam pairs not sharing the named hub,
-    degenerate (parallel-stub or self-loop) configurations.  Warnings:
-    overlapping hub spheres, sampled fillet wedge overlap at hubs with more
-    than two beams, fillets still active on their locality sphere.
+    Errors: duplicate/missing ids, non-positive radii, ``k = 0``, coincident
+    hubs, tangency plane missing its sphere, fillet beam pairs not sharing
+    the named hub, degenerate (parallel-stub or self-loop) configurations.
+    Warnings: overlapping hub spheres, sampled fillet wedge overlap at hubs
+    with more than two beams, fillets still active on their locality sphere.
     """
+    return ValidationReport(list(lattice._resolved.issues))
+
+
+def _resolve(lattice: Lattice) -> _Resolution:
+    from .fillet import build_fillet  # fillet imports this module
+
     report = ValidationReport()
 
-    seen_hub: set[str] = set()
+    hubs: dict[str, Hub] = {}
     for h in lattice.hubs:
-        if h.id in seen_hub:
+        if h.id in hubs:
             report.add_error("DUPLICATE_ID", h.id, f"duplicate hub id {h.id!r}")
-        seen_hub.add(h.id)
+        hubs.setdefault(h.id, h)
         if not (h.radius > 0.0):
             report.add_error(
                 "NONPOSITIVE_RADIUS", h.id, f"hub {h.id!r} has radius {h.radius}"
             )
 
-    seen_beam: set[str] = set()
-    geoms: dict[str, BeamGeometry] = {}
+    beams: dict[str, Beam] = {}
+    incident: dict[str, list] = {}
+    geometry = []
     for b in lattice.beams:
-        if b.id in seen_beam:
+        if b.id in beams:
             report.add_error("DUPLICATE_ID", b.id, f"duplicate beam id {b.id!r}")
-        seen_beam.add(b.id)
+        beams.setdefault(b.id, b)
+        missing = [hid for hid in (b.hub_a, b.hub_b) if hid not in hubs]
+        try:
+            if missing:
+                raise UnknownHubError(missing[0])
+            geom = replace(beam_quador(hubs[b.hub_a], hubs[b.hub_b], b.k), beam=b)
+        except QuadorError as exc:
+            geom = exc
+        geometry.append(geom)
+        for hub_id in dict.fromkeys((b.hub_a, b.hub_b)):
+            incident.setdefault(hub_id, []).append((b, geom))
         if b.hub_a == b.hub_b:
             report.add_error("SELF_LOOP", b.id, f"beam {b.id!r} joins a hub to itself")
-            continue
-        missing = [hid for hid in (b.hub_a, b.hub_b) if hid not in seen_hub]
-        if missing:
+        elif missing:
             report.add_error(
                 "MISSING_ID", b.id, f"beam {b.id!r} references unknown hub(s) {missing}"
             )
-            continue
-        if b.k == 0.0 or not math.isfinite(b.k):
+        elif b.k == 0.0 or not math.isfinite(b.k):
             report.add_error("DEGENERATE_K", b.id, f"beam {b.id!r} has k={b.k}")
-            continue
-        if any(not (lattice.hub(h).radius > 0.0) for h in (b.hub_a, b.hub_b)):
-            continue
+        elif isinstance(geom, QuadorError):
+            if all(hubs[h].radius > 0.0 for h in (b.hub_a, b.hub_b)):  # else the hub's error
+                report.add_error(geom.code, b.id, f"beam {b.id!r}: {geom}")
+    built = {b.id for b, g in zip(lattice.beams, geometry) if isinstance(g, BeamGeometry)}
+
+    # Per hub: its stub views (or the first error building them), and its fillet
+    # clipping radius: nearest connected hub (2r if none), clamped to hold the sphere.
+    stubs: dict[str, tuple[StubView, ...] | QuadorError] = {}
+    locality = {}
+    for hub in hubs.values():
+        pairs = incident.get(hub.id, ())
+        others = (b.hub_b if b.hub_a == hub.id else b.hub_a for b, _ in pairs)
+        dists = [math.dist(hub.center, hubs[o].center) for o in others if o in hubs]
+        locality[hub.id] = max(min(dists) if dists else 2.0 * hub.radius, 1.25 * hub.radius)
+        views = []
         try:
-            geoms[b.id] = _build_geometry(lattice, b)
-        except PlaneMissesSphereError as exc:
-            report.add_error(
-                "PLANE_MISSES_SPHERE",
-                b.id,
-                f"beam {b.id!r}: tangency plane misses hub {exc.hub_id!r}",
-            )
+            sphere = sphere_quadric(hub)
+            for beam, geom in pairs:
+                if isinstance(geom, QuadorError):
+                    raise geom
+                if beam.hub_a == hub.id:
+                    g, axis = geom.G_a, geom.axis
+                else:
+                    g, axis = geom.G_b, -geom.axis
+                views.append(StubView(hub, beam, g, subtract_square(sphere, g), axis))
+            stubs[hub.id] = tuple(views)
+        except QuadorError as exc:
+            stubs[hub.id] = exc
 
     for i, h1 in enumerate(lattice.hubs):
         for h2 in lattice.hubs[i + 1:]:
@@ -325,52 +369,47 @@ def validate_lattice(lattice: Lattice, wedge_samples: int = 512) -> ValidationRe
                 )
 
     fillet_wedges: dict[str, list[tuple[LinearForm, LinearForm]]] = {}
-    for fs in lattice.fillets:
+
+    def resolve_fillet(fs: FilletSpec) -> FilletPatch | None:
         subject = f"{fs.hub}:{fs.beam_i}+{fs.beam_j}"
         if fs.beam_i == fs.beam_j:
             report.add_error("FILLET_PAIR_MISMATCH", subject, "fillet names one beam twice")
-            continue
+            return None
         if not (fs.beta > 0.0) or not math.isfinite(fs.beta):
             report.add_error("NONPOSITIVE_BETA", subject, f"fillet beta={fs.beta}")
-            continue
-        if fs.hub not in seen_hub:
+            return None
+        if fs.hub not in hubs:
             report.add_error("MISSING_ID", subject, f"fillet names unknown hub {fs.hub!r}")
-            continue
+            return None
         bad = False
         for bid in (fs.beam_i, fs.beam_j):
-            if bid not in seen_beam:
+            if bid not in beams:
                 report.add_error("MISSING_ID", subject, f"fillet names unknown beam {bid!r}")
                 bad = True
-            else:
-                beam = lattice.beam(bid)
-                if fs.hub not in (beam.hub_a, beam.hub_b):
-                    report.add_error(
-                        "FILLET_PAIR_MISMATCH",
-                        subject,
-                        f"beam {bid!r} is not incident to hub {fs.hub!r}",
-                    )
-                    bad = True
-        if bad or fs.beam_i not in geoms or fs.beam_j not in geoms:
-            continue
+            elif fs.hub not in (beams[bid].hub_a, beams[bid].hub_b):
+                message = f"beam {bid!r} is not incident to hub {fs.hub!r}"
+                report.add_error("FILLET_PAIR_MISMATCH", subject, message)
+                bad = True
+        if bad or fs.beam_i not in built or fs.beam_j not in built:
+            return None
 
-        # Geometric checks need the built patch; import here to avoid a cycle.
-        from .fillet import build_fillet_for_spec
-        from .errors import QuadorError
-
+        views = stubs[fs.hub]
         try:
-            patch = build_fillet_for_spec(lattice, fs)
+            if isinstance(views, QuadorError):
+                raise views
+            by_beam = {v.beam.id: v for v in views}
+            patch = build_fillet(by_beam[fs.beam_i], by_beam[fs.beam_j], fs.beta)
         except QuadorError as exc:
             report.add_error(exc.code, subject, str(exc))
-            continue
+            return None
         fillet_wedges.setdefault(fs.hub, []).append((patch.E1, patch.E2))
 
-        hub = lattice.hub(fs.hub)
-        rho = _locality_radius(lattice, hub)
+        hub = hubs[fs.hub]
         rng = np.random.default_rng(0)
         center = np.asarray(hub.center)
-        dirs = rng.normal(size=(wedge_samples, 3))
+        dirs = rng.normal(size=(_WEDGE_SAMPLES, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        boundary = center + rho * dirs
+        boundary = center + locality[fs.hub] * dirs
         active = 0
         for p in boundary:
             if patch.E1.value(p) >= 0 and patch.E2.value(p) >= 0 and patch.Q.value(p) <= 0:
@@ -380,16 +419,19 @@ def validate_lattice(lattice: Lattice, wedge_samples: int = 512) -> ValidationRe
                 "FILLET_ACTIVE_AT_LOCALITY",
                 subject,
                 f"fillet solid reaches the locality sphere "
-                f"({active}/{wedge_samples} sampled directions); it will be clipped",
+                f"({active}/{_WEDGE_SAMPLES} sampled directions); it will be clipped",
             )
+        return patch
+
+    patches = tuple(resolve_fillet(fs) for fs in lattice.fillets)
 
     for hub_id, wedges in fillet_wedges.items():
-        if len(wedges) < 2 or len(lattice.beams_at(hub_id)) <= 2:
+        if len(wedges) < 2 or len(incident[hub_id]) <= 2:
             continue
-        hub = lattice.hub(hub_id)
+        hub = hubs[hub_id]
         rng = np.random.default_rng(1)
         center = np.asarray(hub.center)
-        pts = center + rng.uniform(-2 * hub.radius, 2 * hub.radius, size=(wedge_samples, 3))
+        pts = center + rng.uniform(-2 * hub.radius, 2 * hub.radius, size=(_WEDGE_SAMPLES, 3))
         for a in range(len(wedges)):
             for b in range(a + 1, len(wedges)):
                 e1a, e2a = wedges[a]
@@ -406,19 +448,6 @@ def validate_lattice(lattice: Lattice, wedge_samples: int = 512) -> ValidationRe
                         f"fillet wedges {a} and {b} at hub {hub_id!r} overlap "
                         "(sampled); tangency between the patches is not guaranteed",
                     )
-    return report
 
-
-def _locality_radius(lattice: Lattice, hub: Hub, multiplier: float = 1.0) -> float:
-    """Locality-ball radius for fillet clipping at a hub.
-
-    Minimum center distance to a connected hub (times ``multiplier``);
-    ``2r`` for isolated hubs.  Clamped so the ball strictly contains the
-    hub sphere.
-    """
-    dists = []
-    for beam in lattice.beams_at(hub.id):
-        other = beam.hub_b if beam.hub_a == hub.id else beam.hub_a
-        dists.append(math.dist(hub.center, lattice.hub(other).center))
-    rho = multiplier * min(dists) if dists else 2.0 * hub.radius
-    return max(rho, 1.25 * hub.radius)
+    return _Resolution(hubs, beams, incident, tuple(geometry), stubs, locality, patches,
+                       tuple(report.entries))

@@ -21,13 +21,12 @@ import numpy as np
 
 from .algebra import LinearForm, Quadric
 from .errors import DegenerateBoundsError, ValidationError
-from .fillet import FilletPatch, build_fillet_for_spec
+from .fillet import FilletPatch
+from .fillet import build_fillet_for_spec  # noqa: F401  (bench/tracing.py wraps it here)
 from .lattice import (
     BeamGeometry,
     Hub,
     Lattice,
-    _build_geometry,
-    _locality_radius,
     beam_radius,
     sphere_quadric,
     validate_lattice,
@@ -97,36 +96,26 @@ class Assembly:
             yield RegionLabel("FILLET", key), (p.Q, -p.E1, -p.E2, fp.S_loc)
 
 
-def build_assembly(lattice: Lattice, locality: float = 1.0) -> Assembly:
-    """Construct all quadrics, planes and fillet patches for a lattice.
+def build_assembly(lattice: Lattice) -> Assembly:
+    """Assemble the quadrics, planes and fillet patches the lattice built.
 
     The lattice must validate with no errors (warnings are allowed);
-    otherwise :class:`ValidationError` carries the report.  ``locality``
-    scales each hub's fillet-clipping ball (minimum center distance to a
-    connected hub; ``2r`` for isolated hubs).
+    otherwise :class:`ValidationError` carries the report.  Each hub's
+    fillets are clipped to a ball of radius the minimum center distance to
+    a connected hub (``2r`` for isolated hubs).
     """
     report = validate_lattice(lattice)
     if not report.ok:
         raise ValidationError(report)
 
-    hubs = []
-    rho_by_hub = {}
-    for hub in lattice.hubs:
-        rho = _locality_radius(lattice, hub, locality)
-        rho_by_hub[hub.id] = rho
-        hubs.append(_HubPart(hub, sphere_quadric(hub), rho))
-
-    beams = tuple(_build_geometry(lattice, beam) for beam in lattice.beams)
-
+    resolved = lattice._resolved
+    rho = resolved.locality
+    hubs = tuple(_HubPart(hub, sphere_quadric(hub), rho[hub.id]) for hub in lattice.hubs)
     fillets = []
-    for spec in lattice.fillets:
-        patch = build_fillet_for_spec(lattice, spec)
-        c = patch.hub_center
-        rho = rho_by_hub[spec.hub]
-        s_loc = Quadric(np.eye(3), -c, float(c @ c) - rho * rho)
-        fillets.append(_FilletPart(patch, s_loc))
-
-    return Assembly(lattice, tuple(hubs), beams, tuple(fillets))
+    for patch in resolved.patches:
+        c, r = patch.hub_center, rho[patch.hub_id]
+        fillets.append(_FilletPart(patch, Quadric(np.eye(3), -c, float(c @ c) - r * r)))
+    return Assembly(lattice, hubs, resolved.geometry, tuple(fillets))
 
 
 def _part_value(fns, x) -> float:
@@ -206,13 +195,11 @@ def classify_point(assembly: Assembly, x, tol: float = 1e-9) -> PointClassificat
     return PointClassification(state, label, value)
 
 
-def auto_bounds(
-    assembly: Assembly, margin: float = 0.1, stations: int = 33
-) -> tuple[np.ndarray, np.ndarray]:
+def auto_bounds(assembly: Assembly, margin: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned box covering all hub spheres and beam tubes.
 
     Each beam contributes the swept circle of its section radius sampled at
-    uniform stations.  The box is inflated by ``margin`` times the largest
+    33 uniform stations.  The box is inflated by ``margin`` times the largest
     hub radius on every side.  An empty lattice yields the unit box
     centered at the origin.
     """
@@ -230,7 +217,7 @@ def auto_bounds(
         ca = np.asarray(bg.hub_a.center)
         u = bg.axis
         spread = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-        for s in np.linspace(0.0, bg.length, stations):
+        for s in np.linspace(0.0, bg.length, 33):
             rho = beam_radius(bg, float(s))
             if rho is None:
                 continue

@@ -13,12 +13,6 @@ GRAD_REL_TOL = 1e-12
 # On-surface residual for sampled curve/chart points, relative to scale.
 SURF_RESIDUAL_TOL = 1e-10
 
-# Points claimed to lie exactly on a plane.
-PLANE_RESIDUAL_TOL = 1e-12
-
-# Chart forward/inverse round trip, relative to point magnitude.
-CHART_ROUNDTRIP_TOL = 1e-9
-
 # Relative rank threshold for quadric classification (eigenvalue zeroing).
 CLASSIFY_TOL = 1e-9
 
@@ -30,9 +24,6 @@ TANGENT_ANGLE_TOL = 1e-7
 
 # Stub planes count as parallel below this relative cross-product norm.
 PARALLEL_STUB_TOL = 1e-9
-
-# alpha * beta must equal 1/4 to this relative tolerance.
-ALPHA_BETA_REL_TOL = 1e-15
 
 # Cyclic Jacobi: sweep cap and off-diagonal convergence factor (of ||A||_F).
 JACOBI_SWEEP_CAP = 30

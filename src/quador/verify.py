@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Quadric, linear_product, subtract_square
+from .algebra import linear_product, subtract_square
 from .conics import sample_conic
 from .errors import QuadorError
 from .fillet import (
@@ -27,7 +27,7 @@ from .fillet import (
     fillet_residual,
 )
 from .lattice import Lattice, sphere_quadric, stub_views_at_hub
-from .solid import Assembly, auto_bounds, build_assembly, field_grid
+from .solid import auto_bounds, build_assembly, field_grid
 from .tolerances import (
     COEFF_REL_TOL,
     GRAD_REL_TOL,
@@ -95,36 +95,20 @@ def _circle_points(center, radius, normal, offset, n=32):
     ]
 
 
-def _corrupt_patch(assembly: Assembly, delta: float) -> Assembly:
-    """Test hook: bump one coefficient of the first fillet's quadric."""
-    if not assembly.fillets or delta == 0.0:
-        return assembly
-    fp = assembly.fillets[0]
-    q = fp.patch.Q
-    A = q.A.copy()
-    A[0, 0] += delta
-    patch = dataclasses.replace(fp.patch, Q=Quadric(A, q.b, q.c))
-    fillets = (dataclasses.replace(fp, patch=patch),) + assembly.fillets[1:]
-    return dataclasses.replace(assembly, fillets=fillets)
-
-
 def run_verify(
     lattice: Lattice,
     tol: float = 1e-9,
     samples: int = 10000,
     seed: int = 0,
-    corrupt_fillet_delta: float = 0.0,
 ) -> VerifyReport:
     """Run every invariant check against a validated lattice.
 
     Identity/tangency checks use their own pinned relative tolerances;
     ``tol`` is the boundary band for the sampled membership check (a
     monotonicity violation must leave the solid by more than ``tol``).
-    ``corrupt_fillet_delta`` is a test hook that perturbs one fillet
-    coefficient after construction.
     """
     report = VerifyReport()
-    assembly = _corrupt_patch(build_assembly(lattice), corrupt_fillet_delta)
+    assembly = build_assembly(lattice)
 
     # Two-sphere tangency: both ends construct the same beam quadric.
     worst = 0.0

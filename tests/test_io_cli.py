@@ -1,5 +1,7 @@
 """Lattice files, writers, the verify suite and the CLI end to end."""
 
+import dataclasses
+import itertools
 import json
 import struct
 import subprocess
@@ -10,8 +12,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import quador.verify
+from quador.algebra import Quadric
 from quador.cli import main
 from quador.errors import ParseError, ValidationError
+from quador.lattice import Beam, FilletSpec, Hub, Lattice
 from quador.latticefile import lattice_to_json, load_lattice
 from quador.solid import auto_bounds, build_assembly, marching_cubes
 from quador.verify import run_verify
@@ -20,6 +25,24 @@ from quador.writers import read_stl, write_stl
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BETA1 = FIXTURES / "perpendicular_beta1.json"
 BETA05 = FIXTURES / "perpendicular_beta05.json"
+
+
+def corrupt_first_fillet(monkeypatch):
+    """Make verify's assemblies carry a first fillet whose ``Q`` has
+    ``A[0, 0]`` raised by 1e-6 after construction."""
+
+    def build(lattice):
+        assembly = build_assembly(lattice)
+        if not assembly.fillets:
+            return assembly
+        fp = assembly.fillets[0]
+        A = fp.patch.Q.A.copy()
+        A[0, 0] += 1e-6
+        patch = dataclasses.replace(fp.patch, Q=Quadric(A, fp.patch.Q.b, fp.patch.Q.c))
+        fillets = (dataclasses.replace(fp, patch=patch),) + assembly.fillets[1:]
+        return dataclasses.replace(assembly, fillets=fillets)
+
+    monkeypatch.setattr(quador.verify, "build_assembly", build)
 
 
 class TestLoadLattice:
@@ -114,10 +137,9 @@ class TestVerify:
         summary = report.summary()
         assert summary["fail"] == 0
 
-    def test_corrupted_fillet_detected(self):
-        report = run_verify(
-            load_lattice(BETA1.read_bytes()), samples=500, corrupt_fillet_delta=1e-6
-        )
+    def test_corrupted_fillet_detected(self, monkeypatch):
+        corrupt_first_fillet(monkeypatch)
+        report = run_verify(load_lattice(BETA1.read_bytes()), samples=500)
         assert not report.passed
         failing = {c.name for c in report.checks if c.status == "fail"}
         assert "fillet_identity" in failing
@@ -272,18 +294,99 @@ class TestCli:
         assert "fillet_identity" in proc.stdout
 
     def test_verify_invariant_failure_exit_three(self, monkeypatch, capsys):
-        # Route the test hook through the CLI to check the exit-code mapping.
-        import quador.cli as cli
-
-        def corrupted(lattice, **kwargs):
-            kwargs.pop("corrupt_fillet_delta", None)
-            return run_verify(lattice, corrupt_fillet_delta=1e-6, **kwargs)
-
-        monkeypatch.setattr(cli, "run_verify", corrupted)
+        corrupt_first_fillet(monkeypatch)
         assert main(["verify", str(BETA1)]) == 3
         assert "IDENTITY_VIOLATION" in capsys.readouterr().out
 
-    def test_bad_flags_exit_one(self, capsys):
+    def test_bad_flags_exit_one(self, capsys, tmp_path):
         assert main(["mesh", str(BETA1)]) == 1  # missing required -o
         assert main(["frobnicate"]) == 1  # unknown subcommand
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        lattice = str(BETA1)
+        for argv in (
+            ["conics", lattice, "--samples-per-curve", "1", "-o", out],
+            ["verify", lattice, "--samples", "-5"],
+            ["verify", lattice, "--samples", "1.5"],
+            ["verify", lattice, "--tol", "-1"],
+            ["verify", lattice, "--tol", "nan"],
+            ["verify", lattice, "--seed", "-1"],
+            ["mesh", lattice, "--bounds", "1,2,3", "-o", out],
+            ["mesh", lattice, "--bounds", "0,0,0,1,1,inf", "-o", out],
+            ["mesh", lattice, "--resolution", "1025", "-o", out],
+            ["sample", lattice, "--grid", "0,2,2", "-o", out],
+            ["sample", lattice, "--grid", "2,2", "-o", out],
+        ):
+            assert main(argv) == 1, argv
+            flag = next(a for a in argv if a.startswith("--"))
+            assert f"argument {flag}:" in capsys.readouterr().err, argv
+        assert not Path(out).exists()
+
+
+def cubic_filleted(n: int) -> Lattice:
+    """An n x n x n grid of unit hubs at spacing 4 joined by k=4 axis beams,
+    with a beta=1 fillet on every orthogonal pair of stubs at each hub."""
+    cells = list(itertools.product(range(n), repeat=3))
+    hubs = tuple(Hub(f"h{i}{j}{k}", (4.0 * i, 4.0 * j, 4.0 * k), 1.0) for i, j, k in cells)
+    beams, stubs = [], {h.id: [] for h in hubs}
+    for (i, j, k), axis in itertools.product(cells, range(3)):
+        far = [i, j, k]
+        far[axis] += 1
+        if max(far) < n:
+            beam = Beam(f"b{i}{j}{k}{axis}", f"h{i}{j}{k}", "h{}{}{}".format(*far), 4.0)
+            beams.append(beam)
+            stubs[beam.hub_a].append((axis, beam.id))
+            stubs[beam.hub_b].append((axis, beam.id))
+    fillets = tuple(
+        FilletSpec(hub, bi, bj, 1.0)
+        for hub, ends in stubs.items()
+        for (ai, bi), (aj, bj) in itertools.combinations(ends, 2)
+        if ai != aj
+    )
+    return Lattice(hubs, tuple(beams), fillets)
+
+
+class TestConstructionCounts:
+    """Every beam and fillet is built once per command."""
+
+    def test_each_command_builds_parts_once(self, tmp_path, monkeypatch, capsys):
+        import quador.fillet
+        import quador.lattice
+
+        lattice = cubic_filleted(2)
+        assert (len(lattice.beams), len(lattice.fillets)) == (12, 24)
+        path = tmp_path / "cubic.json"
+        path.write_text(lattice_to_json(lattice))
+        points = tmp_path / "points.csv"
+        points.write_text("0,0,0\n2,0,0\n1,1,0\n")
+
+        calls = {"beam_quador": 0, "build_fillet": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for module, name in ((quador.lattice, "beam_quador"), (quador.fillet, "build_fillet")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+        lat = str(path)
+        for argv in (
+            ["classify", lat],
+            ["conics", lat, "-o", str(tmp_path / "c.obj")],
+            ["mesh", lat, "--resolution", "12", "-o", str(tmp_path / "m.stl")],
+            ["sample", lat, "--points", str(points), "-o", str(tmp_path / "s.csv")],
+        ):
+            calls.update(beam_quador=0, build_fillet=0)
+            assert main(argv) == 0, argv
+            assert calls == {"beam_quador": 12, "build_fillet": 24}, argv[0]
+
+        # verify adds one bare (fillet-free) lattice and five beta-grid
+        # variants of each fillet.
+        calls.update(beam_quador=0, build_fillet=0)
+        assert main(["verify", lat, "--samples", "200"]) == 0
+        assert calls["beam_quador"] <= 24
+        assert calls["build_fillet"] <= 24 * (1 + 5)
         capsys.readouterr()

@@ -221,6 +221,18 @@ class TestStubViews:
         with pytest.raises(UnknownHubError):
             stub_views_at_hub(perp_lattice, "nope")
 
+    def test_beam_error_raised_at_both_ends(self, perp_lattice):
+        bad = Lattice(perp_lattice.hubs, (Beam("b1", "h0", "h1", 0.0),), ())
+        for hub_id in ("h0", "h1"):
+            with pytest.raises(DegenerateBeamError):
+                stub_views_at_hub(bad, hub_id)
+        assert stub_views_at_hub(bad, "h2") == []
+
+    def test_cached_views_are_not_shared(self, perp_lattice):
+        views = stub_views_at_hub(perp_lattice, "h0")
+        views.clear()
+        assert len(stub_views_at_hub(perp_lattice, "h0")) == 2
+
 
 class TestValidation:
     def test_clean_fixture(self, perp_lattice):
@@ -260,6 +272,17 @@ class TestValidation:
     def test_nonpositive_radius(self):
         lat = Lattice((Hub("h", (0, 0, 0), -1.0),), (), ())
         assert "NONPOSITIVE_RADIUS" in validate_lattice(lat).codes()
+
+    def test_coincident_hubs(self):
+        lat = Lattice(
+            (Hub("a", (0, 0, 0), 1.0), Hub("b", (0, 0, 0), 1.0)),
+            (Beam("ab", "a", "b", 1.0),),
+            (),
+        )
+        report = validate_lattice(lat)
+        assert "COINCIDENT_HUBS" in report.codes()
+        report.entries.clear()  # each call returns its own report
+        assert "COINCIDENT_HUBS" in validate_lattice(lat).codes()
 
     def test_overlap_warning(self):
         lat = Lattice(
