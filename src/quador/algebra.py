@@ -31,6 +31,7 @@ __all__ = [
     "QuadricClass",
     "QuadricClassification",
     "subtract_square",
+    "rel_coeff_residual",
     "jacobi_eigen3",
     "classify_quadric",
     "principal_curvatures",
@@ -148,6 +149,12 @@ def linear_product(p: LinearForm, q: LinearForm) -> Quadric:
     A = 0.5 * (np.outer(p.g, q.g) + np.outer(q.g, p.g))
     b = 0.5 * (p.c0 * q.g + q.c0 * p.g)
     return Quadric(A, b, p.c0 * q.c0)
+
+
+def rel_coeff_residual(q: Quadric, ref: Quadric) -> float:
+    """``|q| / |ref|`` over the canonical coefficient vectors (``ref`` floored)."""
+    denom = float(np.linalg.norm(ref.coeffs()))
+    return float(np.linalg.norm(q.coeffs())) / max(denom, 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .algebra import (
     LinearForm,
     Quadric,
     classify_quadric,
-    linear_product,
     principal_curvatures,
+    rel_coeff_residual,
     subtract_square,
     QuadricClass,
 )
@@ -119,15 +119,6 @@ class FilletPatch:
         """True when the fillet quadric degenerates to a plane pair."""
         return classify_quadric(self.Q).label in PLANE_PAIR_CLASSES
 
-    @property
-    def extent(self) -> float:
-        return fillet_extent(self)
-
-
-def _rel_coeff_residual(q: Quadric, ref: Quadric) -> float:
-    denom = float(np.linalg.norm(ref.coeffs()))
-    return float(np.linalg.norm(q.coeffs())) / max(denom, 1e-300)
-
 
 def _tangency_conic(H: Quadric, E: LinearForm) -> Conic:
     conic = intersect_quadric_plane(H, E)
@@ -155,7 +146,7 @@ def build_fillet(stub1: StubView, stub2: StubView, beta: float) -> FilletPatch:
 
     q1 = subtract_square(stub1.H, e1)
     q2 = subtract_square(stub2.H, e2)
-    if _rel_coeff_residual(q1 - q2, q1) > COEFF_REL_TOL:
+    if rel_coeff_residual(q1 - q2, q1) > COEFF_REL_TOL:
         raise IdentityViolationError(
             "H1 - E1^2 and H2 - E2^2 disagree; upstream data is corrupt"
         )
@@ -213,7 +204,17 @@ def tangency_conics(patch: FilletPatch) -> tuple[Conic, Conic]:
 
 
 def _max_distance_on_conic(conic: Conic, origin: np.ndarray) -> float:
-    """Maximum distance from ``origin`` over a compact conic (exact to ~1e-12)."""
+    """Maximum distance from ``origin`` over a compact conic, in closed form.
+
+    With ``w`` the center's offset from ``origin`` and orthogonal semi-axes
+    ``a1``, ``a2``, the stationary points of ``|w + cos(t) a1 + sin(t) a2|^2``
+    solve ``q cos t - p sin t + r sin t cos t = 0`` (``p = w.a1``,
+    ``q = w.a2``, ``r = |a2|^2 - |a1|^2``).  ``u = tan(t/2)`` makes that the
+    quartic ``-q u^4 - 2(p+r) u^3 + 2(r-p) u + q = 0``; its roots' real parts
+    and ``t = pi`` (the root at ``u = inf``) are polished by Newton steps.
+    Every candidate lies on the conic, so a spurious root can only lower the
+    maximum; an all-zero quartic (constant distance) leaves ``t = pi``.
+    """
     if conic.klass is ConicClass.POINT:
         p = conic.point3d(conic.center[0], conic.center[1])
         return float(np.linalg.norm(p - origin))
@@ -222,38 +223,26 @@ def _max_distance_on_conic(conic: Conic, origin: np.ndarray) -> float:
     a1 = conic.radii[0] * (d1[0] * conic.frame.u + d1[1] * conic.frame.v)
     a2 = conic.radii[1] * (d2[0] * conic.frame.u + d2[1] * conic.frame.v)
     w = center3 - origin
-
-    def dist_sq(theta: float) -> float:
-        p = w + math.cos(theta) * a1 + math.sin(theta) * a2
-        return float(p @ p)
-
-    n = 2048
-    samples = [dist_sq(2.0 * math.pi * j / n) for j in range(n)]
-    j_best = max(range(n), key=samples.__getitem__)
-    lo = 2.0 * math.pi * (j_best - 1) / n
-    hi = 2.0 * math.pi * (j_best + 1) / n
-    # Golden-section refinement of the bracketed maximum.
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = dist_sq(x1), dist_sq(x2)
-    for _ in range(120):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = dist_sq(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = dist_sq(x1)
-    return math.sqrt(max(dist_sq(lo), dist_sq(hi), dist_sq(x1), dist_sq(x2)))
+    p, q, r = float(w @ a1), float(w @ a2), float(a2 @ a2 - a1 @ a1)
+    u = np.roots([-q, -2.0 * (p + r), 0.0, 2.0 * (r - p), q])
+    theta = np.append(2.0 * np.arctan(u.real), math.pi)
+    for _ in range(2):
+        s, c = np.sin(theta), np.cos(theta)
+        slope = r * (c * c - s * s) - p * c - q * s
+        theta = theta - np.divide(
+            q * c - p * s + r * s * c, slope, out=np.zeros_like(theta), where=slope != 0.0
+        )
+    pts = w + np.outer(np.cos(theta), a1) + np.outer(np.sin(theta), a2)
+    return math.sqrt(float(np.max(np.einsum("ij,ij->i", pts, pts))))
 
 
 def fillet_extent(patch: FilletPatch) -> float:
     """How far from the hub center the fillet reaches along the stubs.
 
-    Maximum distance over both tangency conics; ``math.inf`` when either
-    conic is non-compact (parabola, hyperbola, line pairs).
+    Maximum distance over both tangency conics, each found in closed form
+    from the stationary points of the squared distance (a quartic in
+    ``tan(t/2)``, see :func:`_max_distance_on_conic`); ``math.inf`` when
+    either conic is non-compact (parabola, hyperbola, line pairs).
     """
     if (
         patch.conic1.klass not in COMPACT_CLASSES

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LinearForm, Quadric
+from .algebra import Quadric
 from .errors import DegenerateBoundsError, ValidationError
 from .fillet import FilletPatch
 from .fillet import build_fillet_for_spec  # noqa: F401  (bench/tracing.py wraps it here)

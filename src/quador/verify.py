@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import linear_product, subtract_square
+from .algebra import linear_product, rel_coeff_residual, subtract_square
 from .conics import sample_conic
 from .errors import QuadorError
 from .fillet import (
@@ -115,8 +115,7 @@ def run_verify(
     for bg in assembly.beams:
         h1 = subtract_square(sphere_quadric(bg.hub_a), bg.G_a)
         h2 = subtract_square(sphere_quadric(bg.hub_b), bg.G_b)
-        denom = max(float(np.linalg.norm(h1.coeffs())), 1e-300)
-        worst = max(worst, float(np.linalg.norm((h1 - h2).coeffs())) / denom)
+        worst = max(worst, rel_coeff_residual(h1 - h2, h1))
     report.checks.append(
         Check(
             "two_sphere_tangency",
@@ -159,11 +158,7 @@ def run_verify(
             p = fp.patch
             for h, e in ((p.H1, p.E1), (p.H2, p.E2)):
                 expect = subtract_square(h, e)
-                denom = max(float(np.linalg.norm(expect.coeffs())), 1e-300)
-                worst = max(
-                    worst,
-                    float(np.linalg.norm((p.Q - expect).coeffs())) / denom,
-                )
+                worst = max(worst, rel_coeff_residual(p.Q - expect, expect))
         report.checks.append(
             Check(
                 "fillet_identity",
@@ -186,10 +181,7 @@ def run_verify(
                 expect = linear_product(p.F_plus, p.F_minus).scaled(
                     1.0 - 4.0 * alpha_t * p.beta
                 )
-                denom = max(float(np.linalg.norm(expect.coeffs())), 1e-300)
-                worst = max(
-                    worst, float(np.linalg.norm((res - expect).coeffs())) / denom
-                )
+                worst = max(worst, rel_coeff_residual(res - expect, expect))
         report.checks.append(
             Check(
                 "residual_law",
@@ -237,7 +229,7 @@ def run_verify(
         )
 
         # Material monotonicity: adding fillets never removes material.
-        bare = build_assembly(lattice.without_fillets())
+        bare = dataclasses.replace(assembly, fillets=())
         lo, hi = auto_bounds(assembly)
         rng = np.random.default_rng(seed)
         pts = rng.uniform(lo, hi, size=(samples, 3))

@@ -1,7 +1,10 @@
 """Fillet construction: planes, the single-quadric identity, residual law,
 tangency conics, extent and curvature, fan behaviour."""
 
+import dataclasses
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -16,8 +19,8 @@ from quador.algebra import (
     linear_product,
     subtract_square,
 )
-from quador.conics import ConicClass, sample_conic
-from quador.errors import ParallelStubsError
+from quador.conics import COMPACT_CLASSES, Conic, ConicClass, plane_frame, sample_conic
+from quador.errors import ParallelStubsError, QuadorError
 from quador.fillet import (
     build_fillet,
     build_fillet_for_spec,
@@ -27,7 +30,19 @@ from quador.fillet import (
     fillet_residual,
     tangency_conics,
 )
-from quador.lattice import FilletSpec, sphere_quadric, stub_views_at_hub
+from quador.lattice import (
+    Beam,
+    FilletSpec,
+    Hub,
+    Lattice,
+    sphere_quadric,
+    stub_views_at_hub,
+    validate_lattice,
+)
+from quador.latticefile import load_lattice_path
+from quador.verify import BETA_GRID as VERIFY_BETA_GRID
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 X_PLANE = LinearForm((1.0, 0.0, 0.0), 0.0)
 Y_PLANE = LinearForm((0.0, 1.0, 0.0), 0.0)
@@ -238,18 +253,94 @@ class TestTangencyConics:
                 assert math.acos(min(1.0, max(-1.0, cosang))) <= 1e-7
 
 
+def jittered_cubic(seed: int) -> Lattice:
+    """A 2x2x2 grid of hubs at spacing 4 with seeded jitter on every center
+    and radius, joined by k=4 axis beams, with a fillet on every stub pair."""
+    rng = np.random.default_rng(seed)
+    cells = list(itertools.product(range(2), repeat=3))
+
+    def name(cell):
+        return "".join(map(str, cell))
+
+    hubs = tuple(
+        Hub("h" + name(cell), tuple(4.0 * np.array(cell) + rng.uniform(-0.1, 0.1, 3)),
+            float(rng.uniform(0.95, 1.05)))
+        for cell in cells
+    )
+    beams = tuple(
+        Beam(f"b{name(cell)}{axis}", "h" + name(cell),
+             "h" + name(c + (a == axis) for a, c in enumerate(cell)), 4.0)
+        for cell, axis in itertools.product(cells, range(3))
+        if cell[axis] == 0
+    )
+    stubs = {h.id: [b.id for b in beams if h.id in (b.hub_a, b.hub_b)] for h in hubs}
+    fillets = tuple(
+        FilletSpec(hub, bi, bj, 1.0)
+        for hub, ids in stubs.items()
+        for bi, bj in itertools.combinations(ids, 2)
+    )
+    return Lattice(hubs, beams, fillets)
+
+
 class TestExtent:
     def test_beta_one(self, perp_lattice):
         patch = build_fillet(*perp_stubs(perp_lattice), 1.0)
-        assert fillet_extent(patch) == pytest.approx(math.sqrt(34) / 3, abs=1e-6)
+        assert fillet_extent(patch) == pytest.approx(math.sqrt(34) / 3, abs=1e-12)
 
     def test_beta_two(self, perp_lattice):
         patch = build_fillet(*perp_stubs(perp_lattice), 2.0)
-        assert fillet_extent(patch) == pytest.approx(math.sqrt(514) / 15, abs=1e-6)
+        assert fillet_extent(patch) == pytest.approx(math.sqrt(514) / 15, abs=1e-12)
 
     def test_beta_half_unbounded(self, perp_lattice):
         patch = build_fillet(*perp_stubs(perp_lattice), 0.5)
         assert fillet_extent(patch) == math.inf
+
+    def test_closed_form_bounds_dense_samples(self):
+        # The closed form is the true maximum: never below a dense sample of
+        # the conic, and no further above it than the sampling gap allows.
+        lattices = [load_lattice_path(p) for p in sorted(FIXTURES.glob("*.json"))]
+        lattices.append(jittered_cubic(5))
+        assert validate_lattice(lattices[-1]).ok
+        checked = 0
+        for lattice in lattices:
+            for spec, beta in itertools.product(lattice.fillets, VERIFY_BETA_GRID):
+                try:
+                    patch = build_fillet_for_spec(lattice, dataclasses.replace(spec, beta=beta))
+                except QuadorError:
+                    continue
+                conics = (patch.conic1, patch.conic2)
+                if any(c.klass not in COMPACT_CLASSES for c in conics):
+                    continue
+                sampled = max(
+                    float(np.max(np.linalg.norm(sample_conic(c, 4096) - patch.hub_center, axis=1)))
+                    for c in conics
+                )
+                extent = fillet_extent(patch)
+                assert extent >= sampled * (1.0 - 1e-12)
+                assert extent - sampled <= 1e-6
+                checked += 1
+        assert checked >= 100  # 115 of the grid's patches have compact conics
+
+    @pytest.mark.parametrize("h", [0.0, 1.5])
+    def test_circle_around_axis_through_hub(self, perp_lattice, h):
+        # Every point of the circle is equally far from the hub center, so
+        # the stationary-point quartic vanishes identically.
+        r = 0.75
+        circle = Conic(
+            plane_frame(LinearForm((0.0, 0.0, 1.0), -h)),
+            (1.0, 0.0, 1.0, 0.0, 0.0, -r * r),
+            ConicClass.CIRCLE,
+            np.zeros(2),
+            np.eye(2),
+            (r, r),
+        )
+        patch = dataclasses.replace(
+            build_fillet(*perp_stubs(perp_lattice), 1.0),
+            conic1=circle,
+            conic2=circle,
+            hub_center=np.zeros(3),
+        )
+        assert fillet_extent(patch) == pytest.approx(math.hypot(r, h), abs=1e-15)
 
 
 class TestMinCurvatureRadius:
