@@ -118,6 +118,12 @@ class DegenerateBoundsError(QuadorError):
     code = "DEGENERATE_BOUNDS"
 
 
+class StlRangeError(QuadorError):
+    """A mesh coordinate does not fit in a binary STL float32."""
+
+    code = "STL_RANGE"
+
+
 class ParseError(QuadorError):
     """Strict lattice-file parsing failed.
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import StlRangeError
 from .solid import Mesh
 
 __all__ = [
@@ -26,38 +27,47 @@ __all__ = [
 ]
 
 _STL_HEADER = b"quador binary STL" + b"\x00" * 63
+# One binary STL triangle record: 50 bytes, no padding.
+_STL_RECORD = np.dtype(
+    [("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)), ("attribute", "<u2")]
+)
 
 
 def write_stl(mesh: Mesh, path: str | Path) -> int:
-    """Write binary STL; returns the triangle count."""
-    tris = mesh.triangles
-    verts = mesh.vertices
+    """Write binary STL; returns the triangle count.
+
+    Raises :class:`StlRangeError` before the file is opened when a finite
+    normal or vertex coordinate does not fit in float32.
+    """
+    corners = mesh.vertices[mesh.triangles]
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    normals = np.cross(b - a, c - a)
+    # A (1, 3) @ (3, 1) matmul takes the same dot product as np.linalg.norm
+    # of one vector, so the normals match a per-triangle norm bit for bit.
+    norms = np.sqrt(normals[:, None, :] @ normals[:, :, None])[:, 0]
+    np.divide(normals, norms, out=normals, where=norms > 0.0)
+    records = np.zeros(len(corners), dtype=_STL_RECORD)
+    with np.errstate(over="ignore"):
+        records["normal"] = normals
+        records["vertices"] = corners
+    for field, values in (("normal", normals), ("vertices", corners)):
+        overflow = np.isinf(records[field]) & np.isfinite(values)
+        if overflow.any():
+            value = float(values[overflow][0])
+            raise StlRangeError(f"STL {field} value {value!r} is outside the float32 range")
     with open(path, "wb") as fh:
         fh.write(_STL_HEADER)
-        fh.write(struct.pack("<I", len(tris)))
-        for ia, ib, ic in tris:
-            a, b, c = verts[ia], verts[ib], verts[ic]
-            n = np.cross(b - a, c - a)
-            nn = np.linalg.norm(n)
-            if nn > 0.0:
-                n = n / nn
-            fh.write(struct.pack("<12fH", *n, *a, *b, *c, 0))
-    return len(tris)
+        fh.write(struct.pack("<I", len(records)))
+        fh.write(records.tobytes())
+    return len(records)
 
 
 def read_stl(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read binary STL back as (normals, triangle vertices (n, 3, 3))."""
     data = Path(path).read_bytes()
     (count,) = struct.unpack_from("<I", data, 80)
-    normals = np.zeros((count, 3), dtype=np.float32)
-    tris = np.zeros((count, 3, 3), dtype=np.float32)
-    off = 84
-    for i in range(count):
-        vals = struct.unpack_from("<12fH", data, off)
-        normals[i] = vals[0:3]
-        tris[i] = np.array(vals[3:12]).reshape(3, 3)
-        off += 50
-    return normals, tris
+    records = np.frombuffer(data, dtype=_STL_RECORD, count=count, offset=84)
+    return records["normal"].astype(np.float32), records["vertices"].astype(np.float32)
 
 
 def format_value(x: float) -> str:
@@ -69,10 +79,12 @@ def format_value(x: float) -> str:
 
 def write_obj_mesh(mesh: Mesh, path: str | Path) -> int:
     lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {format_value(v[0])} {format_value(v[1])} {format_value(v[2])}")
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
+    # Row by row: Python scalars format faster than numpy ones, and a
+    # whole-array tolist() would hold every element as an object at once.
+    for x, y, z in map(np.ndarray.tolist, mesh.vertices):
+        lines.append(f"v {format_value(x)} {format_value(y)} {format_value(z)}")
+    for i, j, k in map(np.ndarray.tolist, mesh.triangles):
+        lines.append(f"f {i + 1} {j + 1} {k + 1}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
     return len(mesh.triangles)
 

@@ -20,7 +20,7 @@ from quador.cli import main
 from quador.errors import ParseError, ValidationError
 from quador.lattice import Beam, FilletSpec, Hub, Lattice
 from quador.latticefile import lattice_to_json, load_lattice
-from quador.solid import auto_bounds, build_assembly, marching_cubes
+from quador.solid import Mesh, auto_bounds, build_assembly, marching_cubes
 from quador.verify import run_verify
 from quador.writers import read_stl, write_stl
 
@@ -120,6 +120,51 @@ class TestStl:
         expect = mesh.vertices[mesh.triangles].astype(np.float32)
         npt.assert_array_equal(tris, expect)
 
+    def test_bytes_match_per_triangle_pack(self, tmp_path, perp_lattice):
+        # Oracle: one struct.pack per triangle, normal from np.linalg.norm.
+        # Extra triangles: a degenerate one (zero normal, not normalized)
+        # and one with normal (x, y, 0) whose x / |n| lies so close to a
+        # float32 rounding midpoint that the last bit of |n| decides it.
+        asm = build_assembly(perp_lattice)
+        mesh = marching_cubes(asm, auto_bounds(asm), 20)
+        x, y = 3.7227608734289523, 1.8967671674113538
+        extra = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, 0], [0, 0, 1], [y, -x, 0]]
+        n0 = len(mesh.vertices)
+        full = Mesh(
+            np.vstack([mesh.vertices, extra]),
+            np.vstack([mesh.triangles, [[n0, n0 + 1, n0 + 2], [n0 + 3, n0 + 4, n0 + 5]]]),
+        )
+        expect = bytearray(b"quador binary STL" + b"\x00" * 63)
+        expect += struct.pack("<I", len(full))
+        for ia, ib, ic in full.triangles:
+            a, b, c = (full.vertices[i] for i in (ia, ib, ic))
+            n = np.cross(b - a, c - a)
+            nn = np.linalg.norm(n)
+            if nn > 0.0:
+                n = n / nn
+            expect += struct.pack("<12fH", *n, *a, *b, *c, 0)
+        out = tmp_path / "m.stl"
+        write_stl(full, out)
+        assert out.read_bytes() == bytes(expect)
+
+    def test_round_trip_normals_and_empty_mesh(self, tmp_path, perp_lattice):
+        asm = build_assembly(perp_lattice)
+        mesh = marching_cubes(asm, auto_bounds(asm), 12)
+        out = tmp_path / "m.stl"
+        write_stl(mesh, out)
+        normals, tris = read_stl(out)
+        assert normals.dtype == tris.dtype == np.float32
+        assert normals.shape == (len(mesh), 3)
+        npt.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-6)
+        cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+        assert np.all(np.einsum("ij,ij->i", cross, normals) > 0.0)
+
+        empty = tmp_path / "empty.stl"
+        assert write_stl(Mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)), empty) == 0
+        assert len(empty.read_bytes()) == 84
+        normals, tris = read_stl(empty)
+        assert normals.shape == (0, 3) and tris.shape == (0, 3, 3)
+
 
 class TestVerify:
     def test_fixture_passes(self):
@@ -189,6 +234,14 @@ class TestCli:
             ["mesh", str(BETA1), "--resolution", "1", "-o", str(tmp_path / "x.stl")]
         )
         assert code == 1
+
+    def test_mesh_outside_float32_range_exit_one(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"hubs": [{"id": "h", "center": [0, 0, 0], "radius": 1e39}]}')
+        out = tmp_path / "huge.stl"
+        assert main(["mesh", str(huge), "--resolution", "4", "-o", str(out)]) == 1
+        assert "STL_RANGE" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mesh_obj(self, tmp_path):
         out = tmp_path / "m.obj"

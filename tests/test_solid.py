@@ -1,6 +1,8 @@
 """Assembly field, point classification, bounds and polygonization."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +10,10 @@ import pytest
 
 from quador.errors import DegenerateBoundsError, ValidationError
 from quador.lattice import Beam, Hub, Lattice, sphere_quadric
+from quador.latticefile import load_lattice_path
+from quador.mc_tables import EDGE_VERTS, TRI_TABLE, VERT_OFFSETS
 from quador.solid import (
+    Mesh,
     auto_bounds,
     build_assembly,
     classify_point,
@@ -18,6 +23,13 @@ from quador.solid import (
 )
 
 from conftest import watertight
+from test_fillet import jittered_cubic
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def mesh_digest(mesh) -> str:
+    return hashlib.sha256(mesh.vertices.tobytes() + mesh.triangles.tobytes()).hexdigest()
 
 
 @pytest.fixture
@@ -256,3 +268,107 @@ class TestMarchingCubes:
         m2 = marching_cubes(asm, (lo, hi), 20)
         npt.assert_array_equal(m1.vertices, m2.vertices)
         npt.assert_array_equal(m1.triangles, m2.triangles)
+
+    def test_box_inside_hub_is_empty(self):
+        asm = build_assembly(Lattice((Hub("h", (0, 0, 0), 1.0),), (), ()))
+        mesh = marching_cubes(asm, (np.full(3, -0.3), np.full(3, 0.3)), 8)
+        assert len(mesh) == 0
+        assert mesh.vertices.shape == (0, 3)
+
+
+def loop_marching_cubes(assembly, bounds, res):
+    """Reference polygonizer: one Python loop over active cells, welding
+    vertices through a dict keyed by grid edge (axis, low end)."""
+    lo, hi = bounds
+    coords = [np.linspace(lo[i], hi[i], res[i] + 1) for i in range(3)]
+    X, Y, Z = np.meshgrid(*coords, indexing="ij")
+    F = field_grid(assembly, X, Y, Z)
+    inside = F < 0.0
+    index = np.zeros(res, dtype=np.uint8)
+    for bit, (dx, dy, dz) in enumerate(VERT_OFFSETS):
+        corner = inside[dx : dx + res[0], dy : dy + res[1], dz : dz + res[2]]
+        index |= corner.astype(np.uint8) << bit
+    vert_index, vertices, triangles = {}, [], []
+
+    def edge_vertex(cell, edge):
+        ga, gb = (tuple(c + o for c, o in zip(cell, VERT_OFFSETS[v])) for v in EDGE_VERTS[edge])
+        axis = next(i for i in range(3) if ga[i] != gb[i])
+        low, high = min(ga, gb), max(ga, gb)
+        if (axis, *low) not in vert_index:
+            f0, f1 = F[low], F[high]
+            t = 0.5 if f0 == f1 else f0 / (f0 - f1)
+            p = np.array([coords[i][low[i]] for i in range(3)])
+            p[axis] += t * (coords[axis][high[axis]] - coords[axis][low[axis]])
+            vert_index[(axis, *low)] = len(vertices)
+            vertices.append(p)
+        return vert_index[(axis, *low)]
+
+    for cell in np.argwhere((index != 0) & (index != 255)):
+        row = TRI_TABLE[index[tuple(cell)]]
+        for m in range(0, len(row), 3):
+            ia, ib, ic = (edge_vertex(tuple(cell), e) for e in row[m : m + 3])
+            triangles.append((ia, ic, ib))
+    return Mesh(np.array(vertices).reshape(-1, 3), np.array(triangles, dtype=np.int64))
+
+
+class TestMarchingCubesMatchesLoop:
+    @pytest.mark.parametrize(
+        "lattice, bounds, res",
+        [
+            (lambda: load_lattice_path(FIXTURES / "single_hub.json"), None, (16, 16, 16)),
+            (lambda: load_lattice_path(FIXTURES / "perpendicular_beta1.json"), None, (9, 13, 11)),
+            (
+                lambda: load_lattice_path(FIXTURES / "perpendicular_beta05.json"),
+                ([-0.7, -1.3, -0.2], [3.1, 4.6, 1.3]),
+                (12, 7, 10),
+            ),
+            (lambda: jittered_cubic(5), None, (20, 20, 20)),
+        ],
+        ids=["single_hub", "beta1", "beta05_offset_bounds", "jittered_cubic"],
+    )
+    def test_array_equal(self, lattice, bounds, res):
+        asm = build_assembly(lattice())
+        bounds = auto_bounds(asm) if bounds is None else tuple(map(np.array, bounds))
+        mesh = marching_cubes(asm, bounds, res)
+        expect = loop_marching_cubes(asm, bounds, res)
+        assert len(mesh) > 0
+        npt.assert_array_equal(mesh.vertices, expect.vertices)
+        npt.assert_array_equal(mesh.triangles, expect.triangles)
+
+
+class TestMarchingCubesFrozen:
+    """sha256 of ``vertices.tobytes() + triangles.tobytes()``, recorded with
+    the per-edge loop polygonizer the vectorized one replaced."""
+
+    def test_anisotropic_resolution_offset_bounds(self):
+        asm = build_assembly(load_lattice_path(FIXTURES / "perpendicular_beta05.json"))
+        bounds = (np.array([-1.3, -1.2, -1.1]), np.array([4.7, 4.9, 1.25]))
+        mesh = marching_cubes(asm, bounds, (23, 17, 29))
+        assert (len(mesh.vertices), len(mesh)) == (2211, 4352)
+        assert mesh_digest(mesh) == (
+            "7969471469b6f198234d37391f1c2e6467b4a0825428c42e692c138f4b503edf"
+        )
+
+    def test_jittered_cubic(self):
+        asm = build_assembly(jittered_cubic(5))
+        mesh = marching_cubes(asm, auto_bounds(asm), 40)
+        assert (len(mesh.vertices), len(mesh)) == (11752, 23520)
+        assert mesh_digest(mesh) == (
+            "265c33f40b9cc69d73ecdb26595ceb74dc8c68e42675cf6360e4a5d83e79651b"
+        )
+
+
+class TestTables:
+    def test_triangles_use_exactly_the_sign_change_edges(self):
+        # Every case's triangles touch exactly the edges whose two corners
+        # differ in the case bits, and no triangle repeats an edge.
+        for case, row in enumerate(TRI_TABLE):
+            assert len(row) % 3 == 0
+            triangles = [row[m : m + 3] for m in range(0, len(row), 3)]
+            assert all(len(set(tri)) == 3 for tri in triangles), case
+            crossing = {
+                edge
+                for edge, (a, b) in enumerate(EDGE_VERTS)
+                if (case >> a & 1) != (case >> b & 1)
+            }
+            assert set(row) == crossing, case
