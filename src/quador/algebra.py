@@ -31,6 +31,8 @@ __all__ = [
     "QuadricClass",
     "QuadricClassification",
     "subtract_square",
+    "stack_forms",
+    "stacked_values",
     "rel_coeff_residual",
     "jacobi_eigen3",
     "classify_quadric",
@@ -64,9 +66,6 @@ class LinearForm:
 
     def value(self, x) -> float:
         return float(self.g @ _vec(x) + self.c0)
-
-    def gradient(self) -> np.ndarray:
-        return self.g
 
     def grad_norm(self) -> float:
         return float(np.linalg.norm(self.g))
@@ -149,6 +148,28 @@ def linear_product(p: LinearForm, q: LinearForm) -> Quadric:
     A = 0.5 * (np.outer(p.g, q.g) + np.outer(q.g, p.g))
     b = 0.5 * (p.c0 * q.g + q.c0 * p.g)
     return Quadric(A, b, p.c0 * q.c0)
+
+
+def stack_forms(forms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forms as one stack ``A (m,3,3)``, ``b (m,1,3)``, ``c (m,)``; a linear
+    form ``g . x + c0`` enters as ``A = 0, b = g/2, c = c0``."""
+    rows = [(f.A, f.b, f.c) if isinstance(f, Quadric) else (np.zeros((3, 3)), 0.5 * f.g, f.c0)
+            for f in forms]
+    A, b, c = (np.array([r[i] for r in rows], dtype=float) for i in range(3))
+    return A.reshape(-1, 3, 3), b.reshape(-1, 1, 3), c
+
+
+def stacked_values(stack, points) -> np.ndarray:
+    """Every stacked form at every point: ``(..., m)`` for points ``(..., 3)``.
+
+    The same ``(1,3) @ (3,3)`` and ``(1,3) @ (3,1)`` BLAS products, summed in
+    the same order, as :meth:`Quadric.value`, so each value is the form's own
+    ``value`` bit for bit (for a plane, halving ``g`` and doubling are exact).
+    """
+    A, b, c = stack
+    row = np.asarray(points, dtype=float)[..., None, None, :]
+    col = np.swapaxes(row, -1, -2)
+    return ((row @ A) @ col + 2.0 * (b @ col))[..., 0, 0] + c
 
 
 def rel_coeff_residual(q: Quadric, ref: Quadric) -> float:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import LinearForm, Quadric
+from .algebra import LinearForm, Quadric, _axis_complement
 from .charts import SurfaceChart
 from .errors import (
     AllZeroError,
@@ -100,13 +100,7 @@ def plane_frame(lin: LinearForm) -> PlaneFrame:
         raise ZeroGradientError("linear form has zero gradient; no plane")
     n = lin.g / gn
     origin = -lin.c0 * lin.g / (gn * gn)
-    k = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    u = np.cross(n, e)
-    u /= np.linalg.norm(u)
-    v = np.cross(n, u)
-    return PlaneFrame(origin, u, v, n)
+    return PlaneFrame(origin, *_axis_complement(n), n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,7 @@ from .algebra import (
     rel_coeff_residual,
     subtract_square,
     QuadricClass,
+    _freeze,
 )
 from .conics import COMPACT_CLASSES, Conic, ConicClass, intersect_quadric_plane
 from .errors import (
@@ -110,9 +111,7 @@ class FilletPatch:
 
     def __post_init__(self):
         for name in ("hub_center", "bisector"):
-            a = np.asarray(getattr(self, name), dtype=float).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def is_chamfer(self) -> bool:

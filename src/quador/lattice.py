@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import LinearForm, Quadric, subtract_square
+from .algebra import LinearForm, Quadric, _freeze, stack_forms, stacked_values, subtract_square
 from .errors import (
     CoincidentHubsError,
     DegenerateBeamError,
@@ -126,9 +126,7 @@ class BeamGeometry:
     g0: float  # G_a at the hub_a center
 
     def __post_init__(self):
-        ax = np.asarray(self.axis, dtype=float).copy()
-        ax.setflags(write=False)
-        object.__setattr__(self, "axis", ax)
+        object.__setattr__(self, "axis", _freeze(self.axis))
 
 
 def beam_quador(hub_a: Hub, hub_b: Hub, k: float) -> BeamGeometry:
@@ -209,9 +207,7 @@ class StubView:
     axis: np.ndarray
 
     def __post_init__(self):
-        ax = np.asarray(self.axis, dtype=float).copy()
-        ax.setflags(write=False)
-        object.__setattr__(self, "axis", ax)
+        object.__setattr__(self, "axis", _freeze(self.axis))
 
 
 def stub_views_at_hub(lattice: Lattice, hub_id: str) -> list[StubView]:
@@ -245,10 +241,6 @@ class ValidationReport:
     @property
     def errors(self) -> list[ValidationIssue]:
         return [e for e in self.entries if e.severity == "error"]
-
-    @property
-    def warnings(self) -> list[ValidationIssue]:
-        return [e for e in self.entries if e.severity == "warning"]
 
     def add_error(self, code: str, subject: str, message: str):
         self.entries.append(ValidationIssue("error", code, subject, message))
@@ -369,6 +361,8 @@ def _resolve(lattice: Lattice) -> _Resolution:
                 )
 
     fillet_wedges: dict[str, list[tuple[LinearForm, LinearForm]]] = {}
+    dirs = np.random.default_rng(0).normal(size=(_WEDGE_SAMPLES, 3))  # same for every fillet
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
 
     def resolve_fillet(fs: FilletSpec) -> FilletPatch | None:
         subject = f"{fs.hub}:{fs.beam_i}+{fs.beam_j}"
@@ -404,16 +398,9 @@ def _resolve(lattice: Lattice) -> _Resolution:
             return None
         fillet_wedges.setdefault(fs.hub, []).append((patch.E1, patch.E2))
 
-        hub = hubs[fs.hub]
-        rng = np.random.default_rng(0)
-        center = np.asarray(hub.center)
-        dirs = rng.normal(size=(_WEDGE_SAMPLES, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        boundary = center + locality[fs.hub] * dirs
-        active = 0
-        for p in boundary:
-            if patch.E1.value(p) >= 0 and patch.E2.value(p) >= 0 and patch.Q.value(p) <= 0:
-                active += 1
+        boundary = np.asarray(hubs[fs.hub].center) + locality[fs.hub] * dirs
+        e1, e2, q = stacked_values(stack_forms((patch.E1, patch.E2, patch.Q)), boundary).T
+        active = int(np.count_nonzero((e1 >= 0) & (e2 >= 0) & (q <= 0)))
         if active:
             report.add_warning(
                 "FILLET_ACTIVE_AT_LOCALITY",
@@ -428,26 +415,19 @@ def _resolve(lattice: Lattice) -> _Resolution:
     for hub_id, wedges in fillet_wedges.items():
         if len(wedges) < 2 or len(incident[hub_id]) <= 2:
             continue
-        hub = hubs[hub_id]
-        rng = np.random.default_rng(1)
-        center = np.asarray(hub.center)
-        pts = center + rng.uniform(-2 * hub.radius, 2 * hub.radius, size=(_WEDGE_SAMPLES, 3))
-        for a in range(len(wedges)):
-            for b in range(a + 1, len(wedges)):
-                e1a, e2a = wedges[a]
-                e1b, e2b = wedges[b]
-                hit = any(
-                    e1a.value(p) > 0 and e2a.value(p) > 0
-                    and e1b.value(p) > 0 and e2b.value(p) > 0
-                    for p in pts
-                )
-                if hit:
-                    report.add_warning(
-                        "FILLET_WEDGE_OVERLAP",
-                        hub_id,
-                        f"fillet wedges {a} and {b} at hub {hub_id!r} overlap "
-                        "(sampled); tangency between the patches is not guaranteed",
-                    )
+        r = hubs[hub_id].radius
+        box = np.random.default_rng(1).uniform(-2 * r, 2 * r, size=(_WEDGE_SAMPLES, 3))
+        positive = stacked_values(stack_forms(f for w in wedges for f in w),
+                                  np.asarray(hubs[hub_id].center) + box) > 0
+        in_wedge = positive[:, 0::2] & positive[:, 1::2]  # (point, wedge)
+        # Wedge pairs a < b with a sample point in both, in (a, b) order.
+        for a, b in zip(*np.nonzero(np.triu(in_wedge.T @ in_wedge, 1))):
+            report.add_warning(
+                "FILLET_WEDGE_OVERLAP",
+                hub_id,
+                f"fillet wedges {a} and {b} at hub {hub_id!r} overlap "
+                "(sampled); tangency between the patches is not guaranteed",
+            )
 
     return _Resolution(hubs, beams, incident, tuple(geometry), stubs, locality, patches,
                        tuple(report.entries))

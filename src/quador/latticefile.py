@@ -64,7 +64,7 @@ def _require_list(value, where: str, length: int | None = None) -> list:
     return value
 
 
-def load_lattice(text: str | bytes, validate: bool = True) -> Lattice:
+def load_lattice(text: str | bytes) -> Lattice:
     """Parse (strictly) and validate a lattice document."""
     if isinstance(text, bytes):
         try:
@@ -122,15 +122,14 @@ def load_lattice(text: str | bytes, validate: bool = True) -> Lattice:
         )
 
     lattice = Lattice(tuple(hubs), tuple(beams), tuple(fillets))
-    if validate:
-        report = validate_lattice(lattice)
-        if not report.ok:
-            raise ValidationError(report)
+    report = validate_lattice(lattice)
+    if not report.ok:
+        raise ValidationError(report)
     return lattice
 
 
-def load_lattice_path(path: str | Path, validate: bool = True) -> Lattice:
-    return load_lattice(Path(path).read_bytes(), validate=validate)
+def load_lattice_path(path: str | Path) -> Lattice:
+    return load_lattice(Path(path).read_bytes())
 
 
 def lattice_to_json(lattice: Lattice) -> str:

@@ -7,19 +7,23 @@ clipped to its wedge and a hub locality ball
 and positive outside; the tangency planes separating the surfaces make the
 piecewise evaluation sign-correct.
 
-An :class:`Assembly` is immutable after build; ``field_value`` /
-``classify_point`` are pure and the grid evaluator is vectorized, so all of
-it is safe for concurrent use.
+An :class:`Assembly` builds one part table on first use: every part's forms
+in one coefficient stack, read by ``field_value``, ``classify_point`` and
+``field_grid`` alike.  It is frozen, so the table never goes stale; threads
+racing on first use at most build it twice.  All of it is safe for
+concurrent use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Quadric
+from .algebra import Quadric, _vec, stack_forms, stacked_values
 from .errors import DegenerateBoundsError, ValidationError
 from .fillet import FilletPatch
 from .fillet import build_fillet_for_spec  # noqa: F401  (bench/tracing.py wraps it here)
@@ -77,6 +81,13 @@ class _FilletPart:
     S_loc: Quadric  # |x - c|^2 - rho^2
 
 
+class _PartTable(NamedTuple):
+    parts: tuple  # (label, forms) per part
+    stack: tuple  # stack_forms of every part's forms, in part order
+    bounds: np.ndarray  # part i is stack rows bounds[i]:bounds[i + 1]
+    by_label: np.ndarray  # part indices, preferred label first
+
+
 @dataclass(frozen=True, eq=False)
 class Assembly:
     lattice: Lattice
@@ -84,16 +95,26 @@ class Assembly:
     beams: tuple[BeamGeometry, ...]
     fillets: tuple[_FilletPart, ...]
 
-    def parts(self):
-        """(label, functions) in deterministic order."""
-        for hp in self.hubs:
-            yield RegionLabel("HUB", hp.hub.id), (hp.S,)
-        for bg in self.beams:
-            yield RegionLabel("BEAM", bg.beam.id), (bg.H, -bg.G_a, -bg.G_b)
+    @cached_property
+    def _table(self) -> _PartTable:
+        # Frozen, so never stale; threads racing here at most build it twice.
+        parts = [(RegionLabel("HUB", hp.hub.id), (hp.S,)) for hp in self.hubs]
+        parts += [(RegionLabel("BEAM", bg.beam.id), (bg.H, -bg.G_a, -bg.G_b))
+                  for bg in self.beams]
         for fp in self.fillets:
             p = fp.patch
             key = f"{p.hub_id}:{p.beam_ids[0]}+{p.beam_ids[1]}"
-            yield RegionLabel("FILLET", key), (p.Q, -p.E1, -p.E2, fp.S_loc)
+            parts.append((RegionLabel("FILLET", key), (p.Q, -p.E1, -p.E2, fp.S_loc)))
+        # Stable, so a label tie keeps the first part in part order.
+        order = sorted(range(len(parts)),
+                       key=lambda i: (_KIND_RANK[parts[i][0].kind], parts[i][0].key))
+        bounds = np.cumsum([0] + [len(fns) for _, fns in parts])
+        stack = stack_forms(f for _, fns in parts for f in fns)
+        return _PartTable(tuple(parts), stack, bounds, np.array(order, dtype=int))
+
+    def parts(self) -> tuple:
+        """(label, functions) in deterministic order."""
+        return self._table.parts
 
 
 def build_assembly(lattice: Lattice) -> Assembly:
@@ -118,43 +139,35 @@ def build_assembly(lattice: Lattice) -> Assembly:
     return Assembly(lattice, hubs, resolved.geometry, tuple(fillets))
 
 
-def _part_value(fns, x) -> float:
-    return max(f.value(x) for f in fns)
+def _part_values(assembly: Assembly, x) -> np.ndarray:
+    """Each part's value at a point: the max of its forms' own ``value``, bit for bit."""
+    table = assembly._table
+    forms = stacked_values(table.stack, _vec(x))
+    return np.maximum.reduceat(forms, table.bounds[:-1]) if len(forms) else forms
 
 
 def field_value(assembly: Assembly, x) -> float:
     """Implicit value of the solid at a point: min over all part values."""
-    best = math.inf
-    for _, fns in assembly.parts():
-        v = _part_value(fns, x)
-        if v < best:
-            best = v
-    return best
-
-
-def _eval_on_grid(fn, X, Y, Z):
-    if isinstance(fn, Quadric):
-        A, b, c = fn.A, fn.b, fn.c
-        return (
-            A[0, 0] * X * X + A[1, 1] * Y * Y + A[2, 2] * Z * Z
-            + 2.0 * (A[0, 1] * X * Y + A[0, 2] * X * Z + A[1, 2] * Y * Z)
-            + 2.0 * (b[0] * X + b[1] * Y + b[2] * Z)
-            + c
-        )
-    g, c0 = fn.g, fn.c0
-    return g[0] * X + g[1] * Y + g[2] * Z + c0
+    # fmin skips a NaN part (a form that overflowed) rather than returning NaN.
+    return float(np.fmin.reduce(_part_values(assembly, x), initial=math.inf))
 
 
 def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
-    """Vectorized :func:`field_value` over broadcastable coordinate arrays."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
+    """Vectorized :func:`field_value` over broadcastable coordinate arrays, one
+    part at a time (one part value and the running min are live).  A plane row
+    (``A = 0``) takes ``2 (b . X) + c``: the bits of ``g . X + c0``."""
+    X, Y, Z = (np.asarray(a, dtype=float) for a in (X, Y, Z))
+    table = assembly._table
     total = None
-    for _, fns in assembly.parts():
+    for rows in map(slice, table.bounds[:-1], table.bounds[1:]):
         part = None
-        for fn in fns:
-            v = _eval_on_grid(fn, X, Y, Z)
+        for A, (b,), c in zip(*(s[rows] for s in table.stack)):
+            # A fixed summation order keeps the grid's bits; hoisting the linear
+            # term ahead of the quadratic ones would hold one more whole grid.
+            v = 2.0 * (b[0] * X + b[1] * Y + b[2] * Z) + c if not A.any() else (
+                A[0, 0] * X * X + A[1, 1] * Y * Y + A[2, 2] * Z * Z
+                + 2.0 * (A[0, 1] * X * Y + A[0, 2] * X * Z + A[1, 2] * Y * Z)
+                + 2.0 * (b[0] * X + b[1] * Y + b[2] * Z) + c)
             part = v if part is None else np.maximum(part, v)
         total = part if total is None else np.minimum(total, part)
     if total is None:
@@ -180,19 +193,14 @@ def classify_point(assembly: Assembly, x, tol: float = 1e-9) -> PointClassificat
     """
     if tol < 0.0:
         raise ValueError("tol must be >= 0")
-    best = math.inf
-    containing = []
-    for label, fns in assembly.parts():
-        v = _part_value(fns, x)
-        if v < best:
-            best = v
-        if v <= tol:
-            containing.append((_KIND_RANK[label.kind], label.key, v, label))
+    values = _part_values(assembly, x)
+    best = float(np.fmin.reduce(values, initial=math.inf))
     if best > tol:
         return PointClassification("outside", OUTSIDE, best)
     state = "boundary" if abs(best) <= tol else "inside"
-    rank, _, value, label = min(containing, key=lambda item: (item[0], item[1]))
-    return PointClassification(state, label, value)
+    order = assembly._table.by_label
+    i = order[np.argmax(values[order] <= tol)]
+    return PointClassification(state, assembly._table.parts[i][0], float(values[i]))
 
 
 def auto_bounds(assembly: Assembly, margin: float = 0.1) -> tuple[np.ndarray, np.ndarray]:

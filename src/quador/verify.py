@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import linear_product, rel_coeff_residual, subtract_square
+from .algebra import _axis_complement, linear_product, rel_coeff_residual, subtract_square
 from .conics import sample_conic
 from .errors import QuadorError
 from .fillet import (
@@ -82,12 +82,7 @@ def _circle_points(center, radius, normal, offset, n=32):
     ``offset`` from the center along ``normal``."""
     normal = normal / np.linalg.norm(normal)
     rc = math.sqrt(max(0.0, radius * radius - offset * offset))
-    k = int(np.argmin(np.abs(normal)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    w1 = np.cross(normal, e)
-    w1 /= np.linalg.norm(w1)
-    w2 = np.cross(normal, w1)
+    w1, w2 = _axis_complement(normal)
     p0 = np.asarray(center) + offset * normal
     return [
         p0 + rc * (math.cos(t) * w1 + math.sin(t) * w2)

@@ -14,6 +14,8 @@ from quador.algebra import (
     classify_quadric,
     jacobi_eigen3,
     principal_curvatures,
+    stack_forms,
+    stacked_values,
     subtract_square,
 )
 from quador.errors import AllZeroError, SingularPointError
@@ -122,6 +124,33 @@ class TestSubtractSquare:
         rhs = q.value(x) - lin.value(x) ** 2
         scale = max(1.0, abs(q.value(x)), lin.value(x) ** 2)
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+class TestStackedValues:
+    def test_equals_each_form_value(self):
+        # Bit for bit, not approx: the point evaluator relies on it.
+        rng = np.random.default_rng(17)
+        forms = []
+        for _ in range(40):
+            forms.append(Quadric(rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal()))
+            forms.append(LinearForm(rng.normal(size=3), rng.normal()))
+            forms.append(-LinearForm(rng.normal(size=3), 0.0))
+        stack = stack_forms(forms)
+        pts = np.vstack([rng.uniform(-5, 5, size=(300, 3)), np.zeros((1, 3)), np.eye(3)])
+        got = stacked_values(stack, pts)
+        assert got.shape == (len(pts), len(forms))
+        expect = np.array([[f.value(p) for f in forms] for p in pts])
+        npt.assert_array_equal(got, expect)
+        npt.assert_array_equal(stacked_values(stack, pts[7]), expect[7])
+
+    def test_plane_rows(self):
+        A, b, c = stack_forms([LinearForm((2.0, -4.0, 6.0), 0.5)])
+        npt.assert_array_equal(A, np.zeros((1, 3, 3)))
+        npt.assert_array_equal(b, [[[1.0, -2.0, 3.0]]])
+        npt.assert_array_equal(c, [0.5])
+
+    def test_empty_stack(self):
+        assert stacked_values(stack_forms([]), np.ones((4, 3))).shape == (4, 0)
 
 
 @settings(max_examples=100, deadline=None)

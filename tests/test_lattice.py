@@ -1,5 +1,7 @@
 """Lattice model: spheres, beam quadors, stub views, validation."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +22,8 @@ from quador.lattice import (
     stub_views_at_hub,
     validate_lattice,
 )
+
+from test_fillet import jittered_cubic
 
 
 def symbolic_beam_oracle(ca, ra, cb, rb, k):
@@ -335,3 +339,50 @@ class TestValidation:
         report = validate_lattice(lat)
         assert report.ok
         assert "FILLET_WEDGE_OVERLAP" in report.codes()
+
+    @pytest.mark.parametrize("beta", [0.5, 0.6, 1.0])
+    def test_sampled_fillet_warnings_match_pointwise_oracle(self, beta):
+        lat = jittered_cubic(5)
+        lat = Lattice(lat.hubs, lat.beams,
+                      tuple(dataclasses.replace(f, beta=beta) for f in lat.fillets))
+        got = [(e.code, e.subject, e.message) for e in validate_lattice(lat).entries
+               if e.code in ("FILLET_ACTIVE_AT_LOCALITY", "FILLET_WEDGE_OVERLAP")]
+        expect = sampled_fillet_warnings(lat)
+        assert [(code, subject) for code, subject, _ in got] == [e[:2] for e in expect]
+        for (_, _, message), (_, _, fragment) in zip(got, expect):
+            assert fragment in message
+        assert {code for code, _, _ in got} == (
+            {"FILLET_WEDGE_OVERLAP"} if beta == 1.0
+            else {"FILLET_ACTIVE_AT_LOCALITY", "FILLET_WEDGE_OVERLAP"})
+
+
+def sampled_fillet_warnings(lattice):
+    """The two sampled fillet warnings, from each form's own ``value`` point by point."""
+    resolved = lattice._resolved
+    found, at_hub = [], {}
+    for fs, patch in zip(lattice.fillets, resolved.patches):
+        if patch is None:
+            continue
+        at_hub.setdefault(fs.hub, []).append(patch)
+        dirs = np.random.default_rng(0).normal(size=(512, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        center = np.asarray(resolved.hubs[fs.hub].center)
+        boundary = center + resolved.locality[fs.hub] * dirs
+        active = sum(
+            patch.E1.value(p) >= 0 and patch.E2.value(p) >= 0 and patch.Q.value(p) <= 0
+            for p in boundary
+        )
+        if active:
+            subject = f"{fs.hub}:{fs.beam_i}+{fs.beam_j}"
+            found.append(("FILLET_ACTIVE_AT_LOCALITY", subject, f"({active}/512 sampled"))
+    for hub_id, patches in at_hub.items():
+        if len(patches) < 2 or len(resolved.incident[hub_id]) <= 2:
+            continue
+        hub = resolved.hubs[hub_id]
+        rng = np.random.default_rng(1)
+        box = rng.uniform(-2 * hub.radius, 2 * hub.radius, size=(512, 3))
+        pts = np.asarray(hub.center) + box
+        for (a, pa), (b, pb) in itertools.combinations(enumerate(patches), 2):
+            if any(all(e.value(p) > 0 for e in (pa.E1, pa.E2, pb.E1, pb.E2)) for p in pts):
+                found.append(("FILLET_WEDGE_OVERLAP", hub_id, f"wedges {a} and {b} at"))
+    return found

@@ -1,5 +1,6 @@
 """Assembly field, point classification, bounds and polygonization."""
 
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from quador.algebra import LinearForm, Quadric
 from quador.errors import DegenerateBoundsError, ValidationError
 from quador.lattice import Beam, Hub, Lattice, sphere_quadric
 from quador.latticefile import load_lattice_path
@@ -129,6 +131,11 @@ class TestClassifyPoint:
         assert bare.state == "outside"
         assert bare.value == pytest.approx(0.1025, abs=1e-12)
 
+    def test_label_prefers_smaller_id_not_declaration_order(self):
+        lat = Lattice((Hub("b", (0, 0, 0), 1.0), Hub("a", (0.5, 0, 0), 1.0)), (), ())
+        res = classify_point(build_assembly(lat), (0.0, 0.0, 0.0))
+        assert (str(res.label), res.value) == ("HUB(a)", -0.75)
+
     def test_outside(self, asm):
         res = classify_point(asm, (9.0, 9.0, 9.0))
         assert res.state == "outside"
@@ -159,6 +166,63 @@ class TestClassifyPoint:
         f_bare = field_grid(asm_bare, pts[:, 0], pts[:, 1], pts[:, 2])
         f_full = field_grid(asm, pts[:, 0], pts[:, 1], pts[:, 2])
         assert not np.any((f_bare <= 0.0) & (f_full > 0.0))
+
+
+def part_values_oracle(asm, p):
+    """(label, value) per part from each form's own ``value``."""
+    return [(label, max(f.value(p) for f in fns)) for label, fns in asm.parts()]
+
+
+class TestOnePartTable:
+    @pytest.mark.parametrize(
+        "name", [*(path.stem for path in sorted(FIXTURES.glob("*.json"))), "jittered_cubic"]
+    )
+    def test_point_values_equal_per_form_oracle(self, name):
+        if name == "jittered_cubic":
+            asm = build_assembly(jittered_cubic(5))
+        else:
+            asm = build_assembly(load_lattice_path(FIXTURES / f"{name}.json"))
+        lo, hi = auto_bounds(asm)
+        rng = np.random.default_rng(43)
+        for p in rng.uniform(lo, hi, size=(400, 3)):
+            parts = part_values_oracle(asm, p)
+            best = min(v for _, v in parts)
+            assert field_value(asm, p) == best
+            res = classify_point(asm, p, tol=1e-3)
+            if best > 1e-3:
+                assert (res.state, str(res.label), res.value) == ("outside", "OUTSIDE", best)
+                continue
+            rank = {"HUB": 0, "BEAM": 1, "FILLET": 2}
+            label, value = min(
+                ((label, v) for label, v in parts if v <= 1e-3),
+                key=lambda item: (rank[item[0].kind], item[0].key),
+            )
+            assert (res.label, res.value) == (label, value)
+
+    def test_points_build_no_forms(self, asm, monkeypatch):
+        classify_point(asm, (1.05, 1.05, 0.0))  # builds the table
+        built = []
+        for cls in (LinearForm, Quadric):
+            post_init = cls.__post_init__
+            monkeypatch.setattr(
+                cls, "__post_init__", lambda self, f=post_init: built.append(self) or f(self)
+            )
+        for p in np.random.default_rng(47).uniform(-2, 5, size=(50, 3)):
+            classify_point(asm, p)
+            field_value(asm, p)
+        assert built == []
+        assert asm.parts() is asm.parts()
+
+    def test_replace_gets_its_own_table(self, perp_lattice, asm):
+        rng = np.random.default_rng(53)
+        pts = rng.uniform(-2, 5, size=(2000, 3))
+        full = field_grid(asm, pts[:, 0], pts[:, 1], pts[:, 2])  # caches the full table
+        bare = dataclasses.replace(asm, fillets=())
+        expect = build_assembly(perp_lattice.without_fillets())
+        got = field_grid(bare, pts[:, 0], pts[:, 1], pts[:, 2])
+        assert got.tobytes() == field_grid(expect, pts[:, 0], pts[:, 1], pts[:, 2]).tobytes()
+        assert np.any(got != full)
+        assert len(bare.parts()) == len(asm.parts()) - 1
 
 
 class TestAutoBounds:
