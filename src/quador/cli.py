@@ -26,7 +26,13 @@ from .fillet import PLANE_PAIR_CLASSES
 from .latticefile import load_lattice
 from .solid import auto_bounds, build_assembly, classify_point, marching_cubes
 from .verify import run_verify
-from .writers import format_value, write_obj_mesh, write_obj_polylines, write_stl
+from .writers import (
+    format_value,
+    write_obj_mesh,
+    write_obj_polylines,
+    write_output,
+    write_stl,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,7 +123,7 @@ def _cmd_verify(args) -> int:
     report = run_verify(lattice, tol=args.tol, samples=args.samples, seed=args.seed)
     if args.report:
         try:
-            Path(args.report).write_text(report.to_json(), encoding="utf-8")
+            write_output(args.report, report.to_json().encode("utf-8"))
         except OSError as exc:
             print(f"quador: cannot write {args.report}: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -200,7 +206,10 @@ def _read_points_csv(path: str) -> list[tuple[float, float, float]]:
         try:
             if len(row) != 3:
                 raise ValueError("need exactly 3 fields")
-            points.append(tuple(float(v) for v in row))
+            point = tuple(float(v) for v in row)
+            if not all(map(math.isfinite, point)):
+                raise ValueError("coordinates must be finite")
+            points.append(point)
         except ValueError:
             print(f"quador: malformed point row {i + 1}: {row}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE) from None
@@ -231,7 +240,7 @@ def _cmd_sample(args) -> int:
             )
         )
     try:
-        Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_output(args.output, "\n".join(lines).encode("utf-8"), b"\n")
     except OSError as exc:
         print(f"quador: cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_IO

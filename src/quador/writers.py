@@ -6,10 +6,23 @@ vertices, plus a zero uint16 attribute), so the file length is always
 ``84 + 50 * n``.  OBJ output is ASCII with 1-based indices; conic exports
 use ``l`` polyline records with metadata comments.  All writers are
 deterministic: identical input produces byte-identical output.
+
+Every output, including the CLI's CSV and JSON, goes through
+:func:`write_output`: the bytes go to a fresh sibling temp file, which is
+then renamed onto the output name, so no run leaves a partial output.  An
+existing output is unlinked before the rename rather than replaced by it:
+on ext4, truncating a file or renaming over one whose blocks are not yet
+written forces a synchronous flush (50-150 ms per rewrite), and a rename
+onto a free name does not.  Symlinks, devices, FIFOs, read-only files and
+directories that cannot hold the temp file are written in place, as by
+``open(path, "wb")``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -24,6 +37,7 @@ __all__ = [
     "write_obj_mesh",
     "write_obj_polylines",
     "format_value",
+    "write_output",
 ]
 
 _STL_HEADER = b"quador binary STL" + b"\x00" * 63
@@ -41,7 +55,7 @@ def write_stl(mesh: Mesh, path: str | Path) -> int:
     """
     corners = mesh.vertices[mesh.triangles]
     a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
-    normals = np.cross(b - a, c - a)
+    normals = _cross(b - a, c - a)
     # A (1, 3) @ (3, 1) matmul takes the same dot product as np.linalg.norm
     # of one vector, so the normals match a per-triangle norm bit for bit.
     norms = np.sqrt(normals[:, None, :] @ normals[:, :, None])[:, 0]
@@ -50,16 +64,78 @@ def write_stl(mesh: Mesh, path: str | Path) -> int:
     with np.errstate(over="ignore"):
         records["normal"] = normals
         records["vertices"] = corners
+    # One mask at a time, and the second only after an overflow, keeps the
+    # peak memory at the records plus one boolean per value.
     for field, values in (("normal", normals), ("vertices", corners)):
-        overflow = np.isinf(records[field]) & np.isfinite(values)
-        if overflow.any():
-            value = float(values[overflow][0])
-            raise StlRangeError(f"STL {field} value {value!r} is outside the float32 range")
-    with open(path, "wb") as fh:
-        fh.write(_STL_HEADER)
-        fh.write(struct.pack("<I", len(records)))
-        fh.write(records.tobytes())
+        infinite = np.isinf(records[field])
+        if infinite.any():
+            overflow = infinite & np.isfinite(values)
+            if overflow.any():
+                value = float(values[overflow][0])
+                raise StlRangeError(f"STL {field} value {value!r} is outside the float32 range")
+    # The record array goes out through the buffer protocol, not as a copy.
+    write_output(path, _STL_HEADER, struct.pack("<I", len(records)), records)
     return len(records)
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.cross`` of (n, 3) float64 rows, term for term, without the
+    float64 copies of both inputs that ``np.cross`` makes."""
+    out = np.empty_like(u)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(u[:, j], v[:, k], out=out[:, i])
+        out[:, i] -= u[:, k] * v[:, j]
+    return out
+
+
+def write_output(path: str | os.PathLike, *chunks) -> None:
+    """Write the bytes-like ``chunks`` to ``path`` as one fresh file.
+
+    A missing path or a writable regular file gets a new file: the chunks
+    go to ``.{name}.{pid}.{random}.tmp`` beside it, which takes the old
+    file's permission bits and, once the old file is unlinked, its name.
+    The temp file is removed again if anything fails.  Any other path is
+    written in place, as is one whose directory cannot hold the temp file
+    or will not let the old file be unlinked.
+    """
+    path = os.fspath(path)
+    if _replaceable(path) and _write_fresh(path, chunks):
+        return
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
+
+
+def _replaceable(path: str) -> bool:
+    try:
+        return stat.S_ISREG(os.lstat(path).st_mode) and os.access(path, os.W_OK)
+    except FileNotFoundError:
+        return True
+    except OSError:
+        return False
+
+
+def _write_fresh(path: str, chunks) -> bool:
+    head, name = os.path.split(path)
+    temp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(temp, "xb")
+    except OSError:
+        return False
+    try:
+        with fh:
+            fh.writelines(chunks)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(temp, stat.S_IMODE(os.stat(path).st_mode))
+            os.unlink(path)
+        os.rename(temp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        # A sticky directory lets another user's file be written, not unlinked.
+        if not isinstance(exc, PermissionError):
+            raise
+        return False
+    return True
 
 
 def read_stl(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +161,7 @@ def write_obj_mesh(mesh: Mesh, path: str | Path) -> int:
         lines.append(f"v {format_value(x)} {format_value(y)} {format_value(z)}")
     for i, j, k in map(np.ndarray.tolist, mesh.triangles):
         lines.append(f"f {i + 1} {j + 1} {k + 1}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_output(path, "\n".join(lines).encode("ascii"), b"\n")
     return len(mesh.triangles)
 
 
@@ -111,5 +187,5 @@ def write_obj_polylines(
             idx.append(base)
         lines.append("l " + " ".join(str(i) for i in idx))
         base += len(points)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_output(path, "\n".join(lines).encode("ascii"), b"\n")
     return len(curves)

@@ -1,9 +1,13 @@
 """Lattice files, writers, the verify suite and the CLI end to end."""
 
+import ast
 import dataclasses
+import errno
 import itertools
 import json
 import os
+import re
+import stat
 import struct
 import subprocess
 import sys
@@ -15,6 +19,7 @@ import pytest
 
 import quador
 import quador.verify
+import quador.writers
 from quador.algebra import Quadric
 from quador.cli import main
 from quador.errors import ParseError, ValidationError
@@ -146,6 +151,12 @@ class TestStl:
         out = tmp_path / "m.stl"
         write_stl(full, out)
         assert out.read_bytes() == bytes(expect)
+
+    def test_cross_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        u, v = (rng.standard_normal((500, 3)) * 10.0 ** rng.integers(-8, 9, (500, 3))
+                for _ in range(2))
+        npt.assert_array_equal(quador.writers._cross(u, v), np.cross(u, v))
 
     def test_round_trip_normals_and_empty_mesh(self, tmp_path, perp_lattice):
         asm = build_assembly(perp_lattice)
@@ -306,6 +317,15 @@ class TestCli:
         assert code == 1
         assert "row 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_sample_non_finite_row(self, tmp_path, capsys, value):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"0,0,0\n{value},0,0\n")
+        out = tmp_path / "o.csv"
+        assert main(["sample", str(BETA1), "--points", str(pts), "-o", str(out)]) == 1
+        assert "malformed point row 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sample_grid(self, tmp_path):
         out = tmp_path / "grid.csv"
         assert main(["sample", str(BETA1), "--grid", "3,3,3", "-o", str(out)]) == 0
@@ -449,3 +469,191 @@ class TestConstructionCounts:
         assert calls["beam_quador"] == 12
         assert calls["build_fillet"] <= 24 * (1 + 5)
         capsys.readouterr()
+
+
+# The argv that writes each of the CLI's five outputs to a given path.
+OUTPUTS = {
+    "stl": lambda out: ["mesh", str(BETA1), "--resolution", "16", "-o", out],
+    "obj": lambda out: ["mesh", str(BETA1), "--resolution", "16", "--format", "obj",
+                        "-o", out],
+    "conics": lambda out: ["conics", str(BETA1), "-o", out],
+    "sample": lambda out: ["sample", str(BETA1), "--grid", "3,3,3", "-o", out],
+    "report": lambda out: ["verify", str(BETA1), "--samples", "50", "--report", out],
+}
+AS_ROOT = pytest.mark.skipif(
+    os.geteuid() == 0, reason="root writes and unlinks regardless of permission bits"
+)
+
+
+def temp_files(directory: Path) -> list[Path]:
+    return sorted(directory.rglob("*.tmp"))
+
+
+class _FullDisk:
+    """A file object that writes the first chunk and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, chunks):
+        self.fh.write(next(iter(chunks)))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestWriteContract:
+    """Outputs are written to a fresh file and renamed into place; paths
+    that cannot be replaced are written in place, as before."""
+
+    @pytest.mark.parametrize("kind", OUTPUTS)
+    def test_rewrite_is_a_fresh_file(self, kind, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(OUTPUTS[kind](str(out))) == 0
+        default = tmp_path / "default"
+        default.write_bytes(b"")
+        assert out.stat().st_mode == default.stat().st_mode
+        out.chmod(0o640)
+        before, data = out.stat(), out.read_bytes()
+        assert main(OUTPUTS[kind](str(out))) == 0
+        after = out.stat()
+        assert after.st_ino != before.st_ino
+        assert out.read_bytes() == data
+        assert stat.S_IMODE(after.st_mode) == 0o640
+        assert sorted(tmp_path.iterdir()) == [default, out]
+
+    def test_symlink_written_through(self, tmp_path, capsys):
+        ref, target, link = tmp_path / "ref.stl", tmp_path / "target.stl", tmp_path / "link.stl"
+        assert main(OUTPUTS["stl"](str(ref))) == 0
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert main(OUTPUTS["stl"](str(link))) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == ref.read_bytes()
+        assert temp_files(tmp_path) == []
+
+    def test_device_written_in_place(self, capsys):
+        assert main(OUTPUTS["stl"](os.devnull)) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.parametrize("kind", OUTPUTS)
+    def test_failed_write_keeps_old_output(self, kind, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert main(OUTPUTS[kind](str(out))) == 0
+        data = out.read_bytes()
+        capsys.readouterr()
+        monkeypatch.setattr(quador.writers, "open", lambda *a: _FullDisk(open(*a)),
+                            raising=False)
+        assert main(OUTPUTS[kind](str(out))) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert out.read_bytes() == data
+        assert temp_files(tmp_path) == []
+
+    def test_stl_range_leaves_no_file(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"hubs": [{"id": "h", "center": [0, 0, 0], "radius": 1e39}]}')
+        out = tmp_path / "huge.stl"
+        argv = ["mesh", str(huge), "--resolution", "4", "-o", str(out)]
+        assert main(argv) == 1
+        assert sorted(tmp_path.iterdir()) == [huge]
+        out.write_bytes(b"old")
+        assert main(argv) == 1
+        assert out.read_bytes() == b"old"
+        assert sorted(tmp_path.iterdir()) == [huge, out]
+
+    @pytest.mark.parametrize("kind", OUTPUTS)
+    def test_missing_directory_exit_two(self, kind, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        assert main(OUTPUTS[kind](str(out))) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unlink_refused_writes_in_place(self, tmp_path, monkeypatch, capsys):
+        # A sticky directory lets a writable file of another user be
+        # written but not unlinked.
+        ref, out = tmp_path / "ref.stl", tmp_path / "out.stl"
+        assert main(OUTPUTS["stl"](str(ref))) == 0
+        out.write_bytes(b"old")
+        inode = out.stat().st_ino
+        unlink = os.unlink
+
+        def refuse(path, *args, **kwargs):
+            if os.fspath(path) == str(out):
+                raise PermissionError(errno.EPERM, os.strerror(errno.EPERM), str(path))
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        assert main(OUTPUTS["stl"](str(out))) == 0
+        assert out.stat().st_ino == inode
+        assert out.read_bytes() == ref.read_bytes()
+        assert temp_files(tmp_path) == []
+
+    @AS_ROOT
+    def test_read_only_output_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out.stl"
+        out.write_bytes(b"old")
+        out.chmod(0o444)
+        assert main(OUTPUTS["stl"](str(out))) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert out.read_bytes() == b"old"
+        assert temp_files(tmp_path) == []
+
+    @AS_ROOT
+    def test_read_only_directory_written_in_place(self, tmp_path, capsys):
+        ref, folder = tmp_path / "ref.stl", tmp_path / "locked"
+        assert main(OUTPUTS["stl"](str(ref))) == 0
+        folder.mkdir()
+        out = folder / "out.stl"
+        out.write_bytes(b"old")
+        inode = out.stat().st_ino
+        folder.chmod(0o555)
+        try:
+            assert main(OUTPUTS["stl"](str(out))) == 0
+            assert out.stat().st_ino == inode
+            assert out.read_bytes() == ref.read_bytes()
+        finally:
+            folder.chmod(0o755)
+
+
+SRC = Path(quador.__file__).resolve().parent
+# A string constant that is an open() mode.
+OPEN_MODE = re.compile(r"[rwxabt+]+")
+
+
+def opens_for_writing(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes", "tofile"):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True
+    modes = [*call.args[:2], *(k.value for k in call.keywords if k.arg == "mode")]
+    return any(
+        isinstance(m, ast.Constant) and isinstance(m.value, str)
+        and OPEN_MODE.fullmatch(m.value) and set(m.value) & set("wxa+")
+        for m in modes
+    )
+
+
+def test_only_write_output_opens_files_for_writing():
+    """Writing anywhere but writers.write_output would bring back in-place
+    truncation and partial outputs."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and opens_for_writing(node):
+            found.append((source.name, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for source in sorted(SRC.glob("*.py")):
+        visit(ast.parse(source.read_text(encoding="utf-8")), "<module>")
+    assert sorted(found) == [("writers.py", "_write_fresh"), ("writers.py", "write_output")]
