@@ -37,7 +37,6 @@ from .fillet import (
     fillet_min_curvature_radius,
     fillet_planes,
     fillet_residual,
-    tangency_conics,
 )
 from .lattice import (
     Beam,

@@ -23,6 +23,7 @@ from .algebra import classify_quadric
 from .conics import ConicClass, sample_conic
 from .errors import ParseError, QuadorError, ValidationError
 from .fillet import PLANE_PAIR_CLASSES
+from .lattice import fillet_key
 from .latticefile import load_lattice
 from .solid import auto_bounds, build_assembly, classify_point, marching_cubes
 from .verify import run_verify
@@ -118,15 +119,20 @@ def _load(path: str):
     return load_lattice(text)
 
 
+def _write(path: str, write, *args):
+    """``write(*args)``, which writes ``path``; if that fails, say so and exit 2."""
+    try:
+        return write(*args)
+    except OSError as exc:
+        print(f"quador: cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_IO) from exc
+
+
 def _cmd_verify(args) -> int:
     lattice = _load(args.lattice)
     report = run_verify(lattice, tol=args.tol, samples=args.samples, seed=args.seed)
     if args.report:
-        try:
-            write_output(args.report, report.to_json().encode("utf-8"))
-        except OSError as exc:
-            print(f"quador: cannot write {args.report}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write(args.report, write_output, args.report, report.to_json().encode("utf-8"))
     for check in report.checks:
         measured = "" if check.measured is None else f" measured={check.measured:.3e}"
         detail = f" ({check.detail})" if check.detail else ""
@@ -146,14 +152,8 @@ def _cmd_mesh(args) -> int:
     else:
         bounds = args.bounds[:3], args.bounds[3:]
     mesh = marching_cubes(assembly, bounds, args.resolution)
-    try:
-        if args.format == "stl":
-            count = write_stl(mesh, args.output)
-        else:
-            count = write_obj_mesh(mesh, args.output)
-    except OSError as exc:
-        print(f"quador: cannot write {args.output}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write = write_stl if args.format == "stl" else write_obj_mesh
+    count = _write(args.output, write, mesh, args.output)
     print(f"{count} triangles -> {args.output}")
     return EXIT_OK
 
@@ -165,13 +165,12 @@ def _cmd_conics(args) -> int:
         return EXIT_USAGE
     assembly = build_assembly(lattice)
     curves = []
-    for fp in assembly.fillets:
-        p = fp.patch
+    for p in assembly.fillets:
         for which, conic in (("stub1", p.conic1), ("stub2", p.conic2)):
             pts = sample_conic(conic, args.samples_per_curve)
             closed = conic.klass in (ConicClass.ELLIPSE, ConicClass.CIRCLE)
             comment = (
-                f"fillet {p.hub_id}:{p.beam_ids[0]}+{p.beam_ids[1]} {which} "
+                f"fillet {fillet_key(p.hub_id, *p.beam_ids)} {which} "
                 f"class={conic.klass.value}"
             )
             if not closed:
@@ -183,11 +182,7 @@ def _cmd_conics(args) -> int:
                 curves.append((pts[half:], False, comment + " (line 2 of 2)"))
             else:
                 curves.append((pts, closed, comment))
-    try:
-        count = write_obj_polylines(curves, args.output)
-    except OSError as exc:
-        print(f"quador: cannot write {args.output}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    count = _write(args.output, write_obj_polylines, curves, args.output)
     print(f"{count} polylines -> {args.output}")
     return EXIT_OK
 
@@ -239,11 +234,7 @@ def _cmd_sample(args) -> int:
                  format_value(res.value), res.state, str(res.label)]
             )
         )
-    try:
-        write_output(args.output, "\n".join(lines).encode("utf-8"), b"\n")
-    except OSError as exc:
-        print(f"quador: cannot write {args.output}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write(args.output, write_output, args.output, "\n".join(lines).encode("utf-8"), b"\n")
     print(f"{len(pts)} points -> {args.output}")
     return EXIT_OK
 
@@ -256,10 +247,9 @@ def _cmd_classify(args) -> int:
         cls = classify_quadric(bg.H)
         evals = ", ".join(f"{d:.6g}" for d in cls.diag)
         print(f"{'beam':8s} {bg.beam.id:24s} {cls.label.value:24s} eigenvalues [{evals}]")
-    for fp in assembly.fillets:
-        p = fp.patch
+    for p in assembly.fillets:
         cls = classify_quadric(p.Q)
-        key = f"{p.hub_id}:{p.beam_ids[0]}+{p.beam_ids[1]}"
+        key = fillet_key(p.hub_id, *p.beam_ids)
         notes = []
         if cls.label in PLANE_PAIR_CLASSES:
             notes.append("degenerate (chamfer)")

@@ -50,6 +50,16 @@ class NonPositiveRadiusError(QuadorError, ValueError):
     code = "NONPOSITIVE_RADIUS"
 
 
+class RadiusOverflowError(QuadorError, ValueError):
+    """A hub radius so large that its square is not a finite float."""
+
+    code = "RADIUS_OVERFLOW"
+
+    def __init__(self, hub_id: str):
+        self.hub_id = hub_id
+        super().__init__(f"hub {hub_id!r} radius is too large: its square overflows")
+
+
 class CoincidentHubsError(QuadorError, ValueError):
     code = "COINCIDENT_HUBS"
 

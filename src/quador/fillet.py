@@ -46,7 +46,6 @@ __all__ = [
     "build_fillet",
     "build_fillet_for_spec",
     "fillet_residual",
-    "tangency_conics",
     "fillet_extent",
     "fillet_min_curvature_radius",
 ]
@@ -145,7 +144,7 @@ def build_fillet(stub1: StubView, stub2: StubView, beta: float) -> FilletPatch:
 
     q1 = subtract_square(stub1.H, e1)
     q2 = subtract_square(stub2.H, e2)
-    if rel_coeff_residual(q1 - q2, q1) > COEFF_REL_TOL:
+    if not rel_coeff_residual(q1 - q2, q1) <= COEFF_REL_TOL:  # a NaN residual fails too
         raise IdentityViolationError(
             "H1 - E1^2 and H2 - E2^2 disagree; upstream data is corrupt"
         )
@@ -195,11 +194,6 @@ def build_fillet_for_spec(lattice: Lattice, spec: FilletSpec) -> FilletPatch:
             f"fillet at {spec.hub!r} names beam {exc.args[0]!r} not incident to it"
         ) from exc
     return build_fillet(s1, s2, spec.beta)
-
-
-def tangency_conics(patch: FilletPatch) -> tuple[Conic, Conic]:
-    """The conics along which the fillet touches each stub."""
-    return patch.conic1, patch.conic2
 
 
 def _max_distance_on_conic(conic: Conic, origin: np.ndarray) -> float:

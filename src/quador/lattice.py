@@ -15,6 +15,7 @@ reads.  Each lattice builds its parts once, on first use (``_resolve``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -28,6 +29,7 @@ from .errors import (
     NonPositiveRadiusError,
     PlaneMissesSphereError,
     QuadorError,
+    RadiusOverflowError,
     UnknownHubError,
 )
 
@@ -46,6 +48,7 @@ __all__ = [
     "sphere_quadric",
     "beam_quador",
     "beam_radius",
+    "fillet_key",
     "stub_views_at_hub",
     "validate_lattice",
 ]
@@ -90,22 +93,25 @@ class Lattice:
             raise UnknownHubError(hub_id)
         return self._resolved.hubs[hub_id]
 
-    def beam(self, beam_id: str) -> Beam:
-        if beam_id not in self._resolved.beams:
-            raise KeyError(f"no beam with id {beam_id!r}")
-        return self._resolved.beams[beam_id]
-
-    def beams_at(self, hub_id: str) -> tuple[Beam, ...]:
-        return tuple(b for b, _ in self._resolved.incident.get(hub_id, ()))
-
     def without_fillets(self) -> "Lattice":
         return Lattice(self.hubs, self.beams, ())
+
+
+def fillet_key(hub_id: str, beam_i: str, beam_j: str) -> str:
+    """The ``hub:beam_i+beam_j`` name of a fillet in reports, labels and outputs."""
+    return f"{hub_id}:{beam_i}+{beam_j}"
+
+
+# The largest radius whose square is finite; above it ``radius**2`` raises.
+_MAX_RADIUS = math.sqrt(sys.float_info.max)
 
 
 def sphere_quadric(hub: Hub) -> Quadric:
     """Implicit sphere ``|x - c|^2 - r^2``: negative inside, increasing outward."""
     if hub.radius <= 0.0:
         raise NonPositiveRadiusError(f"hub {hub.id!r} radius must be positive")
+    if hub.radius > _MAX_RADIUS:
+        raise RadiusOverflowError(hub.id)
     c = np.asarray(hub.center, dtype=float)
     return Quadric(np.eye(3), -c, float(c @ c) - hub.radius**2)
 
@@ -132,13 +138,16 @@ class BeamGeometry:
 def beam_quador(hub_a: Hub, hub_b: Hub, k: float) -> BeamGeometry:
     """Construct the beam quador tangent to both hub spheres.
 
-    The tangency planes must cut their spheres
-    (``|G(c)| / |grad G| < r`` at each end), otherwise
-    :class:`PlaneMissesSphereError` names the offending hub.  ``k = 0``
-    raises :class:`DegenerateBeamError`.
+    The tangency planes must cut their spheres (``|G(c)| / |grad G| < r`` at
+    each end), otherwise :class:`PlaneMissesSphereError` names the offending
+    hub.  ``k = 0`` raises :class:`DegenerateBeamError`, and a radius whose
+    square overflows :class:`RadiusOverflowError`.
     """
     if not math.isfinite(k) or k == 0.0:
         raise DegenerateBeamError(f"beam between {hub_a.id!r} and {hub_b.id!r} has k={k}")
+    for hub in (hub_a, hub_b):
+        if hub.radius > _MAX_RADIUS:
+            raise RadiusOverflowError(hub.id)
     ca = np.asarray(hub_a.center, dtype=float)
     cb = np.asarray(hub_b.center, dtype=float)
     d = float(np.linalg.norm(cb - ca))
@@ -260,7 +269,6 @@ class _Resolution:
     """Everything built from one lattice, each part once."""
 
     hubs: dict[str, Hub]  # first match wins on duplicate ids
-    beams: dict[str, Beam]
     incident: dict[str, list]  # hub id -> [(beam, geometry or its error)]
     geometry: tuple[BeamGeometry | QuadorError, ...]  # one per lattice beam
     stubs: dict[str, tuple[StubView, ...] | QuadorError]  # per hub id
@@ -272,9 +280,10 @@ class _Resolution:
 def validate_lattice(lattice: Lattice) -> ValidationReport:
     """Check structural and geometric consistency; never raises.
 
-    Errors: duplicate/missing ids, non-positive radii, ``k = 0``, coincident
-    hubs, tangency plane missing its sphere, fillet beam pairs not sharing
-    the named hub, degenerate (parallel-stub or self-loop) configurations.
+    Errors: duplicate/missing ids, non-positive radii or ones whose square
+    overflows, ``k = 0``, coincident hubs, tangency plane missing its sphere,
+    fillet beam pairs not sharing the named hub, degenerate (parallel-stub or
+    self-loop) configurations.
     Warnings: overlapping hub spheres, sampled fillet wedge overlap at hubs
     with more than two beams, fillets still active on their locality sphere.
     """
@@ -295,6 +304,8 @@ def _resolve(lattice: Lattice) -> _Resolution:
             report.add_error(
                 "NONPOSITIVE_RADIUS", h.id, f"hub {h.id!r} has radius {h.radius}"
             )
+        elif h.radius > _MAX_RADIUS:
+            report.add_error("RADIUS_OVERFLOW", h.id, str(RadiusOverflowError(h.id)))
 
     beams: dict[str, Beam] = {}
     incident: dict[str, list] = {}
@@ -322,7 +333,8 @@ def _resolve(lattice: Lattice) -> _Resolution:
         elif b.k == 0.0 or not math.isfinite(b.k):
             report.add_error("DEGENERATE_K", b.id, f"beam {b.id!r} has k={b.k}")
         elif isinstance(geom, QuadorError):
-            if all(hubs[h].radius > 0.0 for h in (b.hub_a, b.hub_b)):  # else the hub's error
+            if all(0.0 < hubs[h].radius <= _MAX_RADIUS  # else the hub's error
+                   for h in (b.hub_a, b.hub_b)):
                 report.add_error(geom.code, b.id, f"beam {b.id!r}: {geom}")
     built = {b.id for b, g in zip(lattice.beams, geometry) if isinstance(g, BeamGeometry)}
 
@@ -365,7 +377,7 @@ def _resolve(lattice: Lattice) -> _Resolution:
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
 
     def resolve_fillet(fs: FilletSpec) -> FilletPatch | None:
-        subject = f"{fs.hub}:{fs.beam_i}+{fs.beam_j}"
+        subject = fillet_key(fs.hub, fs.beam_i, fs.beam_j)
         if fs.beam_i == fs.beam_j:
             report.add_error("FILLET_PAIR_MISMATCH", subject, "fillet names one beam twice")
             return None
@@ -429,5 +441,5 @@ def _resolve(lattice: Lattice) -> _Resolution:
                 "(sampled); tangency between the patches is not guaranteed",
             )
 
-    return _Resolution(hubs, beams, incident, tuple(geometry), stubs, locality, patches,
+    return _Resolution(hubs, incident, tuple(geometry), stubs, locality, patches,
                        tuple(report.entries))

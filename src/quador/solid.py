@@ -7,8 +7,10 @@ clipped to its wedge and a hub locality ball
 and positive outside; the tangency planes separating the surfaces make the
 piecewise evaluation sign-correct.
 
-An :class:`Assembly` builds one part table on first use: every part's forms
-in one coefficient stack, read by ``field_value``, ``classify_point`` and
+An :class:`Assembly` holds the hubs, beam geometries and fillet patches its
+lattice built, and builds one part table from them on first use: every
+part's forms, the hub spheres and fillet locality balls among them, in one
+coefficient stack, read by ``field_value``, ``classify_point`` and
 ``field_grid`` alike.  It is frozen, so the table never goes stale; threads
 racing on first use at most build it twice.  All of it is safe for
 concurrent use.
@@ -32,6 +34,7 @@ from .lattice import (
     Hub,
     Lattice,
     beam_radius,
+    fillet_key,
     sphere_quadric,
     validate_lattice,
 )
@@ -68,19 +71,6 @@ OUTSIDE = RegionLabel("OUTSIDE")
 _KIND_RANK = {"HUB": 0, "BEAM": 1, "FILLET": 2}
 
 
-@dataclass(frozen=True, eq=False)
-class _HubPart:
-    hub: Hub
-    S: Quadric
-    rho: float  # locality-ball radius for fillets at this hub
-
-
-@dataclass(frozen=True, eq=False)
-class _FilletPart:
-    patch: FilletPatch
-    S_loc: Quadric  # |x - c|^2 - rho^2
-
-
 class _PartTable(NamedTuple):
     parts: tuple  # (label, forms) per part
     stack: tuple  # stack_forms of every part's forms, in part order
@@ -91,20 +81,22 @@ class _PartTable(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Assembly:
     lattice: Lattice
-    hubs: tuple[_HubPart, ...]
+    hubs: tuple[Hub, ...]
     beams: tuple[BeamGeometry, ...]
-    fillets: tuple[_FilletPart, ...]
+    fillets: tuple[FilletPatch, ...]
 
     @cached_property
     def _table(self) -> _PartTable:
         # Frozen, so never stale; threads racing here at most build it twice.
-        parts = [(RegionLabel("HUB", hp.hub.id), (hp.S,)) for hp in self.hubs]
+        rho = self.lattice._resolved.locality
+        parts = [(RegionLabel("HUB", hub.id), (sphere_quadric(hub),)) for hub in self.hubs]
         parts += [(RegionLabel("BEAM", bg.beam.id), (bg.H, -bg.G_a, -bg.G_b))
                   for bg in self.beams]
-        for fp in self.fillets:
-            p = fp.patch
-            key = f"{p.hub_id}:{p.beam_ids[0]}+{p.beam_ids[1]}"
-            parts.append((RegionLabel("FILLET", key), (p.Q, -p.E1, -p.E2, fp.S_loc)))
+        for p in self.fillets:
+            c, r = p.hub_center, rho[p.hub_id]
+            ball = Quadric(np.eye(3), -c, float(c @ c) - r * r)  # |x - c|^2 - rho^2
+            key = fillet_key(p.hub_id, *p.beam_ids)
+            parts.append((RegionLabel("FILLET", key), (p.Q, -p.E1, -p.E2, ball)))
         # Stable, so a label tie keeps the first part in part order.
         order = sorted(range(len(parts)),
                        key=lambda i: (_KIND_RANK[parts[i][0].kind], parts[i][0].key))
@@ -128,15 +120,8 @@ def build_assembly(lattice: Lattice) -> Assembly:
     report = validate_lattice(lattice)
     if not report.ok:
         raise ValidationError(report)
-
     resolved = lattice._resolved
-    rho = resolved.locality
-    hubs = tuple(_HubPart(hub, sphere_quadric(hub), rho[hub.id]) for hub in lattice.hubs)
-    fillets = []
-    for patch in resolved.patches:
-        c, r = patch.hub_center, rho[patch.hub_id]
-        fillets.append(_FilletPart(patch, Quadric(np.eye(3), -c, float(c @ c) - r * r)))
-    return Assembly(lattice, hubs, resolved.geometry, tuple(fillets))
+    return Assembly(lattice, lattice.hubs, resolved.geometry, resolved.patches)
 
 
 def _part_values(assembly: Assembly, x) -> np.ndarray:
@@ -216,11 +201,11 @@ def auto_bounds(assembly: Assembly, margin: float = 0.1) -> tuple[np.ndarray, np
     lo = np.full(3, math.inf)
     hi = np.full(3, -math.inf)
     r_max = 0.0
-    for hp in assembly.hubs:
-        c = np.asarray(hp.hub.center)
-        lo = np.minimum(lo, c - hp.hub.radius)
-        hi = np.maximum(hi, c + hp.hub.radius)
-        r_max = max(r_max, hp.hub.radius)
+    for hub in assembly.hubs:
+        c = np.asarray(hub.center)
+        lo = np.minimum(lo, c - hub.radius)
+        hi = np.maximum(hi, c + hub.radius)
+        r_max = max(r_max, hub.radius)
     for bg in assembly.beams:
         ca = np.asarray(bg.hub_a.center)
         u = bg.axis

@@ -26,7 +26,7 @@ from .fillet import (
     fillet_min_curvature_radius,
     fillet_residual,
 )
-from .lattice import Lattice, sphere_quadric, stub_views_at_hub
+from .lattice import Lattice, fillet_key, sphere_quadric, stub_views_at_hub
 from .solid import auto_bounds, build_assembly, field_grid
 from .tolerances import (
     COEFF_REL_TOL,
@@ -77,6 +77,12 @@ class VerifyReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _check(name: str, values, tol: float, detail: str = "") -> Check:
+    """Pass when the largest value is within ``tol``; a NaN value makes the check fail."""
+    worst = float(np.max(values, initial=0.0))
+    return Check(name, "pass" if worst <= tol else "fail", worst, tol, detail)
+
+
 def _circle_points(center, radius, normal, offset, n=32):
     """Points on the circle {|x-c|=r} cut by the plane at signed distance
     ``offset`` from the center along ``normal``."""
@@ -106,23 +112,16 @@ def run_verify(
     assembly = build_assembly(lattice)
 
     # Two-sphere tangency: both ends construct the same beam quadric.
-    worst = 0.0
+    residuals = []
     for bg in assembly.beams:
         h1 = subtract_square(sphere_quadric(bg.hub_a), bg.G_a)
         h2 = subtract_square(sphere_quadric(bg.hub_b), bg.G_b)
-        worst = max(worst, rel_coeff_residual(h1 - h2, h1))
-    report.checks.append(
-        Check(
-            "two_sphere_tangency",
-            "pass" if worst <= COEFF_REL_TOL else "fail",
-            worst,
-            COEFF_REL_TOL,
-            f"{len(assembly.beams)} beams",
-        )
-    )
+        residuals.append(rel_coeff_residual(h1 - h2, h1))
+    report.checks.append(_check("two_sphere_tangency", residuals, COEFF_REL_TOL,
+                                f"{len(assembly.beams)} beams"))
 
     # Sphere-stub gradient equality along each tangency circle.
-    worst = 0.0
+    residuals = []
     n_stubs = 0
     for hub in lattice.hubs:
         sphere = sphere_quadric(hub)
@@ -133,41 +132,25 @@ def run_verify(
             for p in _circle_points(hub.center, hub.radius, view.G.g, offset):
                 gs = sphere.gradient(p)
                 gh = view.H.gradient(p)
-                worst = max(
-                    worst, float(np.linalg.norm(gh - gs) / np.linalg.norm(gs))
-                )
-    report.checks.append(
-        Check(
-            "sphere_stub_gradient",
-            "pass" if worst <= GRAD_REL_TOL else "fail",
-            worst,
-            GRAD_REL_TOL,
-            f"{n_stubs} stubs x 32 circle points",
-        )
-    )
+                residuals.append(float(np.linalg.norm(gh - gs) / np.linalg.norm(gs)))
+    report.checks.append(_check("sphere_stub_gradient", residuals, GRAD_REL_TOL,
+                                f"{n_stubs} stubs x 32 circle points"))
 
     # Fillet identity: the stored patch quadric matches both expressions.
     if assembly.fillets:
-        worst = 0.0
-        for fp in assembly.fillets:
-            p = fp.patch
+        residuals = []
+        for p in assembly.fillets:
             for h, e in ((p.H1, p.E1), (p.H2, p.E2)):
                 expect = subtract_square(h, e)
-                worst = max(worst, rel_coeff_residual(p.Q - expect, expect))
-        report.checks.append(
-            Check(
-                "fillet_identity",
-                "pass" if worst <= COEFF_REL_TOL else "fail",
-                worst,
-                COEFF_REL_TOL,
-                "IDENTITY_VIOLATION" if worst > COEFF_REL_TOL else "",
-            )
-        )
+                residuals.append(rel_coeff_residual(p.Q - expect, expect))
+        identity = _check("fillet_identity", residuals, COEFF_REL_TOL)
+        if identity.status == "fail":
+            identity.detail = "IDENTITY_VIOLATION"
+        report.checks.append(identity)
 
         # Residual law with deliberately mis-scaled alpha.
-        worst = 0.0
-        for fp in assembly.fillets:
-            p = fp.patch
+        residuals = []
+        for p in assembly.fillets:
             for t in (0.5, 2.0):
                 alpha_t = p.alpha * t
                 e1 = p.F_plus.scaled(alpha_t) + p.F_minus.scaled(p.beta)
@@ -176,52 +159,26 @@ def run_verify(
                 expect = linear_product(p.F_plus, p.F_minus).scaled(
                     1.0 - 4.0 * alpha_t * p.beta
                 )
-                worst = max(worst, rel_coeff_residual(res - expect, expect))
-        report.checks.append(
-            Check(
-                "residual_law",
-                "pass" if worst <= COEFF_REL_TOL else "fail",
-                worst,
-                COEFF_REL_TOL,
-                "alpha scaled by 0.5 and 2.0",
-            )
-        )
+                residuals.append(rel_coeff_residual(res - expect, expect))
+        report.checks.append(_check("residual_law", residuals, COEFF_REL_TOL,
+                                    "alpha scaled by 0.5 and 2.0"))
 
         # Tangency-conic residuals and gradient angles.
-        worst_res = 0.0
-        worst_ang = 0.0
-        for fp in assembly.fillets:
-            p = fp.patch
+        residuals = []
+        angles = []
+        for p in assembly.fillets:
             for conic, h in ((p.conic1, p.H1), (p.conic2, p.H2)):
                 for pt in sample_conic(conic, 32):
                     scale = max(1.0, float(pt @ pt))
-                    worst_res = max(
-                        worst_res,
-                        abs(h.value(pt)) / scale,
-                        abs(p.Q.value(pt)) / scale,
-                    )
+                    residuals += [abs(h.value(pt)) / scale, abs(p.Q.value(pt)) / scale]
                     gq = p.Q.gradient(pt)
                     gh = h.gradient(pt)
                     cosang = float(
                         gq @ gh / (np.linalg.norm(gq) * np.linalg.norm(gh))
                     )
-                    worst_ang = max(worst_ang, math.acos(min(1.0, max(-1.0, cosang))))
-        report.checks.append(
-            Check(
-                "conic_tangency_residual",
-                "pass" if worst_res <= SURF_RESIDUAL_TOL else "fail",
-                worst_res,
-                SURF_RESIDUAL_TOL,
-            )
-        )
-        report.checks.append(
-            Check(
-                "conic_tangency_angle",
-                "pass" if worst_ang <= TANGENT_ANGLE_TOL else "fail",
-                worst_ang,
-                TANGENT_ANGLE_TOL,
-            )
-        )
+                    angles.append(math.acos(min(1.0, max(-1.0, cosang))))
+        report.checks.append(_check("conic_tangency_residual", residuals, SURF_RESIDUAL_TOL))
+        report.checks.append(_check("conic_tangency_angle", angles, TANGENT_ANGLE_TOL))
 
         # Material monotonicity: adding fillets never removes material.
         bare = dataclasses.replace(assembly, fillets=())
@@ -243,7 +200,7 @@ def run_verify(
 
         # Extent / curvature-radius behaviour across the beta grid.
         for spec in lattice.fillets:
-            subject = f"{spec.hub}:{spec.beam_i}+{spec.beam_j}"
+            subject = fillet_key(spec.hub, spec.beam_i, spec.beam_j)
             extents = []
             radii = []
             ok = True

@@ -147,8 +147,9 @@ def read_stl(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def format_value(x: float) -> str:
-    """Shortest exact decimal for a float; integral values print as integers."""
-    if x == int(x) and abs(x) < 1e16:
+    """Shortest exact decimal for a float; integral values print as integers,
+    and non-finite ones as ``inf``, ``-inf`` or ``nan``."""
+    if abs(x) < 1e16 and x == int(x):
         return str(int(x))
     return repr(float(x))
 
@@ -187,5 +188,5 @@ def write_obj_polylines(
             idx.append(base)
         lines.append("l " + " ".join(str(i) for i in idx))
         base += len(points)
-    write_output(path, "\n".join(lines).encode("ascii"), b"\n")
+    write_output(path, "\n".join(lines).encode("utf-8"), b"\n")
     return len(curves)

@@ -28,7 +28,6 @@ from quador.fillet import (
     fillet_min_curvature_radius,
     fillet_planes,
     fillet_residual,
-    tangency_conics,
 )
 from quador.lattice import (
     Beam,
@@ -217,7 +216,7 @@ class TestSingleQuadricIdentityRandom:
 class TestTangencyConics:
     def test_beta_one_ellipse(self, perp_lattice):
         patch = build_fillet(*perp_stubs(perp_lattice), 1.0)
-        c1, c2 = tangency_conics(patch)
+        c1, c2 = patch.conic1, patch.conic2
         assert c1.klass is ConicClass.ELLIPSE
         assert c2.klass is ConicClass.ELLIPSE
         # farthest point of conic1 from the hub: (5/3, 1, 0) (or its antipode,

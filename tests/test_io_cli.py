@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import itertools
 import json
+import math
 import os
 import re
 import stat
@@ -27,27 +28,26 @@ from quador.lattice import Beam, FilletSpec, Hub, Lattice
 from quador.latticefile import lattice_to_json, load_lattice
 from quador.solid import Mesh, auto_bounds, build_assembly, marching_cubes
 from quador.verify import run_verify
-from quador.writers import read_stl, write_stl
+from quador.writers import format_value, read_stl, write_stl
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BETA1 = FIXTURES / "perpendicular_beta1.json"
 BETA05 = FIXTURES / "perpendicular_beta05.json"
 
 
-def corrupt_first_fillet(monkeypatch):
+def corrupt_first_fillet(monkeypatch, delta=1e-6):
     """Make verify's assemblies carry a first fillet whose ``Q`` has
-    ``A[0, 0]`` raised by 1e-6 after construction."""
+    ``A[0, 0]`` raised by ``delta`` after construction."""
 
     def build(lattice):
         assembly = build_assembly(lattice)
         if not assembly.fillets:
             return assembly
-        fp = assembly.fillets[0]
-        A = fp.patch.Q.A.copy()
-        A[0, 0] += 1e-6
-        patch = dataclasses.replace(fp.patch, Q=Quadric(A, fp.patch.Q.b, fp.patch.Q.c))
-        fillets = (dataclasses.replace(fp, patch=patch),) + assembly.fillets[1:]
-        return dataclasses.replace(assembly, fillets=fillets)
+        patch = assembly.fillets[0]
+        A = patch.Q.A.copy()
+        A[0, 0] += delta
+        patch = dataclasses.replace(patch, Q=Quadric(A, patch.Q.b, patch.Q.c))
+        return dataclasses.replace(assembly, fillets=(patch,) + assembly.fillets[1:])
 
     monkeypatch.setattr(quador.verify, "build_assembly", build)
 
@@ -103,7 +103,7 @@ class TestLoadLattice:
         for b1, b2 in zip(a1.beams, a2.beams):
             npt.assert_array_equal(b1.H.coeffs(), b2.H.coeffs())
         for f1, f2 in zip(a1.fillets, a2.fillets):
-            npt.assert_array_equal(f1.patch.Q.coeffs(), f2.patch.Q.coeffs())
+            npt.assert_array_equal(f1.Q.coeffs(), f2.Q.coeffs())
 
 
 class TestStl:
@@ -203,6 +203,17 @@ class TestVerify:
         assert "fillet_identity" in failing
         check = next(c for c in report.checks if c.name == "fillet_identity")
         assert check.detail == "IDENTITY_VIOLATION"
+
+    def test_nan_measurement_fails(self, monkeypatch, tmp_path, capsys):
+        corrupt_first_fillet(monkeypatch, delta=math.nan)
+        out = tmp_path / "report.json"
+        assert main(["verify", str(BETA1), "--samples", "50", "--report", str(out)]) == 3
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["fillet_identity"]["status"] == "fail"
+        assert math.isnan(checks["fillet_identity"]["measured"])
+        assert checks["fillet_identity"]["detail"] == "IDENTITY_VIOLATION"
+        assert checks["conic_tangency_residual"]["status"] == "fail"
+        assert "[FAIL] fillet_identity measured=nan" in capsys.readouterr().out
 
     def test_report_json_shape(self):
         report = run_verify(load_lattice(BETA1.read_bytes()), samples=500)
@@ -423,6 +434,77 @@ def cubic_filleted(n: int) -> Lattice:
         if ai != aj
     )
     return Lattice(hubs, tuple(beams), fillets)
+
+
+def fixture_variant(tmp_path, edit) -> str:
+    """The beta = 1 fixture document after ``edit``, written to a file."""
+    doc = json.loads(BETA1.read_text())
+    edit(doc)
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# Each CLI command on a lattice file, writing any output to ``out``.
+COMMANDS = {
+    "verify": lambda lat, out: ["verify", lat, "--samples", "50"],
+    "mesh": lambda lat, out: ["mesh", lat, "--resolution", "8", "-o", out],
+    "conics": lambda lat, out: ["conics", lat, "-o", out],
+    "sample": lambda lat, out: ["sample", lat, "--grid", "2,2,2", "-o", out],
+    "classify": lambda lat, out: ["classify", lat],
+}
+
+
+class TestNumbersThatParse:
+    """Finite numbers whose squares or products overflow end in a coded
+    error, and non-finite field values print as text."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("beta", [1e-300, 1e300])
+    def test_extreme_beta_is_identity_violation(self, beta, command, tmp_path, capsys):
+        lat = fixture_variant(tmp_path, lambda doc: doc["fillets"][0].update(beta=beta))
+        out = tmp_path / "out"
+        assert main(COMMANDS[command](lat, str(out))) == 1
+        assert "[IDENTITY_VIOLATION] h0:b1+b2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("edit,hub_id", [
+        (lambda doc: doc["hubs"][0].update(radius=1e300), "h0"),
+        (lambda doc: doc.update(hubs=[{"id": "h", "center": [0, 0, 0], "radius": 1e200}],
+                                beams=[], fillets=[]), "h"),
+    ], ids=["fixture-1e300", "single-1e200"])
+    def test_radius_overflow_exit_one(self, edit, hub_id, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(COMMANDS[command](fixture_variant(tmp_path, edit), str(out))) == 1
+        err = capsys.readouterr().err
+        assert f"[RADIUS_OVERFLOW] {hub_id}: hub {hub_id!r} radius is too large" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_sample_empty_lattice_prints_inf(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        lat = fixture_variant(tmp_path, dict.clear)
+        assert main(["sample", lat, "--grid", "2,2,2", "-o", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "x,y,z,value,state,label"
+        assert len(rows) == 9
+        assert all(row.endswith(",inf,outside,OUTSIDE") for row in rows[1:])
+
+    @pytest.mark.parametrize("value,text", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+        (3.0, "3"), (-0.5, "-0.5"), (1e16, "1e+16"), (9007199254740993.0, "9007199254740992"),
+    ])
+    def test_format_value(self, value, text):
+        assert format_value(value) == text
+
+    def test_conics_non_ascii_id(self, tmp_path, capsys):
+        lat = tmp_path / "lattice.json"
+        lat.write_text(BETA1.read_text().replace('"h0"', '"hé"'), encoding="utf-8")
+        out = tmp_path / "c.obj"
+        assert main(["conics", str(lat), "-o", str(out)]) == 0
+        comments = [l for l in out.read_text(encoding="utf-8").splitlines() if l[0] == "#"]
+        assert comments == ["# fillet hé:b1+b2 stub1 class=ELLIPSE",
+                            "# fillet hé:b1+b2 stub2 class=ELLIPSE"]
 
 
 class TestConstructionCounts:

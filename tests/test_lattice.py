@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,12 @@ import pytest
 import sympy as sp
 
 from quador.algebra import subtract_square
-from quador.errors import DegenerateBeamError, PlaneMissesSphereError, UnknownHubError
+from quador.errors import (
+    DegenerateBeamError,
+    PlaneMissesSphereError,
+    RadiusOverflowError,
+    UnknownHubError,
+)
 from quador.lattice import (
     Beam,
     FilletSpec,
@@ -243,6 +249,24 @@ class TestValidation:
         report = validate_lattice(perp_lattice)
         assert report.ok
         assert report.entries == []
+
+    def test_radius_square_overflow(self, perp_lattice):
+        top = math.sqrt(sys.float_info.max)
+        big = math.nextafter(top, math.inf)
+        assert math.isfinite(top**2)
+        with pytest.raises(OverflowError):
+            big**2
+        sphere_quadric(Hub("h", (0, 0, 0), top))
+        assert validate_lattice(Lattice((Hub("h", (0, 0, 0), top),))).ok
+        with pytest.raises(RadiusOverflowError):
+            sphere_quadric(Hub("h", (0, 0, 0), big))
+        hub_a, hub_b = perp_lattice.hubs[:2]
+        with pytest.raises(RadiusOverflowError):
+            beam_quador(hub_a, dataclasses.replace(hub_b, radius=big), 4.0)
+        # Beams and fillets at the hub are not reported again.
+        hubs = (dataclasses.replace(hub_a, radius=big),) + perp_lattice.hubs[1:]
+        report = validate_lattice(dataclasses.replace(perp_lattice, hubs=hubs))
+        assert [(e.code, e.subject) for e in report.errors] == [("RADIUS_OVERFLOW", "h0")]
 
     def test_degenerate_k_entry(self, perp_lattice):
         bad = Lattice(

@@ -49,15 +49,15 @@ class TestBuildAssembly:
         assert len(asm.hubs) == 3
         assert len(asm.beams) == 2
         assert len(asm.fillets) == 1
-        patch = asm.fillets[0].patch
+        patch = asm.fillets[0]
         npt.assert_allclose(patch.E1.g, [-0.75, 1.25, 0.0])
         # locality radius at h0 is the distance to the nearest far hub
-        assert asm.hubs[0].rho == 4.0
+        assert asm.lattice._resolved.locality[asm.hubs[0].id] == 4.0
 
     def test_single_hub(self):
         asm = build_assembly(Lattice((Hub("solo", (0, 0, 0), 1.0),), (), ()))
         assert len(asm.hubs) == 1
-        assert asm.hubs[0].rho == 2.0  # isolated hubs get 2r
+        assert asm.lattice._resolved.locality["solo"] == 2.0  # isolated hubs get 2r
 
     def test_invalid_lattice_raises(self):
         bad = Lattice((Hub("h", (0, 0, 0), -1.0),), (), ())
@@ -278,7 +278,7 @@ class TestMarchingCubes:
         assert watertight(mesh)
         # No vertex sits in the region the fillet replaced: outside both
         # stubs, clearly inside the fillet, within the wedge.
-        patch = asm.fillets[0].patch
+        patch = asm.fillets[0]
         offenders = 0
         for v in mesh.vertices:
             h = min(patch.H1.value(v), patch.H2.value(v))
