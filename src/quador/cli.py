@@ -26,6 +26,7 @@ from .fillet import PLANE_PAIR_CLASSES
 from .lattice import fillet_key
 from .latticefile import load_lattice
 from .solid import auto_bounds, build_assembly, classify_point, marching_cubes
+from .tolerances import UNBOUNDED_PARAM_RANGE
 from .verify import run_verify
 from .writers import (
     format_value,
@@ -174,12 +175,15 @@ def _cmd_conics(args) -> int:
                 f"class={conic.klass.value}"
             )
             if not closed:
-                comment += " param_range=[-4, 4] per branch"
-            if conic.klass in (ConicClass.PARALLEL_LINES, ConicClass.CROSSING_LINES):
-                # Two disjoint lines: emit one polyline each.
-                half = len(pts) // 2
-                curves.append((pts[:half], False, comment + " (line 1 of 2)"))
-                curves.append((pts[half:], False, comment + " (line 2 of 2)"))
+                r = UNBOUNDED_PARAM_RANGE
+                comment += f" param_range=[{-r:g}, {r:g}] per branch"
+            part = {ConicClass.HYPERBOLA: "branch", ConicClass.PARALLEL_LINES: "line",
+                    ConicClass.CROSSING_LINES: "line"}.get(conic.klass)
+            if part:
+                # One polyline each; sample_conic gives the first n - n // 2 points.
+                half = len(pts) - len(pts) // 2
+                curves.append((pts[:half], False, comment + f" ({part} 1 of 2)"))
+                curves.append((pts[half:], False, comment + f" ({part} 2 of 2)"))
             else:
                 curves.append((pts, closed, comment))
     count = _write(args.output, write_obj_polylines, curves, args.output)
@@ -276,7 +280,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        # A failing run ends in its coded error, so numpy's warnings add nothing.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except ParseError as exc:

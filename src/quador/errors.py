@@ -60,6 +60,12 @@ class RadiusOverflowError(QuadorError, ValueError):
         super().__init__(f"hub {hub_id!r} radius is too large: its square overflows")
 
 
+class CenterOverflowError(QuadorError, ValueError):
+    """A hub center so far out that its squared norm is not a finite float."""
+
+    code = "CENTER_OVERFLOW"
+
+
 class CoincidentHubsError(QuadorError, ValueError):
     code = "COINCIDENT_HUBS"
 
@@ -86,6 +92,16 @@ class ParallelStubsError(QuadorError):
     """The two stub planes are parallel; there is no corner to fill."""
 
     code = "PARALLEL_STUBS"
+
+
+class NonPositiveBetaError(QuadorError, ValueError):
+    code = "NONPOSITIVE_BETA"
+
+
+class FilletPairMismatchError(QuadorError):
+    """A fillet names one beam twice, or a beam that does not meet its hub."""
+
+    code = "FILLET_PAIR_MISMATCH"
 
 
 class IdentityViolationError(QuadorError):

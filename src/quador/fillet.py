@@ -32,8 +32,10 @@ from .algebra import (
 from .conics import COMPACT_CLASSES, Conic, ConicClass, intersect_quadric_plane
 from .errors import (
     EmptyConicError,
+    FilletPairMismatchError,
     IdentityViolationError,
     NoBisectorIntersectionError,
+    NonPositiveBetaError,
     ParallelStubsError,
     WedgeOrientationError,
 )
@@ -60,11 +62,11 @@ def fillet_planes(
 ) -> tuple[LinearForm, LinearForm, float]:
     """The pair of fillet planes for a given ``beta``; returns (E1, E2, alpha).
 
-    Raises :class:`ParallelStubsError` when the stub planes are parallel
-    (no transversal corner to fill).
+    Raises :class:`NonPositiveBetaError` for a ``beta`` not positive and finite,
+    and :class:`ParallelStubsError` for parallel stub planes (no corner to fill).
     """
     if not (beta > 0.0) or not math.isfinite(beta):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+        raise NonPositiveBetaError(f"fillet beta={beta}")
     cross = np.cross(G1.g, G2.g)
     if np.linalg.norm(cross) <= PARALLEL_STUB_TOL * G1.grad_norm() * G2.grad_norm():
         raise ParallelStubsError("stub planes are parallel; no corner to fill")
@@ -184,16 +186,21 @@ def build_fillet(stub1: StubView, stub2: StubView, beta: float) -> FilletPatch:
     )
 
 
+def build_fillet_from_views(views: tuple[StubView, ...] | list[StubView],
+                            spec: FilletSpec) -> FilletPatch:
+    """Build a spec's patch from the stub views at its hub."""
+    if spec.beam_i == spec.beam_j:
+        raise FilletPairMismatchError("fillet names one beam twice")
+    by_beam = {v.beam.id: v for v in views}
+    for bid in (spec.beam_i, spec.beam_j):
+        if bid not in by_beam:
+            raise FilletPairMismatchError(f"beam {bid!r} is not incident to hub {spec.hub!r}")
+    return build_fillet(by_beam[spec.beam_i], by_beam[spec.beam_j], spec.beta)
+
+
 def build_fillet_for_spec(lattice: Lattice, spec: FilletSpec) -> FilletPatch:
     """Resolve a :class:`FilletSpec` against a lattice and build the patch."""
-    views = {v.beam.id: v for v in stub_views_at_hub(lattice, spec.hub)}
-    try:
-        s1, s2 = views[spec.beam_i], views[spec.beam_j]
-    except KeyError as exc:
-        raise KeyError(
-            f"fillet at {spec.hub!r} names beam {exc.args[0]!r} not incident to it"
-        ) from exc
-    return build_fillet(s1, s2, spec.beta)
+    return build_fillet_from_views(stub_views_at_hub(lattice, spec.hub), spec)
 
 
 def _max_distance_on_conic(conic: Conic, origin: np.ndarray) -> float:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .algebra import LinearForm, Quadric, _freeze, stack_forms, stacked_values, subtract_square
 from .errors import (
+    CenterOverflowError,
     CoincidentHubsError,
     DegenerateBeamError,
     NonPositiveRadiusError,
@@ -107,13 +108,18 @@ _MAX_RADIUS = math.sqrt(sys.float_info.max)
 
 
 def sphere_quadric(hub: Hub) -> Quadric:
-    """Implicit sphere ``|x - c|^2 - r^2``: negative inside, increasing outward."""
-    if hub.radius <= 0.0:
-        raise NonPositiveRadiusError(f"hub {hub.id!r} radius must be positive")
+    """Implicit sphere ``|x - c|^2 - r^2``: negative inside, increasing outward;
+    rejects a radius that is not positive, and a radius or center whose square overflows."""
+    if not hub.radius > 0.0:
+        raise NonPositiveRadiusError(f"hub {hub.id!r} has radius {hub.radius}")
     if hub.radius > _MAX_RADIUS:
         raise RadiusOverflowError(hub.id)
     c = np.asarray(hub.center, dtype=float)
-    return Quadric(np.eye(3), -c, float(c @ c) - hub.radius**2)
+    with np.errstate(over="ignore"):  # an overflow is the coded error below
+        cc = float(c @ c)
+    if not math.isfinite(cc):
+        raise CenterOverflowError(f"hub {hub.id!r} center is too large: its square overflows")
+    return Quadric(np.eye(3), -c, cc - hub.radius**2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,14 +146,13 @@ def beam_quador(hub_a: Hub, hub_b: Hub, k: float) -> BeamGeometry:
 
     The tangency planes must cut their spheres (``|G(c)| / |grad G| < r`` at
     each end), otherwise :class:`PlaneMissesSphereError` names the offending
-    hub.  ``k = 0`` raises :class:`DegenerateBeamError`, and a radius whose
-    square overflows :class:`RadiusOverflowError`.
+    hub.  A zero or non-finite ``k`` raises :class:`DegenerateBeamError`, and a
+    bad hub the error :func:`sphere_quadric` raises for it.
     """
     if not math.isfinite(k) or k == 0.0:
         raise DegenerateBeamError(f"beam between {hub_a.id!r} and {hub_b.id!r} has k={k}")
-    for hub in (hub_a, hub_b):
-        if hub.radius > _MAX_RADIUS:
-            raise RadiusOverflowError(hub.id)
+    sphere_a = sphere_quadric(hub_a)
+    sphere_quadric(hub_b)  # only for hub_b's own checks
     ca = np.asarray(hub_a.center, dtype=float)
     cb = np.asarray(hub_b.center, dtype=float)
     d = float(np.linalg.norm(cb - ca))
@@ -160,7 +165,7 @@ def beam_quador(hub_a: Hub, hub_b: Hub, k: float) -> BeamGeometry:
     G_a = LinearForm(gl / (2.0 * k), cl / (2.0 * k) + k / 2.0)
     G_b_raw = LinearForm(G_a.g, G_a.c0 - k)
 
-    H = subtract_square(sphere_quadric(hub_a), G_a)
+    H = subtract_square(sphere_a, G_a)
 
     lam = G_a.grad_norm()
     if abs(G_a.value(ca)) >= lam * hub_a.radius:
@@ -280,10 +285,9 @@ class _Resolution:
 def validate_lattice(lattice: Lattice) -> ValidationReport:
     """Check structural and geometric consistency; never raises.
 
-    Errors: duplicate/missing ids, non-positive radii or ones whose square
-    overflows, ``k = 0``, coincident hubs, tangency plane missing its sphere,
-    fillet beam pairs not sharing the named hub, degenerate (parallel-stub or
-    self-loop) configurations.
+    Errors: duplicate or missing ids and self-loops; otherwise the coded error
+    that building a hub, beam or fillet raised, once, under that part.  A part
+    at a failed hub or beam is not built, so it is not reported again.
     Warnings: overlapping hub spheres, sampled fillet wedge overlap at hubs
     with more than two beams, fillets still active on their locality sphere.
     """
@@ -291,21 +295,22 @@ def validate_lattice(lattice: Lattice) -> ValidationReport:
 
 
 def _resolve(lattice: Lattice) -> _Resolution:
-    from .fillet import build_fillet  # fillet imports this module
+    from .fillet import build_fillet_from_views  # fillet imports this module
 
     report = ValidationReport()
 
     hubs: dict[str, Hub] = {}
+    spheres: dict[str, Quadric | QuadorError] = {}
     for h in lattice.hubs:
         if h.id in hubs:
             report.add_error("DUPLICATE_ID", h.id, f"duplicate hub id {h.id!r}")
+        try:
+            sphere = sphere_quadric(h)
+        except QuadorError as exc:
+            report.add_error(exc.code, h.id, str(exc))
+            sphere = exc
         hubs.setdefault(h.id, h)
-        if not (h.radius > 0.0):
-            report.add_error(
-                "NONPOSITIVE_RADIUS", h.id, f"hub {h.id!r} has radius {h.radius}"
-            )
-        elif h.radius > _MAX_RADIUS:
-            report.add_error("RADIUS_OVERFLOW", h.id, str(RadiusOverflowError(h.id)))
+        spheres.setdefault(h.id, sphere)
 
     beams: dict[str, Beam] = {}
     incident: dict[str, list] = {}
@@ -315,31 +320,28 @@ def _resolve(lattice: Lattice) -> _Resolution:
             report.add_error("DUPLICATE_ID", b.id, f"duplicate beam id {b.id!r}")
         beams.setdefault(b.id, b)
         missing = [hid for hid in (b.hub_a, b.hub_b) if hid not in hubs]
-        try:
-            if missing:
-                raise UnknownHubError(missing[0])
-            geom = replace(beam_quador(hubs[b.hub_a], hubs[b.hub_b], b.k), beam=b)
-        except QuadorError as exc:
-            geom = exc
-        geometry.append(geom)
-        for hub_id in dict.fromkeys((b.hub_a, b.hub_b)):
-            incident.setdefault(hub_id, []).append((b, geom))
         if b.hub_a == b.hub_b:
             report.add_error("SELF_LOOP", b.id, f"beam {b.id!r} joins a hub to itself")
         elif missing:
             report.add_error(
                 "MISSING_ID", b.id, f"beam {b.id!r} references unknown hub(s) {missing}"
             )
-        elif b.k == 0.0 or not math.isfinite(b.k):
-            report.add_error("DEGENERATE_K", b.id, f"beam {b.id!r} has k={b.k}")
-        elif isinstance(geom, QuadorError):
-            if all(0.0 < hubs[h].radius <= _MAX_RADIUS  # else the hub's error
-                   for h in (b.hub_a, b.hub_b)):
-                report.add_error(geom.code, b.id, f"beam {b.id!r}: {geom}")
-    built = {b.id for b, g in zip(lattice.beams, geometry) if isinstance(g, BeamGeometry)}
+        # A beam at a missing or failed hub is not built; that hub's error stands.
+        ends = [spheres.get(hid, UnknownHubError(hid)) for hid in (b.hub_a, b.hub_b)]
+        geom = next((e for e in ends if isinstance(e, QuadorError)), None)
+        if geom is None:
+            try:
+                geom = replace(beam_quador(hubs[b.hub_a], hubs[b.hub_b], b.k), beam=b)
+            except QuadorError as exc:
+                if b.hub_a != b.hub_b:
+                    report.add_error(exc.code, b.id, f"beam {b.id!r}: {exc}")
+                geom = exc
+        geometry.append(geom)
+        for hub_id in dict.fromkeys((b.hub_a, b.hub_b)):
+            incident.setdefault(hub_id, []).append((b, geom))
 
-    # Per hub: its stub views (or the first error building them), and its fillet
-    # clipping radius: nearest connected hub (2r if none), clamped to hold the sphere.
+    # Per hub: its stub views (or the first error of its sphere or beams), and its
+    # fillet clipping radius: nearest connected hub (2r if none), clamped to hold the sphere.
     stubs: dict[str, tuple[StubView, ...] | QuadorError] = {}
     locality = {}
     for hub in hubs.values():
@@ -347,20 +349,16 @@ def _resolve(lattice: Lattice) -> _Resolution:
         others = (b.hub_b if b.hub_a == hub.id else b.hub_a for b, _ in pairs)
         dists = [math.dist(hub.center, hubs[o].center) for o in others if o in hubs]
         locality[hub.id] = max(min(dists) if dists else 2.0 * hub.radius, 1.25 * hub.radius)
+        sphere = spheres[hub.id]
+        failed = [e for e in (sphere, *(g for _, g in pairs)) if isinstance(e, QuadorError)]
+        if failed:
+            stubs[hub.id] = failed[0]
+            continue
         views = []
-        try:
-            sphere = sphere_quadric(hub)
-            for beam, geom in pairs:
-                if isinstance(geom, QuadorError):
-                    raise geom
-                if beam.hub_a == hub.id:
-                    g, axis = geom.G_a, geom.axis
-                else:
-                    g, axis = geom.G_b, -geom.axis
-                views.append(StubView(hub, beam, g, subtract_square(sphere, g), axis))
-            stubs[hub.id] = tuple(views)
-        except QuadorError as exc:
-            stubs[hub.id] = exc
+        for beam, geom in pairs:
+            g, axis = (geom.G_a, geom.axis) if beam.hub_a == hub.id else (geom.G_b, -geom.axis)
+            views.append(StubView(hub, beam, g, subtract_square(sphere, g), axis))
+        stubs[hub.id] = tuple(views)
 
     for i, h1 in enumerate(lattice.hubs):
         for h2 in lattice.hubs[i + 1:]:
@@ -378,33 +376,15 @@ def _resolve(lattice: Lattice) -> _Resolution:
 
     def resolve_fillet(fs: FilletSpec) -> FilletPatch | None:
         subject = fillet_key(fs.hub, fs.beam_i, fs.beam_j)
-        if fs.beam_i == fs.beam_j:
-            report.add_error("FILLET_PAIR_MISMATCH", subject, "fillet names one beam twice")
+        unknown = [] if fs.hub in hubs else [f"hub {fs.hub!r}"]
+        unknown += [f"beam {bid!r}" for bid in dict.fromkeys((fs.beam_i, fs.beam_j))
+                    if bid not in beams]
+        for name in unknown:
+            report.add_error("MISSING_ID", subject, f"fillet names unknown {name}")
+        if unknown or isinstance(stubs[fs.hub], QuadorError):  # that error is recorded
             return None
-        if not (fs.beta > 0.0) or not math.isfinite(fs.beta):
-            report.add_error("NONPOSITIVE_BETA", subject, f"fillet beta={fs.beta}")
-            return None
-        if fs.hub not in hubs:
-            report.add_error("MISSING_ID", subject, f"fillet names unknown hub {fs.hub!r}")
-            return None
-        bad = False
-        for bid in (fs.beam_i, fs.beam_j):
-            if bid not in beams:
-                report.add_error("MISSING_ID", subject, f"fillet names unknown beam {bid!r}")
-                bad = True
-            elif fs.hub not in (beams[bid].hub_a, beams[bid].hub_b):
-                message = f"beam {bid!r} is not incident to hub {fs.hub!r}"
-                report.add_error("FILLET_PAIR_MISMATCH", subject, message)
-                bad = True
-        if bad or fs.beam_i not in built or fs.beam_j not in built:
-            return None
-
-        views = stubs[fs.hub]
         try:
-            if isinstance(views, QuadorError):
-                raise views
-            by_beam = {v.beam.id: v for v in views}
-            patch = build_fillet(by_beam[fs.beam_i], by_beam[fs.beam_j], fs.beta)
+            patch = build_fillet_from_views(stubs[fs.hub], fs)
         except QuadorError as exc:
             report.add_error(exc.code, subject, str(exc))
             return None

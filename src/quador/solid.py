@@ -264,7 +264,8 @@ def marching_cubes(
         raise ValueError(f"resolution must be >= 2 per axis, got {res}")
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(hi > lo)):
+    # Each span must be positive and finite (Python floats overflow silently).
+    if not all(h > l and math.isfinite(h - l) for l, h in zip(lo.tolist(), hi.tolist())):
         raise DegenerateBoundsError(f"bad bounds {lo} .. {hi}")
 
     xs = np.linspace(lo[0], hi[0], res[0] + 1)

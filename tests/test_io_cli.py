@@ -23,6 +23,7 @@ import quador.verify
 import quador.writers
 from quador.algebra import Quadric
 from quador.cli import main
+from quador.conics import ConicClass
 from quador.errors import ParseError, ValidationError
 from quador.lattice import Beam, FilletSpec, Hub, Lattice
 from quador.latticefile import lattice_to_json, load_lattice
@@ -33,6 +34,19 @@ from quador.writers import format_value, read_stl, write_stl
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BETA1 = FIXTURES / "perpendicular_beta1.json"
 BETA05 = FIXTURES / "perpendicular_beta05.json"
+
+
+def obj_polylines(path: Path) -> list[tuple[str, np.ndarray]]:
+    """(comment, points) for each ``l`` record of an OBJ polyline file."""
+    verts, comment, found = [], "", []
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            comment = line[2:]
+        elif line.startswith("v "):
+            verts.append([float(v) for v in line.split()[1:]])
+        elif line.startswith("l "):
+            found.append((comment, np.array([verts[int(i) - 1] for i in line.split()[1:]])))
+    return found
 
 
 def corrupt_first_fillet(monkeypatch, delta=1e-6):
@@ -306,6 +320,48 @@ class TestCli:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("samples", [128, 7])
+    def test_conics_hyperbola_one_polyline_per_branch(self, tmp_path, samples):
+        # k = 3 stubs 60 degrees apart at beta = 0.55: both tangency conics are hyperbolas.
+        far = (4 * math.cos(math.pi / 3), 4 * math.sin(math.pi / 3), 0.0)
+        lattice = Lattice(
+            (Hub("h0", (0.0, 0.0, 0.0), 1.0), Hub("h1", (4.0, 0.0, 0.0), 1.0),
+             Hub("h2", far, 1.0)),
+            (Beam("b1", "h0", "h1", 3.0), Beam("b2", "h0", "h2", 3.0)),
+            (FilletSpec("h0", "b1", "b2", 0.55),),
+        )
+        path = tmp_path / "hyperbolas.json"
+        path.write_text(lattice_to_json(lattice))
+        out = tmp_path / "c.obj"
+        assert main(["conics", str(path), "--samples-per-curve", str(samples),
+                     "-o", str(out)]) == 0
+        patch = build_assembly(lattice).fillets[0]
+        polylines = obj_polylines(out)
+        assert [comment.endswith(f"per branch (branch {i} of 2)")
+                for i, (comment, _) in zip((1, 2, 1, 2), polylines)] == [True] * 4
+        assert [len(pts) for _, pts in polylines] == [samples - samples // 2, samples // 2] * 2
+        for (_, pts), conic in zip(polylines, (patch.conic1,) * 2 + (patch.conic2,) * 2):
+            assert conic.klass is ConicClass.HYPERBOLA
+            center = conic.point3d(*conic.center)
+            transverse = conic.point3d(*(conic.center + conic.axes[0])) - center
+            assert len(set(np.sign((pts - center) @ transverse))) == 1  # one branch
+
+    def test_conics_odd_samples_split_line_pairs(self, tmp_path):
+        out = tmp_path / "c.obj"
+        assert main(["conics", str(BETA05), "--samples-per-curve", "5", "-o", str(out)]) == 0
+        polylines = obj_polylines(out)
+        assert [len(pts) for _, pts in polylines] == [3, 2, 3, 2]
+        for _, pts in polylines:  # each polyline stays on one line
+            d1, d2 = pts[1] - pts[0], pts[-1] - pts[0]
+            assert np.linalg.norm(np.cross(d1, d2)) <= 1e-9 * np.linalg.norm(d1) ** 2
+
+    def test_mesh_overflowing_bounds_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "m.stl"
+        assert main(["mesh", str(BETA1), "--bounds=-1e308,-1,-1,1e308,1,1",
+                     "-o", str(out)]) == 1
+        assert "DEGENERATE_BOUNDS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sample_points(self, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("x,y,z\n0,0,0\n0.9,0.9,0.3\n1.05,1.05,0\n")
@@ -480,6 +536,28 @@ class TestNumbersThatParse:
         err = capsys.readouterr().err
         assert f"[RADIUS_OVERFLOW] {hub_id}: hub {hub_id!r} radius is too large" in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_center_overflow_exit_one(self, command, tmp_path, capsys):
+        lat = fixture_variant(tmp_path, lambda doc: doc.update(
+            hubs=[{"id": "h", "center": [1e200, 0, 0], "radius": 1}], beams=[], fillets=[]))
+        out = tmp_path / "out"
+        assert main(COMMANDS[command](lat, str(out))) == 1
+        err = capsys.readouterr().err
+        assert "[CENTER_OVERFLOW] h: hub 'h' center is too large" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_numpy_warnings_stay_off_stderr(self, tmp_path):
+        lat = fixture_variant(tmp_path, lambda doc: doc["fillets"][0].update(beta=1e-300))
+        src = str(Path(quador.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-m", "quador.cli", "classify", lat],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 1
+        first, *rest = proc.stderr.splitlines()
+        assert first.startswith("quador: ") and "IDENTITY_VIOLATION" in first
+        assert [line[:26] for line in rest] == ["  [IDENTITY_VIOLATION] h0:"]
 
     def test_sample_empty_lattice_prints_inf(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -14,9 +14,11 @@ from quador.algebra import subtract_square
 from quador.errors import (
     DegenerateBeamError,
     PlaneMissesSphereError,
+    QuadorError,
     RadiusOverflowError,
     UnknownHubError,
 )
+from quador.fillet import build_fillet_for_spec
 from quador.lattice import (
     Beam,
     FilletSpec,
@@ -378,6 +380,72 @@ class TestValidation:
         assert {code for code, _, _ in got} == (
             {"FILLET_WEDGE_OVERLAP"} if beta == 1.0
             else {"FILLET_ACTIVE_AT_LOCALITY", "FILLET_WEDGE_OVERLAP"})
+
+
+def _with_hub0(**changes):
+    """The lattice with hub ``h0`` changed, and its sphere build."""
+    def make(lat):
+        hub = dataclasses.replace(lat.hubs[0], **changes)
+        return dataclasses.replace(lat, hubs=(hub,) + lat.hubs[1:]), lambda: sphere_quadric(hub)
+    return make
+
+
+def _with_k(k):
+    """The lattice with beam ``b1`` (``h0``-``h1``) at ``k``, and its beam build."""
+    def make(lat):
+        beams = (dataclasses.replace(lat.beams[0], k=k),) + lat.beams[1:]
+        return (dataclasses.replace(lat, beams=beams),
+                lambda: beam_quador(lat.hubs[0], lat.hubs[1], k))
+    return make
+
+
+def _with_fillet(**changes):
+    """The lattice with its fillet changed, and that fillet's build."""
+    def make(lat):
+        spec = dataclasses.replace(lat.fillets[0], **changes)
+        lat = dataclasses.replace(lat, fillets=(spec,))
+        return lat, lambda: build_fillet_for_spec(lat, spec)
+    return make
+
+
+_BIG = math.nextafter(math.sqrt(sys.float_info.max), math.inf)
+
+
+class TestBuildersOwnTheirRules:
+    """Validation reports the coded error of the builder that rejects the part."""
+
+    @pytest.mark.parametrize("make,code", [
+        (_with_hub0(radius=-1.0), "NONPOSITIVE_RADIUS"),
+        (_with_hub0(radius=0.0), "NONPOSITIVE_RADIUS"),
+        (_with_hub0(radius=math.nan), "NONPOSITIVE_RADIUS"),
+        (_with_hub0(radius=_BIG), "RADIUS_OVERFLOW"),
+        (_with_hub0(center=(1e200, 0.0, 0.0)), "CENTER_OVERFLOW"),
+        (_with_k(0.0), "DEGENERATE_K"),
+        (_with_k(math.inf), "DEGENERATE_K"),
+        (_with_k(math.nan), "DEGENERATE_K"),
+        (_with_fillet(beta=0.0), "NONPOSITIVE_BETA"),
+        (_with_fillet(beta=-1.0), "NONPOSITIVE_BETA"),
+        (_with_fillet(beta=math.nan), "NONPOSITIVE_BETA"),
+        (_with_fillet(hub="h1"), "FILLET_PAIR_MISMATCH"),
+        (_with_fillet(beam_j="b1"), "FILLET_PAIR_MISMATCH"),
+    ], ids=["radius-1", "radius0", "radius-nan", "radius-big", "center-1e200",
+            "k0", "k-inf", "k-nan", "beta0", "beta-1", "beta-nan",
+            "beam-off-hub", "beam-twice"])
+    def test_validation_code_is_the_builders(self, perp_lattice, make, code):
+        lattice, build = make(perp_lattice)
+        with pytest.raises(QuadorError) as raised:
+            build()
+        assert raised.value.code == code
+        assert [e.code for e in validate_lattice(lattice).errors] == [code]
+
+    @pytest.mark.parametrize("far_hub,k", [("h3", 0.5), ("ghost", 4.0)],
+                             ids=["plane-misses-sphere", "unknown-hub"])
+    def test_failed_beam_is_reported_once(self, perp_lattice, far_hub, k):
+        # The fillet h0:b1+b2 is good; only b3, at the same hub, fails.
+        lattice = Lattice(perp_lattice.hubs + (Hub("h3", (0, 0, 4), 1.0),),
+                          perp_lattice.beams + (Beam("b3", "h0", far_hub, k),),
+                          perp_lattice.fillets)
+        assert [e.subject for e in validate_lattice(lattice).errors] == ["b3"]
 
 
 def sampled_fillet_warnings(lattice):

@@ -322,6 +322,11 @@ class TestMarchingCubes:
         with pytest.raises(DegenerateBoundsError):
             marching_cubes(asm, (np.zeros(3), np.zeros(3)), 8)
 
+    def test_overflowing_span(self, asm):
+        # Both corners are finite, but x1 - x0 is not.
+        with pytest.raises(DegenerateBoundsError):
+            marching_cubes(asm, (np.array([-1e308, -1.0, -1.0]), np.array([1e308, 1.0, 1.0])), 8)
+
     def test_resolution_validation(self, asm):
         with pytest.raises(ValueError):
             marching_cubes(asm, (np.zeros(3), np.ones(3)), 1)
