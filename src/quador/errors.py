@@ -80,6 +80,12 @@ class PlaneMissesSphereError(QuadorError):
         super().__init__(message or f"tangency plane misses hub sphere {hub_id!r}")
 
 
+class MissingIdError(QuadorError):
+    """A beam or fillet names a hub or beam id the lattice does not define."""
+
+    code = "MISSING_ID"
+
+
 class UnknownHubError(QuadorError):
     code = "UNKNOWN_HUB"
 

@@ -34,12 +34,13 @@ from .errors import (
     EmptyConicError,
     FilletPairMismatchError,
     IdentityViolationError,
+    MissingIdError,
     NoBisectorIntersectionError,
     NonPositiveBetaError,
     ParallelStubsError,
     WedgeOrientationError,
 )
-from .lattice import Lattice, FilletSpec, StubView, stub_views_at_hub
+from .lattice import Lattice, FilletSpec, StubView, _unknown_fillet_ids, stub_views_at_hub
 from .tolerances import COEFF_REL_TOL, PARALLEL_STUB_TOL
 
 __all__ = [
@@ -199,7 +200,15 @@ def build_fillet_from_views(views: tuple[StubView, ...] | list[StubView],
 
 
 def build_fillet_for_spec(lattice: Lattice, spec: FilletSpec) -> FilletPatch:
-    """Resolve a :class:`FilletSpec` against a lattice and build the patch."""
+    """Resolve a :class:`FilletSpec` against a lattice and build the patch.
+
+    A spec naming a hub or beam the lattice does not define raises
+    :class:`MissingIdError`, the code validation reports for it.
+    """
+    resolved = lattice._resolved
+    unknown = _unknown_fillet_ids(spec, resolved.hubs, resolved.beams)
+    if unknown:
+        raise MissingIdError(f"fillet names unknown {', '.join(unknown)}")
     return build_fillet_from_views(stub_views_at_hub(lattice, spec.hub), spec)
 
 

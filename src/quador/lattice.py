@@ -27,6 +27,7 @@ from .errors import (
     CenterOverflowError,
     CoincidentHubsError,
     DegenerateBeamError,
+    MissingIdError,
     NonPositiveRadiusError,
     PlaneMissesSphereError,
     QuadorError,
@@ -274,6 +275,8 @@ class _Resolution:
     """Everything built from one lattice, each part once."""
 
     hubs: dict[str, Hub]  # first match wins on duplicate ids
+    spheres: dict[str, Quadric | QuadorError]  # per hub id: its sphere, or the error
+    beams: dict[str, Beam]  # first match wins on duplicate ids
     incident: dict[str, list]  # hub id -> [(beam, geometry or its error)]
     geometry: tuple[BeamGeometry | QuadorError, ...]  # one per lattice beam
     stubs: dict[str, tuple[StubView, ...] | QuadorError]  # per hub id
@@ -292,6 +295,14 @@ def validate_lattice(lattice: Lattice) -> ValidationReport:
     with more than two beams, fillets still active on their locality sphere.
     """
     return ValidationReport(list(lattice._resolved.issues))
+
+
+def _unknown_fillet_ids(spec: FilletSpec, hubs, beams) -> list[str]:
+    """The hub and beams a fillet spec names that are not in ``hubs`` and
+    ``beams`` (collections of ids), each as ``hub 'id'`` or ``beam 'id'``."""
+    unknown = [] if spec.hub in hubs else [f"hub {spec.hub!r}"]
+    return unknown + [f"beam {bid!r}" for bid in dict.fromkeys((spec.beam_i, spec.beam_j))
+                      if bid not in beams]
 
 
 def _resolve(lattice: Lattice) -> _Resolution:
@@ -324,7 +335,7 @@ def _resolve(lattice: Lattice) -> _Resolution:
             report.add_error("SELF_LOOP", b.id, f"beam {b.id!r} joins a hub to itself")
         elif missing:
             report.add_error(
-                "MISSING_ID", b.id, f"beam {b.id!r} references unknown hub(s) {missing}"
+                MissingIdError.code, b.id, f"beam {b.id!r} references unknown hub(s) {missing}"
             )
         # A beam at a missing or failed hub is not built; that hub's error stands.
         ends = [spheres.get(hid, UnknownHubError(hid)) for hid in (b.hub_a, b.hub_b)]
@@ -376,11 +387,9 @@ def _resolve(lattice: Lattice) -> _Resolution:
 
     def resolve_fillet(fs: FilletSpec) -> FilletPatch | None:
         subject = fillet_key(fs.hub, fs.beam_i, fs.beam_j)
-        unknown = [] if fs.hub in hubs else [f"hub {fs.hub!r}"]
-        unknown += [f"beam {bid!r}" for bid in dict.fromkeys((fs.beam_i, fs.beam_j))
-                    if bid not in beams]
+        unknown = _unknown_fillet_ids(fs, hubs, beams)
         for name in unknown:
-            report.add_error("MISSING_ID", subject, f"fillet names unknown {name}")
+            report.add_error(MissingIdError.code, subject, f"fillet names unknown {name}")
         if unknown or isinstance(stubs[fs.hub], QuadorError):  # that error is recorded
             return None
         try:
@@ -421,5 +430,5 @@ def _resolve(lattice: Lattice) -> _Resolution:
                 "(sampled); tangency between the patches is not guaranteed",
             )
 
-    return _Resolution(hubs, incident, tuple(geometry), stubs, locality, patches,
-                       tuple(report.entries))
+    return _Resolution(hubs, spheres, beams, incident, tuple(geometry), stubs, locality,
+                       patches, tuple(report.entries))

@@ -35,7 +35,6 @@ from .lattice import (
     Lattice,
     beam_radius,
     fillet_key,
-    sphere_quadric,
     validate_lattice,
 )
 
@@ -88,8 +87,9 @@ class Assembly:
     @cached_property
     def _table(self) -> _PartTable:
         # Frozen, so never stale; threads racing here at most build it twice.
-        rho = self.lattice._resolved.locality
-        parts = [(RegionLabel("HUB", hub.id), (sphere_quadric(hub),)) for hub in self.hubs]
+        resolved = self.lattice._resolved
+        rho = resolved.locality
+        parts = [(RegionLabel("HUB", hub.id), (resolved.spheres[hub.id],)) for hub in self.hubs]
         parts += [(RegionLabel("BEAM", bg.beam.id), (bg.H, -bg.G_a, -bg.G_b))
                   for bg in self.beams]
         for p in self.fillets:
@@ -137,27 +137,46 @@ def field_value(assembly: Assembly, x) -> float:
     return float(np.fmin.reduce(_part_values(assembly, x), initial=math.inf))
 
 
+# Grid points per field_grid slab: the slab's few float64 temporaries
+# (512 KiB each) stay in cache, and the result grid is the only whole-grid array.
+_SLAB_POINTS = 1 << 16
+
+
 def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
-    """Vectorized :func:`field_value` over broadcastable coordinate arrays, one
-    part at a time (one part value and the running min are live).  A plane row
-    (``A = 0``) takes ``2 (b . X) + c``: the bits of ``g . X + c0``."""
+    """Vectorized :func:`field_value` over broadcastable coordinate arrays.
+
+    The result is filled slab by slab along the first broadcast axis, one
+    part at a time within a slab, so besides the result only a slab's part
+    value, running min and formula temporaries are live.  Every value is
+    computed elementwise by the same operations in the same order whatever
+    the slab, so its bits do not depend on the slab size or on how the
+    coordinates are broadcast.  A plane row (``A = 0``) takes
+    ``2 (b . X) + c``: the bits of ``g . X + c0``.
+    """
     X, Y, Z = (np.asarray(a, dtype=float) for a in (X, Y, Z))
+    shape = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
+    out = np.full(shape or (1,), math.inf)  # a scalar is one slab of one point
+    X, Y, Z = (a.reshape((1,) * (out.ndim - a.ndim) + a.shape) for a in (X, Y, Z))
     table = assembly._table
-    total = None
-    for rows in map(slice, table.bounds[:-1], table.bounds[1:]):
-        part = None
-        for A, (b,), c in zip(*(s[rows] for s in table.stack)):
-            # A fixed summation order keeps the grid's bits; hoisting the linear
-            # term ahead of the quadratic ones would hold one more whole grid.
-            v = 2.0 * (b[0] * X + b[1] * Y + b[2] * Z) + c if not A.any() else (
-                A[0, 0] * X * X + A[1, 1] * Y * Y + A[2, 2] * Z * Z
-                + 2.0 * (A[0, 1] * X * Y + A[0, 2] * X * Z + A[1, 2] * Y * Z)
-                + 2.0 * (b[0] * X + b[1] * Y + b[2] * Z) + c)
-            part = v if part is None else np.maximum(part, v)
-        total = part if total is None else np.minimum(total, part)
-    if total is None:
-        return np.full(np.broadcast(X, Y, Z).shape, math.inf)
-    return total
+    if not table.parts:
+        return out.reshape(shape)
+    step = max(1, _SLAB_POINTS // max(1, math.prod(out.shape[1:])))
+    for start in range(0, len(out), step):
+        slab = slice(start, start + step)
+        x, y, z = (a[slab] if len(a) > 1 else a for a in (X, Y, Z))
+        total = None
+        for rows in map(slice, table.bounds[:-1], table.bounds[1:]):
+            part = None
+            for A, (b,), c in zip(*(s[rows] for s in table.stack)):
+                # A fixed summation order keeps the grid's bits.
+                v = 2.0 * (b[0] * x + b[1] * y + b[2] * z) + c if not A.any() else (
+                    A[0, 0] * x * x + A[1, 1] * y * y + A[2, 2] * z * z
+                    + 2.0 * (A[0, 1] * x * y + A[0, 2] * x * z + A[1, 2] * y * z)
+                    + 2.0 * (b[0] * x + b[1] * y + b[2] * z) + c)
+                part = v if part is None else np.maximum(part, v)
+            total = part if total is None else np.minimum(total, part)
+        out[slab] = total
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -273,39 +292,46 @@ def marching_cubes(
     zs = np.linspace(lo[2], hi[2], res[2] + 1)
     F = field_grid(assembly, xs[:, None, None], ys[None, :, None], zs[None, None, :])
 
-    inside = F < 0.0
+    # Each cell's case sits at its low corner in a grid shaped like F, so a
+    # cell's flat index is that corner's flat index into F.
     nx, ny, nz = res
-    index = np.zeros(res, dtype=np.uint8)
+    inside = F < 0.0
+    case = np.zeros(F.shape, dtype=np.uint8)
+    cell_case = case[:nx, :ny, :nz]
     for bit, (dx, dy, dz) in enumerate(VERT_OFFSETS):
-        index |= inside[dx : dx + nx, dy : dy + ny, dz : dz + nz].astype(np.uint8) << bit
-    active = (index != 0) & (index != 255)
+        cell_case |= inside[dx : dx + nx, dy : dy + ny, dz : dz + nz].astype(np.uint8) << bit
+    del inside
+    cells = np.flatnonzero((case != 0) & (case != 255))
+    edges = TRI_EDGES[case.ravel()[cells]]
+    del case, cell_case
 
-    # One row per triangle corner, in cell order then table order: the
-    # corner's cell and the grid edge it lies on, keyed by (axis, low end).
-    edges = TRI_EDGES[index[active]]
+    # One key per triangle corner, in cell order then table order: grid edge
+    # (axis, low end) has key axis * F.size + the low end's flat index, which
+    # is the corner's cell index plus a per-edge offset.
+    strides = np.array([(ny + 1) * (nz + 1), nz + 1, 1])
+    edge_offset = EDGE_AXIS * F.size + EDGE_LOW @ strides
     rows, cols = np.nonzero(edges >= 0)
-    edge = edges[rows, cols]
-    axis = EDGE_AXIS[edge]
-    low = np.argwhere(active)[rows] + EDGE_LOW[edge]
-    key = ((axis * (nx + 1) + low[:, 0]) * (ny + 1) + low[:, 1]) * (nz + 1) + low[:, 2]
+    key = cells[rows] + edge_offset[edges[rows, cols]]
+    del cells, edges, rows, cols
     # Weld corners on the same grid edge; number vertices by first use.
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    key, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     vertex_of_corner = np.argsort(order)[inverse]
+    del first, inverse
 
     # Interpolate from the canonical (low) end so both adjacent cells
     # produce bit-identical coordinates.
-    first = first[order]
-    axis, low = axis[first], low[first]
-    high = low + np.eye(3, dtype=np.int64)[axis]
-    f0 = F[low[:, 0], low[:, 1], low[:, 2]]
-    f1 = F[high[:, 0], high[:, 1], high[:, 2]]
+    axis, low = np.divmod(key[order], F.size)
+    f = F.ravel()
+    f0 = f[low]
+    f1 = f[low + strides[axis]]
     t = np.divide(f0, f0 - f1, out=np.full_like(f0, 0.5), where=f0 != f1)
+    low = np.unravel_index(low, F.shape)
     coords = (xs, ys, zs)
-    vertices = np.stack([coords[i][low[:, i]] for i in range(3)], axis=1)
+    vertices = np.stack([coords[i][low[i]] for i in range(3)], axis=1)
     for i in range(3):
         on = axis == i
-        vertices[on, i] += t[on] * (coords[i][high[on, i]] - coords[i][low[on, i]])
+        vertices[on, i] += t[on] * (coords[i][low[i][on] + 1] - coords[i][low[i][on]])
 
     # Table winding faces the inside; swap for outward normals.
     triangles = vertex_of_corner.reshape(-1, 3)[:, [0, 2, 1]]

@@ -26,7 +26,7 @@ from .fillet import (
     fillet_min_curvature_radius,
     fillet_residual,
 )
-from .lattice import Lattice, fillet_key, sphere_quadric, stub_views_at_hub
+from .lattice import Lattice, fillet_key, stub_views_at_hub
 from .solid import auto_bounds, build_assembly, field_grid
 from .tolerances import (
     COEFF_REL_TOL,
@@ -110,12 +110,13 @@ def run_verify(
     """
     report = VerifyReport()
     assembly = build_assembly(lattice)
+    spheres = lattice._resolved.spheres
 
     # Two-sphere tangency: both ends construct the same beam quadric.
     residuals = []
     for bg in assembly.beams:
-        h1 = subtract_square(sphere_quadric(bg.hub_a), bg.G_a)
-        h2 = subtract_square(sphere_quadric(bg.hub_b), bg.G_b)
+        h1 = subtract_square(spheres[bg.hub_a.id], bg.G_a)
+        h2 = subtract_square(spheres[bg.hub_b.id], bg.G_b)
         residuals.append(rel_coeff_residual(h1 - h2, h1))
     report.checks.append(_check("two_sphere_tangency", residuals, COEFF_REL_TOL,
                                 f"{len(assembly.beams)} beams"))
@@ -124,7 +125,7 @@ def run_verify(
     residuals = []
     n_stubs = 0
     for hub in lattice.hubs:
-        sphere = sphere_quadric(hub)
+        sphere = spheres[hub.id]
         for view in stub_views_at_hub(lattice, hub.id):
             n_stubs += 1
             gn = view.G.grad_norm()

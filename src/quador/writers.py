@@ -154,15 +154,27 @@ def format_value(x: float) -> str:
     return repr(float(x))
 
 
+# Rows of OBJ text per chunk handed to write_output.
+_OBJ_ROWS = 4096
+
+
 def write_obj_mesh(mesh: Mesh, path: str | Path) -> int:
-    lines = []
-    # Row by row: Python scalars format faster than numpy ones, and a
-    # whole-array tolist() would hold every element as an object at once.
-    for x, y, z in map(np.ndarray.tolist, mesh.vertices):
-        lines.append(f"v {format_value(x)} {format_value(y)} {format_value(z)}")
-    for i, j, k in map(np.ndarray.tolist, mesh.triangles):
-        lines.append(f"f {i + 1} {j + 1} {k + 1}")
-    write_output(path, "\n".join(lines).encode("ascii"), b"\n")
+    """Write OBJ ``v``/``f`` records (1-based indices); returns the triangle count.
+
+    Each chunk of rows is formatted by one ``repr`` of its coordinates.  A
+    value's ``repr`` ends in ``.0`` exactly where :func:`format_value` prints
+    an integer (integral and below 1e16 in size), and only ``-0.0`` then ends
+    in ``-0``, so two replaces give :func:`format_value`'s bytes.
+    """
+    chunks = []
+    for start in range(0, len(mesh.vertices), _OBJ_ROWS):
+        text = repr(mesh.vertices[start : start + _OBJ_ROWS].ravel().tolist())[1:-1] + ","
+        values = iter(text.replace(".0,", ",").replace("-0,", "0,")[:-1].split(", "))
+        chunks.append("".join(map("v {} {} {}\n".format, values, values, values)).encode("ascii"))
+    for start in range(0, len(mesh.triangles), _OBJ_ROWS):
+        values = iter((mesh.triangles[start : start + _OBJ_ROWS] + 1).ravel().tolist())
+        chunks.append("".join(map("f {} {} {}\n".format, values, values, values)).encode("ascii"))
+    write_output(path, *(chunks or [b"\n"]))
     return len(mesh.triangles)
 
 

@@ -29,10 +29,13 @@ from quador.lattice import Beam, FilletSpec, Hub, Lattice
 from quador.latticefile import lattice_to_json, load_lattice
 from quador.solid import Mesh, auto_bounds, build_assembly, marching_cubes
 from quador.verify import run_verify
-from quador.writers import format_value, read_stl, write_stl
+from quador.writers import format_value, read_stl, write_obj_mesh, write_stl
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BETA1 = FIXTURES / "perpendicular_beta1.json"
+sys.path.insert(0, str(FIXTURES.parent / "bench"))
+
+from inputs import cubic_lattice  # noqa: E402
 BETA05 = FIXTURES / "perpendicular_beta05.json"
 
 
@@ -189,6 +192,40 @@ class TestStl:
         assert len(empty.read_bytes()) == 84
         normals, tris = read_stl(empty)
         assert normals.shape == (0, 3) and tris.shape == (0, 3, 3)
+
+
+def row_obj_mesh(mesh) -> bytes:
+    """Reference OBJ mesh writer: one ``format_value`` per coordinate, one line per row."""
+    lines = [f"v {format_value(x)} {format_value(y)} {format_value(z)}"
+             for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.triangles.tolist()]
+    return "\n".join(lines).encode("ascii") + b"\n"
+
+
+class TestObjMesh:
+    SPECIAL = [[-0.0, 0.0, 3.0], [1e16, -1e16, 9999999999999998.0],
+               [math.nan, math.inf, -math.inf], [1e15, -7.0, 0.1],
+               [1e-5, -2.5e-300, 1.5e16], [2.0**53, -(2.0**60), 10.0]]
+
+    @pytest.mark.parametrize("mesh", [
+        lambda: Mesh(np.array(TestObjMesh.SPECIAL), [[0, 1, 2], [3, 4, 5]]),
+        lambda: Mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)),
+        lambda: Mesh(np.array(TestObjMesh.SPECIAL), np.zeros((0, 3), dtype=np.int64)),
+        # Over two chunks of rows; rounding makes many values integral, some -0.0.
+        lambda: Mesh(np.round(np.random.default_rng(61).uniform(-3, 3, (9000, 3)), 1) * -1,
+                     np.random.default_rng(67).integers(0, 9000, (9001, 3))),
+    ], ids=["special-values", "empty", "no-triangles", "several-chunks"])
+    def test_bytes_match_per_value_format(self, mesh, tmp_path):
+        mesh = mesh()
+        out = tmp_path / "m.obj"
+        assert write_obj_mesh(mesh, out) == len(mesh)
+        assert out.read_bytes() == row_obj_mesh(mesh)
+
+    def test_fixture_mesh(self, tmp_path, perp_lattice):
+        asm = build_assembly(perp_lattice)
+        mesh = marching_cubes(asm, auto_bounds(asm), 20)
+        write_obj_mesh(mesh, tmp_path / "m.obj")
+        assert (tmp_path / "m.obj").read_bytes() == row_obj_mesh(mesh)
 
 
 class TestVerify:
@@ -629,6 +666,23 @@ class TestConstructionCounts:
         assert calls["beam_quador"] == 12
         assert calls["build_fillet"] <= 24 * (1 + 5)
         capsys.readouterr()
+
+    def test_hub_spheres_built_by_the_lattice_only(self, monkeypatch):
+        import quador.lattice
+        import quador.solid
+
+        calls = []
+        original = quador.lattice.sphere_quadric
+        for module in (quador.lattice, quador.solid, quador.verify):
+            monkeypatch.setattr(module, "sphere_quadric",
+                                lambda hub: calls.append(hub.id) or original(hub), raising=False)
+        lattice = load_lattice(json.dumps(cubic_lattice((2, 2, 2), 1)))
+        asm = build_assembly(lattice)
+        asm.parts()
+        # 8 hubs in the lattice's own build, and each of the 12 beams checks both its hubs.
+        assert (len(lattice.hubs), len(lattice.beams), len(calls)) == (8, 12, 8 + 2 * 12)
+        run_verify(lattice, samples=50)
+        assert len(calls) == 8 + 2 * 12
 
 
 # The argv that writes each of the CLI's five outputs to a given path.

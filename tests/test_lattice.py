@@ -428,9 +428,11 @@ class TestBuildersOwnTheirRules:
         (_with_fillet(beta=math.nan), "NONPOSITIVE_BETA"),
         (_with_fillet(hub="h1"), "FILLET_PAIR_MISMATCH"),
         (_with_fillet(beam_j="b1"), "FILLET_PAIR_MISMATCH"),
+        (_with_fillet(beam_j="ghost"), "MISSING_ID"),
+        (_with_fillet(hub="hx"), "MISSING_ID"),
     ], ids=["radius-1", "radius0", "radius-nan", "radius-big", "center-1e200",
             "k0", "k-inf", "k-nan", "beta0", "beta-1", "beta-nan",
-            "beam-off-hub", "beam-twice"])
+            "beam-off-hub", "beam-twice", "beam-unknown", "hub-unknown"])
     def test_validation_code_is_the_builders(self, perp_lattice, make, code):
         lattice, build = make(perp_lattice)
         with pytest.raises(QuadorError) as raised:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from quador.lattice import Beam, Hub, Lattice, sphere_quadric
 from quador.latticefile import load_lattice_path
 from quador.mc_tables import EDGE_VERTS, TRI_TABLE, VERT_OFFSETS
 from quador.solid import (
+    _SLAB_POINTS,
     Mesh,
     auto_bounds,
     build_assembly,
@@ -225,6 +227,68 @@ class TestOnePartTable:
         assert len(bare.parts()) == len(asm.parts()) - 1
 
 
+def dense_field_grid(assembly, X, Y, Z):
+    """Reference field: each form over the whole broadcast grid at once, in
+    the operation order ``field_grid`` keeps slab by slab."""
+    X, Y, Z = (np.asarray(a, dtype=float) for a in (X, Y, Z))
+    table = assembly._table
+    total = None
+    for rows in map(slice, table.bounds[:-1], table.bounds[1:]):
+        part = None
+        for A, (b,), c in zip(*(s[rows] for s in table.stack)):
+            v = 2.0 * (b[0] * X + b[1] * Y + b[2] * Z) + c if not A.any() else (
+                A[0, 0] * X * X + A[1, 1] * Y * Y + A[2, 2] * Z * Z
+                + 2.0 * (A[0, 1] * X * Y + A[0, 2] * X * Z + A[1, 2] * Y * Z)
+                + 2.0 * (b[0] * X + b[1] * Y + b[2] * Z) + c)
+            part = v if part is None else np.maximum(part, v)
+        total = part if total is None else np.minimum(total, part)
+    if total is None:
+        return np.full(np.broadcast(X, Y, Z).shape, math.inf)
+    return total
+
+
+@pytest.fixture(scope="module")
+def beta1_asm():
+    return build_assembly(load_lattice_path(FIXTURES / "perpendicular_beta1.json"))
+
+
+class TestFieldGridSlabs:
+    """``field_grid`` fills its result slab by slab; every value keeps the
+    bits of the dense whole-grid formula."""
+
+    def test_res64_axes_and_meshgrid(self, beta1_asm):
+        lo, hi = auto_bounds(beta1_asm)
+        axes = [np.linspace(lo[i], hi[i], 65) for i in range(3)]
+        assert 65 ** 3 > 2 * _SLAB_POINTS
+        broadcast = (axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :])
+        expect = dense_field_grid(beta1_asm, *broadcast).tobytes()
+        assert field_grid(beta1_asm, *broadcast).tobytes() == expect
+        full = np.meshgrid(*axes, indexing="ij")
+        assert field_grid(beta1_asm, *full).tobytes() == expect
+
+    def test_scattered_points_over_several_slabs(self, beta1_asm):
+        lo, hi = auto_bounds(beta1_asm)
+        pts = np.random.default_rng(59).uniform(lo, hi, size=(2 * _SLAB_POINTS + 123, 3))
+        got = field_grid(beta1_asm, pts[:, 0], pts[:, 1], pts[:, 2])
+        assert got.shape == (len(pts),)
+        assert got.tobytes() == dense_field_grid(beta1_asm, *pts.T).tobytes()
+
+    def test_scalars(self, beta1_asm):
+        for p in [(0.0, 0.0, 0.0), (1.05, 1.05, 0.0), (-0.0, 3.5, -1.25), (9.0, 9.0, 9.0)]:
+            got = field_grid(beta1_asm, *p)
+            assert got.shape == ()
+            assert got.tobytes() == dense_field_grid(beta1_asm, *p).tobytes()
+
+    def test_empty_assembly_is_inf(self):
+        asm = build_assembly(Lattice())
+        axes = (np.arange(3.0)[:, None, None], np.arange(4.0)[None, :, None],
+                np.arange(5.0)[None, None, :])
+        got = field_grid(asm, *axes)
+        assert got.shape == (3, 4, 5) and np.all(got == math.inf)
+        assert got.tobytes() == dense_field_grid(asm, *axes).tobytes()
+        assert field_grid(asm, 0.0, 0.0, 0.0).tobytes() == np.float64(math.inf).tobytes()
+
+
 class TestAutoBounds:
     def test_single_hub(self):
         asm = build_assembly(Lattice((Hub("h", (0, 0, 0), 1.0),), (), ()))
@@ -337,6 +401,19 @@ class TestMarchingCubes:
         m2 = marching_cubes(asm, (lo, hi), 20)
         npt.assert_array_equal(m1.vertices, m2.vertices)
         npt.assert_array_equal(m1.triangles, m2.triangles)
+
+    def test_peak_memory_res64(self, beta1_asm):
+        # The field grid, one float per grid point, dominates; a return to
+        # whole-grid float temporaries or (corners, 3) index arrays fails here.
+        bounds = auto_bounds(beta1_asm)
+        marching_cubes(beta1_asm, bounds, 64)  # the part table and tables are built once
+        tracemalloc.start()
+        try:
+            marching_cubes(beta1_asm, bounds, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
     def test_box_inside_hub_is_empty(self):
         asm = build_assembly(Lattice((Hub("h", (0, 0, 0), 1.0),), (), ()))
