@@ -23,6 +23,7 @@ from .tolerances import (
     CLASSIFY_TOL,
     JACOBI_OFFDIAG_TOL,
     JACOBI_SWEEP_CAP,
+    SINGULAR_GRAD_TOL,
 )
 
 __all__ = [
@@ -336,25 +337,23 @@ def _axis_complement(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def classify_quadric(q: Quadric, tol: float = CLASSIFY_TOL) -> QuadricClassification:
+def classify_quadric(q: Quadric) -> QuadricClassification:
     """Classify a quadric into one of 15 canonical classes.
 
-    ``tol`` is the relative rank threshold: eigenvalues with
-    ``|lam| <= tol * max|lam|`` are treated as zero, and residual linear and
-    constant terms are zeroed relative to the overall coefficient scale.
-    Degenerate translations are resolved by the least-squares center (zero
-    component along null axes).  Raises :class:`AllZeroError` when every
-    coefficient is negligible.
+    ``CLASSIFY_TOL`` is the relative rank threshold: eigenvalues with
+    ``|lam| <= CLASSIFY_TOL * max|lam|`` are treated as zero, and residual
+    linear and constant terms are zeroed relative to the overall coefficient
+    scale.  Degenerate translations are resolved by the least-squares center
+    (zero component along null axes).  Raises :class:`AllZeroError` when
+    every coefficient is negligible.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     evals, V = jacobi_eigen3(q.A)
     lam_max = float(np.max(np.abs(evals)))
     b_norm = float(np.linalg.norm(q.b))
     coeff_scale = max(lam_max, b_norm, abs(q.c))
     if coeff_scale <= 1e-300:
         raise AllZeroError("all quadric coefficients are zero")
-    thr = tol * coeff_scale
+    thr = CLASSIFY_TOL * coeff_scale
 
     if lam_max <= thr:
         # No quadratic part: a plane, or empty, depending on the linear part.
@@ -372,7 +371,7 @@ def classify_quadric(q: Quadric, tol: float = CLASSIFY_TOL) -> QuadricClassifica
             QuadricClass.EMPTY, np.eye(3), np.zeros(3), (0.0, 0.0, 0.0), q.c
         )
 
-    zero = np.abs(evals) <= tol * lam_max
+    zero = np.abs(evals) <= CLASSIFY_TOL * lam_max
     lam = np.where(zero, 0.0, evals)
     nz = [i for i in range(3) if not zero[i]]
     null = [i for i in range(3) if zero[i]]
@@ -477,19 +476,20 @@ def classify_quadric(q: Quadric, tol: float = CLASSIFY_TOL) -> QuadricClassifica
 # Principal curvatures
 # ---------------------------------------------------------------------------
 
-def principal_curvatures(q: Quadric, x, tol: float = 1e-12) -> tuple[float, float]:
+def principal_curvatures(q: Quadric, x) -> tuple[float, float]:
     """Principal curvatures of the level set of ``q`` through ``x``.
 
     Eigenvalues of the tangent-plane-projected Hessian divided by the
     gradient norm, sorted so ``|k1| >= |k2|``; the normal is ``+grad``, so a
     sphere reported with this convention has curvature ``+1/r``.  Raises
-    :class:`SingularPointError` when the gradient vanishes at ``x``.
+    :class:`SingularPointError` when the gradient vanishes at ``x`` (its norm
+    is at most ``SINGULAR_GRAD_TOL`` times the coefficient scale).
     """
     p = _vec(x)
     grad = q.gradient(p)
     gn = float(np.linalg.norm(grad))
     scale = max(1.0, float(np.linalg.norm(q.A)), float(np.linalg.norm(q.b)))
-    if gn <= tol * scale:
+    if gn <= SINGULAR_GRAD_TOL * scale:
         raise SingularPointError(f"gradient vanishes at {tuple(p)}")
     n = grad / gn
     u, v = _axis_complement(n)

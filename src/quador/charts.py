@@ -6,6 +6,11 @@ parameters ``(u, v)`` to a world point on the surface, the inverse recovers
 parameters for an on-surface world point, and ``forward(inverse(p))``
 reproduces ``p``.  Angular parameters are flagged so trimming curves can be
 unwrapped across the 2*pi seam.
+
+Six classes are one swept profile, ``y[pair] = a (cos u, sin u) rho(v)``
+and ``y[o] = h(v)``; the hyperbolic paraboloid and the parabolic cylinder
+are one graph over their two non-parabolic axes; only the hyperbolic
+cylinder has its own sec/tan chart.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import CHARTED_CLASSES, Quadric, QuadricClass, QuadricClassification
+from .algebra import CHARTED_CLASSES, QuadricClass, QuadricClassification
 from .errors import UnsupportedClassError
 
 __all__ = ["SurfaceChart", "parametrize"]
@@ -45,11 +50,7 @@ class SurfaceChart:
         return self._inverse(y)
 
 
-def _clamped_asin(x: float) -> float:
-    return math.asin(min(1.0, max(-1.0, x)))
-
-
-def parametrize(q: Quadric, cls: QuadricClassification) -> SurfaceChart:
+def parametrize(cls: QuadricClassification) -> SurfaceChart:
     """Build the standard chart for a classified quadric.
 
     Supported classes: ellipsoid, both hyperboloids, both paraboloids, the
@@ -64,135 +65,83 @@ def parametrize(q: Quadric, cls: QuadricClassification) -> SurfaceChart:
     nz = [i for i in range(3) if lam[i] != 0.0]
     null = [i for i in range(3) if lam[i] == 0.0]
     c_t = cls.scalar if cls.parabolic_axis is None else 0.0
+    d, s = cls.parabolic_axis, cls.scalar
 
-    def build(fwd, inv, domain, u_period=0.0, v_period=0.0):
+    def chart(fwd, inv, domain, u_period=0.0, v_period=0.0):
         return SurfaceChart(label, cls, domain, u_period, v_period, fwd, inv)
+
+    def swept(pair, a, o, rho, h, v_of, domain, v_period=0.0):
+        # ``v_of(y[o], r)`` inverts h, with r the radius in units of ``a``;
+        # ``float`` serves as the identity.  Dividing by rho(v) before atan2
+        # keeps u on the v < 0 side of a profile that crosses the axis (the
+        # cone's second nappe); u is 0 where rho(v) is 0.
+        def fwd(u, v):
+            y = np.zeros(3)
+            r = rho(v)
+            y[pair[0]] = a[0] * math.cos(u) * r
+            y[pair[1]] = a[1] * math.sin(u) * r
+            y[o] = h(v)
+            return y
+
+        def inv(y):
+            c0, c1 = y[pair[0]] / a[0], y[pair[1]] / a[1]
+            v = v_of(y[o], math.hypot(c0, c1))
+            r = rho(v)
+            return (math.atan2(c1 / r, c0 / r) if r != 0.0 else 0.0), v
+
+        return chart(fwd, inv, domain, TWO_PI, v_period)
 
     if label is QuadricClass.ELLIPSOID:
         a = np.sqrt(-c_t / lam)
-
-        def fwd(u, v):
-            cv = math.cos(v)
-            return np.array(
-                [a[0] * math.cos(u) * cv, a[1] * math.sin(u) * cv, a[2] * math.sin(v)]
-            )
-
-        def inv(y):
-            v = _clamped_asin(y[2] / a[2])
-            u = math.atan2(y[1] / a[1], y[0] / a[0]) if abs(math.cos(v)) > 0 else 0.0
-            return u, v
-
-        return build(fwd, inv, "u in [-pi, pi), v in [-pi/2, pi/2]", TWO_PI, 0.0)
+        return swept(
+            (0, 1), a, 2, math.cos, lambda v: a[2] * math.sin(v),
+            lambda yo, r: math.asin(min(1.0, max(-1.0, yo / a[2]))),
+            "u in [-pi, pi), v in [-pi/2, pi/2]",
+        )
 
     if label is QuadricClass.HYPERBOLOID_ONE_SHEET:
         pair = [i for i in nz if lam[i] * c_t < 0]
         (o,) = [i for i in nz if i not in pair]
-        a = [math.sqrt(-c_t / lam[i]) for i in pair]
         co = math.sqrt(c_t / lam[o])
-
-        def fwd(u, v):
-            y = np.zeros(3)
-            ch = math.cosh(v)
-            y[pair[0]] = a[0] * math.cos(u) * ch
-            y[pair[1]] = a[1] * math.sin(u) * ch
-            y[o] = co * math.sinh(v)
-            return y
-
-        def inv(y):
-            v = math.asinh(y[o] / co)
-            u = math.atan2(y[pair[1]] / a[1], y[pair[0]] / a[0])
-            return u, v
-
-        return build(fwd, inv, "u in [-pi, pi), v in R", TWO_PI, 0.0)
+        return swept(
+            pair, np.sqrt(-c_t / lam[pair]), o, math.cosh, lambda v: co * math.sinh(v),
+            lambda yo, r: math.asinh(yo / co), "u in [-pi, pi), v in R",
+        )
 
     if label is QuadricClass.HYPERBOLOID_TWO_SHEETS:
         pair = [i for i in nz if lam[i] * c_t > 0]
         (o,) = [i for i in nz if i not in pair]
-        a = [math.sqrt(c_t / lam[i]) for i in pair]
         co = math.sqrt(-c_t / lam[o])
-
-        # sec/tan chart: v in (-pi/2, pi/2) covers the +axis sheet, the
+        # sec/tan profile: v in (-pi/2, pi/2) covers the +axis sheet, the
         # complementary branch of sec covers the other sheet.
-        def fwd(u, v):
-            y = np.zeros(3)
-            tv = math.tan(v)
-            y[pair[0]] = a[0] * tv * math.cos(u)
-            y[pair[1]] = a[1] * tv * math.sin(u)
-            y[o] = co / math.cos(v)
-            return y
-
-        def inv(y):
-            r = math.hypot(y[pair[0]] / a[0], y[pair[1]] / a[1])
-            t = co / y[o]
-            v = math.atan2(r * t, t)
-            if r > 0.0:
-                u = math.atan2(y[pair[1]] / a[1], y[pair[0]] / a[0])
-            else:
-                u = 0.0
-            return u, v
-
-        return build(
-            fwd, inv, "u in [-pi, pi), v in (-pi/2, pi/2) u (pi/2, 3pi/2)", TWO_PI, TWO_PI
+        return swept(
+            pair, np.sqrt(c_t / lam[pair]), o, math.tan, lambda v: co / math.cos(v),
+            lambda yo, r: math.atan2(r * (co / yo), co / yo),
+            "u in [-pi, pi), v in (-pi/2, pi/2) u (pi/2, 3pi/2)", TWO_PI,
         )
 
     if label is QuadricClass.ELLIPTIC_PARABOLOID:
-        d = cls.parabolic_axis
-        s = cls.scalar
-        p1, p2 = nz
-        sq = [math.sqrt(abs(lam[p1])), math.sqrt(abs(lam[p2]))]
-        sgn = math.copysign(1.0, lam[p1])
-
-        def fwd(u, v):
-            # u is the angle, v >= 0 the radial parameter.
-            y = np.zeros(3)
-            y[p1] = v * math.cos(u) / sq[0]
-            y[p2] = v * math.sin(u) / sq[1]
-            y[d] = -sgn * v * v / (2.0 * s)
-            return y
-
-        def inv(y):
-            c1 = y[p1] * sq[0]
-            c2 = y[p2] * sq[1]
-            v = math.hypot(c1, c2)
-            u = math.atan2(c2, c1) if v > 0.0 else 0.0
-            return u, v
-
-        return build(fwd, inv, "u in [-pi, pi), v in [0, inf)", TWO_PI, 0.0)
-
-    if label is QuadricClass.HYPERBOLIC_PARABOLOID:
-        d = cls.parabolic_axis
-        s = cls.scalar
-        p1, p2 = nz
-
-        def fwd(u, v):
-            y = np.zeros(3)
-            y[p1] = u
-            y[p2] = v
-            y[d] = -(lam[p1] * u * u + lam[p2] * v * v) / (2.0 * s)
-            return y
-
-        def inv(y):
-            return float(y[p1]), float(y[p2])
-
-        return build(fwd, inv, "(u, v) in R^2")
+        # u is the angle, v >= 0 the radial parameter.
+        sgn = math.copysign(1.0, lam[nz[0]])
+        return swept(
+            nz, 1.0 / np.sqrt(np.abs(lam[nz])), d, float, lambda v: -sgn * v * v / (2.0 * s),
+            lambda yo, r: r, "u in [-pi, pi), v in [0, inf)",
+        )
 
     if label is QuadricClass.ELLIPTIC_CYLINDER:
-        p1, p2 = nz
-        (n,) = null
-        a = [math.sqrt(-c_t / lam[p1]), math.sqrt(-c_t / lam[p2])]
+        return swept(
+            nz, np.sqrt(-c_t / lam[nz]), null[0], lambda v: 1.0, float,
+            lambda yo, r: float(yo), "u in [-pi, pi), v in R",
+        )
 
-        def fwd(u, v):
-            y = np.zeros(3)
-            y[p1] = a[0] * math.cos(u)
-            y[p2] = a[1] * math.sin(u)
-            y[n] = v
-            return y
-
-        def inv(y):
-            u = math.atan2(y[p2] / a[1], y[p1] / a[0])
-            return u, float(y[n])
-
-        return build(fwd, inv, "u in [-pi, pi), v in R", TWO_PI, 0.0)
+    if label is QuadricClass.CONE:
+        pos = [i for i in nz if lam[i] > 0]
+        neg = [i for i in nz if lam[i] < 0]
+        pair, (o,) = (pos, neg) if len(pos) == 2 else (neg, pos)
+        return swept(
+            pair, np.sqrt(-lam[o] / lam[pair]), o, float, float,
+            lambda yo, r: float(yo), "u in [-pi, pi), v in R (apex at v=0)",
+        )
 
     if label is QuadricClass.HYPERBOLIC_CYLINDER:
         (n,) = null
@@ -215,47 +164,21 @@ def parametrize(q: Quadric, cls: QuadricClassification) -> SurfaceChart:
             u = math.atan2((y[w] / bw) * t, t)
             return u, float(y[n])
 
-        return build(
-            fwd, inv, "u in (-pi/2, pi/2) u (pi/2, 3pi/2), v in R", TWO_PI, 0.0
-        )
+        return chart(fwd, inv, "u in (-pi/2, pi/2) u (pi/2, 3pi/2), v in R", TWO_PI)
 
-    if label is QuadricClass.PARABOLIC_CYLINDER:
-        (qx,) = nz
-        d = cls.parabolic_axis
-        (f,) = [i for i in null if i != d]
-        s = cls.scalar
-
-        def fwd(u, v):
-            y = np.zeros(3)
-            y[qx] = u
-            y[d] = -lam[qx] * u * u / (2.0 * s)
-            y[f] = v
-            return y
-
-        def inv(y):
-            return float(y[qx]), float(y[f])
-
-        return build(fwd, inv, "(u, v) in R^2")
-
-    # CONE
-    pos = [i for i in nz if lam[i] > 0]
-    neg = [i for i in nz if lam[i] < 0]
-    pair, (o,) = (pos, neg) if len(pos) == 2 else (neg, pos)
-    a = [math.sqrt(-lam[o] / lam[i]) for i in pair]
+    # HYPERBOLIC_PARABOLOID and PARABOLIC_CYLINDER: a graph over the two
+    # non-parabolic axes, u on a curved one and v on the other (for the
+    # cylinder its rulings, where lam is 0).
+    p1, p2 = [i for i in nz + null if i != d]
 
     def fwd(u, v):
         y = np.zeros(3)
-        y[pair[0]] = a[0] * v * math.cos(u)
-        y[pair[1]] = a[1] * v * math.sin(u)
-        y[o] = v
+        y[p1] = u
+        y[p2] = v
+        y[d] = -(lam[p1] * u * u + lam[p2] * v * v) / (2.0 * s)
         return y
 
     def inv(y):
-        v = float(y[o])
-        if v != 0.0:
-            u = math.atan2(y[pair[1]] / (a[1] * v), y[pair[0]] / (a[0] * v))
-        else:
-            u = 0.0
-        return u, v
+        return float(y[p1]), float(y[p2])
 
-    return build(fwd, inv, "u in [-pi, pi), v in R (apex at v=0)", TWO_PI, 0.0)
+    return chart(fwd, inv, "(u, v) in R^2")

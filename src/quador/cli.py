@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[], help="run the invariant suite")
     p.add_argument("lattice", help="lattice JSON file")
     p.add_argument("--tol", type=_numbers(float, low=0), default=1e-9, help="base tolerance")
-    p.add_argument("--samples", type=_numbers(int, low=1), default=10000,
-                   help="random sample count")
+    p.add_argument("--samples", type=_numbers(int, low=1, high=10**7), default=10000,
+                   help="random sample count (1..10000000)")
     p.add_argument("--seed", type=_numbers(int, low=0), default=0, help="random seed")
     p.add_argument("--report", help="write the JSON report here")
 

@@ -159,22 +159,18 @@ def _eigen2(a: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([m1, m2]), np.vstack([e1, e2])
 
 
-def classify_conic(
-    coeffs, tol: float = CONIC_CLASSIFY_TOL
-) -> ConicClass:
+def classify_conic(coeffs) -> ConicClass:
     """Classify 2D conic coefficients ``(a, b, c, d, e, f)``."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    return _analyze(coeffs, tol)[0]
+    return _analyze(coeffs)[0]
 
 
-def _analyze(coeffs, tol):
+def _analyze(coeffs):
     """Classification plus parametrization data; shared with the builder."""
     a, b, c, d, e, f = (float(x) for x in coeffs)
     scale = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
     if scale <= 1e-300:
         raise AllZeroError("all conic coefficients are zero")
-    thr = tol * scale
+    thr = CONIC_CLASSIFY_TOL * scale
     mu, E = _eigen2(a, b, c)  # rows of E are eigenvectors
     mu_max = max(abs(mu[0]), abs(mu[1]))
 
@@ -187,7 +183,7 @@ def _analyze(coeffs, tol):
         direction = np.array([-e, d]) / ln
         return (ConicClass.SINGLE_LINE, None, None, (), ((base, direction),))
 
-    zero = np.abs(mu) <= tol * mu_max
+    zero = np.abs(mu) <= CONIC_CLASSIFY_TOL * mu_max
     lin = E @ np.array([d, e])
 
     if not zero.any():
@@ -205,7 +201,7 @@ def _analyze(coeffs, tol):
             radii = (math.sqrt(-c_t / mu[0]), math.sqrt(-c_t / mu[1]))
             klass = (
                 ConicClass.CIRCLE
-                if abs(mu[0] - mu[1]) <= tol * mu_max
+                if abs(mu[0] - mu[1]) <= CONIC_CLASSIFY_TOL * mu_max
                 else ConicClass.ELLIPSE
             )
             return (klass, center, E, radii, ())
@@ -256,9 +252,7 @@ def _analyze(coeffs, tol):
     return (ConicClass.EMPTY, None, None, (), ())
 
 
-def intersect_quadric_plane(
-    q: Quadric, lin: LinearForm, tol: float = CONIC_CLASSIFY_TOL
-) -> Conic:
+def intersect_quadric_plane(q: Quadric, lin: LinearForm) -> Conic:
     """Exact conic section of ``q`` by the plane ``lin = 0``."""
     fr = plane_frame(lin)
     x0, u, v = fr.origin, fr.u, fr.v
@@ -271,18 +265,16 @@ def intersect_quadric_plane(
     d = float(u @ Ax0 + q.b @ u)
     e = float(v @ Ax0 + q.b @ v)
     f = q.value(x0)
-    klass, center, axes, radii, lines = _analyze((a, b, c, d, e, f), tol)
+    klass, center, axes, radii, lines = _analyze((a, b, c, d, e, f))
     return Conic(fr, (a, b, c, d, e, f), klass, center, axes, radii, lines)
 
 
-def sample_conic(
-    conic: Conic, n: int, param_range: float = UNBOUNDED_PARAM_RANGE
-) -> np.ndarray:
+def sample_conic(conic: Conic, n: int) -> np.ndarray:
     """``n`` points on the conic as an (n, 3) array.
 
     Ellipses/circles are sampled by uniform angle starting on the first
-    principal axis; parabolas by uniform parameter over
-    ``[-param_range, param_range]``; hyperbolas and line pairs by uniform
+    principal axis; parabolas by uniform parameter over ``[-r, r]`` with
+    ``r = UNBOUNDED_PARAM_RANGE``; hyperbolas and line pairs by uniform
     parameter per branch/line over the same symmetric range.  Raises
     :class:`NotACurveError` for point/empty conics.
     """
@@ -300,13 +292,13 @@ def sample_conic(
     elif conic.klass is ConicClass.PARABOLA:
         (kappa,) = conic.radii
         d1, d2 = conic.axes
-        for t in np.linspace(-param_range, param_range, n):
+        for t in np.linspace(-UNBOUNDED_PARAM_RANGE, UNBOUNDED_PARAM_RANGE, n):
             pts2.append(conic.center + t * d1 + kappa * t * t * d2)
     elif conic.klass is ConicClass.HYPERBOLA:
         ra, rb = conic.radii
         d1, d2 = conic.axes
         for sgn, m in ((1.0, n - n // 2), (-1.0, n // 2)):
-            for t in np.linspace(-param_range, param_range, m):
+            for t in np.linspace(-UNBOUNDED_PARAM_RANGE, UNBOUNDED_PARAM_RANGE, m):
                 pts2.append(
                     conic.center
                     + sgn * ra * math.cosh(t) * d1
@@ -318,18 +310,12 @@ def sample_conic(
         for i in range(n - sum(counts)):
             counts[i] += 1
         for (base, direction), m in zip(conic.lines, counts):
-            for t in np.linspace(-param_range, param_range, m):
+            for t in np.linspace(-UNBOUNDED_PARAM_RANGE, UNBOUNDED_PARAM_RANGE, m):
                 pts2.append(base + t * direction)
     return np.array([conic.point3d(p[0], p[1]) for p in pts2])
 
 
-def pcurve(
-    conic: Conic,
-    chart: SurfaceChart,
-    n: int,
-    param_range: float = UNBOUNDED_PARAM_RANGE,
-    residual_tol: float = SURF_RESIDUAL_TOL,
-) -> np.ndarray:
+def pcurve(conic: Conic, chart: SurfaceChart, n: int) -> np.ndarray:
     """Trimming curve of a conic in a chart's parameter space.
 
     Samples the conic, checks each sample lies on the chart's surface, and
@@ -337,11 +323,11 @@ def pcurve(
     samples never jump by a period.  Returns an (n, 2) array of ``(u, v)``.
     """
     q = chart.classification.reconstruct()
-    pts = sample_conic(conic, n, param_range)
+    pts = sample_conic(conic, n)
     params = []
     for p in pts:
         scale = max(1.0, float(np.abs(q.coeffs()).max()) * max(1.0, float(p @ p)))
-        if abs(q.value(p)) > residual_tol * scale:
+        if abs(q.value(p)) > SURF_RESIDUAL_TOL * scale:
             raise PointOffSurfaceError(
                 f"conic sample {tuple(p)} is not on the chart surface"
             )

@@ -90,14 +90,6 @@ class Lattice:
         # Frozen, so never stale; threads racing here at most build it twice.
         return _resolve(self)
 
-    def hub(self, hub_id: str) -> Hub:
-        if hub_id not in self._resolved.hubs:
-            raise UnknownHubError(hub_id)
-        return self._resolved.hubs[hub_id]
-
-    def without_fillets(self) -> "Lattice":
-        return Lattice(self.hubs, self.beams, ())
-
 
 def fillet_key(hub_id: str, beam_i: str, beam_j: str) -> str:
     """The ``hub:beam_i+beam_j`` name of a fillet in reports, labels and outputs."""

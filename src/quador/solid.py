@@ -207,16 +207,14 @@ def classify_point(assembly: Assembly, x, tol: float = 1e-9) -> PointClassificat
     return PointClassification(state, assembly._table.parts[i][0], float(values[i]))
 
 
-def auto_bounds(assembly: Assembly, margin: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+def auto_bounds(assembly: Assembly) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned box covering all hub spheres and beam tubes.
 
     Each beam contributes the swept circle of its section radius sampled at
-    33 uniform stations.  The box is inflated by ``margin`` times the largest
-    hub radius on every side.  An empty lattice yields the unit box
+    33 uniform stations.  The box is inflated by a tenth of the largest hub
+    radius on every side.  An empty lattice yields the unit box
     centered at the origin.
     """
-    if margin < 0.0:
-        raise ValueError("margin must be >= 0")
     lo = np.full(3, math.inf)
     hi = np.full(3, -math.inf)
     r_max = 0.0
@@ -238,7 +236,7 @@ def auto_bounds(assembly: Assembly, margin: float = 0.1) -> tuple[np.ndarray, np
             hi = np.maximum(hi, p + rho * spread)
     if not np.all(np.isfinite(lo)):
         return np.full(3, -0.5), np.full(3, 0.5)
-    pad = margin * r_max
+    pad = 0.1 * r_max
     return lo - pad, hi + pad
 
 

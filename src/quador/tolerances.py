@@ -19,6 +19,10 @@ CLASSIFY_TOL = 1e-9
 # Relative zero threshold for 2D conic classification.
 CONIC_CLASSIFY_TOL = 1e-10
 
+# A gradient at most this factor of the coefficient scale counts as zero
+# (principal curvatures are undefined there).
+SINGULAR_GRAD_TOL = 1e-12
+
 # Angle (radians) between gradients of tangent surfaces at shared points.
 TANGENT_ANGLE_TOL = 1e-7
 

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import dataclasses
 import json
 import math
 import struct
@@ -265,7 +266,7 @@ def test_criterion_7_material_monotonicity():
     """Fillets only add material; the corner point flips outside -> inside."""
     lat = load_lattice((FIXTURES / "perpendicular_beta1.json").read_bytes())
     full = build_assembly(lat)
-    bare = build_assembly(lat.without_fillets())
+    bare = build_assembly(dataclasses.replace(lat, fillets=()))
     rng = np.random.default_rng(0)
     lo, hi = auto_bounds(full)
     t0 = time.perf_counter()

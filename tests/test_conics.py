@@ -178,7 +178,7 @@ class TestSampling:
 class TestPCurve:
     def test_sphere_circle_constant_latitude(self):
         conic = intersect_quadric_plane(UNIT_SPHERE, LinearForm((0.0, 0.0, 1.0), -0.5))
-        chart = parametrize(UNIT_SPHERE, classify_quadric(UNIT_SPHERE))
+        chart = parametrize(classify_quadric(UNIT_SPHERE))
         uv = pcurve(conic, chart, 64)
         npt.assert_allclose(uv[:, 1], math.pi / 6, atol=1e-12)
         # u sweeps a full turn continuously (unwrapped, no 2*pi jumps)
@@ -188,7 +188,7 @@ class TestPCurve:
 
     def test_tangency_ellipse_on_cylinder_chart(self):
         conic = intersect_quadric_plane(CYLINDER_X, LinearForm((-0.75, 1.25, 0.0), 0.0))
-        chart = parametrize(CYLINDER_X, classify_quadric(CYLINDER_X))
+        chart = parametrize(classify_quadric(CYLINDER_X))
         pts = sample_conic(conic, 128)
         uv = pcurve(conic, chart, 128)
         for p, (u, v) in zip(pts, uv):
@@ -198,6 +198,6 @@ class TestPCurve:
 
     def test_off_surface_rejected(self):
         conic = intersect_quadric_plane(UNIT_SPHERE, LinearForm((0.0, 0.0, 1.0), -0.5))
-        chart = parametrize(CYLINDER_X, classify_quadric(CYLINDER_X))
+        chart = parametrize(classify_quadric(CYLINDER_X))
         with pytest.raises(PointOffSurfaceError):
             pcurve(conic, chart, 16)

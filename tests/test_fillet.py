@@ -118,7 +118,7 @@ class TestBuildFillet:
     def test_tangent_to_hub_sphere(self, perp_lattice):
         # Where G1 = E1 = 0, grad Q = grad S exactly.
         patch = build_fillet(*perp_stubs(perp_lattice), 1.0)
-        sphere = sphere_quadric(perp_lattice.hub("h0"))
+        sphere = sphere_quadric(perp_lattice.hubs[0])
         # {G1 = x = 0} and {E1 = (5y-3x)/4 = 0} meet the sphere at (0, 0, +-1).
         for p in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)):
             npt.assert_allclose(patch.Q.gradient(p), sphere.gradient(p), atol=1e-15)
@@ -360,7 +360,7 @@ class TestMinCurvatureRadius:
         )
         views = {v.beam.id: v for v in stub_views_at_hub(lat, "h0")}
         patch = build_fillet(views["b1"], views["b2"], 1.0)
-        sphere_patch = dataclasses.replace(patch, Q=sphere_quadric(lat.hub("h0")))
+        sphere_patch = dataclasses.replace(patch, Q=sphere_quadric(lat.hubs[0]))
         assert fillet_min_curvature_radius(sphere_patch) == pytest.approx(2.0, abs=1e-12)
 
     def test_beta_half_planar_infinite(self, perp_lattice):

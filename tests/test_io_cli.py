@@ -464,17 +464,17 @@ class TestCli:
         assert outs[0] == outs[1]
 
     def test_console_entry_point(self):
-        # The child imports the same quador as this test, installed or not.
-        src = str(Path(quador.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "quador.cli", "verify", str(BETA1)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_cli("verify", str(BETA1))
         assert proc.returncode == 0
         assert "fillet_identity" in proc.stdout
+
+    @pytest.mark.parametrize("samples", [10**7 + 1, 10**15])
+    def test_huge_samples_rejected_when_parsed(self, samples):
+        # Above the range, the flag is refused before any point is drawn.
+        proc = run_cli("verify", str(BETA1), "--samples", str(samples))
+        assert proc.returncode == 1
+        assert "argument --samples:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_verify_invariant_failure_exit_three(self, monkeypatch, capsys):
         corrupt_first_fillet(monkeypatch)
@@ -504,6 +504,19 @@ class TestCli:
             flag = next(a for a in argv if a.startswith("--"))
             assert f"argument {flag}:" in capsys.readouterr().err, argv
         assert not Path(out).exists()
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m quador.cli *args`` in a child that imports the same quador
+    as this test, installed or not."""
+    src = str(Path(quador.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "quador.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def cubic_filleted(n: int) -> Lattice:
@@ -586,11 +599,7 @@ class TestNumbersThatParse:
 
     def test_numpy_warnings_stay_off_stderr(self, tmp_path):
         lat = fixture_variant(tmp_path, lambda doc: doc["fillets"][0].update(beta=1e-300))
-        src = str(Path(quador.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run([sys.executable, "-m", "quador.cli", "classify", lat],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+        proc = run_cli("classify", lat)
         assert proc.returncode == 1
         first, *rest = proc.stderr.splitlines()
         assert first.startswith("quador: ") and "IDENTITY_VIOLATION" in first

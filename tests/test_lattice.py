@@ -219,7 +219,7 @@ class TestStubViews:
         assert g2.c0 == 0.0
         npt.assert_allclose(views[0].axis, [1, 0, 0])
         # H computed hub-locally is exactly S - G^2
-        s = sphere_quadric(perp_lattice.hub("h0"))
+        s = sphere_quadric(perp_lattice.hubs[0])
         for v in views:
             npt.assert_array_equal(v.H.coeffs(), subtract_square(s, v.G).coeffs())
 

@@ -43,7 +43,7 @@ def asm(perp_lattice):
 
 @pytest.fixture
 def asm_bare(perp_lattice):
-    return build_assembly(perp_lattice.without_fillets())
+    return build_assembly(dataclasses.replace(perp_lattice, fillets=()))
 
 
 class TestBuildAssembly:
@@ -220,7 +220,7 @@ class TestOnePartTable:
         pts = rng.uniform(-2, 5, size=(2000, 3))
         full = field_grid(asm, pts[:, 0], pts[:, 1], pts[:, 2])  # caches the full table
         bare = dataclasses.replace(asm, fillets=())
-        expect = build_assembly(perp_lattice.without_fillets())
+        expect = build_assembly(dataclasses.replace(perp_lattice, fillets=()))
         got = field_grid(bare, pts[:, 0], pts[:, 1], pts[:, 2])
         assert got.tobytes() == field_grid(expect, pts[:, 0], pts[:, 1], pts[:, 2]).tobytes()
         assert np.any(got != full)
@@ -292,7 +292,7 @@ class TestFieldGridSlabs:
 class TestAutoBounds:
     def test_single_hub(self):
         asm = build_assembly(Lattice((Hub("h", (0, 0, 0), 1.0),), (), ()))
-        lo, hi = auto_bounds(asm, margin=0.1)
+        lo, hi = auto_bounds(asm)
         npt.assert_allclose(lo, [-1.1, -1.1, -1.1])
         npt.assert_allclose(hi, [1.1, 1.1, 1.1])
 
@@ -302,7 +302,7 @@ class TestAutoBounds:
             (Beam("b1", "a", "b", 4.0),),
             (),
         )
-        lo, hi = auto_bounds(build_assembly(lat), margin=0.1)
+        lo, hi = auto_bounds(build_assembly(lat))
         npt.assert_allclose(lo, [-1.1, -1.1, -1.1])
         npt.assert_allclose(hi, [5.1, 1.1, 1.1])
 
