@@ -48,6 +48,20 @@ def _vec(x) -> np.ndarray:
     return v
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D float array, bit for bit: numpy takes the
+    square root of ``v.dot(v)`` too, after a few microseconds of dispatch."""
+    return math.sqrt(v.dot(v))
+
+
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors on Python floats, in numpy's term order,
+    so the bits are the same without its per-call overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -69,7 +83,7 @@ class LinearForm:
         return float(self.g @ _vec(x) + self.c0)
 
     def grad_norm(self) -> float:
-        return float(np.linalg.norm(self.g))
+        return _norm(self.g)
 
     def scaled(self, s: float) -> "LinearForm":
         return LinearForm(self.g * s, self.c0 * s)
@@ -175,8 +189,7 @@ def stacked_values(stack, points) -> np.ndarray:
 
 def rel_coeff_residual(q: Quadric, ref: Quadric) -> float:
     """``|q| / |ref|`` over the canonical coefficient vectors (``ref`` floored)."""
-    denom = float(np.linalg.norm(ref.coeffs()))
-    return float(np.linalg.norm(q.coeffs())) / max(denom, 1e-300)
+    return _norm(q.coeffs()) / max(_norm(ref.coeffs()), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +344,9 @@ def _axis_complement(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = int(np.argmin(np.abs(n)))
     e = np.zeros(3)
     e[k] = 1.0
-    u = np.cross(n, e)
-    u /= np.linalg.norm(u)
-    v = np.cross(n, u)
+    u = _cross3(n, e)
+    u /= _norm(u)
+    v = _cross3(n, u)
     return u, v
 
 
@@ -349,7 +362,7 @@ def classify_quadric(q: Quadric) -> QuadricClassification:
     """
     evals, V = jacobi_eigen3(q.A)
     lam_max = float(np.max(np.abs(evals)))
-    b_norm = float(np.linalg.norm(q.b))
+    b_norm = _norm(q.b)
     coeff_scale = max(lam_max, b_norm, abs(q.c))
     if coeff_scale <= 1e-300:
         raise AllZeroError("all quadric coefficients are zero")
@@ -384,7 +397,7 @@ def classify_quadric(q: Quadric) -> QuadricClassification:
         y0[i] = -b2[i] / lam[i]
     c_t = q.c + sum(b2[i] * y0[i] for i in nz)
     lin = np.array([b2[i] if i in null else 0.0 for i in range(3)])
-    lin_mag = float(np.linalg.norm(lin))
+    lin_mag = _norm(lin)
     has_linear = lin_mag > thr
     c_zero = abs(c_t) <= thr
 
@@ -448,7 +461,7 @@ def classify_quadric(q: Quadric) -> QuadricClassification:
         # Rotate within the null plane so the linear term lies along one axis.
         d_world = (lin[null[0]] * V[:, null[0]] + lin[null[1]] * V[:, null[1]]) / lin_mag
         q_world = V[:, qx]
-        f_world = np.cross(q_world, d_world)
+        f_world = _cross3(q_world, d_world)
         cols = [None, None, None]
         cols[qx] = q_world
         cols[null[0]] = d_world
@@ -487,7 +500,7 @@ def principal_curvatures(q: Quadric, x) -> tuple[float, float]:
     """
     p = _vec(x)
     grad = q.gradient(p)
-    gn = float(np.linalg.norm(grad))
+    gn = _norm(grad)
     scale = max(1.0, float(np.linalg.norm(q.A)), float(np.linalg.norm(q.b)))
     if gn <= SINGULAR_GRAD_TOL * scale:
         raise SingularPointError(f"gradient vanishes at {tuple(p)}")

@@ -59,7 +59,8 @@ def _numbers(kind, count: int = 1, low: float = -math.inf, high: float = math.in
             values = [kind(v) for v in text.split(",")]
         except ValueError:
             values = []
-        if len(values) != count or not all(math.isfinite(v) and low <= v <= high
+        # An int too large for a float compares exactly rather than overflowing.
+        if len(values) != count or not all(low <= v <= high and abs(v) < math.inf
                                            for v in values):
             expected = f"{count} {kind.__name__} value(s), finite and in [{low}, {high}]"
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
@@ -70,6 +71,14 @@ def _numbers(kind, count: int = 1, low: float = -math.inf, high: float = math.in
 
 def _bounds(text: str):
     return text if text == "auto" else _numbers(float, count=6)(text)
+
+
+def _grid(text: str):
+    # A grid point costs about 420 bytes of peak RSS: at most about 2 GiB.
+    counts = _numbers(int, count=3, low=1)(text)
+    if math.prod(counts) > 5_000_000:
+        raise argparse.ArgumentTypeError(f"expected nx*ny*nz <= 5000000, got {text!r}")
+    return counts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,15 +104,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conics", help="export fillet tangency conics as OBJ polylines")
     p.add_argument("lattice")
-    p.add_argument("--samples-per-curve", type=_numbers(int, low=2), default=128)
+    p.add_argument("--samples-per-curve", type=_numbers(int, low=2, high=100_000), default=128,
+                   help="points per curve (2..100000)")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("sample", help="classify points from a CSV or grid")
     p.add_argument("lattice")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--points", help="CSV of x,y,z query points")
-    source.add_argument("--grid", type=_numbers(int, count=3, low=1),
-                        help="nx,ny,nz uniform grid over auto bounds")
+    source.add_argument("--grid", type=_grid,
+                        help="nx,ny,nz uniform grid over auto bounds (nx*ny*nz <= 5000000)")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("classify", help="print quadric classes of beams and fillets")

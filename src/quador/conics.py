@@ -282,37 +282,33 @@ def sample_conic(conic: Conic, n: int) -> np.ndarray:
         raise ValueError("need n >= 2 samples")
     if conic.klass not in CURVE_CLASSES:
         raise NotACurveError(f"cannot sample a {conic.klass.value} conic")
-    pts2: list[np.ndarray] = []
-    if conic.klass in (ConicClass.ELLIPSE, ConicClass.CIRCLE):
-        r1, r2 = conic.radii
-        d1, d2 = conic.axes
-        for j in range(n):
-            th = TWO_PI * j / n
-            pts2.append(conic.center + r1 * math.cos(th) * d1 + r2 * math.sin(th) * d2)
-    elif conic.klass is ConicClass.PARABOLA:
-        (kappa,) = conic.radii
-        d1, d2 = conic.axes
-        for t in np.linspace(-UNBOUNDED_PARAM_RANGE, UNBOUNDED_PARAM_RANGE, n):
-            pts2.append(conic.center + t * d1 + kappa * t * t * d2)
-    elif conic.klass is ConicClass.HYPERBOLA:
-        ra, rb = conic.radii
-        d1, d2 = conic.axes
-        for sgn, m in ((1.0, n - n // 2), (-1.0, n // 2)):
-            for t in np.linspace(-UNBOUNDED_PARAM_RANGE, UNBOUNDED_PARAM_RANGE, m):
-                pts2.append(
-                    conic.center
-                    + sgn * ra * math.cosh(t) * d1
-                    + rb * math.sinh(t) * d2
-                )
-    else:
+    r = UNBOUNDED_PARAM_RANGE
+    # Every point takes the float operations, in the order, that one
+    # ``center + r1 cos(th) d1 + r2 sin(th) d2`` (and so on) per point takes.
+    if conic.axes is None:  # line classes
         k = len(conic.lines)
-        counts = [n // k] * k
-        for i in range(n - sum(counts)):
-            counts[i] += 1
-        for (base, direction), m in zip(conic.lines, counts):
-            for t in np.linspace(-UNBOUNDED_PARAM_RANGE, UNBOUNDED_PARAM_RANGE, m):
-                pts2.append(base + t * direction)
-    return np.array([conic.point3d(p[0], p[1]) for p in pts2])
+        counts = [n // k + (i < n % k) for i in range(k)]
+        pts2 = np.concatenate([base + np.linspace(-r, r, m)[:, None] * direction
+                               for (base, direction), m in zip(conic.lines, counts)])
+    else:
+        if conic.klass is ConicClass.PARABOLA:
+            (kappa,) = conic.radii
+            c1 = np.linspace(-r, r, n)
+            c2 = kappa * c1 * c1
+        elif conic.klass is ConicClass.HYPERBOLA:
+            ra, rb = conic.radii
+            m = n - n // 2  # the first branch's share
+            t = np.linspace(-r, r, m).tolist() + np.linspace(-r, r, n - m).tolist()
+            c1 = np.array([(1.0 if i < m else -1.0) * ra * math.cosh(x) for i, x in enumerate(t)])
+            c2 = np.array([rb * math.sinh(x) for x in t])
+        else:
+            r1, r2 = conic.radii
+            th = [TWO_PI * j / n for j in range(n)]
+            c1 = np.array([r1 * math.cos(x) for x in th])
+            c2 = np.array([r2 * math.sin(x) for x in th])
+        d1, d2 = conic.axes
+        pts2 = conic.center + c1[:, None] * d1 + c2[:, None] * d2
+    return conic.point3d(pts2[:, :1], pts2[:, 1:])  # (n, 1) columns broadcast
 
 
 def pcurve(conic: Conic, chart: SurfaceChart, n: int) -> np.ndarray:

@@ -27,7 +27,9 @@ from .algebra import (
     rel_coeff_residual,
     subtract_square,
     QuadricClass,
+    _cross3,
     _freeze,
+    _norm,
 )
 from .conics import COMPACT_CLASSES, Conic, ConicClass, intersect_quadric_plane
 from .errors import (
@@ -68,8 +70,7 @@ def fillet_planes(
     """
     if not (beta > 0.0) or not math.isfinite(beta):
         raise NonPositiveBetaError(f"fillet beta={beta}")
-    cross = np.cross(G1.g, G2.g)
-    if np.linalg.norm(cross) <= PARALLEL_STUB_TOL * G1.grad_norm() * G2.grad_norm():
+    if _norm(_cross3(G1.g, G2.g)) <= PARALLEL_STUB_TOL * G1.grad_norm() * G2.grad_norm():
         raise ParallelStubsError("stub planes are parallel; no corner to fill")
     alpha = 1.0 / (4.0 * beta)
     f_minus = G2 - G1
@@ -153,7 +154,7 @@ def build_fillet(stub1: StubView, stub2: StubView, beta: float) -> FilletPatch:
         )
 
     w = stub1.axis + stub2.axis
-    wn = np.linalg.norm(w)
+    wn = _norm(w)
     if wn <= PARALLEL_STUB_TOL:
         raise ParallelStubsError("stub axes are opposite; no outward bisector")
     w = w / wn

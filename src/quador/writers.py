@@ -158,8 +158,8 @@ def format_value(x: float) -> str:
 _OBJ_ROWS = 4096
 
 
-def write_obj_mesh(mesh: Mesh, path: str | Path) -> int:
-    """Write OBJ ``v``/``f`` records (1-based indices); returns the triangle count.
+def _obj_vertex_rows(vertices: np.ndarray) -> list[bytes]:
+    """``v x y z`` rows, each value as :func:`format_value` prints it.
 
     Each chunk of rows is formatted by one ``repr`` of its coordinates.  A
     value's ``repr`` ends in ``.0`` exactly where :func:`format_value` prints
@@ -167,10 +167,16 @@ def write_obj_mesh(mesh: Mesh, path: str | Path) -> int:
     in ``-0``, so two replaces give :func:`format_value`'s bytes.
     """
     chunks = []
-    for start in range(0, len(mesh.vertices), _OBJ_ROWS):
-        text = repr(mesh.vertices[start : start + _OBJ_ROWS].ravel().tolist())[1:-1] + ","
+    for start in range(0, len(vertices), _OBJ_ROWS):
+        text = repr(vertices[start : start + _OBJ_ROWS].ravel().tolist())[1:-1] + ","
         values = iter(text.replace(".0,", ",").replace("-0,", "0,")[:-1].split(", "))
         chunks.append("".join(map("v {} {} {}\n".format, values, values, values)).encode("ascii"))
+    return chunks
+
+
+def write_obj_mesh(mesh: Mesh, path: str | Path) -> int:
+    """Write OBJ ``v``/``f`` records (1-based indices); returns the triangle count."""
+    chunks = _obj_vertex_rows(mesh.vertices)
     for start in range(0, len(mesh.triangles), _OBJ_ROWS):
         values = iter((mesh.triangles[start : start + _OBJ_ROWS] + 1).ravel().tolist())
         chunks.append("".join(map("f {} {} {}\n".format, values, values, values)).encode("ascii"))
@@ -186,19 +192,15 @@ def write_obj_polylines(
     Each curve is (points, closed, comment); closed curves repeat their
     first index at the end of the ``l`` record.  Returns the polyline count.
     """
-    lines = []
+    chunks = []
     base = 1
     for points, closed, comment in curves:
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
         if comment:
-            lines.append(f"# {comment}")
-        for p in points:
-            lines.append(
-                f"v {format_value(p[0])} {format_value(p[1])} {format_value(p[2])}"
-            )
-        idx = list(range(base, base + len(points)))
-        if closed:
-            idx.append(base)
-        lines.append("l " + " ".join(str(i) for i in idx))
+            chunks.append(f"# {comment}\n".encode("utf-8"))
+        chunks += _obj_vertex_rows(points)
+        idx = [*range(base, base + len(points)), *([base] if closed else [])]
+        chunks.append(("l " + " ".join(map(str, idx)) + "\n").encode("ascii"))
         base += len(points)
-    write_output(path, "\n".join(lines).encode("utf-8"), b"\n")
+    write_output(path, *(chunks or [b"\n"]))
     return len(curves)

@@ -11,6 +11,8 @@ from quador.algebra import (
     LinearForm,
     Quadric,
     QuadricClass,
+    _cross3,
+    _norm,
     classify_quadric,
     jacobi_eigen3,
     principal_curvatures,
@@ -151,6 +153,46 @@ class TestStackedValues:
 
     def test_empty_stack(self):
         assert stacked_values(stack_forms([]), np.ones((4, 3))).shape == (4, 0)
+
+
+class TestThreeVectorKernels:
+    """``_cross3`` and ``_norm`` stand in for ``np.cross`` and ``np.linalg.norm``
+    in the construction path, so they must give the same bits."""
+
+    @staticmethod
+    def assert_same_bits(got, expect):
+        nan = np.isnan(expect)
+        npt.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expect[~nan].tobytes()
+
+    def test_cross_random(self):
+        rng = np.random.default_rng(23)
+        for a, b in zip(rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-8, 9, (2000, 1)),
+                        rng.normal(size=(2000, 3))):
+            assert _cross3(a, b).tobytes() == np.cross(a, b).tobytes()
+
+    @pytest.mark.parametrize("special", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_cross_special_values(self, special):
+        rng = np.random.default_rng(29)
+        values = [special, 0.0, -0.0, 1.0, -2.5]
+        for _ in range(200):
+            a = rng.choice(values, 3)
+            b = rng.choice(values + [rng.normal()], 3)
+            a[rng.integers(3)] = special
+            with np.errstate(invalid="ignore"):
+                expect = np.cross(a, b)
+            self.assert_same_bits(_cross3(a, b), expect)
+            with np.errstate(invalid="ignore"):
+                expect = np.cross(b, a)
+            self.assert_same_bits(_cross3(b, a), expect)
+
+    def test_norm(self):
+        rng = np.random.default_rng(31)
+        vectors = list(rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-150, 150, (2000, 1)))
+        vectors += [np.zeros(3), -np.zeros(3), np.array([math.inf, 1.0, 0.0]),
+                    np.array([math.nan, 1.0, 0.0]), rng.normal(size=10)]
+        for v in vectors:
+            self.assert_same_bits(np.array([_norm(v)]), np.array([np.linalg.norm(v)]))
 
 
 @settings(max_examples=100, deadline=None)

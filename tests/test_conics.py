@@ -22,6 +22,9 @@ from quador.errors import (
     PointOffSurfaceError,
     ZeroGradientError,
 )
+from quador.tolerances import UNBOUNDED_PARAM_RANGE
+
+from conftest import random_rotation, transformed_quadric
 
 UNIT_SPHERE = Quadric(np.eye(3), np.zeros(3), -1.0)
 CYLINDER_X = Quadric(np.diag([0.0, 1.0, 1.0]), np.zeros(3), -1.0)
@@ -173,6 +176,68 @@ class TestSampling:
                 assert abs(conic.evaluate2d(s, t)) <= 1e-12 * scale
                 assert abs(q.value(p)) <= 1e-10 * scale
                 assert abs(lin.value(p)) <= 1e-12 * scale
+
+
+def per_point_sample_conic(conic, n):
+    """``sample_conic`` as one 2-D point and one ``point3d`` call per sample."""
+    r = UNBOUNDED_PARAM_RANGE
+    pts2 = []
+    if conic.klass in (ConicClass.ELLIPSE, ConicClass.CIRCLE):
+        (r1, r2), (d1, d2) = conic.radii, conic.axes
+        for j in range(n):
+            th = 2.0 * math.pi * j / n
+            pts2.append(conic.center + r1 * math.cos(th) * d1 + r2 * math.sin(th) * d2)
+    elif conic.klass is ConicClass.PARABOLA:
+        (kappa,), (d1, d2) = conic.radii, conic.axes
+        for t in np.linspace(-r, r, n):
+            pts2.append(conic.center + t * d1 + kappa * t * t * d2)
+    elif conic.klass is ConicClass.HYPERBOLA:
+        (ra, rb), (d1, d2) = conic.radii, conic.axes
+        for sgn, m in ((1.0, n - n // 2), (-1.0, n // 2)):
+            for t in np.linspace(-r, r, m):
+                pts2.append(conic.center + sgn * ra * math.cosh(t) * d1 + rb * math.sinh(t) * d2)
+    else:
+        k = len(conic.lines)
+        counts = [n // k + (i < n % k) for i in range(k)]
+        for (base, direction), m in zip(conic.lines, counts):
+            for t in np.linspace(-r, r, m):
+                pts2.append(base + t * direction)
+    return np.array([conic.point3d(p[0], p[1]) for p in pts2])
+
+
+class TestBatchedSampling:
+    """``sample_conic`` lifts all samples at once; every bit stays the
+    per-point loop's."""
+
+    CASES = [
+        (UNIT_SPHERE, LinearForm((0.3, -0.2, 1.0), -0.5)),
+        (CYLINDER_X, LinearForm((-0.75, 1.25, 0.4), 0.1)),
+        (Quadric(np.diag([0.0, 1.0, 1.0]), (-0.375, 0, 0), -73 / 64),
+         LinearForm((0.0, 1.0, 0.3), 0.3)),
+        (Quadric(np.diag([1.0, 1.0, -1.0]), np.zeros(3), -1.0),
+         LinearForm((1.0, 0.1, -0.2), -math.sqrt(2))),
+        (CYLINDER_X, LinearForm((0.0, 1.0, 0.0), 0.0)),
+        (Quadric(np.diag([1.0, 1.0, -1.0]), np.zeros(3), 0.0), LinearForm((1.0, 0.0, 0.0), 0.0)),
+        (CYLINDER_X, LinearForm((0.0, 1.0, 0.0), -1.0)),
+    ]
+
+    def test_every_curve_class_matches_per_point_loop(self):
+        rng = np.random.default_rng(37)
+        seen = set()
+        for q, lin in self.CASES:
+            for _ in range(5):
+                R, t = random_rotation(rng), rng.uniform(-3, 3, 3)
+                moved = Quadric(*transformed_quadric(q.A, q.b, q.c, R, t))
+                g = R @ lin.g
+                conic = intersect_quadric_plane(moved, LinearForm(g, lin.c0 - g @ t))
+                seen.add(conic.klass)
+                for n in (2, 3, 7, 32, 129):
+                    got = sample_conic(conic, n)
+                    assert got.shape == (n, 3)
+                    assert got.tobytes() == per_point_sample_conic(conic, n).tobytes()
+        assert seen == {ConicClass.CIRCLE, ConicClass.ELLIPSE, ConicClass.PARABOLA,
+                        ConicClass.HYPERBOLA, ConicClass.PARALLEL_LINES,
+                        ConicClass.CROSSING_LINES, ConicClass.SINGLE_LINE}
 
 
 class TestPCurve:

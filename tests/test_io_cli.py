@@ -21,11 +21,11 @@ import pytest
 import quador
 import quador.verify
 import quador.writers
-from quador.algebra import Quadric
-from quador.cli import main
-from quador.conics import ConicClass
+from quador.algebra import Quadric, _axis_complement, stack_forms, stacked_values
+from quador.cli import build_parser, main
+from quador.conics import ConicClass, sample_conic
 from quador.errors import ParseError, ValidationError
-from quador.lattice import Beam, FilletSpec, Hub, Lattice
+from quador.lattice import Beam, FilletSpec, Hub, Lattice, stub_views_at_hub
 from quador.latticefile import lattice_to_json, load_lattice
 from quador.solid import Mesh, auto_bounds, build_assembly, marching_cubes
 from quador.verify import run_verify
@@ -228,6 +228,38 @@ class TestObjMesh:
         assert (tmp_path / "m.obj").read_bytes() == row_obj_mesh(mesh)
 
 
+def row_obj_polylines(curves) -> bytes:
+    """Reference OBJ polyline writer: one ``format_value`` per coordinate."""
+    lines, base = [], 1
+    for points, closed, comment in curves:
+        if comment:
+            lines.append(f"# {comment}")
+        lines += [f"v {format_value(x)} {format_value(y)} {format_value(z)}"
+                  for x, y, z in points]
+        idx = list(range(base, base + len(points))) + ([base] if closed else [])
+        lines.append("l " + " ".join(map(str, idx)))
+        base += len(points)
+    return "\n".join(lines).encode("utf-8") + b"\n"
+
+
+class TestObjPolylines:
+    @pytest.mark.parametrize("curves", [
+        lambda: [(np.array(TestObjMesh.SPECIAL), True, "special values"),
+                 (np.array(TestObjMesh.SPECIAL[::-1]), False, "")],
+        lambda: [],
+        lambda: [(np.zeros((0, 3)), True, "no points"), (np.zeros((0, 3)), False, "")],
+        # Over two chunks of rows; rounding makes many values integral, some -0.0.
+        lambda: [(np.round(np.random.default_rng(71).uniform(-3, 3, (9000, 3)), 1) * -1,
+                  True, "h\u00e9:b1+b2 stub1"),
+                 (np.random.default_rng(73).normal(size=(5, 3)), False, "second")],
+    ], ids=["special-values", "none", "empty-curves", "several-chunks"])
+    def test_bytes_match_per_value_format(self, curves, tmp_path):
+        curves = curves()
+        out = tmp_path / "c.obj"
+        assert quador.writers.write_obj_polylines(curves, out) == len(curves)
+        assert out.read_bytes() == row_obj_polylines(curves)
+
+
 class TestVerify:
     def test_fixture_passes(self):
         report = run_verify(load_lattice(BETA1.read_bytes()), samples=2000)
@@ -265,6 +297,60 @@ class TestVerify:
         assert checks["fillet_identity"]["detail"] == "IDENTITY_VIOLATION"
         assert checks["conic_tangency_residual"]["status"] == "fail"
         assert "[FAIL] fillet_identity measured=nan" in capsys.readouterr().out
+
+    def test_batched_kernels_match_per_point_calls(self):
+        rng = np.random.default_rng(79)
+        pts = np.vstack([rng.uniform(-6, 6, (400, 3)), np.zeros((1, 3)), np.eye(3)])
+        for _ in range(60):
+            q = Quadric(rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal())
+            h = Quadric(rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal())
+            grads = quador.verify._gradients(q, pts)
+            assert grads.tobytes() == np.array([q.gradient(p) for p in pts]).tobytes()
+            other = quador.verify._gradients(h, pts)
+            npt.assert_array_equal(quador.verify._dots(grads, other),
+                                   [g @ o for g, o in zip(grads, other)])
+            npt.assert_array_equal(np.sqrt(quador.verify._dots(grads, grads)),
+                                   [np.linalg.norm(g) for g in grads])
+            npt.assert_array_equal(stacked_values(stack_forms((h, q)), pts),
+                                   [[h.value(p), q.value(p)] for p in pts])
+
+    @pytest.mark.parametrize("name", [
+        *(path.name for path in sorted(FIXTURES.glob("*.json"))), "jittered_cubic"])
+    def test_batched_checks_equal_per_point_loops(self, name):
+        from test_fillet import jittered_cubic
+
+        lattice = jittered_cubic(5) if name == "jittered_cubic" else load_lattice(
+            (FIXTURES / name).read_bytes())
+        measured = {c.name: c.measured for c in run_verify(lattice, samples=50).checks}
+        spheres = lattice._resolved.spheres
+        gradient = [0.0]
+        for hub in lattice.hubs:
+            for view in stub_views_at_hub(lattice, hub.id):
+                offset = -view.G.value(hub.center) / view.G.grad_norm()
+                normal = view.G.g / np.linalg.norm(view.G.g)
+                rc = math.sqrt(max(0.0, hub.radius * hub.radius - offset * offset))
+                w1, w2 = _axis_complement(normal)
+                p0 = np.asarray(hub.center) + offset * normal
+                for t in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):
+                    p = p0 + rc * (math.cos(t) * w1 + math.sin(t) * w2)
+                    gs = spheres[hub.id].gradient(p)
+                    gradient.append(float(np.linalg.norm(view.H.gradient(p) - gs)
+                                          / np.linalg.norm(gs)))
+        assert measured["sphere_stub_gradient"] == max(gradient)
+        residuals, angles = [0.0], [0.0]
+        for patch in build_assembly(lattice).fillets:
+            for conic, h in ((patch.conic1, patch.H1), (patch.conic2, patch.H2)):
+                for p in sample_conic(conic, 32):
+                    scale = max(1.0, float(p @ p))
+                    residuals += [abs(h.value(p)) / scale, abs(patch.Q.value(p)) / scale]
+                    gq, gh = patch.Q.gradient(p), h.gradient(p)
+                    cosang = float(gq @ gh / (np.linalg.norm(gq) * np.linalg.norm(gh)))
+                    angles.append(math.acos(min(1.0, max(-1.0, cosang))))
+        if lattice.fillets:
+            assert measured["conic_tangency_residual"] == max(residuals)
+            assert measured["conic_tangency_angle"] == max(angles)
+        else:
+            assert "conic_tangency_residual" not in measured
 
     def test_report_json_shape(self):
         report = run_verify(load_lattice(BETA1.read_bytes()), samples=500)
@@ -475,6 +561,24 @@ class TestCli:
         assert proc.returncode == 1
         assert "argument --samples:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command,flag,bound,over", [
+        ("sample", "--grid", "5000000,1,1", "5000001,1,1"),
+        ("sample", "--grid", "170,170,170", "171,171,171"),  # the product is bounded
+        ("conics", "--samples-per-curve", "100000", "100001"),
+    ])
+    def test_bound_parses_and_bound_plus_one_exits_one(self, command, flag, bound, over, capsys):
+        # Parsed only: a run at the bound would take gigabytes.
+        build_parser().parse_args([command, "x.json", flag, bound, "-o", "o"])
+        assert main([command, "x.json", flag, over, "-o", "o"]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "Traceback" not in err
+
+    def test_int_too_large_for_a_float_parses(self, capsys):
+        huge = "1" + "0" * 400
+        assert build_parser().parse_args(["verify", "x.json", "--seed", huge]).seed == 10**400
+        assert main(["verify", "x.json", "--samples", huge]) == 1
+        assert "argument --samples:" in capsys.readouterr().err
 
     def test_verify_invariant_failure_exit_three(self, monkeypatch, capsys):
         corrupt_first_fillet(monkeypatch)
