@@ -23,7 +23,6 @@ from .algebra import classify_quadric
 from .conics import ConicClass, sample_conic
 from .errors import ParseError, QuadorError, ValidationError
 from .fillet import PLANE_PAIR_CLASSES
-from .lattice import fillet_key
 from .latticefile import load_lattice
 from .solid import auto_bounds, build_assembly, classify_point, marching_cubes
 from .tolerances import UNBOUNDED_PARAM_RANGE
@@ -180,10 +179,7 @@ def _cmd_conics(args) -> int:
         for which, conic in (("stub1", p.conic1), ("stub2", p.conic2)):
             pts = sample_conic(conic, args.samples_per_curve)
             closed = conic.klass in (ConicClass.ELLIPSE, ConicClass.CIRCLE)
-            comment = (
-                f"fillet {fillet_key(p.hub_id, *p.beam_ids)} {which} "
-                f"class={conic.klass.value}"
-            )
+            comment = f"fillet {p.key} {which} class={conic.klass.value}"
             if not closed:
                 r = UNBOUNDED_PARAM_RANGE
                 comment += f" param_range=[{-r:g}, {r:g}] per branch"
@@ -203,7 +199,8 @@ def _cmd_conics(args) -> int:
 
 def _read_points_csv(path: str) -> list[tuple[float, float, float]]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark that spreadsheet exports write.
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"quador: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO) from exc
@@ -258,19 +255,18 @@ def _cmd_classify(args) -> int:
     assembly = build_assembly(lattice)
     print(f"{'kind':8s} {'id':24s} {'class':24s} notes")
     for bg in assembly.beams:
-        cls = classify_quadric(bg.H)
+        cls = classify_quadric(bg.stub_a.H)
         evals = ", ".join(f"{d:.6g}" for d in cls.diag)
         print(f"{'beam':8s} {bg.beam.id:24s} {cls.label.value:24s} eigenvalues [{evals}]")
     for p in assembly.fillets:
         cls = classify_quadric(p.Q)
-        key = fillet_key(p.hub_id, *p.beam_ids)
         notes = []
         if cls.label in PLANE_PAIR_CLASSES:
             notes.append("degenerate (chamfer)")
         notes.append(
             f"conics {p.conic1.klass.value}/{p.conic2.klass.value}"
         )
-        print(f"{'fillet':8s} {key:24s} {cls.label.value:24s} {'; '.join(notes)}")
+        print(f"{'fillet':8s} {p.key:24s} {cls.label.value:24s} {'; '.join(notes)}")
     return EXIT_OK
 
 
@@ -296,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except ParseError as exc:
-        print(f"quador: parse error at {exc.location}: {exc}", file=sys.stderr)
+        print(f"quador: parse error at {exc}", file=sys.stderr)  # exc starts with its location
         return EXIT_USAGE
     except ValidationError as exc:
         print(f"quador: {exc}", file=sys.stderr)

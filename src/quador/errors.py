@@ -41,7 +41,7 @@ class ZeroGradientError(QuadorError):
 
 
 class DegenerateBeamError(QuadorError):
-    """Beam family parameter k is zero (or not finite)."""
+    """Beam family parameter k is zero, not finite, or so small that its planes overflow."""
 
     code = "DEGENERATE_K"
 

@@ -42,7 +42,8 @@ from .errors import (
     ParallelStubsError,
     WedgeOrientationError,
 )
-from .lattice import Lattice, FilletSpec, StubView, _unknown_fillet_ids, stub_views_at_hub
+from .lattice import (Lattice, FilletSpec, StubView, _unknown_fillet_ids, fillet_key,
+                      stub_views_at_hub)
 from .tolerances import COEFF_REL_TOL, PARALLEL_STUB_TOL
 
 __all__ = [
@@ -93,10 +94,11 @@ def fillet_residual(
 
 @dataclass(frozen=True, eq=False)
 class FilletPatch:
-    """A built fillet between two stubs at one hub."""
+    """A built fillet between two stubs at one hub: ``Q = H1 - E1^2 = H2 - E2^2``
+    with ``H1``, ``H2`` the quadrics of ``stub1`` and ``stub2``."""
 
-    hub_id: str
-    beam_ids: tuple[str, str]
+    stub1: StubView
+    stub2: StubView
     alpha: float
     beta: float
     F_plus: LinearForm
@@ -106,15 +108,15 @@ class FilletPatch:
     Q: Quadric
     conic1: Conic
     conic2: Conic
-    hub_center: np.ndarray
-    hub_radius: float
     bisector: np.ndarray  # unit outward corner bisector
-    H1: Quadric
-    H2: Quadric
 
     def __post_init__(self):
-        for name in ("hub_center", "bisector"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        object.__setattr__(self, "bisector", _freeze(self.bisector))
+
+    @property
+    def key(self) -> str:
+        """The fillet's ``hub:beam_i+beam_j`` name (:func:`fillet_key`)."""
+        return fillet_key(self.stub1.hub.id, self.stub1.beam.id, self.stub2.beam.id)
 
     @property
     def is_chamfer(self) -> bool:
@@ -169,8 +171,8 @@ def build_fillet(stub1: StubView, stub2: StubView, beta: float) -> FilletPatch:
         )
 
     return FilletPatch(
-        hub_id=hub.id,
-        beam_ids=(stub1.beam.id, stub2.beam.id),
+        stub1=stub1,
+        stub2=stub2,
         alpha=alpha,
         beta=beta,
         F_plus=stub2.G + stub1.G,
@@ -180,11 +182,7 @@ def build_fillet(stub1: StubView, stub2: StubView, beta: float) -> FilletPatch:
         Q=q1,
         conic1=_tangency_conic(stub1.H, e1),
         conic2=_tangency_conic(stub2.H, e2),
-        hub_center=np.asarray(hub.center, dtype=float),
-        hub_radius=hub.radius,
         bisector=w,
-        H1=stub1.H,
-        H2=stub2.H,
     )
 
 
@@ -259,9 +257,10 @@ def fillet_extent(patch: FilletPatch) -> float:
         or patch.conic2.klass not in COMPACT_CLASSES
     ):
         return math.inf
+    center = np.asarray(patch.stub1.hub.center, dtype=float)
     return max(
-        _max_distance_on_conic(patch.conic1, patch.hub_center),
-        _max_distance_on_conic(patch.conic2, patch.hub_center),
+        _max_distance_on_conic(patch.conic1, center),
+        _max_distance_on_conic(patch.conic2, center),
     )
 
 
@@ -276,7 +275,7 @@ def fillet_min_curvature_radius(patch: FilletPatch) -> float:
     """
     if patch.is_chamfer:
         return math.inf
-    c = patch.hub_center
+    c = np.asarray(patch.stub1.hub.center, dtype=float)
     w = patch.bisector
     qa = float(w @ patch.Q.A @ w)
     qb = float(w @ patch.Q.A @ c + patch.Q.b @ w)

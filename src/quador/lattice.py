@@ -8,15 +8,19 @@ planes are ``G_a = (L/k + k)/2`` and ``G_b = G_a - k``, which makes
 forms are sign-normalized positive toward the far hub, which leaves the
 beam quadric unchanged.
 
+A beam is built as its two stub views, ``H = S - G^2`` on each end's hub
+sphere, and fillets, assembly and verify all read those same objects.
+
 Everything here is immutable after construction and safe for concurrent
-reads.  Each lattice builds its parts once, on first use (``_resolve``).
+reads.  Each lattice builds each hub sphere, beam (its two stubs) and fillet
+once, on first use (``_resolve``).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -116,22 +120,35 @@ def sphere_quadric(hub: Hub) -> Quadric:
 
 
 @dataclass(frozen=True, eq=False)
-class BeamGeometry:
-    """A constructed beam: shared quadric plus both tangency planes."""
+class StubView:
+    """A beam as seen from one of its hubs.
 
+    ``G`` is the beam's tangency plane at this hub, sign-normalized positive
+    toward the far hub, and ``H = S_hub - G^2`` on this hub's sphere, so the
+    sphere-stub identity holds bitwise.  ``axis`` is the unit direction
+    toward the far hub.
+    """
+
+    hub: Hub
     beam: Beam
-    hub_a: Hub
-    hub_b: Hub
+    G: LinearForm
     H: Quadric
-    G_a: LinearForm
-    G_b: LinearForm
-    axis: np.ndarray  # unit, hub_a -> hub_b
-    length: float  # center distance
-    lam: float  # |grad G_a| = |grad G_b|
-    g0: float  # G_a at the hub_a center
+    axis: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "axis", _freeze(self.axis))
+
+
+@dataclass(frozen=True, eq=False)
+class BeamGeometry:
+    """A constructed beam as its two stub views; ``stub_a.H`` is the beam quadric."""
+
+    beam: Beam
+    stub_a: StubView  # at hub_a; its axis points hub_a -> hub_b
+    stub_b: StubView  # at hub_b
+    length: float  # center distance
+    lam: float  # |grad G_a| = |grad G_b|
+    g0: float  # G_a at the hub_a center
 
 
 def beam_quador(hub_a: Hub, hub_b: Hub, k: float) -> BeamGeometry:
@@ -139,32 +156,44 @@ def beam_quador(hub_a: Hub, hub_b: Hub, k: float) -> BeamGeometry:
 
     The tangency planes must cut their spheres (``|G(c)| / |grad G| < r`` at
     each end), otherwise :class:`PlaneMissesSphereError` names the offending
-    hub.  A zero or non-finite ``k`` raises :class:`DegenerateBeamError`, and a
-    bad hub the error :func:`sphere_quadric` raises for it.
+    hub.  A zero or non-finite ``k``, or one so small that the tangency
+    planes overflow, raises :class:`DegenerateBeamError`, and a bad hub the
+    error :func:`sphere_quadric` raises for it.
     """
+    return _build_beam(Beam("", hub_a.id, hub_b.id, k), hub_a, hub_b,
+                       sphere_quadric(hub_a), sphere_quadric(hub_b))
+
+
+def _build_beam(beam: Beam, hub_a: Hub, hub_b: Hub,
+                sphere_a: Quadric, sphere_b: Quadric) -> BeamGeometry:
+    """Both stubs of ``beam`` between two hubs, given the hubs' spheres."""
+    k = beam.k
     if not math.isfinite(k) or k == 0.0:
         raise DegenerateBeamError(f"beam between {hub_a.id!r} and {hub_b.id!r} has k={k}")
-    sphere_a = sphere_quadric(hub_a)
-    sphere_quadric(hub_b)  # only for hub_b's own checks
     ca = np.asarray(hub_a.center, dtype=float)
     cb = np.asarray(hub_b.center, dtype=float)
     d = float(np.linalg.norm(cb - ca))
     if d == 0.0:
         raise CoincidentHubsError(f"hubs {hub_a.id!r} and {hub_b.id!r} are coincident")
 
-    # L = S_a - S_b is linear; divide out k to get the tangency planes.
-    gl = 2.0 * (cb - ca)
-    cl = float(ca @ ca) - hub_a.radius**2 - float(cb @ cb) + hub_b.radius**2
-    G_a = LinearForm(gl / (2.0 * k), cl / (2.0 * k) + k / 2.0)
-    G_b_raw = LinearForm(G_a.g, G_a.c0 - k)
-
-    H = subtract_square(sphere_a, G_a)
-
-    lam = G_a.grad_norm()
-    if abs(G_a.value(ca)) >= lam * hub_a.radius:
-        raise PlaneMissesSphereError(hub_a.id)
-    if abs(G_b_raw.value(cb)) >= lam * hub_b.radius:
-        raise PlaneMissesSphereError(hub_b.id)
+    # L = S_a - S_b is linear; divide out k to get the tangency planes.  A tiny
+    # k overflows them; that is the coded error below, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gl = 2.0 * (cb - ca)
+        cl = float(ca @ ca) - hub_a.radius**2 - float(cb @ cb) + hub_b.radius**2
+        G_a = LinearForm(gl / (2.0 * k), cl / (2.0 * k) + k / 2.0)
+        G_b_raw = LinearForm(G_a.g, G_a.c0 - k)
+        H = subtract_square(sphere_a, G_a)
+        lam = G_a.grad_norm()
+        if abs(G_a.value(ca)) >= lam * hub_a.radius:
+            raise PlaneMissesSphereError(hub_a.id)
+        if abs(G_b_raw.value(cb)) >= lam * hub_b.radius:
+            raise PlaneMissesSphereError(hub_b.id)
+    # A finite |grad G| and H make both planes finite too.
+    if not (math.isfinite(lam) and np.isfinite(H.coeffs()).all()):
+        raise DegenerateBeamError(
+            f"beam between {hub_a.id!r} and {hub_b.id!r} has k={k}: its tangency planes overflow"
+        )
 
     if G_a.value(cb) < 0.0:
         G_a = -G_a
@@ -172,13 +201,9 @@ def beam_quador(hub_a: Hub, hub_b: Hub, k: float) -> BeamGeometry:
 
     axis = (cb - ca) / d
     return BeamGeometry(
-        beam=Beam("", hub_a.id, hub_b.id, k),
-        hub_a=hub_a,
-        hub_b=hub_b,
-        H=H,
-        G_a=G_a,
-        G_b=G_b,
-        axis=axis,
+        beam=beam,
+        stub_a=StubView(hub_a, beam, G_a, H, axis),  # H is sign-invariant in G_a
+        stub_b=StubView(hub_b, beam, G_b, subtract_square(sphere_b, G_b), -axis),
         length=d,
         lam=lam,
         g0=G_a.value(ca),
@@ -192,29 +217,10 @@ def beam_radius(geom: BeamGeometry, s: float) -> float | None:
     ``rho^2 = r_a^2 + (lam*s + g0)^2 - s^2``; returns ``None`` where the
     quador has no real section.
     """
-    rho_sq = geom.hub_a.radius**2 + (geom.lam * s + geom.g0) ** 2 - s * s
+    rho_sq = geom.stub_a.hub.radius**2 + (geom.lam * s + geom.g0) ** 2 - s * s
     if rho_sq < 0.0:
         return None
     return math.sqrt(rho_sq)
-
-
-@dataclass(frozen=True, eq=False)
-class StubView:
-    """A beam as seen from one of its hubs.
-
-    ``G`` is sign-normalized positive toward the far hub and
-    ``H = S_hub - G^2`` exactly (recomputed hub-locally, so the identity is
-    bitwise).  ``axis`` is the unit direction toward the far hub.
-    """
-
-    hub: Hub
-    beam: Beam
-    G: LinearForm
-    H: Quadric
-    axis: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", _freeze(self.axis))
 
 
 def stub_views_at_hub(lattice: Lattice, hub_id: str) -> list[StubView]:
@@ -334,7 +340,7 @@ def _resolve(lattice: Lattice) -> _Resolution:
         geom = next((e for e in ends if isinstance(e, QuadorError)), None)
         if geom is None:
             try:
-                geom = replace(beam_quador(hubs[b.hub_a], hubs[b.hub_b], b.k), beam=b)
+                geom = _build_beam(b, hubs[b.hub_a], hubs[b.hub_b], *ends)
             except QuadorError as exc:
                 if b.hub_a != b.hub_b:
                     report.add_error(exc.code, b.id, f"beam {b.id!r}: {exc}")
@@ -343,8 +349,9 @@ def _resolve(lattice: Lattice) -> _Resolution:
         for hub_id in dict.fromkeys((b.hub_a, b.hub_b)):
             incident.setdefault(hub_id, []).append((b, geom))
 
-    # Per hub: its stub views (or the first error of its sphere or beams), and its
-    # fillet clipping radius: nearest connected hub (2r if none), clamped to hold the sphere.
+    # Per hub: its end of each incident beam (or the first error of its sphere or beams),
+    # and its fillet clipping radius: nearest connected hub (2r if none), clamped to hold
+    # the sphere.
     stubs: dict[str, tuple[StubView, ...] | QuadorError] = {}
     locality = {}
     for hub in hubs.values():
@@ -352,16 +359,10 @@ def _resolve(lattice: Lattice) -> _Resolution:
         others = (b.hub_b if b.hub_a == hub.id else b.hub_a for b, _ in pairs)
         dists = [math.dist(hub.center, hubs[o].center) for o in others if o in hubs]
         locality[hub.id] = max(min(dists) if dists else 2.0 * hub.radius, 1.25 * hub.radius)
-        sphere = spheres[hub.id]
-        failed = [e for e in (sphere, *(g for _, g in pairs)) if isinstance(e, QuadorError)]
-        if failed:
-            stubs[hub.id] = failed[0]
-            continue
-        views = []
-        for beam, geom in pairs:
-            g, axis = (geom.G_a, geom.axis) if beam.hub_a == hub.id else (geom.G_b, -geom.axis)
-            views.append(StubView(hub, beam, g, subtract_square(sphere, g), axis))
-        stubs[hub.id] = tuple(views)
+        failed = [e for e in (spheres[hub.id], *(g for _, g in pairs))
+                  if isinstance(e, QuadorError)]
+        stubs[hub.id] = failed[0] if failed else tuple(
+            g.stub_a if b.hub_a == hub.id else g.stub_b for b, g in pairs)
 
     for i, h1 in enumerate(lattice.hubs):
         for h2 in lattice.hubs[i + 1:]:

@@ -34,7 +34,6 @@ from .lattice import (
     Hub,
     Lattice,
     beam_radius,
-    fillet_key,
     validate_lattice,
 )
 
@@ -90,13 +89,13 @@ class Assembly:
         resolved = self.lattice._resolved
         rho = resolved.locality
         parts = [(RegionLabel("HUB", hub.id), (resolved.spheres[hub.id],)) for hub in self.hubs]
-        parts += [(RegionLabel("BEAM", bg.beam.id), (bg.H, -bg.G_a, -bg.G_b))
+        parts += [(RegionLabel("BEAM", bg.beam.id), (bg.stub_a.H, -bg.stub_a.G, -bg.stub_b.G))
                   for bg in self.beams]
         for p in self.fillets:
-            c, r = p.hub_center, rho[p.hub_id]
+            hub = p.stub1.hub
+            c, r = np.asarray(hub.center, dtype=float), rho[hub.id]
             ball = Quadric(np.eye(3), -c, float(c @ c) - r * r)  # |x - c|^2 - rho^2
-            key = fillet_key(p.hub_id, *p.beam_ids)
-            parts.append((RegionLabel("FILLET", key), (p.Q, -p.E1, -p.E2, ball)))
+            parts.append((RegionLabel("FILLET", p.key), (p.Q, -p.E1, -p.E2, ball)))
         # Stable, so a label tie keeps the first part in part order.
         order = sorted(range(len(parts)),
                        key=lambda i: (_KIND_RANK[parts[i][0].kind], parts[i][0].key))
@@ -224,8 +223,8 @@ def auto_bounds(assembly: Assembly) -> tuple[np.ndarray, np.ndarray]:
         hi = np.maximum(hi, c + hub.radius)
         r_max = max(r_max, hub.radius)
     for bg in assembly.beams:
-        ca = np.asarray(bg.hub_a.center)
-        u = bg.axis
+        ca = np.asarray(bg.stub_a.hub.center)
+        u = bg.stub_a.axis
         spread = np.sqrt(np.maximum(0.0, 1.0 - u * u))
         for s in np.linspace(0.0, bg.length, 33):
             rho = beam_radius(bg, float(s))

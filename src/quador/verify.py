@@ -32,7 +32,7 @@ from .fillet import (
     fillet_min_curvature_radius,
     fillet_residual,
 )
-from .lattice import Lattice, fillet_key, stub_views_at_hub
+from .lattice import Lattice, stub_views_at_hub
 from .solid import auto_bounds, build_assembly, field_grid
 from .tolerances import (
     COEFF_REL_TOL,
@@ -130,11 +130,8 @@ def run_verify(
     spheres = lattice._resolved.spheres
 
     # Two-sphere tangency: both ends construct the same beam quadric.
-    residuals = []
-    for bg in assembly.beams:
-        h1 = subtract_square(spheres[bg.hub_a.id], bg.G_a)
-        h2 = subtract_square(spheres[bg.hub_b.id], bg.G_b)
-        residuals.append(rel_coeff_residual(h1 - h2, h1))
+    residuals = [rel_coeff_residual(bg.stub_a.H - bg.stub_b.H, bg.stub_a.H)
+                 for bg in assembly.beams]
     report.checks.append(_check("two_sphere_tangency", residuals, COEFF_REL_TOL,
                                 f"{len(assembly.beams)} beams"))
 
@@ -157,7 +154,7 @@ def run_verify(
     if assembly.fillets:
         residuals = []
         for p in assembly.fillets:
-            for h, e in ((p.H1, p.E1), (p.H2, p.E2)):
+            for h, e in ((p.stub1.H, p.E1), (p.stub2.H, p.E2)):
                 expect = subtract_square(h, e)
                 residuals.append(rel_coeff_residual(p.Q - expect, expect))
         identity = _check("fillet_identity", residuals, COEFF_REL_TOL)
@@ -172,7 +169,7 @@ def run_verify(
                 alpha_t = p.alpha * t
                 e1 = p.F_plus.scaled(alpha_t) + p.F_minus.scaled(p.beta)
                 e2 = p.F_plus.scaled(alpha_t) - p.F_minus.scaled(p.beta)
-                res = fillet_residual(p.H1, p.H2, e1, e2)
+                res = fillet_residual(p.stub1.H, p.stub2.H, e1, e2)
                 expect = linear_product(p.F_plus, p.F_minus).scaled(
                     1.0 - 4.0 * alpha_t * p.beta
                 )
@@ -184,7 +181,7 @@ def run_verify(
         residuals = []
         angles = []
         for p in assembly.fillets:
-            for conic, h in ((p.conic1, p.H1), (p.conic2, p.H2)):
+            for conic, h in ((p.conic1, p.stub1.H), (p.conic2, p.stub2.H)):
                 pts = sample_conic(conic, 32)
                 scale = np.maximum(1.0, _dots(pts, pts))[:, None]
                 residuals.append(np.abs(stacked_values(stack_forms((h, p.Q)), pts)) / scale)
@@ -216,8 +213,8 @@ def run_verify(
         )
 
         # Extent / curvature-radius behaviour across the beta grid.
-        for spec in lattice.fillets:
-            subject = fillet_key(spec.hub, spec.beam_i, spec.beam_j)
+        for spec, built in zip(lattice.fillets, assembly.fillets):
+            subject = built.key
             extents = []
             radii = []
             ok = True

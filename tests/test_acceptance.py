@@ -153,7 +153,7 @@ def test_criterion_4_fillet_tangency():
     worst_ang = 0.0
     for beta in (0.8, 1.0, 1.5):
         patch = perp_patch(beta)
-        for conic, h in ((patch.conic1, patch.H1), (patch.conic2, patch.H2)):
+        for conic, h in ((patch.conic1, patch.stub1.H), (patch.conic2, patch.stub2.H)):
             for p in sample_conic(conic, 32):
                 scale = max(1.0, float(p @ p))
                 worst_res = max(
@@ -185,14 +185,14 @@ def test_criterion_5_two_sphere_beam():
 
     geom = beam_quador(Hub("h0", (0, 0, 0), 1.0), Hub("h1", (4, 0, 0), 2.0), 4.0)
     expect = Quadric(np.diag([0.0, 1.0, 1.0]), (-0.375, 0.0, 0.0), -73.0 / 64.0)
-    dev = np.max(np.abs(geom.H.coeffs() - expect.coeffs()))
+    dev = np.max(np.abs(geom.stub_a.H.coeffs() - expect.coeffs()))
 
     # Both tangency checks: ends agree, and grad H == grad S on each circle.
-    h_a = subtract_square(sphere_quadric(geom.hub_a), geom.G_a)
-    h_b = subtract_square(sphere_quadric(geom.hub_b), geom.G_b)
+    h_a = subtract_square(sphere_quadric(geom.stub_a.hub), geom.stub_a.G)
+    h_b = subtract_square(sphere_quadric(geom.stub_b.hub), geom.stub_b.G)
     end_dev = np.linalg.norm((h_a - h_b).coeffs()) / np.linalg.norm(h_a.coeffs())
     worst_grad = 0.0
-    for hub, G in ((geom.hub_a, geom.G_a), (geom.hub_b, geom.G_b)):
+    for hub, G in ((geom.stub_a.hub, geom.stub_a.G), (geom.stub_b.hub, geom.stub_b.G)):
         sphere = sphere_quadric(hub)
         H = subtract_square(sphere, G)
         gn = G.grad_norm()
@@ -225,12 +225,12 @@ def test_criterion_6_fan_and_monotonicity():
     extents = []
     for beta in grid:
         patch = perp_patch(beta)
-        q2 = subtract_square(patch.H2, patch.E2)
+        q2 = subtract_square(patch.stub2.H, patch.E2)
         assert (
             np.linalg.norm((patch.Q - q2).coeffs())
             <= 1e-12 * np.linalg.norm(patch.Q.coeffs())
         )
-        for conic, h in ((patch.conic1, patch.H1), (patch.conic2, patch.H2)):
+        for conic, h in ((patch.conic1, patch.stub1.H), (patch.conic2, patch.stub2.H)):
             for p in sample_conic(conic, 16):
                 scale = max(1.0, float(p @ p))
                 assert abs(h.value(p)) <= 1e-10 * scale

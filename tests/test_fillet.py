@@ -111,7 +111,7 @@ class TestBuildFillet:
         patch = build_fillet(*perp_stubs(perp_lattice), 1.0)
         npt.assert_allclose(patch.Q.coeffs(), sympy_fillet_oracle(1.0), atol=1e-15)
         # both expressions produce identical coefficients
-        h2e2 = subtract_square(patch.H2, patch.E2)
+        h2e2 = subtract_square(patch.stub2.H, patch.E2)
         denom = np.linalg.norm(patch.Q.coeffs())
         assert np.linalg.norm((patch.Q - h2e2).coeffs()) <= 1e-12 * denom
 
@@ -133,10 +133,11 @@ class TestBuildFillet:
     def test_orientation_flip_keeps_quadric(self, perp_lattice):
         # Flipping both planes together is a no-op on the fillet quadric.
         patch = build_fillet(*perp_stubs(perp_lattice), 1.0)
-        q_flip = subtract_square(patch.H1, -patch.E1)
+        q_flip = subtract_square(patch.stub1.H, -patch.E1)
         npt.assert_array_equal(patch.Q.coeffs(), q_flip.coeffs())
-        assert patch.E1.value(patch.hub_center + patch.hub_radius * patch.bisector) > 0
-        assert patch.E2.value(patch.hub_center + patch.hub_radius * patch.bisector) > 0
+        hub = patch.stub1.hub
+        assert patch.E1.value(np.asarray(hub.center) + hub.radius * patch.bisector) > 0
+        assert patch.E2.value(np.asarray(hub.center) + hub.radius * patch.bisector) > 0
 
 
 class TestResidual:
@@ -241,7 +242,7 @@ class TestTangencyConics:
 
     def test_first_order_tangency(self, perp_lattice):
         patch = build_fillet(*perp_stubs(perp_lattice), 1.0)
-        for conic, h in ((patch.conic1, patch.H1), (patch.conic2, patch.H2)):
+        for conic, h in ((patch.conic1, patch.stub1.H), (patch.conic2, patch.stub2.H)):
             for p in sample_conic(conic, 32):
                 scale = max(1.0, float(p @ p))
                 assert abs(h.value(p)) <= 1e-10 * scale
@@ -310,8 +311,9 @@ class TestExtent:
                 conics = (patch.conic1, patch.conic2)
                 if any(c.klass not in COMPACT_CLASSES for c in conics):
                     continue
+                center = patch.stub1.hub.center
                 sampled = max(
-                    float(np.max(np.linalg.norm(sample_conic(c, 4096) - patch.hub_center, axis=1)))
+                    float(np.max(np.linalg.norm(sample_conic(c, 4096) - center, axis=1)))
                     for c in conics
                 )
                 extent = fillet_extent(patch)
@@ -337,8 +339,7 @@ class TestExtent:
             build_fillet(*perp_stubs(perp_lattice), 1.0),
             conic1=circle,
             conic2=circle,
-            hub_center=np.zeros(3),
-        )
+        )  # at hub h0, the origin
         assert fillet_extent(patch) == pytest.approx(math.hypot(r, h), abs=1e-15)
 
 
@@ -376,10 +377,10 @@ class TestFanProperty:
         s1, s2 = perp_stubs(perp_lattice)
         for beta in BETA_GRID:
             patch = build_fillet(s1, s2, beta)
-            q2 = subtract_square(patch.H2, patch.E2)
+            q2 = subtract_square(patch.stub2.H, patch.E2)
             denom = np.linalg.norm(patch.Q.coeffs())
             assert np.linalg.norm((patch.Q - q2).coeffs()) <= 1e-12 * denom
-            for conic, h in ((patch.conic1, patch.H1), (patch.conic2, patch.H2)):
+            for conic, h in ((patch.conic1, patch.stub1.H), (patch.conic2, patch.stub2.H)):
                 for p in sample_conic(conic, 32):
                     scale = max(1.0, float(p @ p))
                     assert abs(h.value(p)) <= 1e-10 * scale
@@ -407,7 +408,7 @@ class TestMaterialAddition:
         for _ in range(10000):
             p = rng.uniform(-3, 5, 3)
             q = patch.Q.value(p)
-            h1 = patch.H1.value(p)
+            h1 = patch.stub1.H.value(p)
             scale = max(1.0, abs(h1))
             assert q <= h1 + 1e-12 * scale
 
@@ -415,6 +416,6 @@ class TestMaterialAddition:
 class TestFilletForSpec:
     def test_resolves_beams(self, perp_lattice):
         patch = build_fillet_for_spec(perp_lattice, FilletSpec("h0", "b1", "b2", 1.0))
-        assert patch.hub_id == "h0"
-        assert patch.beam_ids == ("b1", "b2")
+        assert patch.stub1.hub.id == "h0"
+        assert (patch.stub1.beam.id, patch.stub2.beam.id) == ("b1", "b2")
         assert patch.alpha == 0.25

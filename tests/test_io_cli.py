@@ -118,7 +118,7 @@ class TestLoadLattice:
         lat2 = load_lattice(lattice_to_json(lat))
         a1, a2 = build_assembly(lat), build_assembly(lat2)
         for b1, b2 in zip(a1.beams, a2.beams):
-            npt.assert_array_equal(b1.H.coeffs(), b2.H.coeffs())
+            npt.assert_array_equal(b1.stub_a.H.coeffs(), b2.stub_a.H.coeffs())
         for f1, f2 in zip(a1.fillets, a2.fillets):
             npt.assert_array_equal(f1.Q.coeffs(), f2.Q.coeffs())
 
@@ -339,7 +339,7 @@ class TestVerify:
         assert measured["sphere_stub_gradient"] == max(gradient)
         residuals, angles = [0.0], [0.0]
         for patch in build_assembly(lattice).fillets:
-            for conic, h in ((patch.conic1, patch.H1), (patch.conic2, patch.H2)):
+            for conic, h in ((patch.conic1, patch.stub1.H), (patch.conic2, patch.stub2.H)):
                 for p in sample_conic(conic, 32):
                     scale = max(1.0, float(p @ p))
                     residuals += [abs(h.value(p)) / scale, abs(patch.Q.value(p)) / scale]
@@ -425,7 +425,7 @@ class TestCli:
         # every vertex lies on its stub quador
         lat = load_lattice(BETA1.read_bytes())
         asm = build_assembly(lat)
-        h1, h2 = asm.beams[0].H, asm.beams[1].H
+        h1, h2 = asm.beams[0].stub_a.H, asm.beams[1].stub_a.H
         for l in verts:
             p = np.array([float(v) for v in l.split()[1:]])
             assert min(abs(h1.value(p)), abs(h2.value(p))) <= 1e-9
@@ -506,6 +506,36 @@ class TestCli:
         code = main(["sample", str(BETA1), "--points", str(pts), "-o", str(tmp_path / "o.csv")])
         assert code == 1
         assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["x,y,z\n", ""])
+    def test_sample_points_with_byte_order_mark(self, tmp_path, header):
+        # Spreadsheet exports start a UTF-8 CSV with a byte-order mark.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(header + "0,0,0\n1.05,1.05,0\n", encoding="utf-8")
+        marked.write_text(header + "0,0,0\n1.05,1.05,0\n", encoding="utf-8-sig")
+        outs = []
+        for pts in (plain, marked):
+            outs.append(tmp_path / f"{pts.stem}.out.csv")
+            assert main(["sample", str(BETA1), "--points", str(pts), "-o", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_parse_error_names_its_location_once(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"hubs": [{"id": "h", "center": [0, 0, 0], "radius": "1"}]}')
+        assert main(["classify", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "quador: parse error at /hubs/0/radius: expected a number, got str\n")
+
+    def test_beam_with_overflowing_planes_exit_one(self, tmp_path, capsys):
+        # k = 1e-308 overflows the tangency planes; the beam, not its fillet, is at fault.
+        doc = json.loads(BETA1.read_text())
+        doc["beams"][0]["k"] = 1e-308
+        path = tmp_path / "tiny_k.json"
+        path.write_text(json.dumps(doc))
+        assert main(["mesh", str(path), "-o", str(tmp_path / "m.stl")]) == 1
+        entries = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  [")]
+        assert len(entries) == 1 and entries[0].startswith("  [DEGENERATE_K] b1: "), entries
+        assert not (tmp_path / "m.stl").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_sample_non_finite_row(self, tmp_path, capsys, value):
@@ -749,7 +779,7 @@ class TestConstructionCounts:
         points = tmp_path / "points.csv"
         points.write_text("0,0,0\n2,0,0\n1,1,0\n")
 
-        calls = {"beam_quador": 0, "build_fillet": 0}
+        calls = {"_build_beam": 0, "build_fillet": 0}
 
         def counting(name, original):
             def wrapper(*args):
@@ -758,7 +788,7 @@ class TestConstructionCounts:
 
             return wrapper
 
-        for module, name in ((quador.lattice, "beam_quador"), (quador.fillet, "build_fillet")):
+        for module, name in ((quador.lattice, "_build_beam"), (quador.fillet, "build_fillet")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
         lat = str(path)
@@ -768,15 +798,15 @@ class TestConstructionCounts:
             ["mesh", lat, "--resolution", "12", "-o", str(tmp_path / "m.stl")],
             ["sample", lat, "--points", str(points), "-o", str(tmp_path / "s.csv")],
         ):
-            calls.update(beam_quador=0, build_fillet=0)
+            calls.update(_build_beam=0, build_fillet=0)
             assert main(argv) == 0, argv
-            assert calls == {"beam_quador": 12, "build_fillet": 24}, argv[0]
+            assert calls == {"_build_beam": 12, "build_fillet": 24}, argv[0]
 
         # verify samples the bare field from the same assembly and builds
         # five beta-grid variants of each fillet.
-        calls.update(beam_quador=0, build_fillet=0)
+        calls.update(_build_beam=0, build_fillet=0)
         assert main(["verify", lat, "--samples", "200"]) == 0
-        assert calls["beam_quador"] == 12
+        assert calls["_build_beam"] == 12
         assert calls["build_fillet"] <= 24 * (1 + 5)
         capsys.readouterr()
 
@@ -784,18 +814,54 @@ class TestConstructionCounts:
         import quador.lattice
         import quador.solid
 
-        calls = []
+        spheres = []
         original = quador.lattice.sphere_quadric
         for module in (quador.lattice, quador.solid, quador.verify):
             monkeypatch.setattr(module, "sphere_quadric",
-                                lambda hub: calls.append(hub.id) or original(hub), raising=False)
+                                lambda hub: spheres.append(hub.id) or original(hub), raising=False)
+        # Calls of subtract_square (S - G^2 and the like) made from each module.
+        squares = {"lattice": 0, "verify": 0}
+
+        def counting(name, original):
+            def wrapper(q, g):
+                squares[name] += 1
+                return original(q, g)
+
+            return wrapper
+
+        for name, module in (("lattice", quador.lattice), ("verify", quador.verify)):
+            monkeypatch.setattr(module, "subtract_square", counting(name, module.subtract_square))
         lattice = load_lattice(json.dumps(cubic_lattice((2, 2, 2), 1)))
         asm = build_assembly(lattice)
         asm.parts()
-        # 8 hubs in the lattice's own build, and each of the 12 beams checks both its hubs.
-        assert (len(lattice.hubs), len(lattice.beams), len(calls)) == (8, 12, 8 + 2 * 12)
+        # One sphere per hub; two stub quadrics per beam, one on each hub's sphere.
+        assert (len(lattice.hubs), len(lattice.beams), len(lattice.fillets)) == (8, 12, 24)
+        assert (len(spheres), squares) == (8, {"lattice": 24, "verify": 0})
         run_verify(lattice, samples=50)
-        assert len(calls) == 8 + 2 * 12
+        # verify builds no sphere or stub; its only squares are fillet_identity's
+        # two expected quadrics per fillet.
+        assert (len(spheres), squares) == (8, {"lattice": 24, "verify": 2 * 24})
+
+    @pytest.mark.parametrize("source", sorted(p.name for p in FIXTURES.glob("*.json")) + [
+        ((2, 2, 2), 0), ((2, 2, 2), 1), ((2, 2, 2), 2), ((3, 3, 2), 0), ((3, 3, 3), 0)])
+    def test_every_layer_reads_the_stubs_its_beam_built(self, source):
+        text = ((FIXTURES / source).read_text() if isinstance(source, str)
+                else json.dumps(cubic_lattice(*source)))
+        lattice = load_lattice(text)
+        asm = build_assembly(lattice)
+        stubs = {}
+        for bg in asm.beams:
+            stubs[bg.stub_a.hub.id, bg.beam.id] = bg.stub_a
+            stubs[bg.stub_b.hub.id, bg.beam.id] = bg.stub_b
+        views = [v for hub in lattice.hubs for v in stub_views_at_hub(lattice, hub.id)]
+        assert len(views) == len(stubs) == 2 * len(asm.beams)
+        assert all(v is stubs[v.hub.id, v.beam.id] for v in views)
+        beam_parts = [forms for label, forms in asm.parts() if label.kind == "BEAM"]
+        assert len(beam_parts) == len(asm.beams)
+        assert all(forms[0] is bg.stub_a.H for forms, bg in zip(beam_parts, asm.beams))
+        for p in asm.fillets:
+            for stub in (p.stub1, p.stub2):
+                assert stub is stubs[stub.hub.id, stub.beam.id]
 
 
 # The argv that writes each of the CLI's five outputs to a given path.

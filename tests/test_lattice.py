@@ -89,26 +89,26 @@ class TestSphereQuadric:
 class TestBeamQuador:
     def test_symmetric_cylinder(self):
         geom = beam_quador(Hub("a", (0, 0, 0), 1.0), Hub("b", (4, 0, 0), 1.0), 4.0)
-        npt.assert_array_equal(geom.H.coeffs(), [0, 1, 1, 0, 0, 0, 0, 0, 0, -1])
-        npt.assert_allclose(geom.G_a.g, [1, 0, 0])
-        assert geom.G_a.c0 == 0.0
-        npt.assert_allclose(geom.G_b.g, [-1, 0, 0])
-        assert geom.G_b.c0 == 4.0
+        npt.assert_array_equal(geom.stub_a.H.coeffs(), [0, 1, 1, 0, 0, 0, 0, 0, 0, -1])
+        npt.assert_allclose(geom.stub_a.G.g, [1, 0, 0])
+        assert geom.stub_a.G.c0 == 0.0
+        npt.assert_allclose(geom.stub_b.G.g, [-1, 0, 0])
+        assert geom.stub_b.G.c0 == 4.0
 
     def test_asymmetric_beam_exact(self, asym_hubs):
         ha, hb = asym_hubs
         geom = beam_quador(ha, hb, 4.0)
-        npt.assert_allclose(geom.G_a.g, [1, 0, 0])
-        assert geom.G_a.c0 == pytest.approx(0.375, abs=0)
+        npt.assert_allclose(geom.stub_a.G.g, [1, 0, 0])
+        assert geom.stub_a.G.c0 == pytest.approx(0.375, abs=0)
         expect = symbolic_beam_oracle((0, 0, 0), 1, (4, 0, 0), 2, 4)
-        npt.assert_allclose(geom.H.coeffs(), expect, atol=1e-15)
+        npt.assert_allclose(geom.stub_a.H.coeffs(), expect, atol=1e-15)
         # frozen closed form: y^2 + z^2 - 0.75 x - 73/64
         npt.assert_allclose(
-            geom.H.coeffs(), [0, 1, 1, 0, 0, 0, -0.375, 0, 0, -73 / 64], atol=1e-15
+            geom.stub_a.H.coeffs(), [0, 1, 1, 0, 0, 0, -0.375, 0, 0, -73 / 64], atol=1e-15
         )
         # G_b sign-normalized toward hub a: 29/8 - x
-        npt.assert_allclose(geom.G_b.g, [-1, 0, 0])
-        assert geom.G_b.c0 == pytest.approx(29 / 8, abs=0)
+        npt.assert_allclose(geom.stub_b.G.g, [-1, 0, 0])
+        assert geom.stub_b.G.c0 == pytest.approx(29 / 8, abs=0)
 
     def test_degenerate_k(self):
         with pytest.raises(DegenerateBeamError):
@@ -136,31 +136,37 @@ class TestBeamQuador:
             except PlaneMissesSphereError:
                 continue
             checked += 1
-            h_a = subtract_square(sphere_quadric(ha), geom.G_a)
-            h_b = subtract_square(sphere_quadric(hb), geom.G_b)
+            h_a = subtract_square(sphere_quadric(ha), geom.stub_a.G)
+            h_b = subtract_square(sphere_quadric(hb), geom.stub_b.G)
             denom = np.linalg.norm(h_a.coeffs())
             assert np.linalg.norm((h_a - h_b).coeffs()) <= 1e-12 * denom
 
     def test_sign_normalization_invariance(self):
         geom = beam_quador(Hub("a", (0, 0, 0), 1.0), Hub("b", (4, 0, 0), 2.0), 4.0)
         s = sphere_quadric(Hub("a", (0, 0, 0), 1.0))
-        h_pos = subtract_square(s, geom.G_a)
-        h_neg = subtract_square(s, -geom.G_a)
+        h_pos = subtract_square(s, geom.stub_a.G)
+        h_neg = subtract_square(s, -geom.stub_a.G)
         npt.assert_array_equal(h_pos.coeffs(), h_neg.coeffs())
+
+    @pytest.mark.parametrize("k", [1e-300, -1e-300, 5e-324, 1e-308])
+    def test_overflowing_planes_are_degenerate(self, k):
+        # d/|k| overflows: the planes' gradient norm or the beam quadric is not finite.
+        with pytest.raises(DegenerateBeamError, match="tangency planes overflow"):
+            beam_quador(Hub("a", (0, 0, 0), 1.0), Hub("b", (4, 0, 0), 1.0), k)
 
     def test_negative_k_builds(self):
         # The quadric depends on G^2 only, so k and -k give the same beam.
         g1 = beam_quador(Hub("a", (0, 0, 0), 1.0), Hub("b", (4, 0, 0), 1.0), 4.0)
         g2 = beam_quador(Hub("a", (0, 0, 0), 1.0), Hub("b", (4, 0, 0), 1.0), -4.0)
-        npt.assert_allclose(g1.H.coeffs(), g2.H.coeffs(), atol=1e-15)
-        npt.assert_allclose(g1.G_a.g, g2.G_a.g)
+        npt.assert_allclose(g1.stub_a.H.coeffs(), g2.stub_a.H.coeffs(), atol=1e-15)
+        npt.assert_allclose(g1.stub_a.G.g, g2.stub_a.G.g)
 
 
 class TestSphereStubTangency:
     def test_gradient_equality_on_circle(self, asym_hubs):
         ha, hb = asym_hubs
         geom = beam_quador(ha, hb, 4.0)
-        for hub, G in ((ha, geom.G_a), (hb, geom.G_b)):
+        for hub, G in ((ha, geom.stub_a.G), (hb, geom.stub_b.G)):
             sphere = sphere_quadric(hub)
             H = subtract_square(sphere, G)
             gn = G.grad_norm()
@@ -195,11 +201,11 @@ class TestBeamRadius:
         for _ in range(50):
             s = rng.uniform(0.0, geom.length)
             rho = beam_radius(geom, float(s))
-            w = np.cross(geom.axis, rng.normal(size=3))
+            w = np.cross(geom.stub_a.axis, rng.normal(size=3))
             w /= np.linalg.norm(w)
-            p = np.asarray(geom.hub_a.center) + s * geom.axis + rho * w
-            scale = max(1.0, float(np.abs(geom.H.coeffs()).max()) * float(p @ p))
-            assert abs(geom.H.value(p)) <= 1e-10 * scale
+            p = np.asarray(geom.stub_a.hub.center) + s * geom.stub_a.axis + rho * w
+            scale = max(1.0, float(np.abs(geom.stub_a.H.coeffs()).max()) * float(p @ p))
+            assert abs(geom.stub_a.H.value(p)) <= 1e-10 * scale
 
     def test_no_real_section_returns_none(self):
         # Ellipsoid-like beam (k > distance) pinches off beyond the hubs.

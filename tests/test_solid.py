@@ -345,13 +345,13 @@ class TestMarchingCubes:
         patch = asm.fillets[0]
         offenders = 0
         for v in mesh.vertices:
-            h = min(patch.H1.value(v), patch.H2.value(v))
+            h = min(patch.stub1.H.value(v), patch.stub2.H.value(v))
             if (
                 h > 0.05
                 and patch.Q.value(v) < -0.05
                 and patch.E1.value(v) > 0
                 and patch.E2.value(v) > 0
-                and float(np.linalg.norm(v - patch.hub_center)) < 4.0
+                and float(np.linalg.norm(v - patch.stub1.hub.center)) < 4.0
             ):
                 offenders += 1
         assert offenders == 0
