@@ -170,7 +170,9 @@ class ParseError(QuadorError):
 
 
 class ValidationError(QuadorError):
-    """A lattice failed validation; ``report`` holds the full findings."""
+    """A lattice has a bad id or a part that fails to build; ``report`` holds
+    the full findings of :func:`~quador.lattice.validate_lattice`, errors
+    first, then warnings.  The message names the errors only."""
 
     code = "VALIDATION_ERROR"
 

@@ -13,7 +13,10 @@ sphere, and fillets, assembly and verify all read those same objects.
 
 Everything here is immutable after construction and safe for concurrent
 reads.  Each lattice builds each hub sphere, beam (its two stubs) and fillet
-once, on first use (``_resolve``).
+once, on first use, and records the errors that building them raised
+(``_resolve``, the build pass).  The warning checks read the built parts in
+a separate pass (``_warning_pass``) that only :func:`validate_lattice` runs,
+once per lattice, so loading and assembling a valid lattice never pay for it.
 """
 
 from __future__ import annotations
@@ -93,6 +96,10 @@ class Lattice:
     def _resolved(self) -> _Resolution:
         # Frozen, so never stale; threads racing here at most build it twice.
         return _resolve(self)
+
+    @cached_property
+    def _warnings(self) -> tuple[ValidationIssue, ...]:
+        return _warning_pass(self)
 
 
 def fillet_key(hub_id: str, beam_i: str, beam_j: str) -> str:
@@ -280,7 +287,7 @@ class _Resolution:
     stubs: dict[str, tuple[StubView, ...] | QuadorError]  # per hub id
     locality: dict[str, float]  # fillet-clipping ball radius per hub id
     patches: tuple[FilletPatch | None, ...]  # one per spec; None if it failed
-    issues: tuple[ValidationIssue, ...]
+    errors: tuple[ValidationIssue, ...]  # what the build pass recorded
 
 
 def validate_lattice(lattice: Lattice) -> ValidationReport:
@@ -289,10 +296,14 @@ def validate_lattice(lattice: Lattice) -> ValidationReport:
     Errors: duplicate or missing ids and self-loops; otherwise the coded error
     that building a hub, beam or fillet raised, once, under that part.  A part
     at a failed hub or beam is not built, so it is not reported again.
-    Warnings: overlapping hub spheres, sampled fillet wedge overlap at hubs
-    with more than two beams, fillets still active on their locality sphere.
+    Warnings: overlapping hub spheres, built fillets still active on their
+    locality sphere (sampled), and overlapping fillet wedges at hubs with
+    more than two beams (sampled).  Every error comes before every warning.
+    The warnings are computed on a lattice's first call and cached;
+    :func:`~quador.latticefile.load_lattice` and
+    :func:`~quador.solid.build_assembly` check the errors only.
     """
-    return ValidationReport(list(lattice._resolved.issues))
+    return ValidationReport([*lattice._resolved.errors, *lattice._warnings])
 
 
 def _unknown_fillet_ids(spec: FilletSpec, hubs, beams) -> list[str]:
@@ -364,6 +375,30 @@ def _resolve(lattice: Lattice) -> _Resolution:
         stubs[hub.id] = failed[0] if failed else tuple(
             g.stub_a if b.hub_a == hub.id else g.stub_b for b, g in pairs)
 
+    def resolve_fillet(fs: FilletSpec) -> FilletPatch | None:
+        subject = fillet_key(fs.hub, fs.beam_i, fs.beam_j)
+        unknown = _unknown_fillet_ids(fs, hubs, beams)
+        for name in unknown:
+            report.add_error(MissingIdError.code, subject, f"fillet names unknown {name}")
+        if unknown or isinstance(stubs[fs.hub], QuadorError):  # that error is recorded
+            return None
+        try:
+            return build_fillet_from_views(stubs[fs.hub], fs)
+        except QuadorError as exc:
+            report.add_error(exc.code, subject, str(exc))
+            return None
+
+    patches = tuple(resolve_fillet(fs) for fs in lattice.fillets)
+    return _Resolution(hubs, spheres, beams, incident, tuple(geometry), stubs, locality,
+                       patches, tuple(report.entries))
+
+
+def _warning_pass(lattice: Lattice) -> tuple[ValidationIssue, ...]:
+    """The warnings on a lattice's built parts, in this order: overlapping hub
+    spheres, each built fillet still active on its locality sphere, and
+    overlapping fillet wedges at each hub with more than two beams."""
+    resolved = lattice._resolved
+    report = ValidationReport()
     for i, h1 in enumerate(lattice.hubs):
         for h2 in lattice.hubs[i + 1:]:
             gap = math.dist(h1.center, h2.center)
@@ -377,42 +412,30 @@ def _resolve(lattice: Lattice) -> _Resolution:
     fillet_wedges: dict[str, list[tuple[LinearForm, LinearForm]]] = {}
     dirs = np.random.default_rng(0).normal(size=(_WEDGE_SAMPLES, 3))  # same for every fillet
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-
-    def resolve_fillet(fs: FilletSpec) -> FilletPatch | None:
-        subject = fillet_key(fs.hub, fs.beam_i, fs.beam_j)
-        unknown = _unknown_fillet_ids(fs, hubs, beams)
-        for name in unknown:
-            report.add_error(MissingIdError.code, subject, f"fillet names unknown {name}")
-        if unknown or isinstance(stubs[fs.hub], QuadorError):  # that error is recorded
-            return None
-        try:
-            patch = build_fillet_from_views(stubs[fs.hub], fs)
-        except QuadorError as exc:
-            report.add_error(exc.code, subject, str(exc))
-            return None
-        fillet_wedges.setdefault(fs.hub, []).append((patch.E1, patch.E2))
-
-        boundary = np.asarray(hubs[fs.hub].center) + locality[fs.hub] * dirs
+    for patch in resolved.patches:
+        if patch is None:
+            continue
+        hub = patch.stub1.hub
+        fillet_wedges.setdefault(hub.id, []).append((patch.E1, patch.E2))
+        boundary = np.asarray(hub.center) + resolved.locality[hub.id] * dirs
         e1, e2, q = stacked_values(stack_forms((patch.E1, patch.E2, patch.Q)), boundary).T
         active = int(np.count_nonzero((e1 >= 0) & (e2 >= 0) & (q <= 0)))
         if active:
             report.add_warning(
                 "FILLET_ACTIVE_AT_LOCALITY",
-                subject,
+                patch.key,
                 f"fillet solid reaches the locality sphere "
                 f"({active}/{_WEDGE_SAMPLES} sampled directions); it will be clipped",
             )
-        return patch
-
-    patches = tuple(resolve_fillet(fs) for fs in lattice.fillets)
 
     for hub_id, wedges in fillet_wedges.items():
-        if len(wedges) < 2 or len(incident[hub_id]) <= 2:
+        if len(wedges) < 2 or len(resolved.incident[hub_id]) <= 2:
             continue
-        r = hubs[hub_id].radius
+        hub = resolved.hubs[hub_id]
+        r = hub.radius
         box = np.random.default_rng(1).uniform(-2 * r, 2 * r, size=(_WEDGE_SAMPLES, 3))
         positive = stacked_values(stack_forms(f for w in wedges for f in w),
-                                  np.asarray(hubs[hub_id].center) + box) > 0
+                                  np.asarray(hub.center) + box) > 0
         in_wedge = positive[:, 0::2] & positive[:, 1::2]  # (point, wedge)
         # Wedge pairs a < b with a sample point in both, in (a, b) order.
         for a, b in zip(*np.nonzero(np.triu(in_wedge.T @ in_wedge, 1))):
@@ -422,6 +445,4 @@ def _resolve(lattice: Lattice) -> _Resolution:
                 f"fillet wedges {a} and {b} at hub {hub_id!r} overlap "
                 "(sampled); tangency between the patches is not guaranteed",
             )
-
-    return _Resolution(hubs, spheres, beams, incident, tuple(geometry), stubs, locality,
-                       patches, tuple(report.entries))
+    return tuple(report.entries)

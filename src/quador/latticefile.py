@@ -9,9 +9,10 @@ Schema::
 Parsing is strict: unknown keys are rejected with a JSON-pointer-style
 location, numbers must be finite (booleans and ``NaN``/``Infinity`` are
 rejected), and fixed-length arrays must have exactly the declared length.
-Missing top-level sections default to empty.  After parsing, the lattice
-is validated; any validation error raises :class:`ValidationError` with
-the full report attached.
+Missing top-level sections default to empty.  After parsing, the ids are
+checked and every part of the lattice is built; any error raises
+:class:`ValidationError` with the full report attached.  A valid lattice's
+warnings are not computed here.
 """
 
 from __future__ import annotations
@@ -65,7 +66,12 @@ def _require_list(value, where: str, length: int | None = None) -> list:
 
 
 def load_lattice(text: str | bytes) -> Lattice:
-    """Parse (strictly) and validate a lattice document."""
+    """Parse (strictly) a lattice document, check its ids and build its parts.
+
+    A bad id or a part that fails to build raises :class:`ValidationError`
+    with :func:`validate_lattice`'s report.  A valid lattice's warnings are
+    not computed; :func:`validate_lattice` computes them on demand.
+    """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -122,9 +128,8 @@ def load_lattice(text: str | bytes) -> Lattice:
         )
 
     lattice = Lattice(tuple(hubs), tuple(beams), tuple(fillets))
-    report = validate_lattice(lattice)
-    if not report.ok:
-        raise ValidationError(report)
+    if lattice._resolved.errors:
+        raise ValidationError(validate_lattice(lattice))
     return lattice
 
 

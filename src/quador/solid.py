@@ -111,15 +111,15 @@ class Assembly:
 def build_assembly(lattice: Lattice) -> Assembly:
     """Assemble the quadrics, planes and fillet patches the lattice built.
 
-    The lattice must validate with no errors (warnings are allowed);
-    otherwise :class:`ValidationError` carries the report.  Each hub's
-    fillets are clipped to a ball of radius the minimum center distance to
-    a connected hub (``2r`` for isolated hubs).
+    The ids must hold and every part must build; otherwise
+    :class:`ValidationError` carries :func:`validate_lattice`'s report.
+    Warnings are not checked.
+    Each hub's fillets are clipped to a ball of radius the minimum center
+    distance to a connected hub (``2r`` for isolated hubs).
     """
-    report = validate_lattice(lattice)
-    if not report.ok:
-        raise ValidationError(report)
     resolved = lattice._resolved
+    if resolved.errors:
+        raise ValidationError(validate_lattice(lattice))
     return Assembly(lattice, lattice.hubs, resolved.geometry, resolved.patches)
 
 

@@ -1,22 +1,31 @@
 """Lattice model: spheres, beam quadors, stub views, validation."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import sympy as sp
 
+import quador
 from quador.algebra import subtract_square
+from quador.cli import main
 from quador.errors import (
     DegenerateBeamError,
     PlaneMissesSphereError,
     QuadorError,
     RadiusOverflowError,
     UnknownHubError,
+    ValidationError,
 )
 from quador.fillet import build_fillet_for_spec
 from quador.lattice import (
@@ -30,8 +39,15 @@ from quador.lattice import (
     stub_views_at_hub,
     validate_lattice,
 )
+from quador.latticefile import load_lattice, load_lattice_path
 
 from test_fillet import jittered_cubic
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+sys.path.insert(0, str(ROOT / "bench"))
+
+from inputs import cubic_lattice, lattice_json  # noqa: E402
 
 
 def symbolic_beam_oracle(ca, ra, cb, rb, k):
@@ -386,6 +402,111 @@ class TestValidation:
         assert {code for code, _, _ in got} == (
             {"FILLET_WEDGE_OVERLAP"} if beta == 1.0
             else {"FILLET_ACTIVE_AT_LOCALITY", "FILLET_WEDGE_OVERLAP"})
+
+
+# sha256 of json.dumps([[severity, code, subject, message], ...]) of each
+# lattice's validation entries, recorded when the warnings were still
+# computed with every lattice build.
+FROZEN_ENTRIES = {
+    "asymmetric_beam": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "perpendicular_beta05": "79801f939c136ea6343c03949094ba5e49fe5bbdea83b3bd5f91497a120ebe79",
+    "perpendicular_beta1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "single_hub": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "cubic-2x2x2-s0": "9c6129febb409e8c6910d907169752c7b894c725984c6564a8b8c0f75dd6e920",
+    "cubic-2x2x2-s1": "9c6129febb409e8c6910d907169752c7b894c725984c6564a8b8c0f75dd6e920",
+    "cubic-2x2x2-s2": "9c6129febb409e8c6910d907169752c7b894c725984c6564a8b8c0f75dd6e920",
+    "cubic-3x3x2-s1": "d75d6aa3742a5edef8ee1c8ec80832bddf7b6ff5d7b69a5d6c3bc2d870440059",
+    "jittered-5": "46217e6897156bc6d833572a4996c2b3cbbdd7cfedc4d3c1f61b89c977d17b26",
+}
+
+
+def _frozen_lattice(name: str) -> Lattice:
+    if name.startswith("cubic-"):
+        _, shape, seed = name.split("-")
+        doc = cubic_lattice(tuple(map(int, shape.split("x"))), int(seed[1:]))
+        return load_lattice(lattice_json(doc))
+    if name == "jittered-5":
+        return jittered_cubic(5)
+    return load_lattice_path(FIXTURES / f"{name}.json")
+
+
+def _mixed_document() -> dict:
+    """``perpendicular_beta05.json`` with warnings and errors interleaved in
+    build order: a beam at ``k = 0``, an overlapping hub pair and, after the
+    fillet that warns, a fillet naming an unknown beam."""
+    doc = json.loads((FIXTURES / "perpendicular_beta05.json").read_text())
+    doc["hubs"] += [{"id": "h3", "center": [0, 0, 4], "radius": 1},
+                    {"id": "h4", "center": [0, 0, 5], "radius": 1}]
+    doc["beams"].append({"id": "b3", "hubs": ["h1", "h3"], "k": 0})
+    doc["fillets"].append({"hub": "h0", "beams": ["b1", "ghost"], "beta": 1})
+    return doc
+
+
+class TestValidationOnDemand:
+    @pytest.mark.parametrize("name", sorted(FROZEN_ENTRIES))
+    def test_entries_frozen(self, name):
+        entries = [[e.severity, e.code, e.subject, e.message]
+                   for e in validate_lattice(_frozen_lattice(name)).entries]
+        digest = hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+        assert digest == FROZEN_ENTRIES[name]
+
+    def test_errors_come_before_warnings(self, tmp_path, capsys):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(_mixed_document()))
+        with pytest.raises(ValidationError) as raised:
+            load_lattice_path(path)
+        got = [(e.severity, e.code, e.subject) for e in raised.value.report.entries]
+        assert got == [
+            ("error", "DEGENERATE_K", "b3"),
+            ("error", "MISSING_ID", "h0:b1+ghost"),
+            ("warning", "HUB_OVERLAP", "h3+h4"),
+            ("warning", "FILLET_ACTIVE_AT_LOCALITY", "h0:b1+b2"),
+        ]
+        assert str(raised.value) == (
+            "lattice validation failed: DEGENERATE_K (b3); MISSING_ID (h0:b1+ghost)")
+        assert main(["classify", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "quador: lattice validation failed: DEGENERATE_K (b3); MISSING_ID (h0:b1+ghost)\n"
+            "  [DEGENERATE_K] b3: beam 'b3': beam between 'h1' and 'h3' has k=0.0\n"
+            "  [MISSING_ID] h0:b1+ghost: fillet names unknown beam 'ghost'\n"
+        )
+
+    def test_warning_pass_runs_only_for_validate_lattice(self, tmp_path):
+        # A fresh interpreter, so no other test has imported numpy.random.
+        (tmp_path / "cubic.json").write_text(lattice_json(cubic_lattice((2, 2, 2), 1)))
+        script = textwrap.dedent("""
+            import sys
+            import quador.lattice
+            from quador.cli import main
+            from quador.latticefile import load_lattice_path
+            from quador.solid import auto_bounds, build_assembly, field_grid
+
+            calls = []
+            warning_pass = quador.lattice._warning_pass
+            quador.lattice._warning_pass = lambda lat: calls.append(1) or warning_pass(lat)
+
+            asm = build_assembly(load_lattice_path(sys.argv[1]))
+            lo, hi = auto_bounds(asm)
+            field_grid(asm, *(lo[:, None] + (hi - lo)[:, None] * [0.0, 0.5, 1.0]))
+            for argv in (["classify", "cubic.json"],
+                         ["conics", "cubic.json", "-o", "conics.obj"],
+                         ["sample", "cubic.json", "--grid", "3,3,3", "-o", "sample.csv"],
+                         ["mesh", "cubic.json", "--resolution", "8", "-o", "mesh.stl"]):
+                assert main(argv) == 0, argv
+            assert "numpy.random" not in sys.modules
+            assert calls == []
+            lattice = load_lattice_path("cubic.json")
+            assert quador.lattice.validate_lattice(lattice).entries
+            assert quador.lattice.validate_lattice(lattice).entries
+            assert calls == [1]
+        """)
+        src = str(Path(quador.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(FIXTURES / "perpendicular_beta1.json")],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == 0, run.stderr
 
 
 def _with_hub0(**changes):
