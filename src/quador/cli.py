@@ -222,6 +222,14 @@ def _read_points_csv(path: str) -> list[tuple[float, float, float]]:
     return points
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field: quoted, with its quotes doubled, if it
+    holds a comma or a quote."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cmd_sample(args) -> int:
     lattice = _load(args.lattice)
     assembly = build_assembly(lattice)
@@ -242,7 +250,7 @@ def _cmd_sample(args) -> int:
         lines.append(
             ",".join(
                 [format_value(p[0]), format_value(p[1]), format_value(p[2]),
-                 format_value(res.value), res.state, str(res.label)]
+                 format_value(res.value), res.state, _csv_field(str(res.label))]
             )
         )
     _write(args.output, write_output, args.output, "\n".join(lines).encode("utf-8"), b"\n")

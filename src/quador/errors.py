@@ -1,7 +1,9 @@
 """Exception types raised by the quador kernel.
 
 Every error carries a stable ``code`` string so callers (and the CLI) can
-match on failure kinds without parsing messages.
+match on failure kinds without parsing messages.  All but :class:`ParseError`
+and :class:`ValidationError` take only a message, so ``type(e)(*e.args)``
+copies one.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ class RadiusOverflowError(QuadorError, ValueError):
 
     code = "RADIUS_OVERFLOW"
 
-    def __init__(self, hub_id: str):
-        self.hub_id = hub_id
-        super().__init__(f"hub {hub_id!r} radius is too large: its square overflows")
-
 
 class CenterOverflowError(QuadorError, ValueError):
     """A hub center so far out that its squared norm is not a finite float."""
@@ -75,10 +73,6 @@ class PlaneMissesSphereError(QuadorError):
 
     code = "PLANE_MISSES_SPHERE"
 
-    def __init__(self, hub_id: str, message: str = ""):
-        self.hub_id = hub_id
-        super().__init__(message or f"tangency plane misses hub sphere {hub_id!r}")
-
 
 class MissingIdError(QuadorError):
     """A beam or fillet names a hub or beam id the lattice does not define."""
@@ -88,10 +82,6 @@ class MissingIdError(QuadorError):
 
 class UnknownHubError(QuadorError):
     code = "UNKNOWN_HUB"
-
-    def __init__(self, hub_id: str):
-        self.hub_id = hub_id
-        super().__init__(f"no hub with id {hub_id!r}")
 
 
 class ParallelStubsError(QuadorError):
@@ -178,8 +168,7 @@ class ValidationError(QuadorError):
 
     def __init__(self, report):
         self.report = report
-        errors = [e for e in report.entries if e.severity == "error"]
         super().__init__(
             "lattice validation failed: "
-            + "; ".join(f"{e.code} ({e.subject})" for e in errors)
+            + "; ".join(f"{e.code} ({e.subject})" for e in report.errors)
         )

@@ -212,7 +212,7 @@ def build_fillet_for_spec(lattice: Lattice, spec: FilletSpec) -> FilletPatch:
 
 
 def _max_distance_on_conic(conic: Conic, origin: np.ndarray) -> float:
-    """Maximum distance from ``origin`` over a compact conic, in closed form.
+    """Maximum distance from ``origin`` over an ellipse or circle, in closed form.
 
     With ``w`` the center's offset from ``origin`` and orthogonal semi-axes
     ``a1``, ``a2``, the stationary points of ``|w + cos(t) a1 + sin(t) a2|^2``
@@ -223,9 +223,6 @@ def _max_distance_on_conic(conic: Conic, origin: np.ndarray) -> float:
     Every candidate lies on the conic, so a spurious root can only lower the
     maximum; an all-zero quartic (constant distance) leaves ``t = pi``.
     """
-    if conic.klass is ConicClass.POINT:
-        p = conic.point3d(conic.center[0], conic.center[1])
-        return float(np.linalg.norm(p - origin))
     center3 = conic.point3d(conic.center[0], conic.center[1])
     d1, d2 = conic.axes
     a1 = conic.radii[0] * (d1[0] * conic.frame.u + d1[1] * conic.frame.v)

@@ -14,7 +14,8 @@ sphere, and fillets, assembly and verify all read those same objects.
 Everything here is immutable after construction and safe for concurrent
 reads.  Each lattice builds each hub sphere, beam (its two stubs) and fillet
 once, on first use, and records the errors that building them raised
-(``_resolve``, the build pass).  The warning checks read the built parts in
+(``_resolve``, the build pass); it raises copies of those errors, never
+the cached instances.  The warning checks read the built parts in
 a separate pass (``_warning_pass``) that only :func:`validate_lattice` runs,
 once per lattice, so loading and assembling a valid lattice never pay for it.
 """
@@ -117,7 +118,7 @@ def sphere_quadric(hub: Hub) -> Quadric:
     if not hub.radius > 0.0:
         raise NonPositiveRadiusError(f"hub {hub.id!r} has radius {hub.radius}")
     if hub.radius > _MAX_RADIUS:
-        raise RadiusOverflowError(hub.id)
+        raise RadiusOverflowError(f"hub {hub.id!r} radius is too large: its square overflows")
     c = np.asarray(hub.center, dtype=float)
     with np.errstate(over="ignore"):  # an overflow is the coded error below
         cc = float(c @ c)
@@ -192,10 +193,9 @@ def _build_beam(beam: Beam, hub_a: Hub, hub_b: Hub,
         G_b_raw = LinearForm(G_a.g, G_a.c0 - k)
         H = subtract_square(sphere_a, G_a)
         lam = G_a.grad_norm()
-        if abs(G_a.value(ca)) >= lam * hub_a.radius:
-            raise PlaneMissesSphereError(hub_a.id)
-        if abs(G_b_raw.value(cb)) >= lam * hub_b.radius:
-            raise PlaneMissesSphereError(hub_b.id)
+        for G, c, hub in ((G_a, ca, hub_a), (G_b_raw, cb, hub_b)):
+            if abs(G.value(c)) >= lam * hub.radius:
+                raise PlaneMissesSphereError(f"tangency plane misses hub sphere {hub.id!r}")
     # A finite |grad G| and H make both planes finite too.
     if not (math.isfinite(lam) and np.isfinite(H.coeffs()).all()):
         raise DegenerateBeamError(
@@ -231,10 +231,12 @@ def beam_radius(geom: BeamGeometry, s: float) -> float | None:
 
 
 def stub_views_at_hub(lattice: Lattice, hub_id: str) -> list[StubView]:
-    """One :class:`StubView` per beam at the hub, or the error building one raised."""
-    views = lattice._resolved.stubs.get(hub_id, UnknownHubError(hub_id))
+    """One :class:`StubView` per beam at the hub, or a copy of the error building one raised."""
+    views = lattice._resolved.stubs.get(hub_id)
+    if views is None:
+        raise UnknownHubError(f"no hub with id {hub_id!r}")
     if isinstance(views, QuadorError):
-        raise views.with_traceback(None)  # the stored error; keep its traceback from growing
+        raise type(views)(*views.args)  # a copy: the cached error never holds a caller's frames
     return list(views)
 
 
@@ -282,7 +284,6 @@ class _Resolution:
     hubs: dict[str, Hub]  # first match wins on duplicate ids
     spheres: dict[str, Quadric | QuadorError]  # per hub id: its sphere, or the error
     beams: dict[str, Beam]  # first match wins on duplicate ids
-    incident: dict[str, list]  # hub id -> [(beam, geometry or its error)]
     geometry: tuple[BeamGeometry | QuadorError, ...]  # one per lattice beam
     stubs: dict[str, tuple[StubView, ...] | QuadorError]  # per hub id
     locality: dict[str, float]  # fillet-clipping ball radius per hub id
@@ -328,7 +329,7 @@ def _resolve(lattice: Lattice) -> _Resolution:
             sphere = sphere_quadric(h)
         except QuadorError as exc:
             report.add_error(exc.code, h.id, str(exc))
-            sphere = exc
+            sphere = type(exc)(*exc.args)  # cached: a copy that holds no frame of this pass
         hubs.setdefault(h.id, h)
         spheres.setdefault(h.id, sphere)
 
@@ -347,7 +348,8 @@ def _resolve(lattice: Lattice) -> _Resolution:
                 MissingIdError.code, b.id, f"beam {b.id!r} references unknown hub(s) {missing}"
             )
         # A beam at a missing or failed hub is not built; that hub's error stands.
-        ends = [spheres.get(hid, UnknownHubError(hid)) for hid in (b.hub_a, b.hub_b)]
+        ends = [spheres[hid] if hid in spheres else UnknownHubError(f"no hub with id {hid!r}")
+                for hid in (b.hub_a, b.hub_b)]
         geom = next((e for e in ends if isinstance(e, QuadorError)), None)
         if geom is None:
             try:
@@ -355,7 +357,7 @@ def _resolve(lattice: Lattice) -> _Resolution:
             except QuadorError as exc:
                 if b.hub_a != b.hub_b:
                     report.add_error(exc.code, b.id, f"beam {b.id!r}: {exc}")
-                geom = exc
+                geom = type(exc)(*exc.args)
         geometry.append(geom)
         for hub_id in dict.fromkeys((b.hub_a, b.hub_b)):
             incident.setdefault(hub_id, []).append((b, geom))
@@ -389,8 +391,8 @@ def _resolve(lattice: Lattice) -> _Resolution:
             return None
 
     patches = tuple(resolve_fillet(fs) for fs in lattice.fillets)
-    return _Resolution(hubs, spheres, beams, incident, tuple(geometry), stubs, locality,
-                       patches, tuple(report.entries))
+    return _Resolution(hubs, spheres, beams, tuple(geometry), stubs, locality, patches,
+                       tuple(report.entries))
 
 
 def _warning_pass(lattice: Lattice) -> tuple[ValidationIssue, ...]:
@@ -429,7 +431,7 @@ def _warning_pass(lattice: Lattice) -> tuple[ValidationIssue, ...]:
             )
 
     for hub_id, wedges in fillet_wedges.items():
-        if len(wedges) < 2 or len(resolved.incident[hub_id]) <= 2:
+        if len(wedges) < 2 or len(resolved.stubs[hub_id]) <= 2:
             continue
         hub = resolved.hubs[hub_id]
         r = hub.radius

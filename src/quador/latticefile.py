@@ -6,9 +6,10 @@ Schema::
      "beams":   [{"id": str, "hubs": [a, b], "k": num}],
      "fillets": [{"hub": str, "beams": [i, j], "beta": num}]}
 
-Parsing is strict: unknown keys are rejected with a JSON-pointer-style
-location, numbers must be finite (booleans and ``NaN``/``Infinity`` are
-rejected), and fixed-length arrays must have exactly the declared length.
+Parsing is strict: unknown and duplicate keys are rejected with a
+JSON-pointer-style location, numbers must be finite (booleans and
+``NaN``/``Infinity`` are rejected), ids must be non-empty printable strings,
+and fixed-length arrays must have exactly the declared length.
 Missing top-level sections default to empty.  After parsing, the ids are
 checked and every part of the lattice is built; any error raises
 :class:`ValidationError` with the full report attached.  A valid lattice's
@@ -31,6 +32,18 @@ def _reject_constant(name: str):
     raise ParseError("/", f"non-finite number literal {name!r}")
 
 
+_REPEATED = object()  # not a string, so no JSON key equals it
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object; one that repeats a key holds the first it repeats under ``_REPEATED``."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        obj[_REPEATED] = next(key for i, key in enumerate(keys) if key in keys[:i])
+    return obj
+
+
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(where, f"expected a number, got {type(value).__name__}")
@@ -42,12 +55,16 @@ def _require_number(value, where: str) -> float:
 def _require_str(value, where: str) -> str:
     if not isinstance(value, str) or not value:
         raise ParseError(where, "expected a non-empty string")
+    if not value.isprintable():
+        raise ParseError(where, f"string {value!r} has a non-printable character")
     return value
 
 
 def _require_obj(value, where: str, allowed: set[str], required: set[str]) -> dict:
     if not isinstance(value, dict):
         raise ParseError(where, f"expected an object, got {type(value).__name__}")
+    if _REPEATED in value:
+        raise ParseError(f"{where}/{value[_REPEATED]}", f"duplicate key {value[_REPEATED]!r}")
     for key in value:
         if key not in allowed:
             raise ParseError(f"{where}/{key}", f"unknown key {key!r}")
@@ -78,7 +95,7 @@ def load_lattice(text: str | bytes) -> Lattice:
         except UnicodeDecodeError as exc:
             raise ParseError("/", f"not valid UTF-8: {exc}") from exc
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"/ (line {exc.lineno}, col {exc.colno})", exc.msg) from exc
 

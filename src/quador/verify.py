@@ -54,15 +54,6 @@ class Check:
     tolerance: float | None
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class VerifyReport:
@@ -79,8 +70,14 @@ class VerifyReport:
         return out
 
     def to_json(self) -> str:
-        doc = {"checks": [c.to_json() for c in self.checks], "summary": self.summary()}
+        doc = {"checks": [dataclasses.asdict(c) for c in self.checks], "summary": self.summary()}
         return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _strictly_monotone(values: list[float]) -> bool:
+    """True when ``values`` strictly increase or strictly decrease."""
+    steps = list(zip(values, values[1:]))
+    return all(b > a for a, b in steps) or all(b < a for a, b in steps)
 
 
 def _check(name: str, values, tol: float, detail: str = "") -> Check:
@@ -137,18 +134,16 @@ def run_verify(
 
     # Sphere-stub gradient equality along each tangency circle.
     residuals = []
-    n_stubs = 0
     for hub in lattice.hubs:
         sphere = spheres[hub.id]
         for view in stub_views_at_hub(lattice, hub.id):
-            n_stubs += 1
             offset = -view.G.value(hub.center) / view.G.grad_norm()
             pts = _circle_points(hub.center, hub.radius, view.G.g, offset)
             gs = _gradients(sphere, pts)
             gap = _gradients(view.H, pts) - gs
             residuals.append(np.sqrt(_dots(gap, gap)) / np.sqrt(_dots(gs, gs)))
     report.checks.append(_check("sphere_stub_gradient", residuals, GRAD_REL_TOL,
-                                f"{n_stubs} stubs x 32 circle points"))
+                                f"{len(residuals)} stubs x 32 circle points"))
 
     # Fillet identity: the stored patch quadric matches both expressions.
     if assembly.fillets:
@@ -217,18 +212,17 @@ def run_verify(
             subject = built.key
             extents = []
             radii = []
-            ok = True
-            for beta in BETA_GRID:
-                try:
+            try:
+                for beta in BETA_GRID:
                     patch = build_fillet_for_spec(
                         lattice, dataclasses.replace(spec, beta=beta)
                     )
                     extents.append(fillet_extent(patch))
                     radii.append(fillet_min_curvature_radius(patch))
-                except QuadorError:
-                    ok = False
-                    break
-            if not ok or any(not math.isfinite(v) for v in extents + radii):
+                bounded = all(math.isfinite(v) for v in extents + radii)
+            except QuadorError:
+                bounded = False
+            if not bounded:
                 report.checks.append(
                     Check(
                         "extent_monotonicity",
@@ -239,27 +233,24 @@ def run_verify(
                     )
                 )
                 continue
-            increasing = all(b > a for a, b in zip(extents, extents[1:]))
-            decreasing = all(b < a for a, b in zip(extents, extents[1:]))
             report.checks.append(
                 Check(
                     "extent_monotonicity",
-                    "pass" if (increasing or decreasing) else "fail",
+                    "pass" if _strictly_monotone(extents) else "fail",
                     None,
                     None,
                     f"{subject}: extents {[round(e, 6) for e in extents]}",
                 )
             )
-            r_inc = all(b > a for a, b in zip(radii, radii[1:]))
-            r_dec = all(b < a for a, b in zip(radii, radii[1:]))
+            monotone = _strictly_monotone(radii)
             report.checks.append(
                 Check(
                     "curvature_radius_monotonicity",
-                    "pass" if (r_inc or r_dec) else "warn",
+                    "pass" if monotone else "warn",
                     None,
                     None,
                     f"{subject}: radii {[round(r, 6) for r in radii]}"
-                    + ("" if (r_inc or r_dec) else " (not monotone on this grid)"),
+                    + ("" if monotone else " (not monotone on this grid)"),
                 )
             )
 

@@ -1,6 +1,7 @@
 """Lattice files, writers, the verify suite and the CLI end to end."""
 
 import ast
+import csv
 import dataclasses
 import errno
 import itertools
@@ -107,6 +108,27 @@ class TestLoadLattice:
         with pytest.raises(ParseError) as exc:
             load_lattice(json.dumps(doc))
         assert exc.value.location == loc
+
+    @pytest.mark.parametrize("text,loc", [
+        ('{"hubs": [], "beams": [], "hubs": []}', "/hubs"),
+        ('{"hubs": [{"id": "h0", "center": [0, 0, 0], "radius": -1, "radius": 2}]}',
+         "/hubs/0/radius"),
+        ('{"hubs": [{"id": "h0", "center": [0, 0, 0], "radius": 2, "radius": -1}]}',
+         "/hubs/0/radius"),
+        ('{"beams": [{"id": "b", "hubs": ["a", "c"], "k": 1, "k": 1}]}', "/beams/0/k"),
+        ('{"fillets": [{"hub": "h", "beams": ["a", "b"], "hub": "g", "beta": 1}]}',
+         "/fillets/0/hub"),
+    ])
+    def test_duplicate_key_rejected(self, text, loc, tmp_path, capsys):
+        with pytest.raises(ParseError) as exc:
+            load_lattice(text)
+        assert exc.value.location == loc
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 1
+        key = loc.rsplit("/", 1)[1]
+        assert capsys.readouterr().err == (
+            f"quador: parse error at {loc}: duplicate key {key!r}\n")
 
     def test_nan_rejected(self):
         text = '{"hubs": [{"id": "h", "center": [0, 0, NaN], "radius": 1}]}'
@@ -525,6 +547,39 @@ class TestCli:
         assert main(["classify", str(bad)]) == 1
         assert capsys.readouterr().err == (
             "quador: parse error at /hubs/0/radius: expected a number, got str\n")
+
+    @pytest.mark.parametrize("old,loc", [('"h0"', "/hubs/0/id"), ('"b1"', "/beams/0/id")])
+    def test_non_printable_id_rejected(self, old, loc, tmp_path, capsys):
+        # A newline in an id would start a new OBJ row inside the comment that names it.
+        lat = tmp_path / "lattice.json"
+        lat.write_text(BETA1.read_text().replace(old, old[:-1] + '\\nv 9 9 9"'))
+        out = tmp_path / "c.obj"
+        assert main(["conics", str(lat), "-o", str(out)]) == 1
+        assert not out.exists()
+        value = old[1:-1] + "\\nv 9 9 9"
+        assert capsys.readouterr().err == (
+            f"quador: parse error at {loc}: string '{value}' has a non-printable character\n")
+
+    @pytest.mark.parametrize("hub_id,hub,fillet", [
+        ("h,0", '"HUB(h,0)"', '"FILLET(h,0:b1+b2)"'),
+        ('h"0', '"HUB(h""0)"', '"FILLET(h""0:b1+b2)"'),
+    ])
+    def test_sample_label_quoted_when_needed(self, hub_id, hub, fillet, tmp_path):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0,0\n0.9,0.9,0.3\n1.05,1.05,0\n9,9,9\n")
+        renamed = tmp_path / "lattice.json"
+        renamed.write_text(BETA1.read_text().replace('"h0"', json.dumps(hub_id)))
+        outs = []
+        for lat in (BETA1, renamed):
+            outs.append(tmp_path / f"{len(outs)}.csv")
+            assert main(["sample", str(lat), "--points", str(pts), "-o", str(outs[-1])]) == 0
+        plain, quoted = (o.read_text().splitlines() for o in outs)
+        assert quoted == [plain[0], plain[1].replace("HUB(h0)", hub), plain[2],
+                          plain[3].replace("FILLET(h0:b1+b2)", fillet), plain[4]]
+        rows = list(csv.reader(quoted))
+        assert [len(r) for r in rows] == [6] * 5
+        assert [r[5] for r in rows[1:]] == [
+            f"HUB({hub_id})", "BEAM(b1)", f"FILLET({hub_id}:b1+b2)", "OUTSIDE"]
 
     def test_beam_with_overflowing_planes_exit_one(self, tmp_path, capsys):
         # k = 1e-308 overflows the tangency planes; the beam, not its fillet, is at fault.
@@ -1050,3 +1105,27 @@ def test_only_write_output_opens_files_for_writing():
     for source in sorted(SRC.glob("*.py")):
         visit(ast.parse(source.read_text(encoding="utf-8")), "<module>")
     assert sorted(found) == [("writers.py", "_write_fresh"), ("writers.py", "write_output")]
+
+
+def test_every_import_is_used():
+    """Each name a module imports is read there, or its import line says why
+    not with ``# noqa: F401`` and a reason; ``__init__.py`` only re-exports."""
+    unused = []
+    for source in sorted(SRC.glob("*.py")):
+        if source.name == "__init__.py":
+            continue
+        text = source.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            excused = any(re.search(r"# noqa: F401\s+\S", line)
+                          for line in lines[node.lineno - 1:node.end_lineno])
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and not excused:
+                    unused.append((source.name, name))
+    assert unused == []

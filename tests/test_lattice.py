@@ -1,6 +1,7 @@
 """Lattice model: spheres, beam quadors, stub views, validation."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +254,7 @@ class TestStubViews:
         assert stub_views_at_hub(lone, "solo") == []
 
     def test_unknown_hub(self, perp_lattice):
-        with pytest.raises(UnknownHubError):
+        with pytest.raises(UnknownHubError, match="^no hub with id 'nope'$"):
             stub_views_at_hub(perp_lattice, "nope")
 
     def test_beam_error_raised_at_both_ends(self, perp_lattice):
@@ -261,6 +263,30 @@ class TestStubViews:
             with pytest.raises(DegenerateBeamError):
                 stub_views_at_hub(bad, hub_id)
         assert stub_views_at_hub(bad, "h2") == []
+
+    @pytest.mark.parametrize("hub_id", ["h0", "h1"])
+    def test_cached_error_holds_no_caller_frame(self, perp_lattice, hub_id):
+        # h1's sphere fails; h0's views fail with the beam at h1.
+        hubs = (perp_lattice.hubs[0], dataclasses.replace(perp_lattice.hubs[1], radius=-1.0))
+        bad = dataclasses.replace(perp_lattice, hubs=hubs + perp_lattice.hubs[2:])
+        cached = bad._resolved.stubs[hub_id]
+
+        class Local:
+            pass
+
+        def catch():
+            local = Local()
+            try:
+                stub_views_at_hub(bad, hub_id)
+            except QuadorError as exc:
+                return weakref.ref(local), exc is cached, type(exc), exc.code, str(exc)
+
+        ref, same, kind, code, text = catch()
+        gc.collect()
+        assert cached.__traceback__ is None and cached.__context__ is None
+        assert ref() is None
+        assert (same, kind, code, text) == (False, type(cached), cached.code, str(cached))
+        assert text == "hub 'h1' has radius -1.0"
 
     def test_cached_views_are_not_shared(self, perp_lattice):
         views = stub_views_at_hub(perp_lattice, "h0")
@@ -597,7 +623,7 @@ def sampled_fillet_warnings(lattice):
             subject = f"{fs.hub}:{fs.beam_i}+{fs.beam_j}"
             found.append(("FILLET_ACTIVE_AT_LOCALITY", subject, f"({active}/512 sampled"))
     for hub_id, patches in at_hub.items():
-        if len(patches) < 2 or len(resolved.incident[hub_id]) <= 2:
+        if len(patches) < 2 or len(resolved.stubs[hub_id]) <= 2:
             continue
         hub = resolved.hubs[hub_id]
         rng = np.random.default_rng(1)
