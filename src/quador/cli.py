@@ -94,8 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mesh", help="polygonize the solid and write STL/OBJ")
     p.add_argument("lattice")
-    p.add_argument("--resolution", type=_numbers(int, low=2, high=1024), default=64,
-                   help="cells per axis (2..1024)")
+    # The field grid is dense, about 12.5 bytes of peak RSS per grid point:
+    # about 1.7 GB at 512.
+    p.add_argument("--resolution", type=_numbers(int, low=2, high=512), default=64,
+                   help="cells per axis (2..512)")
     p.add_argument("--bounds", type=_bounds, default="auto",
                    help="'auto' or x0,y0,z0,x1,y1,z1")
     p.add_argument("--format", choices=("stl", "obj"), default="stl")

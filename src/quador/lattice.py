@@ -341,15 +341,15 @@ def _resolve(lattice: Lattice) -> _Resolution:
             report.add_error("DUPLICATE_ID", b.id, f"duplicate beam id {b.id!r}")
         beams.setdefault(b.id, b)
         missing = [hid for hid in (b.hub_a, b.hub_b) if hid not in hubs]
+        unknown = MissingIdError(f"beam {b.id!r} references unknown hub(s) {missing}") \
+            if missing else None
         if b.hub_a == b.hub_b:
             report.add_error("SELF_LOOP", b.id, f"beam {b.id!r} joins a hub to itself")
         elif missing:
-            report.add_error(
-                MissingIdError.code, b.id, f"beam {b.id!r} references unknown hub(s) {missing}"
-            )
-        # A beam at a missing or failed hub is not built; that hub's error stands.
-        ends = [spheres[hid] if hid in spheres else UnknownHubError(f"no hub with id {hid!r}")
-                for hid in (b.hub_a, b.hub_b)]
+            report.add_error(unknown.code, b.id, str(unknown))
+        # A beam at a missing hub holds the error validation reports for it; one
+        # at a failed hub is not built, and that hub's error stands.
+        ends = [spheres.get(hid, unknown) for hid in (b.hub_a, b.hub_b)]
         geom = next((e for e in ends if isinstance(e, QuadorError)), None)
         if geom is None:
             try:

@@ -60,14 +60,20 @@ def _require_str(value, where: str) -> str:
     return value
 
 
+def _member(where: str, key: str) -> str:
+    """The JSON pointer (RFC 6901) to ``key`` in the object at ``where``."""
+    return f"{where}/{key.replace('~', '~0').replace('/', '~1')}"
+
+
 def _require_obj(value, where: str, allowed: set[str], required: set[str]) -> dict:
     if not isinstance(value, dict):
         raise ParseError(where, f"expected an object, got {type(value).__name__}")
     if _REPEATED in value:
-        raise ParseError(f"{where}/{value[_REPEATED]}", f"duplicate key {value[_REPEATED]!r}")
+        key = value[_REPEATED]
+        raise ParseError(_member(where, key), f"duplicate key {key!r}")
     for key in value:
         if key not in allowed:
-            raise ParseError(f"{where}/{key}", f"unknown key {key!r}")
+            raise ParseError(_member(where, key), f"unknown key {key!r}")
     for key in required:
         if key not in value:
             raise ParseError(where, f"missing required key {key!r}")

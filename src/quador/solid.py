@@ -14,6 +14,11 @@ coefficient stack, read by ``field_value``, ``classify_point`` and
 ``field_grid`` alike.  It is frozen, so the table never goes stale; threads
 racing on first use at most build it twice.  All of it is safe for
 concurrent use.
+
+Each part matters only near its own hub, so on the grid that
+:func:`marching_cubes` meshes, ``field_grid`` evaluates a part only where
+it can hold the minimum (:mod:`quador.cull`), and the grid keeps every bit
+of the dense evaluation.
 """
 
 from __future__ import annotations
@@ -141,16 +146,53 @@ def field_value(assembly: Assembly, x) -> float:
 _SLAB_POINTS = 1 << 16
 
 
+def _form_grid(A, b, c, x, y, z):
+    """One form's values over broadcast coordinates; ``A is None`` for a plane.
+
+    A fixed summation order keeps each value's bits whatever the slab, brick
+    or broadcast: a plane row takes ``2 (b . X) + c``, the bits of
+    ``g . X + c0``.
+    """
+    linear = 2.0 * (b[0] * x + b[1] * y + b[2] * z)
+    if A is None:
+        return linear + c
+    return (A[0, 0] * x * x + A[1, 1] * y * y + A[2, 2] * z * z
+            + 2.0 * (A[0, 1] * x * y + A[0, 2] * x * z + A[1, 2] * y * z)
+            + linear + c)
+
+
+def _lower_to_parts(out, table, parts, x, y, z):
+    """Lower ``out`` to each listed part's value at the broadcast points
+    ``x, y, z``, part by part in the listed order."""
+    A, b, c = table.stack
+    for p in parts:
+        part = None
+        for i in range(table.bounds[p], table.bounds[p + 1]):
+            v = _form_grid(A[i] if A[i].any() else None, b[i, 0], c[i], x, y, z)
+            part = v if part is None else np.maximum(part, v)
+        np.minimum(out, part, out=out)
+
+
 def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
     """Vectorized :func:`field_value` over broadcastable coordinate arrays.
 
-    The result is filled slab by slab along the first broadcast axis, one
-    part at a time within a slab, so besides the result only a slab's part
-    value, running min and formula temporaries are live.  Every value is
-    computed elementwise by the same operations in the same order whatever
-    the slab, so its bits do not depend on the slab size or on how the
-    coordinates are broadcast.  A plane row (``A = 0``) takes
-    ``2 (b . X) + c``: the bits of ``g . X + c0``.
+    Every value is computed elementwise by the same operations in the same
+    order (the parts min-reduced in part order), so its bits do not depend
+    on how the work is split or on how the coordinates are broadcast.  A
+    plane row (``A = 0``) takes ``2 (b . X) + c``: the bits of
+    ``g . X + c0``.
+
+    Three axis vectors broadcast against each other (shapes ``(nx, 1, 1)``,
+    ``(1, ny, 1)``, ``(1, 1, nz)``, as :func:`marching_cubes` passes them)
+    go through :mod:`quador.cull`: each form is bounded on bricks of the
+    grid, and a part is evaluated only in the bricks where it can hold the
+    minimum.  The parts left out lie strictly above it, so no bit changes.
+    A brick whose bounds are not finite, or whose leaves keep more than
+    half of all forms, is broadcast with its whole part list.
+
+    Any other input is filled slab by slab along the first broadcast axis,
+    one part at a time.  Either way, besides the result, only about a slab's
+    worth of values, bounds and indices is live at once.
     """
     X, Y, Z = (np.asarray(a, dtype=float) for a in (X, Y, Z))
     shape = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
@@ -159,22 +201,16 @@ def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
     table = assembly._table
     if not table.parts:
         return out.reshape(shape)
+    if out.ndim == 3 and out.size and all(a.size == a.shape[i] for i, a in enumerate((X, Y, Z))):
+        from .cull import culled_grid  # only meshing culls; see quador.cull
+
+        culled_grid(out, table, tuple(a.ravel() for a in (X, Y, Z)))
+        return out
     step = max(1, _SLAB_POINTS // max(1, math.prod(out.shape[1:])))
     for start in range(0, len(out), step):
         slab = slice(start, start + step)
-        x, y, z = (a[slab] if len(a) > 1 else a for a in (X, Y, Z))
-        total = None
-        for rows in map(slice, table.bounds[:-1], table.bounds[1:]):
-            part = None
-            for A, (b,), c in zip(*(s[rows] for s in table.stack)):
-                # A fixed summation order keeps the grid's bits.
-                v = 2.0 * (b[0] * x + b[1] * y + b[2] * z) + c if not A.any() else (
-                    A[0, 0] * x * x + A[1, 1] * y * y + A[2, 2] * z * z
-                    + 2.0 * (A[0, 1] * x * y + A[0, 2] * x * z + A[1, 2] * y * z)
-                    + 2.0 * (b[0] * x + b[1] * y + b[2] * z) + c)
-                part = v if part is None else np.maximum(part, v)
-            total = part if total is None else np.minimum(total, part)
-        out[slab] = total
+        _lower_to_parts(out[slab], table, range(len(table.parts)),
+                        *(a[slab] if len(a) > 1 else a for a in (X, Y, Z)))
     return out.reshape(shape)
 
 

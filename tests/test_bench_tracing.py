@@ -11,9 +11,13 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import quador.cli
 from quador.lattice import Hub, Lattice
-from quador.solid import auto_bounds, build_assembly
+from quador.solid import auto_bounds, build_assembly, field_grid
+
+from test_fillet import jittered_cubic
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -30,19 +34,38 @@ def test_every_wrapped_name_resolves():
     assert missing == []
 
 
-def test_marching_cubes_evaluates_full_grid_once():
-    asm = build_assembly(Lattice((Hub("h", (0, 0, 0), 1.0),), (), ()))
+def traced_mesh_grid(asm, res):
+    """The number of field_grid calls under a traced mesh, and the grid the
+    traced run reads."""
     modules = {module: importlib.import_module(module) for module, _, _ in WRAPPED}
     tracer = Tracer()
     tracer.install(modules)
     try:
-        tracer.call("cli.mesh", quador.cli.marching_cubes, asm, auto_bounds(asm), (5, 6, 7))
+        tracer.call("cli.mesh", quador.cli.marching_cubes, asm, auto_bounds(asm), res)
     finally:
         tracer.restore()
     calls = tracer.totals(parent="solid.marching_cubes")
-    assert calls["solid.field_grid"][0] == 1
-    grid = tracer.last_result[("solid.field_grid", "solid.marching_cubes")]
+    return calls["solid.field_grid"][0], tracer.last_result[("solid.field_grid", "solid.marching_cubes")]
+
+
+def test_marching_cubes_evaluates_full_grid_once():
+    asm = build_assembly(Lattice((Hub("h", (0, 0, 0), 1.0),), (), ()))
+    calls, grid = traced_mesh_grid(asm, (5, 6, 7))
+    assert calls == 1
     assert grid.shape == (6, 7, 8)
+
+
+def test_marching_cubes_evaluates_culled_grid_once():
+    # Large enough that field_grid culls parts brick by brick; the traced run
+    # still reads one full grid, with the dense grid's signs.
+    asm = build_assembly(jittered_cubic(5))
+    calls, grid = traced_mesh_grid(asm, (48, 50, 52))
+    assert calls == 1
+    assert grid.shape == (49, 51, 53)
+    lo, hi = auto_bounds(asm)
+    axes = [np.linspace(lo[i], hi[i], n) for i, n in enumerate(grid.shape)]
+    dense = field_grid(asm, *np.meshgrid(*axes, indexing="ij"))
+    assert np.array_equal(np.sign(grid), np.sign(dense))
 
 
 def test_sample_classifies_each_point_once(tmp_path):

@@ -130,6 +130,27 @@ class TestLoadLattice:
         assert capsys.readouterr().err == (
             f"quador: parse error at {loc}: duplicate key {key!r}\n")
 
+    @pytest.mark.parametrize("key,loc", [
+        ("a/b", "/hubs/0/a~1b"),
+        ("~0", "/hubs/0/~00"),
+        ("~/", "/hubs/0/~0~1"),
+    ])
+    @pytest.mark.parametrize("twice", [False, True])
+    def test_key_location_is_escaped(self, key, loc, twice, tmp_path, capsys):
+        # RFC 6901: "~" is written "~0" and "/" is written "~1", in that order.
+        hub = f'"id": "h0", "center": [0, 0, 0], "radius": 1, {json.dumps(key)}: 1'
+        if twice:
+            hub += f", {json.dumps(key)}: 2"
+        text = f'{{"hubs": [{{{hub}}}]}}'
+        message = f"{'duplicate' if twice else 'unknown'} key {key!r}"
+        with pytest.raises(ParseError) as exc:
+            load_lattice(text)
+        assert (exc.value.location, str(exc.value)) == (loc, f"{loc}: {message}")
+        path = tmp_path / "keys.json"
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 1
+        assert capsys.readouterr().err == f"quador: parse error at {loc}: {message}\n"
+
     def test_nan_rejected(self):
         text = '{"hubs": [{"id": "h", "center": [0, 0, NaN], "radius": 1}]}'
         with pytest.raises(ParseError):
@@ -693,6 +714,18 @@ class TestCli:
             flag = next(a for a in argv if a.startswith("--"))
             assert f"argument {flag}:" in capsys.readouterr().err, argv
         assert not Path(out).exists()
+
+
+def test_mesh_resolution_range(tmp_path, capsys):
+    # The dense grid needs about 1.7 GB at 512 cells per axis; 513 is refused
+    # before anything is built.  512 is only parsed here, not meshed.
+    out = tmp_path / "m.stl"
+    assert main(["mesh", str(BETA1), "--resolution", "513", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(
+        "argument --resolution: expected 1 int value(s), finite and in [2, 512], got '513'\n")
+    assert not out.exists()
+    args = build_parser().parse_args(["mesh", str(BETA1), "--resolution", "512", "-o", str(out)])
+    assert args.resolution == 512
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:

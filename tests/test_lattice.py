@@ -23,6 +23,7 @@ from quador.algebra import subtract_square
 from quador.cli import main
 from quador.errors import (
     DegenerateBeamError,
+    MissingIdError,
     PlaneMissesSphereError,
     QuadorError,
     RadiusOverflowError,
@@ -256,6 +257,21 @@ class TestStubViews:
     def test_unknown_hub(self, perp_lattice):
         with pytest.raises(UnknownHubError, match="^no hub with id 'nope'$"):
             stub_views_at_hub(perp_lattice, "nope")
+
+    def test_beam_at_missing_hub_raises_validation_code(self, perp_lattice):
+        h0, _, h2 = perp_lattice.hubs
+        lat = Lattice((h0, h2), (Beam("b1", "h0", "ghost", 4.0), Beam("b2", "h0", "h2", 4.0)),
+                      (FilletSpec("h0", "b1", "b2", 1.0),))
+        (issue,) = [i for i in validate_lattice(lat).errors if i.subject == "b1"]
+        assert issue.code == "MISSING_ID"
+        for build in (lambda: stub_views_at_hub(lat, "h0"),
+                      lambda: build_fillet_for_spec(lat, lat.fillets[0])):
+            with pytest.raises(MissingIdError) as exc:
+                build()
+            assert (exc.value.code, str(exc.value)) == (issue.code, issue.message)
+        assert [v.beam.id for v in stub_views_at_hub(lat, "h2")] == ["b2"]
+        with pytest.raises(UnknownHubError, match="^no hub with id 'ghost'$"):
+            stub_views_at_hub(lat, "ghost")
 
     def test_beam_error_raised_at_both_ends(self, perp_lattice):
         bad = Lattice(perp_lattice.hubs, (Beam("b1", "h0", "h1", 0.0),), ())

@@ -2,21 +2,31 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import quador
+from quador import cull
 from quador.algebra import LinearForm, Quadric
 from quador.errors import DegenerateBoundsError, ValidationError
-from quador.lattice import Beam, Hub, Lattice, sphere_quadric
+from quador.lattice import Beam, FilletSpec, Hub, Lattice, sphere_quadric
 from quador.latticefile import load_lattice_path
 from quador.mc_tables import EDGE_VERTS, TRI_TABLE, VERT_OFFSETS
+from quador.cull import _form_bounds
 from quador.solid import (
     _SLAB_POINTS,
+    _form_grid,
     Mesh,
     auto_bounds,
     build_assembly,
@@ -287,6 +297,167 @@ class TestFieldGridSlabs:
         assert got.shape == (3, 4, 5) and np.all(got == math.inf)
         assert got.tobytes() == dense_field_grid(asm, *axes).tobytes()
         assert field_grid(asm, 0.0, 0.0, 0.0).tobytes() == np.float64(math.inf).tobytes()
+
+
+def filleted_cubic(shape, origin=(0.0, 0.0, 0.0)) -> Lattice:
+    """Unit hubs at spacing 4 from ``origin``, joined by k=4 axis beams, with
+    a beta=1 fillet on every orthogonal stub pair."""
+    cells = list(itertools.product(*map(range, shape)))
+
+    def name(cell):
+        return "h" + "_".join(map(str, cell))
+
+    hubs = tuple(Hub(name(c), tuple(o + 4.0 * i for o, i in zip(origin, c)), 1.0) for c in cells)
+    beams, stubs = [], {name(c): [] for c in cells}
+    for cell, axis in itertools.product(cells, range(3)):
+        other = tuple(i + (a == axis) for a, i in enumerate(cell))
+        if other[axis] < shape[axis]:
+            beam = Beam(f"b{name(cell)}{'xyz'[axis]}", name(cell), name(other), 4.0)
+            beams.append(beam)
+            stubs[beam.hub_a].append((beam.id, axis))
+            stubs[beam.hub_b].append((beam.id, axis))
+    fillets = tuple(
+        FilletSpec(hub, bi, bj, 1.0)
+        for hub, ids in stubs.items()
+        for (bi, ai), (bj, aj) in itertools.combinations(ids, 2)
+        if ai != aj
+    )
+    return Lattice(hubs, tuple(beams), fillets)
+
+
+def grid_axes(lo, hi, counts):
+    """Three axis vectors, broadcast the way marching_cubes passes them."""
+    return tuple(
+        np.linspace(l, h, n).reshape([-1 if a == i else 1 for a in range(3)])
+        for i, (l, h, n) in enumerate(zip(lo, hi, counts))
+    )
+
+
+def with_negative_zero(axes):
+    """The axes with a -0.0 coordinate put in the middle of each."""
+    out = []
+    for a in axes:
+        v = a.ravel().copy()
+        v[len(v) // 2] = -0.0
+        out.append(v.reshape(a.shape))
+    return tuple(out)
+
+
+def with_huge_ends(axes):
+    """The first two axes extended by coordinates whose squares overflow, so
+    some values are NaN."""
+    x = np.concatenate([axes[0].ravel(), [1e160, -1e200, 1e300]])
+    y = np.concatenate([axes[1].ravel(), [-1e170, 1e250]])
+    return x[:, None, None], y[None, :, None], axes[2]
+
+
+# Many-part grids large enough that field_grid culls parts brick by brick.
+CULLED_GRIDS = {
+    "cubic-2x2x2": lambda: (filleted_cubic((2, 2, 2)),
+                            grid_axes((-1.2, -1.2, -1.2), (5.2, 5.2, 5.2), (49, 49, 49))),
+    "cubic-3x3x2": lambda: (filleted_cubic((3, 3, 2)),
+                            grid_axes((-1.3, -1.3, -1.3), (9.3, 9.3, 5.3), (67, 71, 45))),
+    "jittered": lambda: (jittered_cubic(5),
+                         grid_axes((-1.4, -1.3, -1.2), (5.3, 5.4, 5.2), (53, 47, 50))),
+    "offset-anisotropic": lambda: (filleted_cubic((2, 2, 2), (1e4, -2e3, 5e2)),
+                                   grid_axes((1e4 - 3.3, -2e3 + 0.7, 5e2 - 1.2),
+                                             (1e4 + 7.1, -2e3 + 5.9, 5e2 + 2.3), (81, 57, 41))),
+    "negative-zero": lambda: (filleted_cubic((2, 2, 2)), with_negative_zero(
+        grid_axes((-1.2, -1.2, -1.2), (5.2, 5.2, 5.2), (49, 51, 53)))),
+    "overflow": lambda: (filleted_cubic((2, 2, 2)), with_huge_ends(
+        grid_axes((-1.2, -1.2, -1.2), (5.2, 5.2, 5.2), (70, 41, 41)))),
+    # Few parts on a fine grid: the top bricks at the joint keep so many
+    # forms that they are broadcast whole.
+    "fixture-fine-grid": lambda: (load_lattice_path(FIXTURES / "perpendicular_beta1.json"),
+                                  grid_axes((-1.1, -1.1, -1.1), (5.1, 5.1, 1.1), (161, 161, 45))),
+}
+
+
+class TestFieldGridCulled:
+    """On a grid of axis vectors ``field_grid`` evaluates each part only in
+    the bricks where it can hold the minimum; every value keeps the bits of
+    the dense whole-grid formula, NaN and signed zeros included."""
+
+    @pytest.mark.parametrize("case", CULLED_GRIDS)
+    def test_matches_dense(self, case, monkeypatch):
+        lattice, axes = CULLED_GRIDS[case]()
+        asm = build_assembly(lattice)
+        calls = []
+        monkeypatch.setattr(cull, "culled_grid",
+                            lambda *args, f=cull.culled_grid: calls.append(f(*args)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = dense_field_grid(asm, *axes)
+            got = field_grid(asm, *axes)
+        assert len(calls) == 1
+        assert got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+
+    def test_imports_no_numpy_ma(self):
+        # np.unique imports numpy.ma; doing so inside the culled grid, before
+        # marching cubes needs it, raised the mesh's peak RSS by about 1 MB.
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from quador.solid import build_assembly, field_grid
+            from test_solid import CULLED_GRIDS
+            lattice, axes = CULLED_GRIDS["cubic-2x2x2"]()
+            field_grid(build_assembly(lattice), *axes)
+            print("quador.cull" in sys.modules, "numpy.ma" in sys.modules)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(quador.__file__).resolve().parents[1]), str(Path(__file__).parent)]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["True", "False"]
+
+    def test_cases_exercise_their_edges(self):
+        _, axes = CULLED_GRIDS["negative-zero"]()
+        assert all(np.any(np.signbit(a) & (a == 0.0)) for a in axes)
+        lattice, axes = CULLED_GRIDS["overflow"]()
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = dense_field_grid(build_assembly(lattice), *axes)
+        assert np.isnan(grid).any() and np.isfinite(grid).any()
+
+
+_row = st.floats(-10.0, 10.0, allow_nan=False)
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    quadric=st.booleans(),
+    upper=st.lists(_row, min_size=6, max_size=6),
+    g=st.lists(_row, min_size=3, max_size=3),
+    d=_row,
+    origin=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    scale=st.sampled_from([0.0, 1.0, 1e3, 1e6, 1e9]),
+    corner=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    size=st.sampled_from([1e-9, 1e-3, 0.1, 1.0, 10.0]),
+    extent=st.lists(_unit, min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_form_bounds_hold(quadric, upper, g, d, origin, scale, corner, size, extent, seed):
+    """Every value the grid formula gives at points of a box lies within the
+    box's bounds, for forms centred far from the origin, whose coefficients
+    cancel at the box."""
+    o = scale * np.array(origin)
+    A = np.array([[upper[0], upper[3], upper[4]],
+                  [upper[3], upper[1], upper[5]],
+                  [upper[4], upper[5], upper[2]]]) if quadric else None
+    # f(x) = (x - o)^T A (x - o) + 2 g . (x - o) + d, expanded into a stack row.
+    g = np.array(g)
+    b = g - A @ o if quadric else g
+    c = (float(o @ A @ o) if quadric else 0.0) - 2.0 * float(g @ o) + d
+    lo = o + np.array(corner)
+    hi = lo + size * np.array(extent)
+    u = np.random.default_rng(seed).uniform(size=(3, 61))
+    pts = lo[:, None] + u * (hi - lo)[:, None]
+    pts = np.concatenate([pts, np.array(list(itertools.product(*zip(lo, hi)))).T], axis=1)
+    values = _form_grid(A, b, c, *pts)
+    lower, upper_bound = _form_bounds(A, b, c, lo, hi)
+    assert math.isfinite(lower) and math.isfinite(upper_bound)
+    assert np.all(lower <= values) and np.all(values <= upper_bound)
 
 
 class TestAutoBounds:
