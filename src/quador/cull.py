@@ -6,7 +6,7 @@ bricks of 32 points a side, halved down to leaves of 4; an edge brick
 moves back to end at the grid's edge, so a brick lies in its parent and
 every leaf has the leaf shape.  Each form is bounded on a brick with centre
 ``m`` and half-extent ``h`` by ``|f(m + d) - f(m)| <= 2 sum |(Am + b)_i|
-h_i + sum |A_ij| h_i h_j``, padded by a rounding slack that scales with
+h_i + sum |A_ij| max(h_i)^2``, padded by a rounding slack that scales with
 the sizes of the terms.  A part's bounds are the largest of its forms'.  A
 brick keeps the parts whose lower bound is at most the smallest upper
 bound over all parts; its children start from its list.  A culled part is
@@ -16,8 +16,13 @@ changes no bit of the grid.
 Each kept part is evaluated over all its leaves at once, by the dense
 path's formula, and folded into the grid in part order.  A brick whose
 bounds are not finite (a form may overflow there) is broadcast with every
-part it inherited, and so is a top brick whose leaves keep more than half
-of all forms on average: gathering would save less than folding costs.
+part it inherited.  Every other brick is culled down to its leaves, however
+many forms they keep.  Per value, gathering costs 1.2 to 1.5 times what
+broadcasting does, so broadcasting a top brick would pay only where its
+leaves keep more than about 70% of all forms.  No top brick of the
+benchmark grids comes near (the most is 62%, on the 6-part fixture), and
+by then its bounds are paid for; only a lattice of very few parts, whose
+leaves keep them all, evaluates up to that factor slower than dense.
 
 Meshing alone reads this module, so :mod:`quador.solid` imports it on
 first use: the other commands do not compile it.  It calls no numpy
@@ -36,52 +41,66 @@ import numpy as np
 
 from .solid import _SLAB_POINTS, _lower_to_parts, _PartTable
 
-# Bricks of _BRICK points a side are halved down to leaves of _LEAF.  At most
-# _BOUND_ROWS (brick, form) rows are bounded at a time, the leaves of at most
-# _TOP_GROUP top bricks are held at once and at most _LEAF_CHUNK points are
-# gathered per call, so the arrays stay about a dense slab's size.  Kept leaf
-# pairs wait until _LEAF_PAIRS of them are ready.
+# Bricks of _BRICK points a side are halved down to leaves of _LEAF.  One cap
+# bounds memory: no batch holds more than _BATCH units, be they (brick, form)
+# rows bounded at once, leaves of the top bricks grouped at once or points
+# gathered at once.  Half and twice this size measured 8-23% slower on the
+# benchmark grids, and twice it raised marching_cubes' peak memory.
 _BRICK = 32
 _LEAF = 4
 _SIZES = tuple(_BRICK >> k for k in range((_BRICK // _LEAF).bit_length()))
-_BOUND_ROWS = _SLAB_POINTS >> 3
-_TOP_GROUP = 16
-_LEAF_CHUNK = _SLAB_POINTS >> 2
-_LEAF_PAIRS = _SLAB_POINTS >> 2
+_BATCH = _SLAB_POINTS >> 2
 # Rounding slack per unit of term size (256 ulps), and the largest term size
 # for which a bound counts as finite (no partial sum of the formula overflows).
 _ROUNDING = 2.0 ** -44
 _TERMS_MAX = 2.0 ** 1020
 
 
-def _form_bounds(A, b, c, lo, hi):
-    """Bounds on every value :func:`~quador.solid._form_grid` gives in a box.
+# A's upper triangle, which the grid formula reads, and where each entry of
+# the symmetric matrix sits in it.
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_SYM = [[_UPPER.index((min(i, j), max(i, j))) for j in range(3)] for i in range(3)]
 
-    Coefficients come first, ``A (3, 3, ...)`` (``None`` for planes),
-    ``b (3, ...)``, ``c (...)``, and so does the box, ``lo, hi (3, ...)``.
-    With centre ``m`` and half-extent ``h``, ``|f(m + d) - f(m)| <=
-    2 sum |(Am + b)_i| h_i + sum |A_ij| h_i h_j``.  The slack covers the
-    rounding of ``f(m)``, of the bound and of the grid formula: each is a
-    few dozen ulps of the largest term size ``M = sum |A_ij| X_i X_j +
-    2 sum |b_i| X_i + |c|`` (``X`` the box's largest ``|coordinate|``),
+
+def _form_table(A, b, c):
+    """What bounding reads of forms ``A (m, 3, 3)``, ``b (m, 3)``, ``c (m,)``,
+    one column each: A's upper triangle, ``b``, ``c``, ``||A|| = sum |A_ij|``
+    over the symmetric matrix and ``2 sum |b_i|``."""
+    U = np.array([A[:, i, j] for i, j in _UPPER])
+    weight = np.array([1.0 if i == j else 2.0 for i, j in _UPPER])
+    return np.vstack([U, b.T, c, weight @ np.abs(U), 2.0 * np.abs(b).sum(axis=1)])
+
+
+def _box(lo, hi):
+    """What bounding reads of boxes ``lo, hi (3, n)``, one column each: the
+    centre ``m``, the half-extent ``h``, the largest ``h_i`` squared, and the
+    largest ``|coordinate|`` ``X`` and its square."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 0.5 * (hi - lo)
+        X = np.maximum(np.abs(lo), np.abs(hi)).max(axis=0)
+        return np.vstack([0.5 * (lo + hi), h, h.max(axis=0) ** 2, X, X * X])
+
+
+def _form_bounds(form, box):
+    """Bounds on every value :func:`~quador.solid._form_grid` gives in a box,
+    for columns of :func:`_form_table` and :func:`_box`.
+
+    With centre ``m`` and half-extent ``h``, ``|f(m + d) - f(m)| <= 2 sum
+    |(Am + b)_i| h_i + ||A|| max(h_i)^2``.  The slack covers the rounding
+    of ``f(m)``, of the bound and of the grid formula: each is a few dozen
+    ulps of the largest term size ``M = ||A|| X^2 + 2 sum |b_i| X + |c|``,
     never of ``|f|``, so cancelling coefficients stay covered.  The bounds
     are not finite unless ``M < _TERMS_MAX``.
     """
+    U, b, (c, norm_A, norm_b) = form[:6], form[6:9], form[9:]
+    m, h, (hh, X, XX) = box[:3], box[3:6], box[6:]
     with np.errstate(over="ignore", invalid="ignore"):
-        m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        X = np.maximum(np.abs(lo), np.abs(hi))
-        fm, r, M = c, 0.0, np.abs(c)
-        for i in range(3):
-            g = b[i]
-            if A is not None:  # the grid formula reads A's upper triangle
-                g = A[min(i, 0), max(i, 0)] * m[0] + A[min(i, 1), max(i, 1)] * m[1] \
-                    + A[i, 2] * m[2] + g
-                for j in range(i, 3):
-                    a = np.abs(A[i, j]) if i == j else 2.0 * np.abs(A[i, j])
-                    r, M = r + a * h[i] * h[j], M + a * X[i] * X[j]
+        fm, r = c, norm_A * hh
+        for i, (j0, j1, j2) in enumerate(_SYM):
+            g = U[j0] * m[0] + U[j1] * m[1] + U[j2] * m[2] + b[i]
             fm = fm + m[i] * (g + b[i])
             r = r + 2.0 * np.abs(g) * h[i]
-            M = M + 2.0 * np.abs(b[i]) * X[i]
+        M = norm_A * XX + norm_b * X + np.abs(c)
         pad = r + np.where(M < _TERMS_MAX, _ROUNDING * M + 2.0 ** -1000, math.inf)
         return fm - pad, fm + pad
 
@@ -93,8 +112,7 @@ class _Grid(NamedTuple):
     out: np.ndarray
     axes: tuple  # the three coordinate vectors
     table: _PartTable
-    coeffs: tuple  # the stack as A (3, 3, m), b (3, m), c (m,)
-    planes: np.ndarray  # which stack rows are planes
+    forms: np.ndarray  # _form_table of the stack
     nforms: np.ndarray  # forms per part
     points: dict  # brick size -> per axis, _brick_points
     boxes: dict  # brick size -> per axis, each brick's (lowest, highest) coordinate
@@ -129,30 +147,13 @@ def culled_grid(out, table, axes):
     few top bricks at a time."""
     A, b, c = table.stack
     points = {s: [_brick_points(len(a), s) for a in axes] for s in _SIZES}
-    grid = _Grid(out, axes, table, (A.transpose(1, 2, 0).copy(), b[:, 0].T.copy(), c),
-                 ~A.any(axis=(1, 2)), np.diff(table.bounds), points,
+    grid = _Grid(out, axes, table, _form_table(A, b[:, 0], c), np.diff(table.bounds), points,
                  {s: [(a[p].min(axis=1), a[p].max(axis=1)) for a, p in zip(axes, points[s])]
                   for s in _SIZES})
-    ntop = [len(p) for p in points[_BRICK]]
-    top = np.array(list(itertools.product(*map(range, ntop))))
-    every = range(len(table.parts))
-    pending = []
-    for group in np.array_split(top, -(-len(top) // _TOP_GROUP)):
-        bricks, parts = _cull_down(grid, group)
-        # A top brick whose leaves keep more than half of all forms on
-        # average is broadcast: gathering would save too little.
-        owner = np.ravel_multi_index((bricks * _LEAF // _BRICK).T, ntop)
-        first = np.flatnonzero(np.diff(bricks, axis=0, prepend=-1).any(axis=1))
-        kept = np.bincount(owner, grid.nforms[parts], len(top))
-        dense = kept > 0.5 * len(c) * np.bincount(owner[first], minlength=len(top))
-        for t in np.flatnonzero(dense):
-            _lower_to_box(grid, every, _region(top[t], _BRICK))
-        pending.append((bricks[~dense[owner]], parts[~dense[owner]]))
-        if sum(len(p) for _, p in pending) >= _LEAF_PAIRS:
-            _lower_leaves(grid, *map(np.concatenate, zip(*pending)))
-            pending = []
-    if pending:
-        _lower_leaves(grid, *map(np.concatenate, zip(*pending)))
+    top = np.array(list(itertools.product(*(range(len(p)) for p in points[_BRICK]))))
+    per_group = _BATCH // (_BRICK // _LEAF) ** 3  # top bricks whose leaves fill a batch
+    for group in np.array_split(top, -(-len(top) // per_group)):
+        _lower_leaves(grid, *_cull_down(grid, group))
 
 
 def _cull_down(grid, top):
@@ -165,18 +166,18 @@ def _cull_down(grid, top):
     while work:
         level, bricks, pair_brick, pair_part = work.pop()
         s = _SIZES[level]
-        # At most _BOUND_ROWS (brick, form) rows at a time; the rest waits.
+        # At most _BATCH (brick, form) rows at a time; the rest waits.
         rows = np.cumsum(np.bincount(pair_brick, grid.nforms[pair_part], len(bricks)))
-        cut = max(1, int(np.searchsorted(rows, _BOUND_ROWS, side="right")))
+        cut = max(1, int(np.searchsorted(rows, _BATCH, side="right")))
         if cut < len(bricks):
             rest = np.searchsorted(pair_brick, cut)
             work.append((level, bricks[cut:], pair_brick[rest:] - cut, pair_part[rest:]))
             bricks, pair_brick, pair_part = bricks[:cut], pair_brick[:rest], pair_part[:rest]
-        lo, hi = (np.array([box[end][k] for box, k in zip(grid.boxes[s], bricks.T)])
-                  for end in (0, 1))
-        keep, finite = _cull(grid, lo, hi, pair_brick, pair_part)
+        box = _box(*(np.array([q[end][k] for q, k in zip(grid.boxes[s], bricks.T)])
+                     for end in (0, 1)))
+        keep, finite = _cull(grid, box, pair_brick, pair_part)
         for k in np.flatnonzero(~finite):
-            _lower_to_box(grid, pair_part[pair_brick == k], _region(bricks[k], s))
+            _lower_region(grid, pair_part[pair_brick == k], _region(bricks[k], s))
         keep &= finite[pair_brick]
         if s == _LEAF:
             leaves.append((bricks[pair_brick[keep]], pair_part[keep]))
@@ -195,39 +196,31 @@ def _cull_down(grid, top):
     return tuple(map(np.concatenate, zip(*leaves)))
 
 
-def _cull(grid, lo, hi, pair_brick, pair_part):
+def _cull(grid, box, pair_brick, pair_part):
     """Which (brick, part) pairs can hold their brick's minimum, and which
-    bricks have finite bounds.  Pairs are sorted by brick; ``lo, hi (3, nb)``.
+    bricks have finite bounds.  Pairs are sorted by brick; ``box`` is the
+    bricks' :func:`_box`.
 
     A part's bounds are the largest of its forms' bounds; a pair is kept
-    when its lower bound is at most the brick's smallest upper bound, or the
-    brick's bounds are not all finite.
+    when its lower bound is at most the brick's smallest upper bound.
     """
-    A, b, c = grid.coeffs
     nforms = grid.nforms[pair_part]
-    rows = _ranges(grid.table.bounds[pair_part], nforms)
-    brick_of_row = np.repeat(pair_brick, nforms)
-    lower, upper = np.empty(len(rows)), np.empty(len(rows))
-    plane = grid.planes[rows]
-    for quadric in (False, True):
-        at = np.flatnonzero(plane != quadric)
-        r, k = rows[at], brick_of_row[at]
-        lower[at], upper[at] = _form_bounds(
-            A.take(r, axis=2) if quadric else None, b.take(r, axis=1), c[r],
-            lo.take(k, axis=1), hi.take(k, axis=1))
+    starts = np.flatnonzero(np.diff(pair_brick, prepend=-1))  # every brick has pairs
+    lower, upper = _form_bounds(
+        grid.forms.take(_ranges(grid.table.bounds[pair_part], nforms), axis=1),
+        box.repeat(np.add.reduceat(nforms, starts), axis=1))
     first = np.cumsum(nforms) - nforms
     lower, upper = np.maximum.reduceat(lower, first), np.maximum.reduceat(upper, first)
-    starts = np.flatnonzero(np.diff(pair_brick, prepend=-1))
-    finite = np.logical_and.reduceat(np.isfinite(lower) & np.isfinite(upper), starts)
+    finite = np.isfinite(np.maximum.reduceat(upper, starts))  # so lower is finite too
     least = np.minimum.reduceat(upper, starts)
-    return (lower <= least[pair_brick]) | ~finite[pair_brick], finite
+    return lower <= least[pair_brick], finite
 
 
-def _lower_to_box(grid, parts, box):
-    """Lower a box of the result to the listed parts by broadcasting, as
+def _lower_region(grid, parts, region):
+    """Lower a region of the result to the listed parts by broadcasting, as
     the dense path does, at most a slab's points at a time."""
     (i0, i1), (j0, j1), (k0, k1) = ((s.start, min(s.stop, n))
-                                    for s, n in zip(box, grid.out.shape))
+                                    for s, n in zip(region, grid.out.shape))
     step = max(1, _SLAB_POINTS // ((j1 - j0) * (k1 - k0)))
     x, y, z = grid.axes
     for a in range(i0, i1, step):
@@ -247,8 +240,8 @@ def _lower_leaves(grid, bricks, parts):
     n1, n2 = grid.out.shape[1:]
     shapes = ((_LEAF, 1, 1, -1), (1, _LEAF, 1, -1), (1, 1, _LEAF, -1))
     for p, s0, s1 in zip(parts[starts].tolist(), starts, starts[1:] + [len(parts)]):
-        for s in range(s0, s1, _LEAF_CHUNK // _LEAF ** 3):
-            bk = bricks[s:min(s + _LEAF_CHUNK // _LEAF ** 3, s1)].T
+        for s in range(s0, s1, _BATCH // _LEAF ** 3):
+            bk = bricks[s:min(s + _BATCH // _LEAF ** 3, s1)].T
             i, j, k = (q.T.take(bk[a], axis=1).reshape(shape)
                        for a, (q, shape) in enumerate(zip(grid.points[_LEAF], shapes)))
             at = (i * n1 + j) * n2 + k

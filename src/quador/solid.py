@@ -187,8 +187,8 @@ def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
     go through :mod:`quador.cull`: each form is bounded on bricks of the
     grid, and a part is evaluated only in the bricks where it can hold the
     minimum.  The parts left out lie strictly above it, so no bit changes.
-    A brick whose bounds are not finite, or whose leaves keep more than
-    half of all forms, is broadcast with its whole part list.
+    A brick whose bounds are not finite is broadcast with its whole part
+    list.
 
     Any other input is filled slab by slab along the first broadcast axis,
     one part at a time.  Either way, besides the result, only about a slab's
