@@ -9,26 +9,28 @@ every leaf has the leaf shape.  Each form is bounded on a brick with centre
 h_i + sum |A_ij| max(h_i)^2``, padded by a rounding slack that scales with
 the sizes of the terms.  A part's bounds are the largest of its forms'.  A
 brick keeps the parts whose lower bound is at most the smallest upper
-bound over all parts; its children start from its list.  A culled part is
+bound over all parts, or all of them where a bound is not finite (a form
+may overflow there); its children start from its list.  A culled part is
 strictly above the minimum at every point of its brick, so leaving it out
 changes no bit of the grid.
 
+Every brick is culled down to its leaves, however many forms they keep.
 Each kept part is evaluated over all its leaves at once, by the dense
-path's formula, and folded into the grid in part order.  A brick whose
-bounds are not finite (a form may overflow there) is broadcast with every
-part it inherited.  Every other brick is culled down to its leaves, however
-many forms they keep.  Per value, gathering costs 1.2 to 1.5 times what
-broadcasting does, so broadcasting a top brick would pay only where its
-leaves keep more than about 70% of all forms.  No top brick of the
-benchmark grids comes near (the most is 62%, on the 6-part fixture), and
-by then its bounds are paid for; only a lattice of very few parts, whose
-leaves keep them all, evaluates up to that factor slower than dense.
+path's formula, and folded into the grid in part order.  NaN propagates
+through ``min`` in any order, and of equal values (``0.0``, ``-0.0``)
+``np.minimum`` keeps the later part's, which every leaf over a point
+keeps too.  Per value, gathering costs 1.2 to 1.5 times what broadcasting
+does, so broadcasting a top brick would pay only where its leaves keep
+more than about 70% of all forms.  No top brick of the benchmark grids
+comes near (the most is 62%, on the 6-part fixture), and by then its
+bounds are paid for; only a lattice of very few parts, whose leaves keep
+them all, evaluates up to that factor slower than dense.
 
 Meshing alone reads this module, so :mod:`quador.solid` imports it on
 first use: the other commands do not compile it.  It calls no numpy
-function that imports :mod:`numpy.ma` (``np.unique`` does): importing that
-here, before marching cubes needs it, raised the mesh's peak RSS by about
-1 MB.
+function that imports :mod:`numpy.ma` (a plain ``np.unique`` does; the
+weld in marching cubes, which asks it for indices, does not): importing
+that here raised the mesh's peak RSS by about 1 MB.
 """
 
 from __future__ import annotations
@@ -127,11 +129,6 @@ def _brick_points(n, s):
     return np.minimum(starts[:, None] + np.arange(s), n - 1)
 
 
-def _region(brick, s):
-    """A brick's own aligned region; a moved-back brick's overlap is another's."""
-    return tuple(slice(q * s, (q + 1) * s) for q in brick.tolist())
-
-
 def _ranges(starts, counts):
     """Concatenated ``arange(s, s + n)`` for each start ``s`` and count ``n``."""
     ends = np.cumsum(counts)
@@ -158,8 +155,7 @@ def culled_grid(out, table, axes):
 
 def _cull_down(grid, top):
     """Bound the top bricks' parts, then their descendants' inherited ones,
-    down to the leaves; bricks whose bounds are not finite are broadcast
-    with every part they inherited.  Returns the kept (leaf, part) pairs."""
+    down to the leaves.  Returns the kept (leaf, part) pairs."""
     nparts = len(grid.nforms)
     work = [(0, top, np.repeat(np.arange(len(top)), nparts), np.tile(np.arange(nparts), len(top)))]
     leaves = [(np.empty((0, 3), int), np.empty(0, int))]
@@ -175,10 +171,7 @@ def _cull_down(grid, top):
             bricks, pair_brick, pair_part = bricks[:cut], pair_brick[:rest], pair_part[:rest]
         box = _box(*(np.array([q[end][k] for q, k in zip(grid.boxes[s], bricks.T)])
                      for end in (0, 1)))
-        keep, finite = _cull(grid, box, pair_brick, pair_part)
-        for k in np.flatnonzero(~finite):
-            _lower_region(grid, pair_part[pair_brick == k], _region(bricks[k], s))
-        keep &= finite[pair_brick]
+        keep = _cull(grid, box, pair_brick, pair_part)
         if s == _LEAF:
             leaves.append((bricks[pair_brick[keep]], pair_part[keep]))
         elif keep.any():
@@ -197,12 +190,12 @@ def _cull_down(grid, top):
 
 
 def _cull(grid, box, pair_brick, pair_part):
-    """Which (brick, part) pairs can hold their brick's minimum, and which
-    bricks have finite bounds.  Pairs are sorted by brick; ``box`` is the
-    bricks' :func:`_box`.
+    """Which (brick, part) pairs can hold their brick's minimum.  Pairs are
+    sorted by brick; ``box`` is the bricks' :func:`_box`.
 
     A part's bounds are the largest of its forms' bounds; a pair is kept
-    when its lower bound is at most the brick's smallest upper bound.
+    when its lower bound is at most the brick's smallest upper bound, or
+    when any of the brick's bounds is not finite.
     """
     nforms = grid.nforms[pair_part]
     starts = np.flatnonzero(np.diff(pair_brick, prepend=-1))  # every brick has pairs
@@ -213,20 +206,7 @@ def _cull(grid, box, pair_brick, pair_part):
     lower, upper = np.maximum.reduceat(lower, first), np.maximum.reduceat(upper, first)
     finite = np.isfinite(np.maximum.reduceat(upper, starts))  # so lower is finite too
     least = np.minimum.reduceat(upper, starts)
-    return lower <= least[pair_brick], finite
-
-
-def _lower_region(grid, parts, region):
-    """Lower a region of the result to the listed parts by broadcasting, as
-    the dense path does, at most a slab's points at a time."""
-    (i0, i1), (j0, j1), (k0, k1) = ((s.start, min(s.stop, n))
-                                    for s, n in zip(region, grid.out.shape))
-    step = max(1, _SLAB_POINTS // ((j1 - j0) * (k1 - k0)))
-    x, y, z = grid.axes
-    for a in range(i0, i1, step):
-        a1 = min(a + step, i1)
-        _lower_to_parts(grid.out[a:a1, j0:j1, k0:k1], grid.table, parts, x[a:a1, None, None],
-                        y[None, j0:j1, None], z[None, None, k0:k1])
+    return (lower <= least[pair_brick]) | ~finite[pair_brick]
 
 
 def _lower_leaves(grid, bricks, parts):

@@ -66,8 +66,8 @@ def _member(where: str, key: str) -> str:
 
 
 def _require_obj(value, where: str, allowed: set[str], required: set[str]) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(where, f"expected an object, got {type(value).__name__}")
+    if not isinstance(value, dict):  # the document itself, at "", is reported at "/"
+        raise ParseError(where or "/", f"expected an object, got {type(value).__name__}")
     if _REPEATED in value:
         key = value[_REPEATED]
         raise ParseError(_member(where, key), f"duplicate key {key!r}")

@@ -17,8 +17,8 @@ concurrent use.
 
 Each part matters only near its own hub, so on the grid that
 :func:`marching_cubes` meshes, ``field_grid`` evaluates a part only where
-it can hold the minimum (:mod:`quador.cull`), and the grid keeps every bit
-of the dense evaluation.
+its bounds cannot rule it out (:mod:`quador.cull`), and the grid keeps every
+bit of the dense evaluation.
 """
 
 from __future__ import annotations
@@ -187,8 +187,7 @@ def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
     go through :mod:`quador.cull`: each form is bounded on bricks of the
     grid, and a part is evaluated only in the bricks where it can hold the
     minimum.  The parts left out lie strictly above it, so no bit changes.
-    A brick whose bounds are not finite is broadcast with its whole part
-    list.
+    A brick whose bounds are not finite keeps every part.
 
     Any other input is filled slab by slab along the first broadcast axis,
     one part at a time.  Either way, besides the result, only about a slab's
@@ -199,9 +198,8 @@ def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
     out = np.full(shape or (1,), math.inf)  # a scalar is one slab of one point
     X, Y, Z = (a.reshape((1,) * (out.ndim - a.ndim) + a.shape) for a in (X, Y, Z))
     table = assembly._table
-    if not table.parts:
-        return out.reshape(shape)
-    if out.ndim == 3 and out.size and all(a.size == a.shape[i] for i, a in enumerate((X, Y, Z))):
+    if (table.parts and out.ndim == 3 and out.size
+            and all(a.size == a.shape[i] for i, a in enumerate((X, Y, Z)))):
         from .cull import culled_grid  # only meshing culls; see quador.cull
 
         culled_grid(out, table, tuple(a.ravel() for a in (X, Y, Z)))

@@ -25,7 +25,8 @@ import quador.writers
 from quador.algebra import Quadric, _axis_complement, stack_forms, stacked_values
 from quador.cli import build_parser, main
 from quador.conics import ConicClass, sample_conic
-from quador.errors import ParseError, ValidationError
+from quador.errors import NoBisectorIntersectionError, ParseError, ValidationError
+from quador.fillet import build_fillet_for_spec, fillet_min_curvature_radius
 from quador.lattice import Beam, FilletSpec, Hub, Lattice, stub_views_at_hub
 from quador.latticefile import lattice_to_json, load_lattice
 from quador.solid import Mesh, auto_bounds, build_assembly, marching_cubes
@@ -37,6 +38,7 @@ BETA1 = FIXTURES / "perpendicular_beta1.json"
 sys.path.insert(0, str(FIXTURES.parent / "bench"))
 
 from inputs import cubic_lattice  # noqa: E402
+from test_lattice import three_hub_lattice  # noqa: E402
 BETA05 = FIXTURES / "perpendicular_beta05.json"
 
 
@@ -148,6 +150,29 @@ class TestLoadLattice:
         assert (exc.value.location, str(exc.value)) == (loc, f"{loc}: {message}")
         path = tmp_path / "keys.json"
         path.write_text(text)
+        assert main(["classify", str(path)]) == 1
+        assert capsys.readouterr().err == f"quador: parse error at {loc}: {message}\n"
+
+    @pytest.mark.parametrize("text,loc,message", [
+        (b'{"hubs": [{"id": "h", "center": [0, 0, 0], "radius": 1e400}]}', "/hubs/0/radius",
+         "number must be finite, got inf"),
+        (b'{"hubs": [5]}', "/hubs/0", "expected an object, got int"),
+        (b'{"hubs": {}}', "/hubs", "expected an array, got dict"),
+        (b'{"hubs": [{"id": "h\xff"}]}', "/",
+         "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 19: "
+         "invalid start byte"),
+        (b'{"hubs": [', "/ (line 1, col 11)", "Expecting value"),
+        # A document that is not an object is reported at "/", as the others are.
+        (b"[]", "/", "expected an object, got list"),
+        (b'"hubs"', "/", "expected an object, got str"),
+    ], ids=["huge-number", "hub-not-object", "hubs-not-array", "bad-utf8", "truncated",
+            "array-document", "string-document"])
+    def test_parse_error_location(self, text, loc, message, tmp_path, capsys):
+        with pytest.raises(ParseError) as exc:
+            load_lattice(text)
+        assert (exc.value.location, str(exc.value)) == (loc, f"{loc}: {message}")
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
         assert main(["classify", str(path)]) == 1
         assert capsys.readouterr().err == f"quador: parse error at {loc}: {message}\n"
 
@@ -320,6 +345,17 @@ class TestVerify:
             assert expected in names
         summary = report.summary()
         assert summary["fail"] == 0
+
+    def test_fillet_degenerate_on_beta_grid_warns(self):
+        # Valid at beta 1, but at beta 0.6 the corner bisector misses the fillet.
+        lat = three_hub_lattice(0.7122, 5.8595, 5.2435, 0.8775, 1.2762, 6.4621, 6.0569, 1.0)
+        with pytest.raises(NoBisectorIntersectionError):
+            fillet_min_curvature_radius(
+                build_fillet_for_spec(lat, dataclasses.replace(lat.fillets[0], beta=0.6)))
+        report = run_verify(lat, samples=200)
+        assert [(c.status, c.detail) for c in report.checks
+                if c.name == "extent_monotonicity"] == [
+            ("warn", "h0:b1+b2: unbounded or degenerate on the beta grid")]
 
     def test_corrupted_fillet_detected(self, monkeypatch):
         corrupt_first_fillet(monkeypatch)

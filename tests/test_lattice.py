@@ -87,6 +87,19 @@ def symbolic_beam_oracle(ca, ra, cb, rb, k):
     )
 
 
+def three_hub_lattice(theta, d1, d2, r1, r2, k1, k2, beta) -> Lattice:
+    """Hub ``h0`` of radius 1 at the origin, ``h1`` of radius ``r1`` at
+    ``(d1, 0, 0)`` and ``h2`` of radius ``r2`` at ``d2 (cos theta, sin
+    theta, 0)``; beams ``b1`` = h0-h1 and ``b2`` = h0-h2 of ``k1`` and
+    ``k2``; one fillet ``h0: b1+b2`` of ``beta``."""
+    return Lattice(
+        (Hub("h0", (0.0, 0.0, 0.0), 1.0), Hub("h1", (d1, 0.0, 0.0), r1),
+         Hub("h2", (d2 * math.cos(theta), d2 * math.sin(theta), 0.0), r2)),
+        (Beam("b1", "h0", "h1", k1), Beam("b2", "h0", "h2", k2)),
+        (FilletSpec("h0", "b1", "b2", beta),),
+    )
+
+
 class TestSphereQuadric:
     def test_unit_sphere(self):
         q = sphere_quadric(Hub("h", (0, 0, 0), 1.0))
@@ -362,6 +375,29 @@ class TestValidation:
         codes = validate_lattice(lat).codes()
         assert "DUPLICATE_ID" in codes
         assert "MISSING_ID" in codes
+
+    def test_self_loop(self):
+        lat = Lattice((Hub("a", (0, 0, 0), 1.0), Hub("b", (4, 0, 0), 1.0)),
+                      (Beam("loop", "a", "a", 4.0),), ())
+        assert [(e.code, e.subject, e.message) for e in validate_lattice(lat).errors] == [
+            ("SELF_LOOP", "loop", "beam 'loop' joins a hub to itself")]
+
+    def test_duplicate_beam_id(self):
+        lat = Lattice((Hub("a", (0, 0, 0), 1.0), Hub("b", (4, 0, 0), 1.0)),
+                      (Beam("ab", "a", "b", 4.0), Beam("ab", "b", "a", 4.0)), ())
+        assert [(e.code, e.subject, e.message) for e in validate_lattice(lat).errors] == [
+            ("DUPLICATE_ID", "ab", "duplicate beam id 'ab'")]
+
+    def test_wedge_orientation(self):
+        lat = three_hub_lattice(2.1277, 3.6779, 2.7134, 1.1658, 0.9304, 2.98, 2.6749, 2.0)
+        assert [(e.code, e.subject) for e in validate_lattice(lat).errors] == [
+            ("WEDGE_ORIENTATION", "h0:b1+b2")]
+
+    def test_empty_conic(self):
+        shape = (0.2838, 2.2495, 3.8226, 1.3711, 0.8038, 2.2393, 4.3766)
+        report = validate_lattice(three_hub_lattice(*shape, 1.5))
+        assert [(e.code, e.subject) for e in report.errors] == [("EMPTY_CONIC", "h0:b1+b2")]
+        assert validate_lattice(three_hub_lattice(*shape, 0.7)).ok
 
     def test_nonpositive_radius(self):
         lat = Lattice((Hub("h", (0, 0, 0), -1.0),), (), ())

@@ -20,7 +20,7 @@ import quador
 from quador import cull
 from quador.algebra import LinearForm, Quadric
 from quador.errors import DegenerateBoundsError, ValidationError
-from quador.lattice import Beam, FilletSpec, Hub, Lattice, sphere_quadric
+from quador.lattice import Beam, FilletSpec, Hub, Lattice, beam_radius, sphere_quadric
 from quador.latticefile import load_lattice_path
 from quador.mc_tables import EDGE_VERTS, TRI_TABLE, VERT_OFFSETS
 from quador.cull import _box, _form_bounds, _form_table
@@ -393,8 +393,10 @@ class TestFieldGridCulled:
 
 
     def test_imports_no_numpy_ma(self):
-        # np.unique imports numpy.ma; doing so inside the culled grid, before
-        # marching cubes needs it, raised the mesh's peak RSS by about 1 MB.
+        # A plain np.unique imports numpy.ma.  The mesh command imports it
+        # nowhere else (marching cubes asks np.unique for indices, which skips
+        # it), and doing so inside the culled grid raised its peak RSS by
+        # about 1 MB.
         code = textwrap.dedent("""
             import sys
             import numpy as np
@@ -421,9 +423,21 @@ class TestFieldGridCulled:
         _, axes = CULLED_GRIDS["negative-zero"]()
         assert all(np.any(np.signbit(a) & (a == 0.0)) for a in axes)
         lattice, axes = CULLED_GRIDS["overflow"]()
+        asm = build_assembly(lattice)
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = dense_field_grid(build_assembly(lattice), *axes)
+            grid = dense_field_grid(asm, *axes)
         assert np.isnan(grid).any() and np.isfinite(grid).any()
+        # Some leaves' bounds are not finite, so they keep every part, and
+        # others' are, so they cull.
+        A, b, c = asm._table.stack
+        forms = _form_table(A, b[:, 0], c)
+        leaves = [a.ravel()[cull._brick_points(a.size, cull._LEAF)] for a in axes]
+        lo, hi = (np.array([m.ravel() for m in np.meshgrid(*(end(q, axis=1) for q in leaves),
+                                                            indexing="ij")])
+                  for end in (np.min, np.max))
+        lower, upper = _form_bounds(forms[:, :, None], _box(lo, hi)[:, None, :])
+        finite = np.isfinite(lower).all(axis=0) & np.isfinite(upper).all(axis=0)
+        assert finite.any() and not finite.all()
 
 
 _row = st.floats(-10.0, 10.0, allow_nan=False)
@@ -483,6 +497,20 @@ class TestAutoBounds:
         lo, hi = auto_bounds(build_assembly(lat))
         npt.assert_allclose(lo, [-1.1, -1.1, -1.1])
         npt.assert_allclose(hi, [5.1, 1.1, 1.1])
+
+    def test_station_without_a_section_is_skipped(self):
+        # The beam pinches off: 17 of its 33 stations have no real section.
+        lat = Lattice((Hub("a", (0, 0, 0), 1.6266), Hub("b", (6.8792, 0, 0), 1.6305)),
+                      (Beam("ab", "a", "b", 5.0606),), ())
+        asm = build_assembly(lat)
+        beam = asm.beams[0]
+        rho = [beam_radius(beam, float(s)) for s in np.linspace(0.0, beam.length, 33)]
+        assert rho.count(None) == 17
+        pad = 0.1 * 1.6305
+        side = max(1.6305, *(r for r in rho if r is not None)) + pad
+        lo, hi = auto_bounds(asm)
+        npt.assert_allclose(lo, [-1.6266 - pad, -side, -side])
+        npt.assert_allclose(hi, [6.8792 + 1.6305 + pad, side, side])
 
     def test_empty_lattice_unit_box(self):
         lo, hi = auto_bounds(build_assembly(Lattice()))
