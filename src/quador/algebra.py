@@ -335,6 +335,14 @@ class QuadricClassification:
         return Quadric(A, b, c)
 
 
+#: The definite classes of ranks 3, 2 and 1: the degenerate one, where the
+#: completed constant is zero, and the solid one, where it has the opposite
+#: sign to the eigenvalues (EMPTY otherwise).
+_DEFINITE = {3: (QuadricClass.POINT, QuadricClass.ELLIPSOID),
+             2: (QuadricClass.LINE, QuadricClass.ELLIPTIC_CYLINDER),
+             1: (QuadricClass.SINGLE_PLANE, QuadricClass.PARALLEL_PLANES)}
+
+
 def _axis_complement(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two unit vectors completing ``n`` to a right-handed orthonormal basis.
 
@@ -373,16 +381,11 @@ def classify_quadric(q: Quadric) -> QuadricClassification:
         if b_norm > thr:
             n = q.b / b_norm
             t = -q.c * q.b / (2.0 * b_norm * b_norm)
-            u, v = _axis_complement(n)
-            R = np.column_stack([n, u, v])
-            if np.linalg.det(R) < 0.0:
-                R[:, 2] = -R[:, 2]
-            return QuadricClassification(
-                QuadricClass.SINGLE_PLANE, R, t, (0.0, 0.0, 0.0), b_norm, 0
-            )
-        return QuadricClassification(
-            QuadricClass.EMPTY, np.eye(3), np.zeros(3), (0.0, 0.0, 0.0), q.c
-        )
+            R = np.column_stack([n, *_axis_complement(n)])
+            return QuadricClassification(QuadricClass.SINGLE_PLANE, R, t, (0.0, 0.0, 0.0),
+                                         b_norm, 0)
+        return QuadricClassification(QuadricClass.EMPTY, np.eye(3), np.zeros(3), (0.0, 0.0, 0.0),
+                                     q.c)
 
     zero = np.abs(evals) <= CLASSIFY_TOL * lam_max
     lam = np.where(zero, 0.0, evals)
@@ -401,88 +404,52 @@ def classify_quadric(q: Quadric) -> QuadricClassification:
     has_linear = lin_mag > thr
     c_zero = abs(c_t) <= thr
 
-    R = V
-    t = V @ y0
     diag = tuple(lam)
+    pos = sum(1 for i in nz if lam[i] > 0)
+    definite = pos in (0, rank)
 
-    if rank == 3:
-        pos = sum(1 for i in nz if lam[i] > 0)
-        neg = 3 - pos
-        if pos == 3 or neg == 3:
-            sgn = 1.0 if pos == 3 else -1.0
-            if c_zero:
-                label = QuadricClass.POINT
-            elif c_t * sgn < 0:
-                label = QuadricClass.ELLIPSOID
-            else:
-                label = QuadricClass.EMPTY
-        else:
-            # Mixed signature: normalize so two coefficients are positive.
-            flip = -1.0 if pos == 1 else 1.0
-            if c_zero:
-                label = QuadricClass.CONE
-            elif -c_t * flip > 0:
-                label = QuadricClass.HYPERBOLOID_ONE_SHEET
-            else:
-                label = QuadricClass.HYPERBOLOID_TWO_SHEETS
-        return QuadricClassification(label, R, t, diag, 0.0 if c_zero else c_t)
-
-    if rank == 2:
-        same_sign = lam[nz[0]] * lam[nz[1]] > 0
-        if has_linear:
-            d = null[0]
-            s = b2[d]
-            # Translate along the null axis so the constant vanishes.
-            y0[d] = -c_t / (2.0 * s)
-            t = V @ y0
-            label = (
-                QuadricClass.ELLIPTIC_PARABOLOID
-                if same_sign
-                else QuadricClass.HYPERBOLIC_PARABOLOID
-            )
-            return QuadricClassification(label, R, t, diag, s, d)
-        if same_sign:
-            sgn = math.copysign(1.0, lam[nz[0]])
-            if c_zero:
-                label = QuadricClass.LINE
-            elif c_t * sgn < 0:
-                label = QuadricClass.ELLIPTIC_CYLINDER
-            else:
-                label = QuadricClass.EMPTY
-        else:
-            label = (
-                QuadricClass.CROSSING_PLANES if c_zero else QuadricClass.HYPERBOLIC_CYLINDER
-            )
-        return QuadricClassification(label, R, t, diag, 0.0 if c_zero else c_t)
-
-    # rank == 1
-    qx = nz[0]
+    if has_linear and rank == 2:
+        d = null[0]
+        s = b2[d]
+        # Translate along the null axis so the constant vanishes.
+        y0[d] = -c_t / (2.0 * s)
+        label = (QuadricClass.ELLIPTIC_PARABOLOID if definite
+                 else QuadricClass.HYPERBOLIC_PARABOLOID)
+        return QuadricClassification(label, V, V @ y0, diag, s, d)
     if has_linear:
-        # Rotate within the null plane so the linear term lies along one axis.
+        # Rank 1: rotate within the null plane so the linear term lies along
+        # one axis.  The nonzero eigenvalue sorts to index 0 or 2, so the
+        # columns q, d, q x d come in cyclic order and R is right-handed.
+        q_world = V[:, nz[0]]
         d_world = (lin[null[0]] * V[:, null[0]] + lin[null[1]] * V[:, null[1]]) / lin_mag
-        q_world = V[:, qx]
         f_world = _cross3(q_world, d_world)
-        cols = [None, None, None]
-        cols[qx] = q_world
-        cols[null[0]] = d_world
-        cols[null[1]] = f_world
-        R = np.column_stack(cols)
-        if np.linalg.det(R) < 0.0:
-            R[:, null[1]] = -R[:, null[1]]
+        R = np.column_stack([q_world, d_world, f_world] if nz[0] == 0
+                            else [d_world, f_world, q_world])
         y0n = R.T @ (V @ y0)
         y0n[null[0]] -= c_t / (2.0 * lin_mag)
-        t = R @ y0n
         return QuadricClassification(
-            QuadricClass.PARABOLIC_CYLINDER, R, t, diag, lin_mag, null[0]
+            QuadricClass.PARABOLIC_CYLINDER, R, R @ y0n, diag, lin_mag, null[0]
         )
-    sgn = math.copysign(1.0, lam[qx])
-    if c_zero:
-        label = QuadricClass.SINGLE_PLANE
-    elif c_t * sgn < 0:
-        label = QuadricClass.PARALLEL_PLANES
+    if definite:
+        degenerate, solid = _DEFINITE[rank]
+        if c_zero:
+            label = degenerate
+        elif c_t * math.copysign(1.0, lam[nz[0]]) < 0:
+            label = solid
+        else:
+            label = QuadricClass.EMPTY
+    elif rank == 3:
+        # Mixed signature: normalize so two coefficients are positive.
+        flip = -1.0 if pos == 1 else 1.0
+        if c_zero:
+            label = QuadricClass.CONE
+        elif -c_t * flip > 0:
+            label = QuadricClass.HYPERBOLOID_ONE_SHEET
+        else:
+            label = QuadricClass.HYPERBOLOID_TWO_SHEETS
     else:
-        label = QuadricClass.EMPTY
-    return QuadricClassification(label, R, t, diag, 0.0 if c_zero else c_t)
+        label = QuadricClass.CROSSING_PLANES if c_zero else QuadricClass.HYPERBOLIC_CYLINDER
+    return QuadricClassification(label, V, V @ y0, diag, 0.0 if c_zero else c_t)
 
 
 # ---------------------------------------------------------------------------

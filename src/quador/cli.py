@@ -122,13 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str):
+def _read(path: str) -> bytes:
+    """The bytes of ``path``; if reading fails, say so and exit 2."""
     try:
-        text = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         print(f"quador: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO) from exc
-    return load_lattice(text)
 
 
 def _write(path: str, write, *args):
@@ -141,7 +141,7 @@ def _write(path: str, write, *args):
 
 
 def _cmd_verify(args) -> int:
-    lattice = _load(args.lattice)
+    lattice = load_lattice(_read(args.lattice))
     report = run_verify(lattice, tol=args.tol, samples=args.samples, seed=args.seed)
     if args.report:
         _write(args.report, write_output, args.report, report.to_json().encode("utf-8"))
@@ -157,7 +157,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    lattice = _load(args.lattice)
+    lattice = load_lattice(_read(args.lattice))
     assembly = build_assembly(lattice)
     if args.bounds == "auto":
         bounds = auto_bounds(assembly)
@@ -171,7 +171,7 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_conics(args) -> int:
-    lattice = _load(args.lattice)
+    lattice = load_lattice(_read(args.lattice))
     if not lattice.fillets:
         print("quador: lattice has no fillets; nothing to export", file=sys.stderr)
         return EXIT_USAGE
@@ -200,12 +200,8 @@ def _cmd_conics(args) -> int:
 
 
 def _read_points_csv(path: str) -> list[tuple[float, float, float]]:
-    try:
-        # utf-8-sig drops the byte-order mark that spreadsheet exports write.
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        print(f"quador: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from exc
+    # utf-8-sig drops the byte-order mark that spreadsheet exports write.
+    text = _read(path).decode("utf-8-sig")
     points = []
     rows = list(csv.reader(text.splitlines()))
     for i, row in enumerate(rows):
@@ -233,7 +229,7 @@ def _csv_field(text: str) -> str:
 
 
 def _cmd_sample(args) -> int:
-    lattice = _load(args.lattice)
+    lattice = load_lattice(_read(args.lattice))
     assembly = build_assembly(lattice)
     if args.points:
         pts = _read_points_csv(args.points)
@@ -261,7 +257,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    lattice = _load(args.lattice)
+    lattice = load_lattice(_read(args.lattice))
     assembly = build_assembly(lattice)
     print(f"{'kind':8s} {'id':24s} {'class':24s} notes")
     for bg in assembly.beams:

@@ -174,13 +174,16 @@ def _lower_to_parts(out, table, parts, x, y, z):
 
 
 def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
-    """Vectorized :func:`field_value` over broadcastable coordinate arrays.
+    """The solid's field over broadcastable coordinate arrays.
 
-    Every value is computed elementwise by the same operations in the same
-    order (the parts min-reduced in part order), so its bits do not depend
-    on how the work is split or on how the coordinates are broadcast.  A
-    plane row (``A = 0``) takes ``2 (b . X) + c``: the bits of
-    ``g . X + c0``.
+    Not :func:`field_value` vectorized: its term-by-term forms
+    (:func:`_form_grid`) and ``np.minimum`` differ from the point path's BLAS
+    products and ``np.fmin`` in the last bits of about a quarter of the
+    values, and at (1e160, 1e160, 0) it gives NaN where ``field_value`` gives
+    inf.  Both stay: the reference digests pin the meshes to this formula and
+    ``sample.csv`` to that one.  Every value is computed elementwise by the
+    same operations in the same order (the parts min-reduced in part order),
+    so its bits do not depend on how the work is split or broadcast.
 
     Three axis vectors broadcast against each other (shapes ``(nx, 1, 1)``,
     ``(1, ny, 1)``, ``(1, 1, nz)``, as :func:`marching_cubes` passes them)
@@ -228,7 +231,7 @@ def classify_point(assembly: Assembly, x, tol: float = 1e-9) -> PointClassificat
     reported value is that part's own value, so a point inside a beam that
     is also covered by a fillet reports the beam.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:  # NaN too
         raise ValueError("tol must be >= 0")
     values = _part_values(assembly, x)
     best = float(np.fmin.reduce(values, initial=math.inf))
@@ -240,13 +243,24 @@ def classify_point(assembly: Assembly, x, tol: float = 1e-9) -> PointClassificat
     return PointClassification(state, assembly._table.parts[i][0], float(values[i]))
 
 
+def _real_roots(a: float, b: float, c: float) -> list[float]:
+    """Roots of ``a s^2 + b s + c``, a negative discriminant taken as 0:
+    rounding can push a double root off the real line."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    return [q / a, c / q] if q != 0.0 else [0.0]
+
+
 def auto_bounds(assembly: Assembly) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned box covering all hub spheres and beam tubes.
 
-    Each beam contributes the swept circle of its section radius sampled at
-    33 uniform stations.  The box is inflated by a tenth of the largest hub
-    radius on every side.  An empty lattice yields the unit box
-    centered at the origin.
+    A beam's section radius has ``rho(s)^2 = r_a^2 + (lam s + g0)^2 - s^2 =
+    a s^2 + b s + c``, so each coordinate ``c_i + s u_i +- spread_i rho`` of
+    its swept circle is extreme only at an end, where ``rho`` vanishes, or
+    where ``4 u_i^2 rho^2 = spread_i^2 ((rho^2)')^2``; the box takes the
+    circle at the roots of those quadratics, inflated by a tenth of the
+    largest hub radius.  An empty lattice yields the unit box at the origin.
     """
     lo = np.full(3, math.inf)
     hi = np.full(3, -math.inf)
@@ -260,13 +274,17 @@ def auto_bounds(assembly: Assembly) -> tuple[np.ndarray, np.ndarray]:
         ca = np.asarray(bg.stub_a.hub.center)
         u = bg.stub_a.axis
         spread = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-        for s in np.linspace(0.0, bg.length, 33):
-            rho = beam_radius(bg, float(s))
-            if rho is None:
-                continue
-            p = ca + s * u
-            lo = np.minimum(lo, p - rho * spread)
-            hi = np.maximum(hi, p + rho * spread)
+        a, b, c = bg.lam**2 - 1.0, 2.0 * bg.lam * bg.g0, bg.g0**2 + bg.stub_a.hub.radius**2
+        stations = [0.0, bg.length, *_real_roots(a, b, c)]
+        for u2, w2 in zip((u * u).tolist(), (spread * spread).tolist()):
+            k = u2 - w2 * a
+            stations += _real_roots(4.0 * k * a, 4.0 * k * b, 4.0 * u2 * c - w2 * b * b)
+        for s in stations:
+            rho = beam_radius(bg, s) if 0.0 <= s <= bg.length else None
+            if rho is not None:
+                p = ca + s * u
+                lo = np.minimum(lo, p - rho * spread)
+                hi = np.maximum(hi, p + rho * spread)
     if not np.all(np.isfinite(lo)):
         return np.full(3, -0.5), np.full(3, 0.5)
     pad = 0.1 * r_max

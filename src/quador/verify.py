@@ -120,8 +120,10 @@ def run_verify(
 
     Identity/tangency checks use their own pinned relative tolerances;
     ``tol`` is the boundary band for the sampled membership check (a
-    monotonicity violation must leave the solid by more than ``tol``).
+    monotonicity violation must leave the solid by more than ``tol >= 0``).
     """
+    if not tol >= 0.0:  # NaN too
+        raise ValueError("tol must be >= 0")
     report = VerifyReport()
     assembly = build_assembly(lattice)
     spheres = lattice._resolved.spheres

@@ -270,18 +270,24 @@ CLASS_FIXTURES = [
     (QuadricClass.LINE, np.diag([1.0, 1.0, 0.0]), (0, 0, 0), 0.0),
     (QuadricClass.POINT, np.eye(3), (0, 0, 0), 0.0),
     (QuadricClass.EMPTY, np.eye(3), (0, 0, 0), 1.0),
+    (QuadricClass.EMPTY, np.diag([1.0, 1.0, 0.0]), (0, 0, 0), 1.0),
+    (QuadricClass.EMPTY, np.diag([1.0, 0.0, 0.0]), (0, 0, 0), 1.0),
+    (QuadricClass.EMPTY, np.zeros((3, 3)), (0, 0, 0), 1.0),
 ]
+# Each row's id is its class; the lower-rank EMPTY rows add their rank.
+CLASS_IDS = [f[0].value for f in CLASS_FIXTURES[:-3]] + ["EMPTY-rank2", "EMPTY-rank1",
+                                                         "EMPTY-rank0"]
 
 
 class TestClassify:
     @pytest.mark.parametrize(
-        "label,A,b,c", CLASS_FIXTURES, ids=[f[0].value for f in CLASS_FIXTURES]
+        "label,A,b,c", CLASS_FIXTURES, ids=CLASS_IDS
     )
     def test_axis_aligned_labels(self, label, A, b, c):
         assert classify_quadric(Quadric(A, b, c)).label is label
 
     @pytest.mark.parametrize(
-        "label,A,b,c", CLASS_FIXTURES, ids=[f[0].value for f in CLASS_FIXTURES]
+        "label,A,b,c", CLASS_FIXTURES, ids=CLASS_IDS
     )
     def test_roundtrip_all_fixtures(self, label, A, b, c):
         rng = np.random.default_rng(hash(label.value) % 2**32)
@@ -320,6 +326,29 @@ class TestClassify:
     def test_all_zero(self):
         with pytest.raises(AllZeroError):
             classify_quadric(Quadric(np.zeros((3, 3)), np.zeros(3), 0.0))
+
+    def test_definite_below_product_underflow(self):
+        # The eigenvalues' product underflows to 0; their signs still agree.
+        A = np.diag([1e-162, 1e-163, 0.0])
+        assert classify_quadric(Quadric(A, np.zeros(3), 0.0)).label is QuadricClass.LINE
+        assert (classify_quadric(Quadric(A, np.zeros(3), -1e-162)).label
+                is QuadricClass.ELLIPTIC_CYLINDER)
+
+    @pytest.mark.parametrize("label,A,b,c", [
+        (QuadricClass.SINGLE_PLANE, np.zeros((3, 3)), (0, 0, 0.5), 0.0),
+        (QuadricClass.SINGLE_PLANE, np.diag([1.0, 0.0, 0.0]), (0, 0, 0), 0.0),
+        (QuadricClass.SINGLE_PLANE, np.diag([0.0, 0.0, -1.0]), (0, 0, 0), 0.0),
+        (QuadricClass.PARABOLIC_CYLINDER, np.diag([1.0, 0.0, 0.0]), (0, -0.5, 0.25), 0.0),
+        (QuadricClass.PARABOLIC_CYLINDER, np.diag([-1.0, 0.0, 0.0]), (0, 0.3, -0.5), 1.0),
+    ], ids=["linear", "rank1-positive", "rank1-negative", "parabolic-positive",
+            "parabolic-negative"])
+    def test_rotation_is_right_handed(self, label, A, b, c):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            R, t = random_rotation(rng), rng.uniform(-2, 2, 3)
+            cls = classify_quadric(Quadric(*transformed_quadric(A, b, c, R, t)))
+            assert cls.label is label
+            assert np.linalg.det(cls.rotation) > 0.0
 
     def test_linear_plane(self):
         cls = classify_quadric(Quadric(np.zeros((3, 3)), (0.0, 0.0, 0.5), -0.5))

@@ -112,6 +112,8 @@ class TestClassifyConic:
             ((1, 0, 1, 0, 0, 0), ConicClass.POINT),
             ((1, 0, 1, 0, 0, 1), ConicClass.EMPTY),
             ((0, 0, 0, 0.5, 0, 1), ConicClass.SINGLE_LINE),
+            ((0, 0, 0, 0, 0, 1), ConicClass.EMPTY),
+            ((1, 0, 0, 0, 0, 1), ConicClass.EMPTY),
         ],
     )
     def test_cases(self, coeffs, expected):

@@ -346,6 +346,11 @@ class TestVerify:
         summary = report.summary()
         assert summary["fail"] == 0
 
+    @pytest.mark.parametrize("tol", [-0.5, math.nan])
+    def test_tol_must_be_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            run_verify(load_lattice(BETA1.read_bytes()), tol=tol, samples=500)
+
     def test_fillet_degenerate_on_beta_grid_warns(self):
         # Valid at beta 1, but at beta 0.6 the corner bisector misses the fillet.
         lat = three_hub_lattice(0.7122, 5.8595, 5.2435, 0.8775, 1.2762, 6.4621, 6.0569, 1.0)
@@ -578,6 +583,13 @@ class TestCli:
         x, y, z, value, state, label = rows[3].split(",")
         assert float(value) == pytest.approx(-0.173125, abs=1e-12)
         assert (state, label) == ("inside", "FILLET(h0:b1+b2)")
+
+    def test_sample_missing_points_file_exit_two(self, tmp_path, capsys):
+        pts = tmp_path / "no_such_points.csv"
+        assert main(["sample", str(BETA1), "--points", str(pts), "-o",
+                     str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"quador: cannot read {pts}: ")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_sample_malformed_row(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
@@ -1198,3 +1210,26 @@ def test_every_import_is_used():
                 if name not in used and not excused:
                     unused.append((source.name, name))
     assert unused == []
+
+
+def test_every_private_name_is_read():
+    """Each module-level ``_name`` a module in ``src/`` defines is read
+    somewhere in ``src/``: no dead constants or helpers."""
+    defined, read = [], set()
+    for source in sorted(SRC.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(source.name, n) for n in names
+                        if n.startswith("_") and not n.startswith("__")]
+        read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                 and isinstance(n.ctx, ast.Load)}
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert len(defined) > 50
+    assert [d for d in defined if d[1] not in read] == []

@@ -157,6 +157,11 @@ class TestClassifyPoint:
         res = classify_point(asm, (0.0, 0.0, 1.0), tol=1e-9)
         assert res.state == "boundary"
 
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan])
+    def test_tol_must_be_nonnegative(self, asm, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            classify_point(asm, (9.0, 9.0, 9.0), tol=tol)
+
     def test_agrees_with_bruteforce_oracle(self, asm):
         # Oracle: test each part's defining inequalities independently.
         rng = np.random.default_rng(41)
@@ -512,6 +517,20 @@ class TestAutoBounds:
         npt.assert_allclose(lo, [-1.6266 - pad, -side, -side])
         npt.assert_allclose(hi, [6.8792 + 1.6305 + pad, side, side])
 
+    def test_widest_section_between_uniform_stations(self):
+        # The beam bulges: rho^2 = a s^2 + b s + c with a < 0 peaks at
+        # s = -b / 2a, midway between two of 33 uniform stations.
+        lat = Lattice((Hub("a", (0, 0, 0), 1.55), Hub("b", (5.0, 0, 0), 1.67)),
+                      (Beam("ab", "a", "b", -6.11),), ())
+        asm = build_assembly(lat)
+        beam = asm.beams[0]
+        peak = -beam.lam * beam.g0 / (beam.lam**2 - 1.0)
+        assert np.abs(peak - np.linspace(0.0, beam.length, 33)).min() > 0.07
+        side = beam_radius(beam, peak) + 0.1 * 1.67
+        lo, hi = auto_bounds(asm)
+        npt.assert_allclose(lo, [-1.55 - 0.167, -side, -side], rtol=1e-12)
+        npt.assert_allclose(hi, [5.0 + 1.67 + 0.167, side, side], rtol=1e-12)
+
     def test_empty_lattice_unit_box(self):
         lo, hi = auto_bounds(build_assembly(Lattice()))
         npt.assert_allclose(hi - lo, [1.0, 1.0, 1.0])
@@ -703,7 +722,13 @@ class TestMarchingCubesFrozen:
 
     def test_jittered_cubic(self):
         asm = build_assembly(jittered_cubic(5))
-        mesh = marching_cubes(asm, auto_bounds(asm), 40)
+        # The box the digest was recorded on, from 33 sampled stations per
+        # beam; the exact box is 2.8e-5 wider in -y.
+        lo = np.array([-1.1680989235997536, -1.1230916515664782, -1.207972234481048])
+        hi = np.array([5.186569012879452, 5.238349004329489, 5.227278206015943])
+        exact_lo, exact_hi = auto_bounds(asm)
+        assert np.all(exact_lo <= lo) and np.all(exact_hi >= hi)
+        mesh = marching_cubes(asm, (lo, hi), 40)
         assert (len(mesh.vertices), len(mesh)) == (11752, 23520)
         assert mesh_digest(mesh) == (
             "265c33f40b9cc69d73ecdb26595ceb74dc8c68e42675cf6360e4a5d83e79651b"
