@@ -367,25 +367,37 @@ def classify_quadric(q: Quadric) -> QuadricClassification:
     scale.  Degenerate translations are resolved by the least-squares center
     (zero component along null axes).  Raises :class:`AllZeroError` when
     every coefficient is negligible.
+
+    It works at any finite scale: ``q`` is classified scaled by the power of
+    two that brings its largest coefficient into [0.5, 1), which is exact,
+    so no square of a coefficient underflows or overflows; ``diag`` and
+    ``scalar`` are scaled back.
     """
-    evals, V = jacobi_eigen3(q.A)
+    e = math.frexp(max(map(abs, q.coeffs().tolist())))[1]
+    label, R, t, diag, scalar, axis = _classify_unit(
+        np.ldexp(q.A, -e), np.ldexp(q.b, -e), math.ldexp(q.c, -e), math.ldexp(1e-300, -e))
+    return QuadricClassification(label, R, t, np.ldexp(diag, e), np.ldexp(scalar, e), axis)
+
+
+def _classify_unit(A: np.ndarray, b: np.ndarray, c: float, all_zero: float) -> tuple:
+    """:func:`classify_quadric`'s fields for ``x^T A x + 2 b^T x + c``, whose
+    coefficient scale is negligible at ``all_zero`` and below."""
+    evals, V = jacobi_eigen3(A)
     lam_max = float(np.max(np.abs(evals)))
-    b_norm = _norm(q.b)
-    coeff_scale = max(lam_max, b_norm, abs(q.c))
-    if coeff_scale <= 1e-300:
+    b_norm = _norm(b)
+    coeff_scale = max(lam_max, b_norm, abs(c))
+    if coeff_scale <= all_zero:
         raise AllZeroError("all quadric coefficients are zero")
     thr = CLASSIFY_TOL * coeff_scale
 
     if lam_max <= thr:
         # No quadratic part: a plane, or empty, depending on the linear part.
         if b_norm > thr:
-            n = q.b / b_norm
-            t = -q.c * q.b / (2.0 * b_norm * b_norm)
+            n = b / b_norm
+            t = -c * b / (2.0 * b_norm * b_norm)
             R = np.column_stack([n, *_axis_complement(n)])
-            return QuadricClassification(QuadricClass.SINGLE_PLANE, R, t, (0.0, 0.0, 0.0),
-                                         b_norm, 0)
-        return QuadricClassification(QuadricClass.EMPTY, np.eye(3), np.zeros(3), (0.0, 0.0, 0.0),
-                                     q.c)
+            return QuadricClass.SINGLE_PLANE, R, t, (0.0, 0.0, 0.0), b_norm, 0
+        return QuadricClass.EMPTY, np.eye(3), np.zeros(3), (0.0, 0.0, 0.0), c, None
 
     zero = np.abs(evals) <= CLASSIFY_TOL * lam_max
     lam = np.where(zero, 0.0, evals)
@@ -393,12 +405,12 @@ def classify_quadric(q: Quadric) -> QuadricClassification:
     null = [i for i in range(3) if zero[i]]
     rank = len(nz)
 
-    b2 = V.T @ q.b
+    b2 = V.T @ b
     # Least-squares center: complete the square along non-null axes only.
     y0 = np.zeros(3)
     for i in nz:
         y0[i] = -b2[i] / lam[i]
-    c_t = q.c + sum(b2[i] * y0[i] for i in nz)
+    c_t = c + sum(b2[i] * y0[i] for i in nz)
     lin = np.array([b2[i] if i in null else 0.0 for i in range(3)])
     lin_mag = _norm(lin)
     has_linear = lin_mag > thr
@@ -415,7 +427,7 @@ def classify_quadric(q: Quadric) -> QuadricClassification:
         y0[d] = -c_t / (2.0 * s)
         label = (QuadricClass.ELLIPTIC_PARABOLOID if definite
                  else QuadricClass.HYPERBOLIC_PARABOLOID)
-        return QuadricClassification(label, V, V @ y0, diag, s, d)
+        return label, V, V @ y0, diag, s, d
     if has_linear:
         # Rank 1: rotate within the null plane so the linear term lies along
         # one axis.  The nonzero eigenvalue sorts to index 0 or 2, so the
@@ -427,9 +439,7 @@ def classify_quadric(q: Quadric) -> QuadricClassification:
                             else [d_world, f_world, q_world])
         y0n = R.T @ (V @ y0)
         y0n[null[0]] -= c_t / (2.0 * lin_mag)
-        return QuadricClassification(
-            QuadricClass.PARABOLIC_CYLINDER, R, R @ y0n, diag, lin_mag, null[0]
-        )
+        return QuadricClass.PARABOLIC_CYLINDER, R, R @ y0n, diag, lin_mag, null[0]
     if definite:
         degenerate, solid = _DEFINITE[rank]
         if c_zero:
@@ -449,7 +459,7 @@ def classify_quadric(q: Quadric) -> QuadricClassification:
             label = QuadricClass.HYPERBOLOID_TWO_SHEETS
     else:
         label = QuadricClass.CROSSING_PLANES if c_zero else QuadricClass.HYPERBOLIC_CYLINDER
-    return QuadricClassification(label, V, V @ y0, diag, 0.0 if c_zero else c_t)
+    return label, V, V @ y0, diag, 0.0 if c_zero else c_t, None
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,12 @@ def _cmd_conics(args) -> int:
 
 
 def _read_points_csv(path: str) -> list[tuple[float, float, float]]:
-    # utf-8-sig drops the byte-order mark that spreadsheet exports write.
-    text = _read(path).decode("utf-8-sig")
+    try:  # dropping the byte-order mark that spreadsheet exports write
+        text = _read(path).decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        print(f"quador: malformed point file {path}: not UTF-8 at byte {exc.start}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
     points = []
     rows = list(csv.reader(text.splitlines()))
     for i, row in enumerate(rows):

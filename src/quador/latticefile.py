@@ -1,19 +1,20 @@
 """Strict JSON lattice files.
 
-Schema::
+Schema, declared once as ``_SCHEMA``, which parses and serializes it::
 
     {"hubs":    [{"id": str, "center": [x, y, z], "radius": num}],
      "beams":   [{"id": str, "hubs": [a, b], "k": num}],
      "fillets": [{"hub": str, "beams": [i, j], "beta": num}]}
 
-Parsing is strict: unknown and duplicate keys are rejected with a
-JSON-pointer-style location, numbers must be finite (booleans and
-``NaN``/``Infinity`` are rejected), ids must be non-empty printable strings,
-and fixed-length arrays must have exactly the declared length.
-Missing top-level sections default to empty.  After parsing, the ids are
-checked and every part of the lattice is built; any error raises
-:class:`ValidationError` with the full report attached.  A valid lattice's
-warnings are not computed here.
+Parsing is strict: duplicate and unknown keys are rejected with their JSON
+pointer, then each object's fields are checked in schema order, so a missing
+key is the first one missing and an item with two faults reports the first.
+Numbers must be finite (booleans and ``NaN``/``Infinity`` are rejected), ids
+must be non-empty printable strings, and fixed-length arrays must have
+exactly the declared length.  Missing top-level sections default to empty.
+After parsing, the ids are checked and every part of the lattice is built;
+any error raises :class:`ValidationError` with the full report attached.  A
+valid lattice's warnings are not computed here.
 """
 
 from __future__ import annotations
@@ -65,16 +66,17 @@ def _member(where: str, key: str) -> str:
     return f"{where}/{key.replace('~', '~0').replace('/', '~1')}"
 
 
-def _require_obj(value, where: str, allowed: set[str], required: set[str]) -> dict:
+def _require_obj(value, where: str, keys: dict, required: bool) -> dict:
+    """``value`` as an object of ``keys``; a missing key is the first in their order."""
     if not isinstance(value, dict):  # the document itself, at "", is reported at "/"
         raise ParseError(where or "/", f"expected an object, got {type(value).__name__}")
     if _REPEATED in value:
         key = value[_REPEATED]
         raise ParseError(_member(where, key), f"duplicate key {key!r}")
     for key in value:
-        if key not in allowed:
+        if key not in keys:
             raise ParseError(_member(where, key), f"unknown key {key!r}")
-    for key in required:
+    for key in keys if required else ():
         if key not in value:
             raise ParseError(where, f"missing required key {key!r}")
     return value
@@ -86,6 +88,25 @@ def _require_list(value, where: str, length: int | None = None) -> list:
     if length is not None and len(value) != length:
         raise ParseError(where, f"expected exactly {length} elements, got {len(value)}")
     return value
+
+
+def _array(read, length: int):
+    """The reader of an array of exactly ``length`` values, each read by ``read``."""
+    def read_array(value, where: str) -> tuple:
+        items = _require_list(value, where, length)
+        return tuple(read(item, f"{where}/{j}") for j, item in enumerate(items))
+    return read_array
+
+
+_center = _array(_require_number, 3)
+_id_pair = _array(_require_str, 2)  # fills two constructor fields
+
+#: Each section's dataclass and its keys, in constructor order, with their readers.
+_SCHEMA = {
+    "hubs": (Hub, {"id": _require_str, "center": _center, "radius": _require_number}),
+    "beams": (Beam, {"id": _require_str, "hubs": _id_pair, "k": _require_number}),
+    "fillets": (FilletSpec, {"hub": _require_str, "beams": _id_pair, "beta": _require_number}),
+}
 
 
 def load_lattice(text: str | bytes) -> Lattice:
@@ -105,52 +126,21 @@ def load_lattice(text: str | bytes) -> Lattice:
     except json.JSONDecodeError as exc:
         raise ParseError(f"/ (line {exc.lineno}, col {exc.colno})", exc.msg) from exc
 
-    _require_obj(doc, "", {"hubs", "beams", "fillets"}, set())
+    _require_obj(doc, "", _SCHEMA, required=False)
+    sections = {}
+    for name, (cls, keys) in _SCHEMA.items():
+        parts = []
+        for i, item in enumerate(_require_list(doc.get(name, []), f"/{name}")):
+            where = f"/{name}/{i}"
+            _require_obj(item, where, keys, required=True)
+            args = []
+            for key, read in keys.items():
+                value = read(item[key], f"{where}/{key}")
+                args += value if read is _id_pair else [value]
+            parts.append(cls(*args))
+        sections[name] = tuple(parts)
 
-    hubs = []
-    for i, item in enumerate(_require_list(doc.get("hubs", []), "/hubs")):
-        where = f"/hubs/{i}"
-        obj = _require_obj(item, where, {"id", "center", "radius"}, {"id", "center", "radius"})
-        center = _require_list(obj["center"], f"{where}/center", 3)
-        hubs.append(
-            Hub(
-                id=_require_str(obj["id"], f"{where}/id"),
-                center=tuple(
-                    _require_number(c, f"{where}/center/{j}") for j, c in enumerate(center)
-                ),
-                radius=_require_number(obj["radius"], f"{where}/radius"),
-            )
-        )
-
-    beams = []
-    for i, item in enumerate(_require_list(doc.get("beams", []), "/beams")):
-        where = f"/beams/{i}"
-        obj = _require_obj(item, where, {"id", "hubs", "k"}, {"id", "hubs", "k"})
-        pair = _require_list(obj["hubs"], f"{where}/hubs", 2)
-        beams.append(
-            Beam(
-                id=_require_str(obj["id"], f"{where}/id"),
-                hub_a=_require_str(pair[0], f"{where}/hubs/0"),
-                hub_b=_require_str(pair[1], f"{where}/hubs/1"),
-                k=_require_number(obj["k"], f"{where}/k"),
-            )
-        )
-
-    fillets = []
-    for i, item in enumerate(_require_list(doc.get("fillets", []), "/fillets")):
-        where = f"/fillets/{i}"
-        obj = _require_obj(item, where, {"hub", "beams", "beta"}, {"hub", "beams", "beta"})
-        pair = _require_list(obj["beams"], f"{where}/beams", 2)
-        fillets.append(
-            FilletSpec(
-                hub=_require_str(obj["hub"], f"{where}/hub"),
-                beam_i=_require_str(pair[0], f"{where}/beams/0"),
-                beam_j=_require_str(pair[1], f"{where}/beams/1"),
-                beta=_require_number(obj["beta"], f"{where}/beta"),
-            )
-        )
-
-    lattice = Lattice(tuple(hubs), tuple(beams), tuple(fillets))
+    lattice = Lattice(**sections)
     if lattice._resolved.errors:
         raise ValidationError(validate_lattice(lattice))
     return lattice
@@ -162,17 +152,11 @@ def load_lattice_path(path: str | Path) -> Lattice:
 
 def lattice_to_json(lattice: Lattice) -> str:
     """Serialize a lattice back to the interchange schema (round-trip safe)."""
-    doc = {
-        "hubs": [
-            {"id": h.id, "center": list(h.center), "radius": h.radius}
-            for h in lattice.hubs
-        ],
-        "beams": [
-            {"id": b.id, "hubs": [b.hub_a, b.hub_b], "k": b.k} for b in lattice.beams
-        ],
-        "fillets": [
-            {"hub": f.hub, "beams": [f.beam_i, f.beam_j], "beta": f.beta}
-            for f in lattice.fillets
-        ],
-    }
+    doc = {}
+    for name, (_, keys) in _SCHEMA.items():
+        doc[name] = []
+        for part in getattr(lattice, name):
+            fields = iter(vars(part).values())
+            doc[name].append({key: [next(fields), next(fields)] if read is _id_pair
+                              else next(fields) for key, read in keys.items()})
     return json.dumps(doc, indent=2, sort_keys=True)

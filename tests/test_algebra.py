@@ -60,6 +60,17 @@ class TestLinearForm:
         npt.assert_allclose(d.g, [0.5, 3.0, 3.0])
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: LinearForm((1.0, 2.0), 0.0), "expected a 3-vector, got shape (2,)"),
+    (lambda: Quadric(np.eye(2), np.zeros(3), 0.0), "A must be 3x3, got (2, 2)"),
+    (lambda: jacobi_eigen3(np.eye(2)), "jacobi_eigen3 expects a 3x3 matrix"),
+], ids=["vector", "quadric", "jacobi"])
+def test_wrong_shape_rejected(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 class TestQuadric:
     def test_unit_sphere_center(self):
         assert UNIT_SPHERE.value((0.0, 0.0, 0.0)) == -1.0
@@ -326,6 +337,10 @@ class TestClassify:
     def test_all_zero(self):
         with pytest.raises(AllZeroError):
             classify_quadric(Quadric(np.zeros((3, 3)), np.zeros(3), 0.0))
+        # The rule reads the coefficient scale as given, not as classified.
+        with pytest.raises(AllZeroError):
+            classify_quadric(UNIT_SPHERE.scaled(1e-301))
+        assert classify_quadric(UNIT_SPHERE.scaled(1e-299)).label is QuadricClass.ELLIPSOID
 
     def test_definite_below_product_underflow(self):
         # The eigenvalues' product underflows to 0; their signs still agree.
@@ -333,6 +348,26 @@ class TestClassify:
         assert classify_quadric(Quadric(A, np.zeros(3), 0.0)).label is QuadricClass.LINE
         assert (classify_quadric(Quadric(A, np.zeros(3), -1e-162)).label
                 is QuadricClass.ELLIPTIC_CYLINDER)
+
+    @pytest.mark.parametrize("label,A,b,c,step", [
+        (QuadricClass.ELLIPTIC_PARABOLOID, np.diag([1.0, 0.1, 0.0]), (0, 0, -1.0), 0.0, 1),
+        (QuadricClass.SINGLE_PLANE, np.zeros((3, 3)), (1.0, 0, 0), 0.0, 1),
+    ] + [(*row, 37) for row in CLASS_FIXTURES], ids=["paraboloid", "plane"] + CLASS_IDS)
+    def test_scale_equivariant(self, label, A, b, c, step):
+        # Scaling by 2**k is exact, so every field but diag and scalar keeps its
+        # bits and those two scale by 2**k, also where |k| > 511 takes squares
+        # of the coefficients out of the normal float range.
+        rng = np.random.default_rng(5)
+        q = Quadric(*transformed_quadric(A, b, c, random_rotation(rng), rng.uniform(-2, 2, 3)))
+        ref = classify_quadric(q)
+        assert ref.label is label
+        for k in range(-560, 561, step):
+            cls = classify_quadric(q.scaled(2.0**k))
+            assert (cls.label, cls.parabolic_axis) == (label, ref.parabolic_axis), k
+            npt.assert_array_equal(cls.rotation, ref.rotation)
+            npt.assert_array_equal(cls.translation, ref.translation)
+            assert cls.diag == tuple(d * 2.0**k for d in ref.diag), k
+            assert cls.scalar == ref.scalar * 2.0**k, k
 
     @pytest.mark.parametrize("label,A,b,c", [
         (QuadricClass.SINGLE_PLANE, np.zeros((3, 3)), (0, 0, 0.5), 0.0),

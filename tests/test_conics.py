@@ -154,6 +154,11 @@ class TestSampling:
         lower = [p for p in pts if p[2] < 0]
         assert len(upper) == len(lower) == 8
 
+    def test_fewer_than_two_samples_rejected(self):
+        conic = intersect_quadric_plane(UNIT_SPHERE, LinearForm((0.0, 0.0, 1.0), -0.5))
+        with pytest.raises(ValueError, match="n >= 2"):
+            sample_conic(conic, 1)
+
     def test_point_not_a_curve(self):
         conic = intersect_quadric_plane(UNIT_SPHERE, LinearForm((0.0, 0.0, 1.0), -1.0))
         assert conic.klass is ConicClass.POINT

@@ -17,6 +17,7 @@ from quador.algebra import (
     QuadricClass,
     classify_quadric,
     linear_product,
+    principal_curvatures,
     subtract_square,
 )
 from quador.conics import COMPACT_CLASSES, Conic, ConicClass, plane_frame, sample_conic
@@ -99,6 +100,13 @@ def perp_stubs(lattice):
 
 
 class TestBuildFillet:
+    def test_opposite_axes_with_crossing_planes(self, perp_lattice):
+        # Hand-built stubs: the planes cross, but the axes leave no outward bisector.
+        s1, s2 = perp_stubs(perp_lattice)
+        s2 = dataclasses.replace(s2, axis=-s1.axis)
+        with pytest.raises(ParallelStubsError, match="stub axes are opposite"):
+            build_fillet(s1, s2, 1.0)
+
     def test_beta_half_chamfer(self, perp_lattice_beta):
         lat = perp_lattice_beta(0.5)
         patch = build_fillet(*perp_stubs(lat), 0.5)
@@ -347,6 +355,17 @@ class TestMinCurvatureRadius:
     def test_beta_one(self, perp_lattice):
         patch = build_fillet(*perp_stubs(perp_lattice), 1.0)
         assert fillet_min_curvature_radius(patch) == pytest.approx(0.4082, abs=1e-3)
+
+    def test_bisector_along_a_null_direction(self, perp_lattice):
+        # The parabolic cylinder z^2 - 2x - 2y + 1 has w.A.w == 0 along the
+        # bisector w = (1, 1, 0)/sqrt(2), so the ray meets it at the root of a
+        # linear equation.
+        Q = Quadric(np.diag([0.0, 0.0, 1.0]), (-1.0, -1.0, 0.0), 1.0)
+        patch = dataclasses.replace(build_fillet(*perp_stubs(perp_lattice), 1.0), Q=Q)
+        w = patch.bisector
+        assert w @ Q.A @ w == 0.0
+        k1, k2 = principal_curvatures(Q, -Q.c / (2.0 * (Q.b @ w)) * w)
+        assert fillet_min_curvature_radius(patch) == 1.0 / max(abs(k1), abs(k2))
 
     def test_sphere_control(self):
         # Same machinery applied to a hub sphere returns its radius.

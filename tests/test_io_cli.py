@@ -20,6 +20,7 @@ import numpy.testing as npt
 import pytest
 
 import quador
+import quador.latticefile
 import quador.verify
 import quador.writers
 from quador.algebra import Quadric, _axis_complement, stack_forms, stacked_values
@@ -110,6 +111,40 @@ class TestLoadLattice:
         with pytest.raises(ParseError) as exc:
             load_lattice(json.dumps(doc))
         assert exc.value.location == loc
+
+    @pytest.mark.parametrize("doc,loc", [
+        ({"hubs": [{"id": 5, "center": [0, 0], "radius": 1}]}, "/hubs/0/id"),
+        ({"hubs": [{"radius": "1", "center": [0, "y", 0], "id": "h"}]}, "/hubs/0/center/1"),
+        ({"beams": [{"id": 5, "hubs": ["a"], "k": 1}]}, "/beams/0/id"),
+        ({"fillets": [{"hub": "h", "beams": ["a", 3], "beta": None}]}, "/fillets/0/beams/1"),
+    ])
+    def test_two_faults_report_the_first_in_schema_order(self, doc, loc):
+        with pytest.raises(ParseError) as exc:
+            load_lattice(json.dumps(doc))
+        assert exc.value.location == loc
+
+    def test_missing_key_is_the_same_on_every_run(self, tmp_path):
+        # Keys are checked in schema order, not in the order of a hashed set.
+        path = tmp_path / "no_id.json"
+        path.write_text('{"hubs": [{"center": [0, 0, 0]}]}')
+        runs = [subprocess.Popen([sys.executable, "-m", "quador.cli", "classify", str(path)],
+                                 stderr=subprocess.PIPE, text=True,
+                                 env=child_env(PYTHONHASHSEED=str(seed)))
+                for seed in range(8)]
+        errors = [(run.communicate(timeout=60)[1], run.returncode) for run in runs]
+        assert errors == [("quador: parse error at /hubs/0: missing required key 'id'\n", 1)] * 8
+
+    def test_schema_docs_name_the_schema_keys(self):
+        # The README's example and the module docstring list _SCHEMA's sections
+        # and keys, in order.
+        schema = [(name, list(keys)) for name, (_, keys) in quador.latticefile._SCHEMA.items()]
+        readme = (FIXTURES.parent / "README.md").read_text()
+        block = readme.split("## Lattice files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        example = json.loads(block)
+        assert [(name, list(items[0])) for name, items in example.items()] == schema
+        docstring = quador.latticefile.__doc__.split("::\n", 1)[1].split("\n\n", 1)[0]
+        declared = re.findall(r'"(\w+)":\s*\[\{(.*?)\}\]', docstring)
+        assert [(name, re.findall(r'"(\w+)":', keys)) for name, keys in declared] == schema
 
     @pytest.mark.parametrize("text,loc", [
         ('{"hubs": [], "beams": [], "hubs": []}', "/hubs"),
@@ -591,6 +626,19 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"quador: cannot read {pts}: ")
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("data,offset", [
+        (b"x,y,z\n\xff\xfe1,2,3\n", 6),
+        (b"\xef\xbb\xbf0,0,0\n0,0,\xe9\n", 13),  # the offset counts the byte-order mark
+    ], ids=["plain", "byte-order-mark"])
+    def test_sample_points_not_utf8(self, data, offset, tmp_path, capsys):
+        pts = tmp_path / "bad.csv"
+        pts.write_bytes(data)
+        out = tmp_path / "o.csv"
+        assert main(["sample", str(BETA1), "--points", str(pts), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"quador: malformed point file {pts}: not UTF-8 at byte {offset}\n")
+        assert not out.exists()
+
     def test_sample_malformed_row(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
         pts.write_text("0,0,0\na,b\n")
@@ -776,16 +824,21 @@ def test_mesh_resolution_range(tmp_path, capsys):
     assert args.resolution == 512
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """``python -m quador.cli *args`` in a child that imports the same quador
-    as this test, installed or not."""
+def child_env(**extra: str) -> dict:
+    """The environment, plus ``extra``, for a child that imports the same
+    quador as this test, installed or not."""
     src = str(Path(quador.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m quador.cli *args`` in a child, as :func:`child_env` says."""
     return subprocess.run(
         [sys.executable, "-m", "quador.cli", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
 
 
@@ -1120,6 +1173,34 @@ class TestWriteContract:
         assert out.stat().st_ino == inode
         assert out.read_bytes() == ref.read_bytes()
         assert temp_files(tmp_path) == []
+
+    def test_temp_file_refused_writes_in_place(self, tmp_path, monkeypatch, capsys):
+        # What a read-only directory does, for any user, root included: the
+        # temp file cannot be created, so the output is written in place.
+        ref, out = tmp_path / "ref.stl", tmp_path / "out.stl"
+        assert main(OUTPUTS["stl"](str(ref))) == 0
+        out.write_bytes(b"old")
+        inode = out.stat().st_ino
+
+        def refuse_new(file, mode="r", *args):
+            if "x" in mode:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+            return open(file, mode, *args)
+
+        monkeypatch.setattr(quador.writers, "open", refuse_new, raising=False)
+        assert main(OUTPUTS["stl"](str(out))) == 0
+        assert out.stat().st_ino == inode
+        assert out.read_bytes() == ref.read_bytes()
+        assert temp_files(tmp_path) == []
+
+    def test_path_below_a_file_exit_two(self, tmp_path, capsys):
+        # Its lstat fails with NotADirectoryError, so it is written in place,
+        # which fails too.
+        (tmp_path / "file").write_bytes(b"")
+        out = tmp_path / "file" / "out.stl"
+        assert main(OUTPUTS["stl"](str(out))) == 2
+        assert f"cannot write {out}: " in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
 
     @AS_ROOT
     def test_read_only_output_exit_two(self, tmp_path, capsys):
