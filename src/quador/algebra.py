@@ -114,8 +114,9 @@ class Quadric:
         A = np.asarray(self.A, dtype=float)
         if A.shape != (3, 3):
             raise ValueError(f"A must be 3x3, got {A.shape}")
-        # Store exactly symmetric: averaging makes A[i,j] == A[j,i] bitwise.
-        object.__setattr__(self, "A", _freeze(0.5 * (A + A.T)))
+        # Store exactly symmetric: averaging makes A[i,j] == A[j,i] bitwise;
+        # halving first keeps a sum near the float maximum from overflowing.
+        object.__setattr__(self, "A", _freeze(0.5 * A + 0.5 * A.T))
         object.__setattr__(self, "b", _freeze(_vec(self.b)))
         object.__setattr__(self, "c", float(self.c))
 
@@ -160,8 +161,8 @@ def subtract_square(q: Quadric, lin: LinearForm) -> Quadric:
 
 def linear_product(p: LinearForm, q: LinearForm) -> Quadric:
     """The quadric ``P(x) * Q(x)`` of two linear forms."""
-    A = 0.5 * (np.outer(p.g, q.g) + np.outer(q.g, p.g))
-    b = 0.5 * (p.c0 * q.g + q.c0 * p.g)
+    A = 0.5 * np.outer(p.g, q.g) + 0.5 * np.outer(q.g, p.g)  # halved first: no overflow
+    b = 0.5 * p.c0 * q.g + 0.5 * q.c0 * p.g
     return Quadric(A, b, p.c0 * q.c0)
 
 

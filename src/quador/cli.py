@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import classify_quadric
-from .conics import ConicClass, sample_conic
+from .conics import CLOSED_CLASSES, ConicClass, conic_pieces, sample_conic
 from .errors import ParseError, QuadorError, ValidationError
 from .fillet import PLANE_PAIR_CLASSES
 from .latticefile import load_lattice
@@ -105,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conics", help="export fillet tangency conics as OBJ polylines")
     p.add_argument("lattice")
-    p.add_argument("--samples-per-curve", type=_numbers(int, low=2, high=100_000), default=128,
-                   help="points per curve (2..100000)")
+    p.add_argument("--samples-per-curve", type=_numbers(int, low=4, high=100_000), default=128,
+                   help="points per curve, at least 2 per branch or line (4..100000)")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("sample", help="classify points from a CSV or grid")
@@ -179,21 +179,15 @@ def _cmd_conics(args) -> int:
     curves = []
     for p in assembly.fillets:
         for which, conic in (("stub1", p.conic1), ("stub2", p.conic2)):
-            pts = sample_conic(conic, args.samples_per_curve)
-            closed = conic.klass in (ConicClass.ELLIPSE, ConicClass.CIRCLE)
+            closed = conic.klass in CLOSED_CLASSES
             comment = f"fillet {p.key} {which} class={conic.klass.value}"
             if not closed:
                 r = UNBOUNDED_PARAM_RANGE
                 comment += f" param_range=[{-r:g}, {r:g}] per branch"
-            part = {ConicClass.HYPERBOLA: "branch", ConicClass.PARALLEL_LINES: "line",
-                    ConicClass.CROSSING_LINES: "line"}.get(conic.klass)
-            if part:
-                # One polyline each; sample_conic gives the first n - n // 2 points.
-                half = len(pts) - len(pts) // 2
-                curves.append((pts[:half], False, comment + f" ({part} 1 of 2)"))
-                curves.append((pts[half:], False, comment + f" ({part} 2 of 2)"))
-            else:
-                curves.append((pts, closed, comment))
+            pieces = conic_pieces(conic, sample_conic(conic, args.samples_per_curve))
+            part = "branch" if conic.klass is ConicClass.HYPERBOLA else "line"
+            labels = [""] if len(pieces) == 1 else [f" ({part} {i} of 2)" for i in (1, 2)]
+            curves += [(piece, closed, comment + label) for piece, label in zip(pieces, labels)]
     count = _write(args.output, write_obj_polylines, curves, args.output)
     print(f"{count} polylines -> {args.output}")
     return EXIT_OK

@@ -5,6 +5,9 @@ the frame into a quadric yields exact 2D coefficients
 ``a s^2 + 2b st + c t^2 + 2d s + 2e t + f`` which are classified and given a
 closed-form parametrization.  Sampled points satisfy both the 2D implicit
 equation and the original 3D quadric to tight relative tolerance.
+``CURVE_CLASSES``, ``COMPACT_CLASSES`` and ``CLOSED_CLASSES`` say once which
+classes are curves, bounded and closed; :func:`conic_pieces` splits samples
+into the polylines that draw them.
 """
 
 from __future__ import annotations
@@ -15,19 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import LinearForm, Quadric, _axis_complement
+from .algebra import LinearForm, Quadric, _axis_complement, stack_forms, stacked_values
 from .charts import SurfaceChart
-from .errors import (
-    AllZeroError,
-    NotACurveError,
-    PointOffSurfaceError,
-    ZeroGradientError,
-)
-from .tolerances import (
-    CONIC_CLASSIFY_TOL,
-    SURF_RESIDUAL_TOL,
-    UNBOUNDED_PARAM_RANGE,
-)
+from .errors import AllZeroError, NotACurveError, PointOffSurfaceError, ZeroGradientError
+from .tolerances import CONIC_CLASSIFY_TOL, SURF_RESIDUAL_TOL, UNBOUNDED_PARAM_RANGE
 
 __all__ = [
     "PlaneFrame",
@@ -37,6 +31,7 @@ __all__ = [
     "intersect_quadric_plane",
     "classify_conic",
     "sample_conic",
+    "conic_pieces",
     "pcurve",
 ]
 
@@ -55,21 +50,14 @@ class ConicClass(Enum):
     EMPTY = "EMPTY"
 
 
+#: Classes that are closed curves, drawn as one loop.
+CLOSED_CLASSES = frozenset({ConicClass.ELLIPSE, ConicClass.CIRCLE})
+
 #: Classes that are bounded point sets.
-COMPACT_CLASSES = frozenset({ConicClass.ELLIPSE, ConicClass.CIRCLE, ConicClass.POINT})
+COMPACT_CLASSES = CLOSED_CLASSES | {ConicClass.POINT}
 
 #: Classes that contain at least one curve point.
-CURVE_CLASSES = frozenset(
-    {
-        ConicClass.ELLIPSE,
-        ConicClass.CIRCLE,
-        ConicClass.PARABOLA,
-        ConicClass.HYPERBOLA,
-        ConicClass.PARALLEL_LINES,
-        ConicClass.CROSSING_LINES,
-        ConicClass.SINGLE_LINE,
-    }
-)
+CURVE_CLASSES = frozenset(ConicClass) - {ConicClass.POINT, ConicClass.EMPTY}
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +153,8 @@ def classify_conic(coeffs) -> ConicClass:
 
 
 def _analyze(coeffs):
-    """Classification plus parametrization data; shared with the builder."""
+    """``(klass, fields)``: the class and the parametrization fields of
+    :class:`Conic` that it sets, by name; shared with the builder."""
     a, b, c, d, e, f = (float(x) for x in coeffs)
     scale = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
     if scale <= 1e-300:
@@ -178,10 +167,10 @@ def _analyze(coeffs):
         # Purely linear.
         ln = math.hypot(d, e)
         if ln <= thr:
-            return (ConicClass.EMPTY, None, None, (), ())
+            return ConicClass.EMPTY, {}
         base = np.array([-f * d, -f * e]) / (2.0 * ln * ln)
         direction = np.array([-e, d]) / ln
-        return (ConicClass.SINGLE_LINE, None, None, (), ((base, direction),))
+        return ConicClass.SINGLE_LINE, dict(lines=((base, direction),))
 
     zero = np.abs(mu) <= CONIC_CLASSIFY_TOL * mu_max
     lin = E @ np.array([d, e])
@@ -195,16 +184,16 @@ def _analyze(coeffs):
         if mu[0] * mu[1] > 0:
             sgn = math.copysign(1.0, mu[0])
             if c_zero:
-                return (ConicClass.POINT, center, None, (), ())
+                return ConicClass.POINT, dict(center=center)
             if c_t * sgn > 0:
-                return (ConicClass.EMPTY, None, None, (), ())
+                return ConicClass.EMPTY, {}
             radii = (math.sqrt(-c_t / mu[0]), math.sqrt(-c_t / mu[1]))
             klass = (
                 ConicClass.CIRCLE
                 if abs(mu[0] - mu[1]) <= CONIC_CLASSIFY_TOL * mu_max
                 else ConicClass.ELLIPSE
             )
-            return (klass, center, E, radii, ())
+            return klass, dict(center=center, axes=E, radii=radii)
         if c_zero:
             # Two crossing lines through the center.
             k = math.sqrt(-mu[1] / mu[0])
@@ -212,19 +201,14 @@ def _analyze(coeffs):
             d2 = -E[0] * k + E[1]
             d1 /= np.linalg.norm(d1)
             d2 /= np.linalg.norm(d2)
-            return (
-                ConicClass.CROSSING_LINES,
-                center,
-                None,
-                (),
-                ((center, d1), (center, d2)),
-            )
+            lines = ((center, d1), (center, d2))
+            return ConicClass.CROSSING_LINES, dict(center=center, lines=lines)
         ti = 0 if mu[0] * c_t < 0 else 1
         oi = 1 - ti
         ra = math.sqrt(-c_t / mu[ti])
         rb = math.sqrt(c_t / mu[oi])
         axes = np.vstack([E[ti], E[oi]])
-        return (ConicClass.HYPERBOLA, center, axes, (ra, rb), ())
+        return ConicClass.HYPERBOLA, dict(center=center, axes=axes, radii=(ra, rb))
 
     # Rank one: mu[0] nonzero (|mu| descending), mu[1] ~ 0.
     w1c = -lin[0] / mu[0]
@@ -234,22 +218,16 @@ def _analyze(coeffs):
         vertex = E.T @ np.array([w1c, -c_t / (2.0 * lin[1])])
         kappa = -mu[0] / (2.0 * lin[1])
         axes = np.vstack([E[0], E[1]])
-        return (ConicClass.PARABOLA, vertex, axes, (kappa,), ())
+        return ConicClass.PARABOLA, dict(center=vertex, axes=axes, radii=(kappa,))
     if abs(c_t) <= thr:
         base = E.T @ np.array([w1c, 0.0])
-        return (ConicClass.SINGLE_LINE, None, None, (), ((base, E[1].copy()),))
+        return ConicClass.SINGLE_LINE, dict(lines=((base, E[1].copy()),))
     if c_t * math.copysign(1.0, mu[0]) < 0:
         off = math.sqrt(-c_t / mu[0])
         base1 = E.T @ np.array([w1c + off, 0.0])
         base2 = E.T @ np.array([w1c - off, 0.0])
-        return (
-            ConicClass.PARALLEL_LINES,
-            None,
-            None,
-            (),
-            ((base1, E[1].copy()), (base2, E[1].copy())),
-        )
-    return (ConicClass.EMPTY, None, None, (), ())
+        return ConicClass.PARALLEL_LINES, dict(lines=((base1, E[1].copy()), (base2, E[1].copy())))
+    return ConicClass.EMPTY, {}
 
 
 def intersect_quadric_plane(q: Quadric, lin: LinearForm) -> Conic:
@@ -265,8 +243,8 @@ def intersect_quadric_plane(q: Quadric, lin: LinearForm) -> Conic:
     d = float(u @ Ax0 + q.b @ u)
     e = float(v @ Ax0 + q.b @ v)
     f = q.value(x0)
-    klass, center, axes, radii, lines = _analyze((a, b, c, d, e, f))
-    return Conic(fr, (a, b, c, d, e, f), klass, center, axes, radii, lines)
+    klass, fields = _analyze((a, b, c, d, e, f))
+    return Conic(fr, (a, b, c, d, e, f), klass, **fields)
 
 
 def sample_conic(conic: Conic, n: int) -> np.ndarray:
@@ -311,6 +289,16 @@ def sample_conic(conic: Conic, n: int) -> np.ndarray:
     return conic.point3d(pts2[:, :1], pts2[:, 1:])  # (n, 1) columns broadcast
 
 
+def conic_pieces(conic: Conic, pts: np.ndarray) -> list[np.ndarray]:
+    """``sample_conic(conic, n)``'s points as the polylines that draw them: a
+    hyperbola's two branches or a line pair's two lines, the first with the
+    ``n - n // 2`` points sampled first; any other class in one piece."""
+    if conic.klass is ConicClass.HYPERBOLA or len(conic.lines) == 2:
+        half = len(pts) - len(pts) // 2
+        return [pts[:half], pts[half:]]
+    return [pts]
+
+
 def pcurve(conic: Conic, chart: SurfaceChart, n: int) -> np.ndarray:
     """Trimming curve of a conic in a chart's parameter space.
 
@@ -320,18 +308,13 @@ def pcurve(conic: Conic, chart: SurfaceChart, n: int) -> np.ndarray:
     """
     q = chart.classification.reconstruct()
     pts = sample_conic(conic, n)
-    params = []
-    for p in pts:
-        scale = max(1.0, float(np.abs(q.coeffs()).max()) * max(1.0, float(p @ p)))
-        if abs(q.value(p)) > SURF_RESIDUAL_TOL * scale:
-            raise PointOffSurfaceError(
-                f"conic sample {tuple(p)} is not on the chart surface"
-            )
-        params.append(chart.inverse(p))
-    uv = np.array(params, dtype=float)
+    scale = np.maximum(1.0, np.abs(q.coeffs()).max() * np.maximum(1.0, (pts * pts).sum(1)))
+    off = np.abs(stacked_values(stack_forms([q]), pts)[:, 0]) > SURF_RESIDUAL_TOL * scale
+    if off.any():
+        p = pts[off.argmax()]
+        raise PointOffSurfaceError(f"conic sample {tuple(p)} is not on the chart surface")
+    uv = np.array([chart.inverse(p) for p in pts], dtype=float)
     for col, period in ((0, chart.u_period), (1, chart.v_period)):
         if period > 0.0:
-            for i in range(1, len(uv)):
-                jump = uv[i, col] - uv[i - 1, col]
-                uv[i, col] -= period * round(jump / period)
+            uv[:, col] = np.unwrap(uv[:, col], period=period)
     return uv

@@ -15,6 +15,7 @@ from quador.algebra import (
     _norm,
     classify_quadric,
     jacobi_eigen3,
+    linear_product,
     principal_curvatures,
     stack_forms,
     stacked_values,
@@ -85,6 +86,22 @@ class TestQuadric:
     def test_symmetric_storage(self):
         q = Quadric([[1.0, 2.0, 0.0], [0.0, 3.0, 5.0], [4.0, 0.0, 6.0]], np.zeros(3), 0.0)
         npt.assert_array_equal(q.A, q.A.T)
+
+    def test_symmetrizing_near_the_float_maximum_stays_finite(self):
+        # A[i,j] + A[j,i] overflows; each half does not.
+        big = 1.7e308
+        q = Quadric(np.diag([big, big, big]), np.zeros(3), -big)
+        npt.assert_array_equal(q.A, np.diag([big, big, big]))
+        assert classify_quadric(q).label is QuadricClass.ELLIPSOID
+        off = Quadric([[0.0, big, 0.0], [big, 0.0, 0.0], [0.0, 0.0, 1.0]], np.zeros(3), 0.0)
+        assert off.A[0, 1] == off.A[1, 0] == big
+
+    def test_linear_product_near_the_float_maximum_stays_finite(self):
+        got = linear_product(LinearForm((1e308, 0.0, 0.0), 1e308),
+                             LinearForm((1.5, 0.0, 0.0), 1.5))
+        assert got.A[0, 0] == 1.5e308
+        npt.assert_array_equal(got.b, [1.5e308, 0.0, 0.0])
+        assert got.c == 1.5e308
 
     def test_sphere_gradient(self):
         npt.assert_allclose(UNIT_SPHERE.gradient((0.0, 0.6, 0.8)), [0.0, 1.2, 1.6])

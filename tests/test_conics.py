@@ -9,8 +9,12 @@ import pytest
 from quador.algebra import LinearForm, Quadric, classify_quadric
 from quador.charts import parametrize
 from quador.conics import (
+    CLOSED_CLASSES,
+    COMPACT_CLASSES,
+    CURVE_CLASSES,
     ConicClass,
     classify_conic,
+    conic_pieces,
     intersect_quadric_plane,
     pcurve,
     plane_frame,
@@ -22,7 +26,7 @@ from quador.errors import (
     PointOffSurfaceError,
     ZeroGradientError,
 )
-from quador.tolerances import UNBOUNDED_PARAM_RANGE
+from quador.tolerances import SURF_RESIDUAL_TOL, UNBOUNDED_PARAM_RANGE
 
 from conftest import random_rotation, transformed_quadric
 
@@ -247,6 +251,46 @@ class TestBatchedSampling:
                         ConicClass.CROSSING_LINES, ConicClass.SINGLE_LINE}
 
 
+class TestClassFacts:
+    # class: (a curve, compact, closed)
+    TABLE = {
+        ConicClass.ELLIPSE: (True, True, True),
+        ConicClass.CIRCLE: (True, True, True),
+        ConicClass.PARABOLA: (True, False, False),
+        ConicClass.HYPERBOLA: (True, False, False),
+        ConicClass.PARALLEL_LINES: (True, False, False),
+        ConicClass.CROSSING_LINES: (True, False, False),
+        ConicClass.SINGLE_LINE: (True, False, False),
+        ConicClass.POINT: (False, True, False),
+        ConicClass.EMPTY: (False, False, False),
+    }
+
+    def test_membership_of_every_class(self):
+        assert set(self.TABLE) == set(ConicClass)
+        for klass, facts in self.TABLE.items():
+            got = (klass in CURVE_CLASSES, klass in COMPACT_CLASSES, klass in CLOSED_CLASSES)
+            assert got == facts, klass
+
+
+class TestConicPieces:
+    TWO_PIECES = {ConicClass.HYPERBOLA, ConicClass.PARALLEL_LINES, ConicClass.CROSSING_LINES}
+
+    def test_pieces_concatenate_to_the_samples(self):
+        seen = set()
+        for q, lin in TestBatchedSampling.CASES:
+            conic = intersect_quadric_plane(q, lin)
+            seen.add(conic.klass)
+            for n in (4, 5, 7, 128):
+                pts = sample_conic(conic, n)
+                pieces = conic_pieces(conic, pts)
+                assert np.concatenate(pieces).tobytes() == pts.tobytes()
+                if conic.klass in self.TWO_PIECES:
+                    assert [len(piece) for piece in pieces] == [n - n // 2, n // 2]
+                else:
+                    assert len(pieces) == 1
+        assert seen == CURVE_CLASSES
+
+
 class TestPCurve:
     def test_sphere_circle_constant_latitude(self):
         conic = intersect_quadric_plane(UNIT_SPHERE, LinearForm((0.0, 0.0, 1.0), -0.5))
@@ -273,3 +317,55 @@ class TestPCurve:
         chart = parametrize(classify_quadric(CYLINDER_X))
         with pytest.raises(PointOffSurfaceError):
             pcurve(conic, chart, 16)
+
+
+def per_point_pcurve(conic, chart, n):
+    """``pcurve`` as one surface check and one unwrap step per sample."""
+    q = chart.classification.reconstruct()
+    params = []
+    for p in sample_conic(conic, n):
+        scale = max(1.0, float(np.abs(q.coeffs()).max()) * max(1.0, float(p @ p)))
+        if abs(q.value(p)) > SURF_RESIDUAL_TOL * scale:
+            raise PointOffSurfaceError(f"conic sample {tuple(p)} is not on the chart surface")
+        params.append(chart.inverse(p))
+    uv = np.array(params, dtype=float)
+    for col, period in ((0, chart.u_period), (1, chart.v_period)):
+        if period > 0.0:
+            for i in range(1, len(uv)):
+                jump = uv[i, col] - uv[i - 1, col]
+                uv[i, col] -= period * round(jump / period)
+    return uv
+
+
+class TestPCurveMatchesPerPointLoop:
+    def test_sphere_and_cylinder_charts(self):
+        rng = np.random.default_rng(11)
+        cases = [(UNIT_SPHERE, LinearForm(rng.normal(size=3), rng.uniform(-0.5, 0.5)))
+                 for _ in range(8)]
+        cases += [(CYLINDER_X, LinearForm(rng.normal(size=3), rng.uniform(-0.5, 0.5)))
+                  for _ in range(8)]
+        cases.append((CYLINDER_X, LinearForm((0.0, 1.0, 0.0), 0.0)))  # a line pair
+        for q, lin in cases:
+            conic = intersect_quadric_plane(q, lin)
+            chart = parametrize(classify_quadric(q))
+            for n in (4, 33, 256):
+                npt.assert_allclose(pcurve(conic, chart, n), per_point_pcurve(conic, chart, n),
+                                    rtol=0.0, atol=1e-12)
+
+    def test_off_surface_names_the_same_first_sample(self):
+        # The cut y = 0 of y^2 + z^2 = 1 is the lines z = 1 and z = -1; the
+        # cylinder y^2 + (z - 2 s)^2 = 1 holds only the line z = s.
+        conic = intersect_quadric_plane(CYLINDER_X, LinearForm((0.0, 1.0, 0.0), 0.0))
+        names_first = []
+        for s in (1.0, -1.0):
+            other = Quadric(np.diag([0.0, 1.0, 1.0]), (0.0, 0.0, -2.0 * s), 3.0)
+            chart = parametrize(classify_quadric(other))
+            for n in (4, 9):
+                with pytest.raises(PointOffSurfaceError) as want:
+                    per_point_pcurve(conic, chart, n)
+                with pytest.raises(PointOffSurfaceError) as got:
+                    pcurve(conic, chart, n)
+                assert str(got.value) == str(want.value)
+                first = f"conic sample {tuple(sample_conic(conic, n)[0])} is not on the chart surface"
+                names_first.append(str(want.value) == first)
+        assert sorted(names_first) == [False, False, True, True]  # a later sample for one s

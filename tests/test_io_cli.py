@@ -597,6 +597,21 @@ class TestCli:
             d1, d2 = pts[1] - pts[0], pts[-1] - pts[0]
             assert np.linalg.norm(np.cross(d1, d2)) <= 1e-9 * np.linalg.norm(d1) ** 2
 
+    def test_conics_too_few_samples_for_two_pieces_exit_one(self, tmp_path, capsys):
+        # At 3, a line pair's second line would get one vertex: no OBJ line element.
+        out = tmp_path / "c.obj"
+        assert main(["conics", str(BETA05), "--samples-per-curve", "3", "-o", str(out)]) == 1
+        assert "argument --samples-per-curve:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_conics_fewest_samples_two_vertices_per_line(self, tmp_path):
+        out = tmp_path / "c.obj"
+        assert main(["conics", str(BETA05), "--samples-per-curve", "4", "-o", str(out)]) == 0
+        polylines = obj_polylines(out)
+        assert [len(pts) for _, pts in polylines] == [2, 2, 2, 2]
+        assert [comment.endswith(f"(line {i} of 2)")
+                for i, (comment, _) in zip((1, 2, 1, 2), polylines)] == [True] * 4
+
     def test_mesh_overflowing_bounds_exit_one(self, tmp_path, capsys):
         out = tmp_path / "m.stl"
         assert main(["mesh", str(BETA1), "--bounds=-1e308,-1,-1,1e308,1,1",
