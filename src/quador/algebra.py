@@ -208,13 +208,22 @@ def jacobi_eigen3(A) -> tuple[np.ndarray, np.ndarray]:
     ``JACOBI_OFFDIAG_TOL * ||A||_F`` within ``JACOBI_SWEEP_CAP`` sweeps,
     which always suffices for 3x3 symmetric input.
     """
-    a = np.array(A, dtype=float)
-    if a.shape != (3, 3):
+    m = np.array(A, dtype=float)
+    if m.shape != (3, 3):
         raise ValueError("jacobi_eigen3 expects a 3x3 matrix")
-    a = 0.5 * (a + a.T)
-    v = np.eye(3)
-    norm = np.linalg.norm(a)
+    with np.errstate(over="ignore"):
+        a = 0.5 * (m + m.T)
+        norm = np.linalg.norm(a)
     thresh = JACOBI_OFFDIAG_TOL * max(norm, 1e-300)
+    if norm == math.inf and np.isfinite(m).all():
+        # A sum or ||A||_F overflowed, not an entry.  Where a sum did, halve
+        # before adding, as Quadric does (halving the sum everywhere else
+        # keeps a subnormal's last bit); scale by the largest entry and apply
+        # the tolerance before scaling back.
+        a = np.where(np.isinf(a), 0.5 * m + 0.5 * m.T, a)
+        scale = np.abs(a).max()
+        thresh = JACOBI_OFFDIAG_TOL * scale * np.linalg.norm(a / scale)
+    v = np.eye(3)
 
     for _ in range(JACOBI_SWEEP_CAP):
         off = math.sqrt(a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2)

@@ -28,7 +28,8 @@ from .solid import auto_bounds, build_assembly, classify_point, marching_cubes
 from .tolerances import UNBOUNDED_PARAM_RANGE
 from .verify import run_verify
 from .writers import (
-    format_value,
+    _OBJ_ROWS,
+    format_values,
     write_obj_mesh,
     write_obj_polylines,
     write_output,
@@ -73,7 +74,8 @@ def _bounds(text: str):
 
 
 def _grid(text: str):
-    # A grid point costs about 420 bytes of peak RSS: at most about 2 GiB.
+    # A grid point costs about 120 bytes of peak RSS, mostly its CSV row held
+    # until the write: at most about 600 MiB.
     counts = _numbers(int, count=3, low=1)(text)
     if math.prod(counts) > 5_000_000:
         raise argparse.ArgumentTypeError(f"expected nx*ny*nz <= 5000000, got {text!r}")
@@ -193,7 +195,8 @@ def _cmd_conics(args) -> int:
     return EXIT_OK
 
 
-def _read_points_csv(path: str) -> list[tuple[float, float, float]]:
+def _read_points_csv(path: str) -> np.ndarray:
+    """The points of a CSV of ``x,y,z`` rows, as an ``(n, 3)`` array."""
     try:  # dropping the byte-order mark that spreadsheet exports write
         text = _read(path).decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
@@ -201,8 +204,7 @@ def _read_points_csv(path: str) -> list[tuple[float, float, float]]:
               file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
     points = []
-    rows = list(csv.reader(text.splitlines()))
-    for i, row in enumerate(rows):
+    for i, row in enumerate(csv.reader(text.splitlines())):
         if not row or (i == 0 and [c.strip().lower() for c in row[:3]] == ["x", "y", "z"]):
             continue
         try:
@@ -215,7 +217,7 @@ def _read_points_csv(path: str) -> list[tuple[float, float, float]]:
         except ValueError:
             print(f"quador: malformed point row {i + 1}: {row}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE) from None
-    return points
+    return np.array(points, dtype=float).reshape(-1, 3)
 
 
 def _csv_field(text: str) -> str:
@@ -232,24 +234,22 @@ def _cmd_sample(args) -> int:
     if args.points:
         pts = _read_points_csv(args.points)
     else:
-        nx, ny, nz = args.grid
         lo, hi = auto_bounds(assembly)
-        pts = [
-            (x, y, z)
-            for z in np.linspace(lo[2], hi[2], nz)
-            for y in np.linspace(lo[1], hi[1], ny)
-            for x in np.linspace(lo[0], hi[0], nx)
-        ]
-    lines = ["x,y,z,value,state,label"]
-    for p in pts:
-        res = classify_point(assembly, p)
-        lines.append(
-            ",".join(
-                [format_value(p[0]), format_value(p[1]), format_value(p[2]),
-                 format_value(res.value), res.state, _csv_field(str(res.label))]
-            )
-        )
-    _write(args.output, write_output, args.output, "\n".join(lines).encode("utf-8"), b"\n")
+        xs, ys, zs = (np.linspace(lo[i], hi[i], n) for i, n in enumerate(args.grid))
+        # z, then y, then x order: x varies fastest.
+        pts = np.stack(np.broadcast_arrays(xs, ys[:, None], zs[:, None, None]), axis=-1)
+        pts = pts.reshape(-1, 3)
+    # Classified and formatted a chunk of rows at a time, so only the points
+    # and the output bytes grow with the point count.
+    chunks = [b"x,y,z,value,state,label\n"]
+    for start in range(0, len(pts), _OBJ_ROWS):
+        rows = pts[start : start + _OBJ_ROWS]
+        res = classify_point(assembly, rows)
+        values = iter(format_values(np.column_stack((rows, res.value))))
+        labels = map(_csv_field, map(str, res.label))
+        chunks.append("".join(map("{},{},{},{},{},{}\n".format, values, values, values, values,
+                                  res.state.tolist(), labels)).encode("utf-8"))
+    _write(args.output, write_output, args.output, *chunks)
     print(f"{len(pts)} points -> {args.output}")
     return EXIT_OK
 

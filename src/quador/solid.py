@@ -15,6 +15,14 @@ coefficient stack, read by ``field_value``, ``classify_point`` and
 racing on first use at most build it twice.  All of it is safe for
 concurrent use.
 
+Points are evaluated in batches: ``field_value`` and ``classify_point``
+take one point or an ``(n, 3)`` array, and evaluate every form at a chunk
+of points in one ``stacked_values`` call, with the label rule applied to
+the whole chunk.  They keep the BLAS products and the ``np.fmin`` NaN rule
+of one point at a time, so each value keeps its bits however the points
+are batched, and ``sample.csv`` keeps its bytes; ``field_grid``'s
+term-by-term formula still differs from them in the last bits (see there).
+
 Each part matters only near its own hub, so on the grid that
 :func:`marching_cubes` meshes, ``field_grid`` evaluates a part only where
 its bounds cannot rule it out (:mod:`quador.cull`), and the grid keeps every
@@ -30,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Quadric, _vec, stack_forms, stacked_values
+from .algebra import Quadric, stack_forms, stacked_values
 from .errors import DegenerateBoundsError, ValidationError
 from .fillet import FilletPatch
 from .fillet import build_fillet_for_spec  # noqa: F401  (bench/tracing.py wraps it here)
@@ -79,6 +87,7 @@ class _PartTable(NamedTuple):
     stack: tuple  # stack_forms of every part's forms, in part order
     bounds: np.ndarray  # part i is stack rows bounds[i]:bounds[i + 1]
     by_label: np.ndarray  # part indices, preferred label first
+    labels: np.ndarray  # object: the parts' labels in by_label order, then OUTSIDE
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +115,8 @@ class Assembly:
                        key=lambda i: (_KIND_RANK[parts[i][0].kind], parts[i][0].key))
         bounds = np.cumsum([0] + [len(fns) for _, fns in parts])
         stack = stack_forms(f for _, fns in parts for f in fns)
-        return _PartTable(tuple(parts), stack, bounds, np.array(order, dtype=int))
+        labels = np.array([parts[i][0] for i in order] + [OUTSIDE], dtype=object)
+        return _PartTable(tuple(parts), stack, bounds, np.array(order, dtype=int), labels)
 
     def parts(self) -> tuple:
         """(label, functions) in deterministic order."""
@@ -128,17 +138,40 @@ def build_assembly(lattice: Lattice) -> Assembly:
     return Assembly(lattice, lattice.hubs, resolved.geometry, resolved.patches)
 
 
-def _part_values(assembly: Assembly, x) -> np.ndarray:
-    """Each part's value at a point: the max of its forms' own ``value``, bit for bit."""
+def _points(x) -> tuple[np.ndarray, bool]:
+    """``x`` as an ``(n, 3)`` float array, and whether it was one point ``(3,)``."""
+    pts = np.asarray(x, dtype=float)
+    if pts.shape == (3,):
+        return pts[None], True
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected a point (3,) or points (n, 3), got shape {pts.shape}")
+    return pts, False
+
+
+def _part_values(assembly: Assembly, pts: np.ndarray):
+    """Each part's value at the points ``(n, 3)``, as ``(rows, values)`` per
+    chunk of points: ``values[k, i]`` is the max of part ``i``'s forms' own
+    ``value`` at point ``rows.start + k``, bit for bit."""
     table = assembly._table
-    forms = stacked_values(table.stack, _vec(x))
-    return np.maximum.reduceat(forms, table.bounds[:-1]) if len(forms) else forms
+    # stacked_values' largest temporary holds 3 floats per point-form; a
+    # chunk keeps it at _SLAB_POINTS // 4 floats (128 KiB), where sample's
+    # peak RSS measured lowest (a whole _SLAB_POINTS added about 0.9 MB).
+    step = max(1, _SLAB_POINTS // (12 * max(1, len(table.stack[2]))))
+    for start in range(0, len(pts), step):
+        rows = slice(start, start + step)
+        forms = stacked_values(table.stack, pts[rows])
+        yield rows, np.maximum.reduceat(forms, table.bounds[:-1], axis=-1)
 
 
-def field_value(assembly: Assembly, x) -> float:
-    """Implicit value of the solid at a point: min over all part values."""
-    # fmin skips a NaN part (a form that overflowed) rather than returning NaN.
-    return float(np.fmin.reduce(_part_values(assembly, x), initial=math.inf))
+def field_value(assembly: Assembly, x):
+    """Implicit value of the solid, the min over all part values: a float at
+    one point ``(3,)``, an ``(n,)`` array at points ``(n, 3)``."""
+    pts, one = _points(x)
+    out = np.empty(len(pts))
+    for rows, values in _part_values(assembly, pts):
+        # fmin skips a NaN part (a form that overflowed) rather than returning NaN.
+        np.fmin.reduce(values, axis=-1, initial=math.inf, out=out[rows])
+    return float(out[0]) if one else out
 
 
 # Grid points per field_grid slab: the slab's few float64 temporaries
@@ -176,7 +209,7 @@ def _lower_to_parts(out, table, parts, x, y, z):
 def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
     """The solid's field over broadcastable coordinate arrays.
 
-    Not :func:`field_value` vectorized: its term-by-term forms
+    Not the batched :func:`field_value`: its term-by-term forms
     (:func:`_form_grid`) and ``np.minimum`` differ from the point path's BLAS
     products and ``np.fmin`` in the last bits of about a quarter of the
     values, and at (1e160, 1e160, 0) it gives NaN where ``field_value`` gives
@@ -217,30 +250,54 @@ def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointClassification:
-    state: str  # "inside" | "outside" | "boundary"
-    label: RegionLabel
-    value: float
+    state: str  # "inside" | "outside" | "boundary"; an array of them for points
+    label: RegionLabel  # an object array of them for points
+    value: float  # a float64 array for points
+
+
+_STATES = np.array(["inside", "boundary", "outside"])
 
 
 def classify_point(assembly: Assembly, x, tol: float = 1e-9) -> PointClassification:
-    """Classify a point against the assembly.
+    """Classify one point ``(3,)``, or each of the points ``(n, 3)``.
 
     The state comes from the sign of the field (``|f| <= tol`` means
     boundary).  The label is the preferred part containing the point —
     hubs before beams before fillets, then lexicographic id — and the
     reported value is that part's own value, so a point inside a beam that
-    is also covered by a fillet reports the beam.
+    is also covered by a fillet reports the beam.  Outside every part the
+    label is ``OUTSIDE`` and the value is the field's.
+
+    For one point the fields are a ``str``, a :class:`RegionLabel` and a
+    ``float``; for ``n`` points they are arrays of length ``n`` (``<U8``,
+    object and float64).  Points are evaluated a chunk at a time with the
+    same products and the same NaN rule as one by one, so each value keeps
+    its bits however the points are batched.
     """
     if not tol >= 0.0:  # NaN too
         raise ValueError("tol must be >= 0")
-    values = _part_values(assembly, x)
-    best = float(np.fmin.reduce(values, initial=math.inf))
-    if best > tol:
-        return PointClassification("outside", OUTSIDE, best)
-    state = "boundary" if abs(best) <= tol else "inside"
-    order = assembly._table.by_label
-    i = order[np.argmax(values[order] <= tol)]
-    return PointClassification(state, assembly._table.parts[i][0], float(values[i]))
+    pts, one = _points(x)
+    table = assembly._table
+    order = table.by_label
+    state = np.empty(len(pts), dtype=np.intp)
+    choice = np.empty(len(pts), dtype=np.intp)
+    value = np.empty(len(pts))
+    for rows, values in _part_values(assembly, pts):
+        # The parts' values in label preference order, then the field; the
+        # first value <= tol names the label, and the last column, always
+        # taken, is OUTSIDE: no part value is <= tol (NaN never is).
+        ranked = np.empty((len(values), len(order) + 1))
+        ranked[:, :-1] = values[:, order]
+        best = np.fmin.reduce(values, axis=-1, initial=math.inf, out=ranked[:, -1])
+        hit = ranked <= tol
+        hit[:, -1] = True
+        choice[rows] = hit.argmax(axis=1)
+        value[rows] = ranked[np.arange(len(ranked)), choice[rows]]
+        state[rows] = np.where(choice[rows] == len(order), 2, np.abs(best) <= tol)
+    states, labels = _STATES[state], table.labels[choice]
+    if one:
+        return PointClassification(str(states[0]), labels[0], float(value[0]))
+    return PointClassification(states, labels, value)
 
 
 def _real_roots(a: float, b: float, c: float) -> list[float]:

@@ -37,6 +37,7 @@ __all__ = [
     "write_obj_mesh",
     "write_obj_polylines",
     "format_value",
+    "format_values",
     "write_output",
 ]
 
@@ -154,22 +155,31 @@ def format_value(x: float) -> str:
     return repr(float(x))
 
 
-# Rows of OBJ text per chunk handed to write_output.
+def format_values(values: np.ndarray) -> list[str]:
+    """Each value of a float array, in C order, as :func:`format_value`
+    prints it.
+
+    One ``repr`` formats them all.  A value's ``repr`` ends in ``.0`` exactly
+    where :func:`format_value` prints an integer (integral and below 1e16 in
+    size), and only ``-0.0`` then ends in ``-0``, so two replaces give
+    :func:`format_value`'s bytes.
+    """
+    if not np.size(values):
+        return []
+    text = repr(np.ravel(values).tolist())[1:-1] + ","
+    return text.replace(".0,", ",").replace("-0,", "0,")[:-1].split(", ")
+
+
+# Rows of text per chunk handed to write_output (OBJ records, sample rows).
 _OBJ_ROWS = 4096
 
 
 def _obj_vertex_rows(vertices: np.ndarray) -> list[bytes]:
-    """``v x y z`` rows, each value as :func:`format_value` prints it.
-
-    Each chunk of rows is formatted by one ``repr`` of its coordinates.  A
-    value's ``repr`` ends in ``.0`` exactly where :func:`format_value` prints
-    an integer (integral and below 1e16 in size), and only ``-0.0`` then ends
-    in ``-0``, so two replaces give :func:`format_value`'s bytes.
-    """
+    """``v x y z`` rows, each value as :func:`format_value` prints it, in
+    chunks of ``_OBJ_ROWS`` rows."""
     chunks = []
     for start in range(0, len(vertices), _OBJ_ROWS):
-        text = repr(vertices[start : start + _OBJ_ROWS].ravel().tolist())[1:-1] + ","
-        values = iter(text.replace(".0,", ",").replace("-0,", "0,")[:-1].split(", "))
+        values = iter(format_values(vertices[start : start + _OBJ_ROWS]))
         chunks.append("".join(map("v {} {} {}\n".format, values, values, values)).encode("ascii"))
     return chunks
 

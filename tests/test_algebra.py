@@ -277,6 +277,22 @@ class TestJacobi:
             # Oracle: numpy's symmetric eigensolver.
             npt.assert_allclose(evals, np.linalg.eigvalsh(A)[::-1], atol=1e-11 * max(norm, 1))
 
+    @pytest.mark.filterwarnings("error")
+    def test_near_the_float_maximum_raises_no_warning(self):
+        # A[i,i] + A[i,i] and ||A||_F overflow; the eigenvalues do not.
+        big = 1.7e308
+        evals, v = jacobi_eigen3(np.diag([big, big, big]))
+        npt.assert_array_equal(evals, [big, big, big])
+        npt.assert_array_equal(v, np.eye(3))
+        evals, v = jacobi_eigen3(np.diag([big, 1.0, -big]))
+        npt.assert_array_equal(evals, [big, 1.0, -big])
+        npt.assert_array_equal(v, np.eye(3))
+
+    def test_subnormal_entries_keep_their_bits(self):
+        # Halving 5e-324 first would round it to 0.
+        evals, _ = jacobi_eigen3(np.diag([5e-324, -1e-310, 0.0]))
+        assert evals.tolist() == [5e-324, 0.0, -1e-310]
+
 
 # ---------------------------------------------------------------------------
 # Classification

@@ -2,9 +2,9 @@
 
 The tracer wraps functions by the module attribute a caller imported; the
 traced mesh run reads the grid ``marching_cubes`` got from ``field_grid``,
-and the traced sample run counts one ``classify_point`` call per point.  A
-refactor that renames, drops or batches any of these breaks the traced
-benchmark without failing any other test.
+and the traced sample run times the ``classify_point`` calls that ``sample``
+makes through ``quador.cli``.  A refactor that renames or drops any of these
+breaks the traced benchmark without failing any other test.
 """
 
 import importlib
@@ -68,12 +68,18 @@ def test_marching_cubes_evaluates_culled_grid_once():
     assert np.array_equal(np.sign(grid), np.sign(dense))
 
 
-def test_sample_classifies_each_point_once(tmp_path):
-    # bench/run.py divides the traced classify_point time by its call count.
+def test_sample_classifies_each_point_once(tmp_path, monkeypatch):
+    # bench/run.py reads totals["solid.classify_point"]: sample must call it
+    # through quador.cli, and the batches it passes hold every row once.
+    rows = [(i * 0.25, 0.5, -0.25) for i in range(13)]
     points = tmp_path / "points.csv"
-    points.write_text("x,y,z\n" + "".join(f"{i * 0.25},0.5,-0.25\n" for i in range(13)))
+    points.write_text("x,y,z\n" + "".join(f"{x},{y},{z}\n" for x, y, z in rows))
     argv = ["sample", str(ROOT / "fixtures" / "perpendicular_beta1.json"),
             "--points", str(points), "-o", str(tmp_path / "sample.csv")]
+    passed = []
+    classify = quador.cli.classify_point
+    monkeypatch.setattr(quador.cli, "classify_point",
+                        lambda asm, pts, *a: passed.append(pts) or classify(asm, pts, *a))
     modules = {module: importlib.import_module(module) for module, _, _ in WRAPPED}
     tracer = Tracer()
     tracer.install(modules)
@@ -81,4 +87,6 @@ def test_sample_classifies_each_point_once(tmp_path):
         assert tracer.call("cli.sample", quador.cli.main, argv) == 0
     finally:
         tracer.restore()
-    assert tracer.totals(parent="cli.sample")["solid.classify_point"][0] == 13
+    calls = tracer.totals(parent="cli.sample")["solid.classify_point"][0]
+    assert calls == len(passed) >= 1
+    assert np.concatenate(passed).tolist() == [list(p) for p in rows]

@@ -24,13 +24,13 @@ import quador.latticefile
 import quador.verify
 import quador.writers
 from quador.algebra import Quadric, _axis_complement, stack_forms, stacked_values
-from quador.cli import build_parser, main
+from quador.cli import _csv_field, build_parser, main
 from quador.conics import ConicClass, sample_conic
 from quador.errors import NoBisectorIntersectionError, ParseError, ValidationError
 from quador.fillet import build_fillet_for_spec, fillet_min_curvature_radius
 from quador.lattice import Beam, FilletSpec, Hub, Lattice, stub_views_at_hub
 from quador.latticefile import lattice_to_json, load_lattice
-from quador.solid import Mesh, auto_bounds, build_assembly, marching_cubes
+from quador.solid import Mesh, auto_bounds, build_assembly, classify_point, marching_cubes
 from quador.verify import run_verify
 from quador.writers import format_value, read_stl, write_obj_mesh, write_stl
 
@@ -738,6 +738,33 @@ class TestCli:
         assert main(["sample", str(BETA1), "--grid", "3,3,3", "-o", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 27
 
+    @pytest.mark.parametrize("case", ["edge-values", "quoted-label", "byte-order-mark",
+                                      "header-only", "grid"])
+    def test_sample_bytes_match_row_by_row_writer(self, case, tmp_path):
+        lattice = BETA1
+        rows = [(-0.0, 3.0, 1e16), (5e-324, -12.5, 0.0), (0.0, 0.0, 1.0), (1.05, 1.05, 0.0),
+                (0.9, 0.9, 0.3), (1e160, 1e160, 0.0), (-12.5, -0.0, 5e-324)]
+        # More rows than one formatting chunk, so chunk seams are covered too.
+        rows += [tuple(p) for p in np.random.default_rng(71).uniform(-2, 5, size=(4100, 3)).tolist()]
+        text = "x,y,z\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rows)
+        if case == "quoted-label":
+            lattice = tmp_path / "lattice.json"
+            lattice.write_text(BETA1.read_text().replace('"h0"', json.dumps('h,"0')))
+        elif case == "header-only":
+            text, rows = "x,y,z\n", []
+        pts = tmp_path / "pts.csv"
+        pts.write_text(text, encoding="utf-8-sig" if case == "byte-order-mark" else "utf-8")
+        source = ["--points", str(pts)]
+        asm = build_assembly(load_lattice(lattice.read_bytes()))
+        if case == "grid":
+            source = ["--grid", "3,4,5"]
+            lo, hi = auto_bounds(asm)
+            rows = [(x, y, z) for z in np.linspace(lo[2], hi[2], 5)
+                    for y in np.linspace(lo[1], hi[1], 4) for x in np.linspace(lo[0], hi[0], 3)]
+        out = tmp_path / "out.csv"
+        assert main(["sample", str(lattice), *source, "-o", str(out)]) == 0
+        assert out.read_bytes() == sample_csv_reference(asm, rows)
+
     def test_sample_requires_exactly_one_source(self, tmp_path):
         assert main(["sample", str(BETA1), "-o", str(tmp_path / "o.csv")]) == 1
 
@@ -845,6 +872,18 @@ def child_env(**extra: str) -> dict:
     src = str(Path(quador.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def sample_csv_reference(assembly, points) -> bytes:
+    """``sample``'s former writer: one ``classify_point`` call and four
+    ``format_value`` calls per row, the lines joined at the end."""
+    lines = ["x,y,z,value,state,label"]
+    for p in points:
+        with np.errstate(all="ignore"):  # as main() runs it
+            res = classify_point(assembly, p)
+        lines.append(",".join([format_value(p[0]), format_value(p[1]), format_value(p[2]),
+                               format_value(res.value), res.state, _csv_field(str(res.label))]))
+    return "\n".join(lines).encode("utf-8") + b"\n"
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:

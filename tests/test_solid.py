@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import quador
 from quador import cull
-from quador.algebra import LinearForm, Quadric
+from quador.algebra import LinearForm, Quadric, stacked_values
 from quador.errors import DegenerateBoundsError, ValidationError
 from quador.lattice import Beam, FilletSpec, Hub, Lattice, beam_radius, sphere_quadric
 from quador.latticefile import load_lattice_path
@@ -26,8 +26,10 @@ from quador.mc_tables import EDGE_VERTS, TRI_TABLE, VERT_OFFSETS
 from quador.cull import _box, _form_bounds, _form_table
 from quador.solid import (
     _SLAB_POINTS,
+    OUTSIDE,
     _form_grid,
     Mesh,
+    PointClassification,
     auto_bounds,
     build_assembly,
     classify_point,
@@ -240,6 +242,107 @@ class TestOnePartTable:
         assert got.tobytes() == field_grid(expect, pts[:, 0], pts[:, 1], pts[:, 2]).tobytes()
         assert np.any(got != full)
         assert len(bare.parts()) == len(asm.parts()) - 1
+
+
+def classify_point_reference(assembly, x, tol=1e-9):
+    """``classify_point``'s former body: one point, one ``stacked_values`` call."""
+    table = assembly._table
+    forms = stacked_values(table.stack, np.asarray(x, dtype=float))
+    values = np.maximum.reduceat(forms, table.bounds[:-1]) if len(forms) else forms
+    best = float(np.fmin.reduce(values, initial=math.inf))
+    if best > tol:
+        return PointClassification("outside", OUTSIDE, best)
+    state = "boundary" if abs(best) <= tol else "inside"
+    order = table.by_label
+    i = order[np.argmax(values[order] <= tol)]
+    return PointClassification(state, table.parts[i][0], float(values[i]))
+
+
+def point_chunk(asm) -> int:
+    """Points per stacked evaluation in ``classify_point``: ``_SLAB_POINTS // 4``
+    floats in the largest temporary, 3 per point-form."""
+    return max(1, _SLAB_POINTS // (12 * max(1, len(asm._table.stack[2]))))
+
+
+def assert_batch_matches_points(asm, pts, tol=1e-9):
+    """``classify_point`` on ``pts`` (n, 3) gives, row by row, the reference's
+    state, label and value bits, and ``field_value`` the field's bits."""
+    got = classify_point(asm, pts, tol=tol)
+    assert got.state.shape == got.label.shape == got.value.shape == (len(pts),)
+    assert got.value.dtype == np.float64
+    expect = [classify_point_reference(asm, p, tol) for p in pts]
+    assert got.state.tolist() == [e.state for e in expect]
+    assert got.label.tolist() == [e.label for e in expect]
+    assert got.value.tobytes() == np.array([e.value for e in expect]).tobytes()
+    field = np.array([np.fmin.reduce(np.maximum.reduceat(
+        stacked_values(asm._table.stack, p), asm._table.bounds[:-1]), initial=math.inf)
+        if len(asm._table.parts) else math.inf for p in pts])
+    assert field_value(asm, pts).tobytes() == field.tobytes()
+
+
+def lattice_named(name):
+    if name.startswith("jittered_cubic"):
+        return jittered_cubic(int(name.rsplit("-", 1)[1]))
+    return load_lattice_path(FIXTURES / f"{name}.json")
+
+
+class TestClassifyPointBatched:
+    NAMES = [*(path.stem for path in sorted(FIXTURES.glob("*.json"))),
+             "jittered_cubic-3", "jittered_cubic-5"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_random_points_match_point_by_point(self, name):
+        asm = build_assembly(lattice_named(name))
+        lo, hi = auto_bounds(asm)
+        pts = np.random.default_rng(61).uniform(lo, hi, size=(1500, 3))
+        # Points on every hub sphere, where the state is boundary or inside.
+        on_hubs = [np.add(h.center, (0.0, 0.0, h.radius)) for h in asm.hubs]
+        for tol in (1e-9, 0.0, 1e-3):
+            assert_batch_matches_points(asm, np.vstack([pts, on_hubs]), tol)
+
+    @pytest.mark.parametrize("name", ["perpendicular_beta1", "jittered_cubic-5"])
+    def test_counts_around_one_chunk(self, name):
+        asm = build_assembly(lattice_named(name))
+        chunk = point_chunk(asm)
+        lo, hi = auto_bounds(asm)
+        pts = np.random.default_rng(67).uniform(lo, hi, size=(chunk + 1, 3))
+        for n in (0, 1, chunk - 1, chunk, chunk + 1):
+            assert_batch_matches_points(asm, pts[:n])
+
+    def test_one_point_keeps_scalar_fields(self, asm):
+        for p in [(0.0, 0.0, 0.0), (1.05, 1.05, 0.0), (0.0, 0.0, 1.0), (9.0, 9.0, 9.0)]:
+            got = classify_point(asm, p)
+            assert got == classify_point_reference(asm, p)
+            assert (type(got.state), type(got.label), type(got.value)) == (
+                str, type(OUTSIDE), float)
+            assert type(field_value(asm, p)) is float
+
+    def test_lattice_with_no_parts(self):
+        asm = build_assembly(Lattice((), (), ()))
+        got = classify_point(asm, np.zeros((3, 3)))
+        assert got.state.tolist() == ["outside"] * 3
+        assert got.label.tolist() == [OUTSIDE] * 3
+        assert got.value.tolist() == [math.inf] * 3
+        assert classify_point(asm, (0.0, 0.0, 0.0)) == PointClassification(
+            "outside", OUTSIDE, math.inf)
+
+    def test_overflowing_forms_give_inf(self, asm):
+        pts = np.array([(1e160, 1e160, 0.0), (-1e200, 0.0, 1e200), (1e308, 1e308, 1e308)])
+        with np.errstate(all="ignore"):
+            assert_batch_matches_points(asm, pts)
+            got = classify_point(asm, pts)
+        assert got.value[0] == math.inf
+        assert got.state.tolist() == ["outside"] * 3
+
+    @pytest.mark.parametrize("tol", [math.nan, -0.5])
+    def test_bad_tol_raises_for_points(self, asm, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            classify_point(asm, np.zeros((4, 3)), tol=tol)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 2), (2, 3, 3), ()])
+    def test_other_shapes_raise(self, asm, shape):
+        with pytest.raises(ValueError, match="expected a point"):
+            classify_point(asm, np.zeros(shape))
 
 
 def dense_field_grid(assembly, X, Y, Z):
