@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or validation failure, 2 I/O failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -203,21 +204,27 @@ def _read_points_csv(path: str) -> np.ndarray:
         print(f"quador: malformed point file {path}: not UTF-8 at byte {exc.start}",
               file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
-    points = []
-    for i, row in enumerate(csv.reader(text.splitlines())):
-        if not row or (i == 0 and [c.strip().lower() for c in row[:3]] == ["x", "y", "z"]):
-            continue
-        try:
+    # Each data row's CSV record number, and its values up to the first row
+    # with a field count other than 3 or a field ``float`` rejects.
+    lines, values = [], []
+    with contextlib.suppress(ValueError):
+        for i, row in enumerate(csv.reader(text.splitlines())):
+            if not row or (i == 0 and [c.strip().lower() for c in row[:3]] == ["x", "y", "z"]):
+                continue
+            lines.append(i)
             if len(row) != 3:
-                raise ValueError("need exactly 3 fields")
-            point = tuple(float(v) for v in row)
-            if not all(map(math.isfinite, point)):
-                raise ValueError("coordinates must be finite")
-            points.append(point)
-        except ValueError:
-            print(f"quador: malformed point row {i + 1}: {row}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE) from None
-    return np.array(points, dtype=float).reshape(-1, 3)
+                break
+            values.extend(map(float, row))
+    bad = len(values) // 3
+    points = np.array(values[: 3 * bad], dtype=float).reshape(-1, 3)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+    if bad < len(lines):  # the first row that fails a check
+        row = list(csv.reader(text.splitlines()))[lines[bad]]
+        print(f"quador: malformed point row {lines[bad] + 1}: {row}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return points
 
 
 def _csv_field(text: str) -> str:

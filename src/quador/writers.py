@@ -7,6 +7,14 @@ vertices, plus a zero uint16 attribute), so the file length is always
 use ``l`` polyline records with metadata comments.  All writers are
 deterministic: identical input produces byte-identical output.
 
+OBJ rows are built ``_OBJ_ROWS`` at a time as one fixed-width bytes table
+per chunk (prefix, field, space, ..., newline), whose NUL padding is then
+stripped.  A chunk's coordinates are made unique by their bits, so each
+distinct value goes through :func:`format_values` once (marching-cubes
+vertices have two of three coordinates on grid planes); vertex numbers are
+formatted once per mesh.  Stripping every NUL is safe because the table
+holds only number text; comments and ids never enter it.
+
 Every output, including the CLI's CSV and JSON, goes through
 :func:`write_output`: the bytes go to a fresh sibling temp file, which is
 then renamed onto the output name, so no run leaves a partial output.  An
@@ -33,7 +41,6 @@ from .solid import Mesh
 
 __all__ = [
     "write_stl",
-    "read_stl",
     "write_obj_mesh",
     "write_obj_polylines",
     "format_value",
@@ -139,14 +146,6 @@ def _write_fresh(path: str, chunks) -> bool:
     return True
 
 
-def read_stl(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read binary STL back as (normals, triangle vertices (n, 3, 3))."""
-    data = Path(path).read_bytes()
-    (count,) = struct.unpack_from("<I", data, 80)
-    records = np.frombuffer(data, dtype=_STL_RECORD, count=count, offset=84)
-    return records["normal"].astype(np.float32), records["vertices"].astype(np.float32)
-
-
 def format_value(x: float) -> str:
     """Shortest exact decimal for a float; integral values print as integers,
     and non-finite ones as ``inf``, ``-inf`` or ``nan``."""
@@ -174,22 +173,37 @@ def format_values(values: np.ndarray) -> list[str]:
 _OBJ_ROWS = 4096
 
 
+def _rows(prefix: bytes, fields: np.ndarray) -> bytes:
+    """``prefix f1 f2 ... fk`` rows, one per row of the ``(n, k)`` bytes
+    array ``fields``, built as one fixed-width table."""
+    n, k = fields.shape
+    table = np.empty((n, 2 * k + 1), dtype=f"S{max(fields.itemsize, len(prefix))}")
+    table[:, 0] = prefix
+    table[:, 1::2] = fields
+    table[:, 2:-1:2] = b" "
+    table[:, -1] = b"\n"
+    return table.tobytes().translate(None, b"\0")
+
+
 def _obj_vertex_rows(vertices: np.ndarray) -> list[bytes]:
     """``v x y z`` rows, each value as :func:`format_value` prints it, in
     chunks of ``_OBJ_ROWS`` rows."""
     chunks = []
     for start in range(0, len(vertices), _OBJ_ROWS):
-        values = iter(format_values(vertices[start : start + _OBJ_ROWS]))
-        chunks.append("".join(map("v {} {} {}\n".format, values, values, values)).encode("ascii"))
+        values = np.ravel(vertices[start : start + _OBJ_ROWS])
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        text = np.array(format_values(bits.view(np.float64)), dtype="S")
+        chunks.append(_rows(b"v ", text[inverse].reshape(-1, 3)))
     return chunks
 
 
 def write_obj_mesh(mesh: Mesh, path: str | Path) -> int:
     """Write OBJ ``v``/``f`` records (1-based indices); returns the triangle count."""
     chunks = _obj_vertex_rows(mesh.vertices)
+    count = len(mesh.vertices)
+    numbers = np.arange(1, count + 1).astype(f"S{len(str(count))}")
     for start in range(0, len(mesh.triangles), _OBJ_ROWS):
-        values = iter((mesh.triangles[start : start + _OBJ_ROWS] + 1).ravel().tolist())
-        chunks.append("".join(map("f {} {} {}\n".format, values, values, values)).encode("ascii"))
+        chunks.append(_rows(b"f ", numbers[mesh.triangles[start : start + _OBJ_ROWS]]))
     write_output(path, *(chunks or [b"\n"]))
     return len(mesh.triangles)
 

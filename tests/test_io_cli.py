@@ -32,7 +32,7 @@ from quador.lattice import Beam, FilletSpec, Hub, Lattice, stub_views_at_hub
 from quador.latticefile import lattice_to_json, load_lattice
 from quador.solid import Mesh, auto_bounds, build_assembly, classify_point, marching_cubes
 from quador.verify import run_verify
-from quador.writers import format_value, read_stl, write_obj_mesh, write_stl
+from quador.writers import format_value, write_obj_mesh, write_stl
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BETA1 = FIXTURES / "perpendicular_beta1.json"
@@ -226,6 +226,13 @@ class TestLoadLattice:
             npt.assert_array_equal(f1.Q.coeffs(), f2.Q.coeffs())
 
 
+def stl_records(path: Path) -> np.ndarray:
+    """The triangle records of a binary STL file, as ``writers._STL_RECORD``."""
+    data = path.read_bytes()
+    count = struct.unpack_from("<I", data, 80)[0]
+    return np.frombuffer(data, dtype=quador.writers._STL_RECORD, count=count, offset=84)
+
+
 class TestStl:
     def test_byte_exact_layout(self, tmp_path, perp_lattice):
         asm = build_assembly(perp_lattice)
@@ -241,7 +248,7 @@ class TestStl:
         mesh = marching_cubes(asm, auto_bounds(asm), 16)
         out = tmp_path / "m.stl"
         write_stl(mesh, out)
-        _, tris = read_stl(out)
+        tris = stl_records(out)["vertices"]
         expect = mesh.vertices[mesh.triangles].astype(np.float32)
         npt.assert_array_equal(tris, expect)
 
@@ -283,7 +290,8 @@ class TestStl:
         mesh = marching_cubes(asm, auto_bounds(asm), 12)
         out = tmp_path / "m.stl"
         write_stl(mesh, out)
-        normals, tris = read_stl(out)
+        records = stl_records(out)
+        normals, tris = records["normal"], records["vertices"]
         assert normals.dtype == tris.dtype == np.float32
         assert normals.shape == (len(mesh), 3)
         npt.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-6)
@@ -293,7 +301,8 @@ class TestStl:
         empty = tmp_path / "empty.stl"
         assert write_stl(Mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)), empty) == 0
         assert len(empty.read_bytes()) == 84
-        normals, tris = read_stl(empty)
+        records = stl_records(empty)
+        normals, tris = records["normal"], records["vertices"]
         assert normals.shape == (0, 3) and tris.shape == (0, 3, 3)
 
 
@@ -309,6 +318,10 @@ class TestObjMesh:
     SPECIAL = [[-0.0, 0.0, 3.0], [1e16, -1e16, 9999999999999998.0],
                [math.nan, math.inf, -math.inf], [1e15, -7.0, 0.1],
                [1e-5, -2.5e-300, 1.5e16], [2.0**53, -(2.0**60), 10.0]]
+    BIT_PATTERNS = [0.0, -0.0, *np.array([0x7FF8000000000000, 0xFFF8000000000001],
+                                          dtype=np.uint64).view(np.float64).tolist(),
+                    5e-324, -5e-324, 2.225073858507201e-308, 0.1, math.nextafter(0.1, 1.0),
+                    1.0, math.nextafter(1.0, 2.0), math.nextafter(1e16, 0.0)]
 
     @pytest.mark.parametrize("mesh", [
         lambda: Mesh(np.array(TestObjMesh.SPECIAL), [[0, 1, 2], [3, 4, 5]]),
@@ -317,7 +330,17 @@ class TestObjMesh:
         # Over two chunks of rows; rounding makes many values integral, some -0.0.
         lambda: Mesh(np.round(np.random.default_rng(61).uniform(-3, 3, (9000, 3)), 1) * -1,
                      np.random.default_rng(67).integers(0, 9000, (9001, 3))),
-    ], ids=["special-values", "empty", "no-triangles", "several-chunks"])
+        # Values that one chunk makes unique by their bits: both zeros, two NaN
+        # payloads, subnormals and neighbours one ulp apart stay apart.
+        lambda: Mesh(np.array(TestObjMesh.BIT_PATTERNS).reshape(-1, 3), [[0, 1, 2], [3, 2, 1]]),
+        # One-based vertex numbers from 1 to 100,001: 9 -> 10 and 99,999 -> 100,000.
+        lambda: Mesh(np.arange(300_003.0).reshape(-1, 3) / 8,
+                     [[7, 8, 9], [99_997, 99_998, 99_999], [99_999, 100_000, 8], [0, 9, 99_999]]),
+        # Triangles that join vertices of different vertex chunks.
+        lambda: Mesh(np.random.default_rng(79).normal(size=(3 * 4096 + 5, 3)),
+                     [[0, 4096, 8192], [12_292, 1, 4095], [4095, 4096, 12_291]] * 2000),
+    ], ids=["special-values", "empty", "no-triangles", "several-chunks", "bit-patterns",
+            "digit-widths", "cross-chunk"])
     def test_bytes_match_per_value_format(self, mesh, tmp_path):
         mesh = mesh()
         out = tmp_path / "m.obj"
@@ -327,6 +350,15 @@ class TestObjMesh:
     def test_fixture_mesh(self, tmp_path, perp_lattice):
         asm = build_assembly(perp_lattice)
         mesh = marching_cubes(asm, auto_bounds(asm), 20)
+        write_obj_mesh(mesh, tmp_path / "m.obj")
+        assert (tmp_path / "m.obj").read_bytes() == row_obj_mesh(mesh)
+
+    def test_jittered_cubic_mesh(self, tmp_path):
+        from test_fillet import jittered_cubic
+
+        asm = build_assembly(jittered_cubic(5))
+        mesh = marching_cubes(asm, auto_bounds(asm), 40)
+        assert len(mesh.vertices) > 4096
         write_obj_mesh(mesh, tmp_path / "m.obj")
         assert (tmp_path / "m.obj").read_bytes() == row_obj_mesh(mesh)
 
@@ -346,6 +378,8 @@ def row_obj_polylines(curves) -> bytes:
 
 
 class TestObjPolylines:
+    ANGLES = np.linspace(0, 2 * np.pi, 129)[:-1]
+
     @pytest.mark.parametrize("curves", [
         lambda: [(np.array(TestObjMesh.SPECIAL), True, "special values"),
                  (np.array(TestObjMesh.SPECIAL[::-1]), False, "")],
@@ -355,7 +389,10 @@ class TestObjPolylines:
         lambda: [(np.round(np.random.default_rng(71).uniform(-3, 3, (9000, 3)), 1) * -1,
                   True, "h\u00e9:b1+b2 stub1"),
                  (np.random.default_rng(73).normal(size=(5, 3)), False, "second")],
-    ], ids=["special-values", "none", "empty-curves", "several-chunks"])
+        # A conic in an axis plane: every point shares its z.
+        lambda: [(np.column_stack([np.cos(TestObjPolylines.ANGLES), np.sin(TestObjPolylines.ANGLES),
+                                   np.full(128, 1.25)]), True, "circle at z=1.25")],
+    ], ids=["special-values", "none", "empty-curves", "several-chunks", "constant-coordinate"])
     def test_bytes_match_per_value_format(self, curves, tmp_path):
         curves = curves()
         out = tmp_path / "c.obj"
@@ -731,6 +768,19 @@ class TestCli:
         out = tmp_path / "o.csv"
         assert main(["sample", str(BETA1), "--points", str(pts), "-o", str(out)]) == 1
         assert "malformed point row 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first,second", itertools.permutations(
+        ["1,2", "0,zero,0", "0,0,infinity"], 2), ids=lambda row: row.split(",", 1)[-1])
+    def test_sample_first_bad_row_reported(self, first, second, tmp_path, capsys):
+        # Each kind of bad row (field count, unparsable, not finite) after a
+        # bad row of another kind: the earlier one is reported.
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"x,y,z\n 1_0 ,0,0\n\n{first}\n0,0,0\n{second}\n")
+        out = tmp_path / "o.csv"
+        assert main(["sample", str(BETA1), "--points", str(pts), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"quador: malformed point row 4: {first.split(',')}\n")
         assert not out.exists()
 
     def test_sample_grid(self, tmp_path):
