@@ -62,6 +62,11 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
+def _exponent(x) -> int:
+    """The ``e`` with ``max|x| * 2**-e`` in [0.5, 1); 0 if ``x`` is all zero or not finite."""
+    return math.frexp(float(np.abs(x).max()))[1]
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -126,9 +131,6 @@ class Quadric:
 
     def gradient(self, x) -> np.ndarray:
         return 2.0 * (self.A @ _vec(x)) + 2.0 * self.b
-
-    def hessian(self) -> np.ndarray:
-        return 2.0 * self.A
 
     def coeffs(self) -> np.ndarray:
         """Canonical 10-vector (A diagonal, off-diagonals, b, c) for comparisons."""
@@ -206,23 +208,16 @@ def jacobi_eigen3(A) -> tuple[np.ndarray, np.ndarray]:
     positive (the last column yields to right-handedness when the two rules
     conflict).  Off-diagonal mass is reduced below
     ``JACOBI_OFFDIAG_TOL * ||A||_F`` within ``JACOBI_SWEEP_CAP`` sweeps,
-    which always suffices for 3x3 symmetric input.
+    which always suffices for 3x3 symmetric input.  It works at any finite
+    scale: ``A`` is decomposed scaled by ``2**-_exponent(A)``, which is exact.
     """
     m = np.array(A, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("jacobi_eigen3 expects a 3x3 matrix")
-    with np.errstate(over="ignore"):
-        a = 0.5 * (m + m.T)
-        norm = np.linalg.norm(a)
-    thresh = JACOBI_OFFDIAG_TOL * max(norm, 1e-300)
-    if norm == math.inf and np.isfinite(m).all():
-        # A sum or ||A||_F overflowed, not an entry.  Where a sum did, halve
-        # before adding, as Quadric does (halving the sum everywhere else
-        # keeps a subnormal's last bit); scale by the largest entry and apply
-        # the tolerance before scaling back.
-        a = np.where(np.isinf(a), 0.5 * m + 0.5 * m.T, a)
-        scale = np.abs(a).max()
-        thresh = JACOBI_OFFDIAG_TOL * scale * np.linalg.norm(a / scale)
+    e = _exponent(m)
+    m = np.ldexp(m, -e)
+    a = 0.5 * (m + m.T)
+    thresh = JACOBI_OFFDIAG_TOL * np.linalg.norm(a)
     v = np.eye(3)
 
     for _ in range(JACOBI_SWEEP_CAP):
@@ -247,7 +242,7 @@ def jacobi_eigen3(A) -> tuple[np.ndarray, np.ndarray]:
 
     evals = np.diag(a).copy()
     order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
+    evals = np.ldexp(evals[order], e)
     v = v[:, order]
     # Deterministic signs: largest-magnitude component of each column positive.
     for j in range(3):
@@ -383,7 +378,7 @@ def classify_quadric(q: Quadric) -> QuadricClassification:
     so no square of a coefficient underflows or overflows; ``diag`` and
     ``scalar`` are scaled back.
     """
-    e = math.frexp(max(map(abs, q.coeffs().tolist())))[1]
+    e = _exponent(q.coeffs())
     label, R, t, diag, scalar, axis = _classify_unit(
         np.ldexp(q.A, -e), np.ldexp(q.b, -e), math.ldexp(q.c, -e), math.ldexp(1e-300, -e))
     return QuadricClassification(label, R, t, np.ldexp(diag, e), np.ldexp(scalar, e), axis)
@@ -482,18 +477,20 @@ def principal_curvatures(q: Quadric, x) -> tuple[float, float]:
     Eigenvalues of the tangent-plane-projected Hessian divided by the
     gradient norm, sorted so ``|k1| >= |k2|``; the normal is ``+grad``, so a
     sphere reported with this convention has curvature ``+1/r``.  Raises
-    :class:`SingularPointError` when the gradient vanishes at ``x`` (its norm
-    is at most ``SINGULAR_GRAD_TOL`` times the coefficient scale).
+    :class:`SingularPointError` when the gradient vanishes at ``x``: its
+    norm, with ``A`` and ``b`` scaled by ``2**-_exponent`` of their entries
+    (exact), is at most ``SINGULAR_GRAD_TOL``.
     """
     p = _vec(x)
-    grad = q.gradient(p)
+    e = _exponent(q.coeffs()[:9])
+    A, b = np.ldexp(q.A, -e), np.ldexp(q.b, -e)
+    grad = 2.0 * (A @ p) + 2.0 * b
     gn = _norm(grad)
-    scale = max(1.0, float(np.linalg.norm(q.A)), float(np.linalg.norm(q.b)))
-    if gn <= SINGULAR_GRAD_TOL * scale:
-        raise SingularPointError(f"gradient vanishes at {tuple(p)}")
+    if gn <= SINGULAR_GRAD_TOL:
+        raise SingularPointError(f"gradient vanishes at {tuple(p.tolist())}")
     n = grad / gn
     u, v = _axis_complement(n)
-    H = q.hessian()
+    H = 2.0 * A
     m11 = float(u @ H @ u)
     m12 = float(u @ H @ v)
     m22 = float(v @ H @ v)

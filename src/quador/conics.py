@@ -77,10 +77,6 @@ class PlaneFrame:
     def point(self, s: float, t: float) -> np.ndarray:
         return self.origin + s * self.u + t * self.v
 
-    def project(self, p) -> tuple[float, float]:
-        d = np.asarray(p, dtype=float) - self.origin
-        return float(d @ self.u), float(d @ self.v)
-
 
 def plane_frame(lin: LinearForm) -> PlaneFrame:
     gn = lin.grad_norm()
@@ -115,10 +111,6 @@ class Conic:
     axes: np.ndarray | None = None
     radii: tuple[float, ...] = ()
     lines: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
-
-    def evaluate2d(self, s: float, t: float) -> float:
-        a, b, c, d, e, f = self.coeffs
-        return a * s * s + 2 * b * s * t + c * t * t + 2 * d * s + 2 * e * t + f
 
     def point3d(self, s: float, t: float) -> np.ndarray:
         return self.frame.point(s, t)

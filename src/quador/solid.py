@@ -130,7 +130,8 @@ def build_assembly(lattice: Lattice) -> Assembly:
     :class:`ValidationError` carries :func:`validate_lattice`'s report.
     Warnings are not checked.
     Each hub's fillets are clipped to a ball of radius the minimum center
-    distance to a connected hub (``2r`` for isolated hubs).
+    distance to a connected hub (``2r`` for isolated hubs), and at least
+    ``1.25 r``.
     """
     resolved = lattice._resolved
     if resolved.errors:

@@ -43,7 +43,6 @@ __all__ = [
     "write_stl",
     "write_obj_mesh",
     "write_obj_polylines",
-    "format_value",
     "format_values",
     "write_output",
 ]
@@ -146,22 +145,14 @@ def _write_fresh(path: str, chunks) -> bool:
     return True
 
 
-def format_value(x: float) -> str:
-    """Shortest exact decimal for a float; integral values print as integers,
-    and non-finite ones as ``inf``, ``-inf`` or ``nan``."""
-    if abs(x) < 1e16 and x == int(x):
-        return str(int(x))
-    return repr(float(x))
-
-
 def format_values(values: np.ndarray) -> list[str]:
-    """Each value of a float array, in C order, as :func:`format_value`
-    prints it.
+    """Each value of a float array, in C order, as the shortest decimal that
+    reads back exactly; integral values below 1e16 in size print as integers
+    (``-0.0`` as ``0``), and non-finite ones as ``inf``, ``-inf`` or ``nan``.
 
     One ``repr`` formats them all.  A value's ``repr`` ends in ``.0`` exactly
-    where :func:`format_value` prints an integer (integral and below 1e16 in
-    size), and only ``-0.0`` then ends in ``-0``, so two replaces give
-    :func:`format_value`'s bytes.
+    where it is integral and below 1e16 in size, and only ``-0.0`` then ends
+    in ``-0``, so two replaces give the integers.
     """
     if not np.size(values):
         return []
@@ -186,7 +177,7 @@ def _rows(prefix: bytes, fields: np.ndarray) -> bytes:
 
 
 def _obj_vertex_rows(vertices: np.ndarray) -> list[bytes]:
-    """``v x y z`` rows, each value as :func:`format_value` prints it, in
+    """``v x y z`` rows, each value as :func:`format_values` prints it, in
     chunks of ``_OBJ_ROWS`` rows."""
     chunks = []
     for start in range(0, len(vertices), _OBJ_ROWS):

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from quador import Beam, FilletSpec, Hub, Lattice
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run and no
+# example database; local runs keep hypothesis' random default.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

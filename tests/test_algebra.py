@@ -293,6 +293,30 @@ class TestJacobi:
         evals, _ = jacobi_eigen3(np.diag([5e-324, -1e-310, 0.0]))
         assert evals.tolist() == [5e-324, 0.0, -1e-310]
 
+    def test_any_scale_against_eigvalsh(self):
+        # Off-diagonal squares underflow below about 1e-154 and overflow
+        # above about 1e154; neither may stop or derail the sweep.
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            m = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-300, 300)
+            A = 0.5 * m + 0.5 * m.T
+            evals, v = jacobi_eigen3(A)
+            scale = np.abs(A).max()
+            npt.assert_allclose(evals, np.linalg.eigvalsh(A)[::-1], rtol=0, atol=1e-10 * scale)
+            npt.assert_allclose(v.T @ v, np.eye(3), atol=1e-12)
+
+    def test_tiny_matrix_is_rotated(self):
+        A = np.array([[1e-200, 3e-200, 0.0], [3e-200, 2e-200, 0.0], [0.0, 0.0, 1e-200]])
+        evals, _ = jacobi_eigen3(A)
+        npt.assert_allclose(evals, np.linalg.eigvalsh(A)[::-1], rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_off_diagonal_raises_no_warning(self):
+        A = np.array([[1e300, 1e200, 0.0], [1e200, 1e300, 0.0], [0.0, 0.0, 1.0]])
+        evals, v = jacobi_eigen3(A)
+        npt.assert_array_equal(evals, [1e300 + 1e200, 1e300 - 1e200, 1.0])
+        npt.assert_allclose(v.T @ v, np.eye(3), atol=1e-15)
+
 
 # ---------------------------------------------------------------------------
 # Classification
@@ -488,5 +512,13 @@ class TestCurvature:
 
     def test_singular_point(self):
         cone = Quadric(np.diag([1.0, 1.0, -1.0]), np.zeros(3), 0.0)
-        with pytest.raises(SingularPointError):
+        with pytest.raises(SingularPointError, match=r"gradient vanishes at \(0\.0, 0\.0, 0\.0\)"):
             principal_curvatures(cone, (0.0, 0.0, 0.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [1e-20, 1e200])
+    def test_scaled_unit_sphere(self, s):
+        # The same surface: too small a scale once read as a vanishing
+        # gradient, too large a one overflowed the gradient's norm.
+        k1, k2 = principal_curvatures(UNIT_SPHERE.scaled(s), (1.0, 0.0, 0.0))
+        assert (k1, k2) == pytest.approx((1.0, 1.0), abs=1e-15)

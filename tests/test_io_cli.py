@@ -32,7 +32,7 @@ from quador.lattice import Beam, FilletSpec, Hub, Lattice, stub_views_at_hub
 from quador.latticefile import lattice_to_json, load_lattice
 from quador.solid import Mesh, auto_bounds, build_assembly, classify_point, marching_cubes
 from quador.verify import run_verify
-from quador.writers import format_value, write_obj_mesh, write_stl
+from quador.writers import format_values, write_obj_mesh, write_stl
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BETA1 = FIXTURES / "perpendicular_beta1.json"
@@ -41,6 +41,15 @@ sys.path.insert(0, str(FIXTURES.parent / "bench"))
 from inputs import cubic_lattice  # noqa: E402
 from test_lattice import three_hub_lattice  # noqa: E402
 BETA05 = FIXTURES / "perpendicular_beta05.json"
+
+
+def format_value(x: float) -> str:
+    """Reference number format: the shortest exact decimal for a float;
+    integral values print as integers, and non-finite ones as ``inf``,
+    ``-inf`` or ``nan``."""
+    if abs(x) < 1e16 and x == int(x):
+        return str(int(x))
+    return repr(float(x))
 
 
 def obj_polylines(path: Path) -> list[tuple[str, np.ndarray]]:
@@ -442,6 +451,18 @@ class TestVerify:
         assert "fillet_identity" in failing
         check = next(c for c in report.checks if c.name == "fillet_identity")
         assert check.detail == "IDENTITY_VIOLATION"
+
+    def test_material_loss_detected(self, monkeypatch):
+        # A shipped field that gives up material where fillets are must fail.
+        field_grid = quador.verify.field_grid
+
+        def losing(assembly, *xyz):
+            return field_grid(assembly, *xyz) + (1.0 if assembly.fillets else 0.0)
+
+        monkeypatch.setattr(quador.verify, "field_grid", losing)
+        report = run_verify(load_lattice(BETA1.read_bytes()), samples=500)
+        check = next(c for c in report.checks if c.name == "material_monotonicity")
+        assert check.status == "fail" and check.measured > 0
 
     def test_nan_measurement_fails(self, monkeypatch, tmp_path, capsys):
         corrupt_first_fillet(monkeypatch, delta=math.nan)
@@ -1047,6 +1068,7 @@ class TestNumbersThatParse:
     ])
     def test_format_value(self, value, text):
         assert format_value(value) == text
+        assert format_values(np.array([value])) == [text]
 
     def test_conics_non_ascii_id(self, tmp_path, capsys):
         lat = tmp_path / "lattice.json"
