@@ -31,6 +31,7 @@ from .conics import (
 from .errors import QuadorError
 from .fillet import (
     FilletPatch,
+    FilletStack,
     build_fillet,
     build_fillet_for_spec,
     fillet_extent,

@@ -55,11 +55,18 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of two 3-vectors on Python floats, in numpy's term order,
-    so the bits are the same without its per-call overhead."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    """``np.cross`` of two 3-vectors, or of two stacks of rows ``(m, 3)``, in
+    numpy's term order, so the bits are the same without its per-call overhead."""
+    i, j = [1, 2, 0], [2, 0, 1]  # component k is a[i[k]] b[j[k]] - a[j[k]] b[i[k]]
+    with np.errstate(invalid="ignore", over="ignore"):  # float arithmetic: no warning
+        return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise ``u @ v`` of rows ``(..., 3)`` by one ``(1,3) @ (3,1)``
+    product per row, the bits of each row's own dot product (and so of
+    ``np.linalg.norm`` squared)."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _exponent(x) -> int:
@@ -147,7 +154,7 @@ class Quadric:
         return Quadric(self.A - other.A, self.b - other.b, self.c - other.c)
 
     def __repr__(self):
-        return f"Quadric(c={self.c:g}, b={tuple(self.b)}, A={self.A.tolist()})"
+        return f"Quadric(c={self.c:g}, b={tuple(self.b.tolist())}, A={self.A.tolist()})"
 
 
 def subtract_square(q: Quadric, lin: LinearForm) -> Quadric:
@@ -349,18 +356,15 @@ _DEFINITE = {3: (QuadricClass.POINT, QuadricClass.ELLIPSOID),
 
 
 def _axis_complement(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit vectors completing ``n`` to a right-handed orthonormal basis.
+    """Two unit vectors completing ``n`` (or each row of ``n``) to a
+    right-handed orthonormal basis.
 
     The first is built from the global axis least aligned with ``n``
     (ties broken x before y before z) for reproducible output.
     """
-    k = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    u = _cross3(n, e)
-    u /= _norm(u)
-    v = _cross3(n, u)
-    return u, v
+    u = _cross3(n, np.eye(3)[np.argmin(np.abs(n), axis=-1)])
+    u = u / np.sqrt(_dots(u, u))[..., None]
+    return u, _cross3(n, u)
 
 
 def classify_quadric(q: Quadric) -> QuadricClassification:
@@ -482,22 +486,29 @@ def principal_curvatures(q: Quadric, x) -> tuple[float, float]:
     (exact), is at most ``SINGULAR_GRAD_TOL``.
     """
     p = _vec(x)
-    e = _exponent(q.coeffs()[:9])
-    A, b = np.ldexp(q.A, -e), np.ldexp(q.b, -e)
-    grad = 2.0 * (A @ p) + 2.0 * b
-    gn = _norm(grad)
-    if gn <= SINGULAR_GRAD_TOL:
+    k1, k2, singular = _curvatures(q.A[None], q.b[None], p[None])
+    if singular[0]:
         raise SingularPointError(f"gradient vanishes at {tuple(p.tolist())}")
-    n = grad / gn
-    u, v = _axis_complement(n)
-    H = 2.0 * A
-    m11 = float(u @ H @ u)
-    m12 = float(u @ H @ v)
-    m22 = float(v @ H @ v)
-    half_tr = 0.5 * (m11 + m22)
-    disc = math.sqrt(max(0.0, (0.5 * (m11 - m22)) ** 2 + m12 * m12))
-    k1 = (half_tr + disc) / gn
-    k2 = (half_tr - disc) / gn
-    if abs(k2) > abs(k1):
-        k1, k2 = k2, k1
-    return k1, k2
+    return float(k1[0]), float(k2[0])
+
+
+def _curvatures(A: np.ndarray, b: np.ndarray, p: np.ndarray):
+    """:func:`principal_curvatures` row by row: ``k1``, ``k2`` and whether the
+    gradient vanishes, for quadric rows ``A (m,3,3)``, ``b (m,3)`` at points
+    ``p (m,3)``; a row where it vanishes holds no meaningful curvature."""
+    e = np.frexp(np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(b).max(axis=1)))[1]
+    A, b = np.ldexp(A, -e[:, None, None]), np.ldexp(b, -e[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = 2.0 * (A @ p[:, :, None])[:, :, 0] + 2.0 * b
+        gn = np.sqrt(_dots(grad, grad))
+        u, v = _axis_complement(grad / gn[:, None])
+        H = 2.0 * A
+        uH, vH = u[:, None, :] @ H, v[:, None, :] @ H
+        m11, m12, m22 = ((m @ w[:, :, None])[:, 0, 0] for m, w in ((uH, u), (uH, v), (vH, v)))
+        half_tr = 0.5 * (m11 + m22)
+        # Python's ``x ** 2`` is libm pow, which numpy's square need not match.
+        sq = np.array([t ** 2 for t in (0.5 * (m11 - m22)).tolist()]) + m12 * m12
+        disc = np.sqrt(np.where(sq > 0.0, sq, 0.0))
+        k1, k2 = (half_tr + disc) / gn, (half_tr - disc) / gn
+    swap = np.abs(k2) > np.abs(k1)
+    return np.where(swap, k2, k1), np.where(swap, k1, k2), gn <= SINGULAR_GRAD_TOL

@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import LinearForm, Quadric, _axis_complement, stack_forms, stacked_values
+from .algebra import LinearForm, Quadric, _axis_complement, _dots, stack_forms, stacked_values
 from .charts import SurfaceChart
-from .errors import AllZeroError, NotACurveError, PointOffSurfaceError, ZeroGradientError
+from .errors import (AllZeroError, NotACurveError, PointOffSurfaceError, QuadorError,
+                     ZeroGradientError)
 from .tolerances import CONIC_CLASSIFY_TOL, SURF_RESIDUAL_TOL, UNBOUNDED_PARAM_RANGE
 
 __all__ = [
@@ -79,12 +81,17 @@ class PlaneFrame:
 
 
 def plane_frame(lin: LinearForm) -> PlaneFrame:
-    gn = lin.grad_norm()
-    if gn == 0.0:
+    if lin.grad_norm() == 0.0:
         raise ZeroGradientError("linear form has zero gradient; no plane")
-    n = lin.g / gn
-    origin = -lin.c0 * lin.g / (gn * gn)
-    return PlaneFrame(origin, *_axis_complement(n), n)
+    return PlaneFrame(*(a[0] for a in _frames(lin.g[None], np.array([lin.c0]))))
+
+
+def _frames(g: np.ndarray, c0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`plane_frame`'s origin, u, v and normal, as rows ``(m, 3)``, of
+    the planes ``g . x + c0 = 0`` with ``g (m, 3)``, ``c0 (m,)``."""
+    gn = np.sqrt(_dots(g, g))
+    n = g / gn[:, None]
+    return (-c0[:, None] * g / (gn * gn)[:, None], *_axis_complement(n), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,127 +123,210 @@ class Conic:
         return self.frame.point(s, t)
 
 
-def _eigen2(a: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of [[a, b], [b, c]]; eigenvalues by |.| descending,
-    right-handed unit eigenvectors with deterministic signs."""
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` elementwise; ``np.hypot`` differs from it in the last bit
+    on some pairs."""
+    return np.array([math.hypot(p, q) for p, q in zip(x.tolist(), y.tolist())])
+
+
+def _eigen2(a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decompositions of [[a, b], [b, c]] for rows ``a``, ``b``, ``c``
+    ``(m,)``: eigenvalues ``(m, 2)`` by |.| descending and right-handed unit
+    eigenvectors as the rows of ``(m, 2, 2)``, with deterministic signs."""
     half_tr = 0.5 * (a + c)
-    disc = math.hypot(0.5 * (a - c), b)
+    disc = _hypot(0.5 * (a - c), b)
     m1, m2 = half_tr + disc, half_tr - disc
-    if abs(m2) > abs(m1):
-        m1, m2 = m2, m1
+    swap = np.abs(m2) > np.abs(m1)
+    m1, m2 = np.where(swap, m2, m1), np.where(swap, m1, m2)
     # Eigenvector for m1 from the better-conditioned row.
-    r1 = (m1 - c, b)
-    r2 = (b, m1 - a)
-    e1 = np.array(r1 if math.hypot(*r1) >= math.hypot(*r2) else r2, dtype=float)
-    n = math.hypot(*e1)
-    e1 = e1 / n if n > 0.0 else np.array([1.0, 0.0])
-    if abs(e1[0]) >= abs(e1[1]):
-        if e1[0] < 0:
-            e1 = -e1
-    elif e1[1] < 0:
-        e1 = -e1
-    e2 = np.array([-e1[1], e1[0]])
-    return np.array([m1, m2]), np.vstack([e1, e2])
+    first = _hypot(m1 - c, b) >= _hypot(b, m1 - a)
+    x, y = np.where(first, m1 - c, b), np.where(first, b, m1 - a)
+    n = _hypot(x, y)
+    x, y = np.where(n > 0.0, x / n, 1.0), np.where(n > 0.0, y / n, 0.0)
+    flip = np.where(np.abs(x) >= np.abs(y), x < 0, y < 0)
+    x, y = np.where(flip, -x, x), np.where(flip, -y, y)
+    return np.stack([m1, m2], -1), np.stack([np.stack([x, y], -1), np.stack([-y, x], -1)], -2)
 
 
 def classify_conic(coeffs) -> ConicClass:
     """Classify 2D conic coefficients ``(a, b, c, d, e, f)``."""
-    return _analyze(coeffs)[0]
+    klass = _analyze(np.array([coeffs], dtype=float))[0][0]
+    if isinstance(klass, QuadorError):
+        raise klass
+    return klass
 
 
-def _analyze(coeffs):
-    """``(klass, fields)``: the class and the parametrization fields of
-    :class:`Conic` that it sets, by name; shared with the builder."""
-    a, b, c, d, e, f = (float(x) for x in coeffs)
-    scale = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
-    if scale <= 1e-300:
-        raise AllZeroError("all conic coefficients are zero")
+#: Per class: whether it has a center, how many radii and how many lines.
+_FIELDS = {
+    ConicClass.ELLIPSE: (True, 2, 0),
+    ConicClass.CIRCLE: (True, 2, 0),
+    ConicClass.HYPERBOLA: (True, 2, 0),
+    ConicClass.PARABOLA: (True, 1, 0),
+    ConicClass.POINT: (True, 0, 0),
+    ConicClass.CROSSING_LINES: (True, 0, 2),
+    ConicClass.PARALLEL_LINES: (False, 0, 2),
+    ConicClass.SINGLE_LINE: (False, 0, 1),
+    ConicClass.EMPTY: (False, 0, 0),
+}
+
+
+class _Sections(NamedTuple):
+    """Conics as rows: plane frames ``(m, 3)`` each, coefficients ``(m, 6)``,
+    the class of each row (or the coded error it raises), and the fields of
+    :class:`Conic` as arrays: centers ``(m, 2)``, axes ``(m, 2, 2)``, radii
+    ``(m, 2)`` and up to two lines ``(m, 2, 2, 2)`` of (base, direction)."""
+
+    origin: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    normal: np.ndarray
+    coeffs: np.ndarray
+    klass: list
+    center: np.ndarray
+    axes: np.ndarray
+    radii: np.ndarray
+    lines: np.ndarray
+
+    def conic(self, i: int) -> Conic:
+        """Row ``i`` as a :class:`Conic`; raises a copy of the row's error."""
+        klass = self.klass[i]
+        if isinstance(klass, QuadorError):
+            raise type(klass)(*klass.args)
+        centered, radii, lines = _FIELDS[klass]
+        fields = dict(center=self.center[i]) if centered else {}
+        if radii:
+            fields.update(axes=self.axes[i], radii=tuple(self.radii[i, :radii].tolist()))
+        frame = PlaneFrame(self.origin[i], self.u[i], self.v[i], self.normal[i])
+        return Conic(frame, tuple(self.coeffs[i].tolist()), klass,
+                     lines=tuple((ln[0], ln[1]) for ln in self.lines[i, :lines]), **fields)
+
+
+def _stack_conics(conics) -> _Sections:
+    """Conic objects as the rows of a :class:`_Sections`; a field that a
+    conic's class leaves unset holds NaN."""
+    nan = np.full((2, 2, 2), np.nan)
+    frames = np.array([[c.frame.origin, c.frame.u, c.frame.v, c.frame.normal] for c in conics],
+                      dtype=float).reshape(-1, 4, 3)
+    return _Sections(
+        *np.swapaxes(frames, 0, 1),
+        np.array([c.coeffs for c in conics], dtype=float).reshape(-1, 6), [c.klass for c in conics],
+        np.array([nan[0, 0] if c.center is None else c.center for c in conics]).reshape(-1, 2),
+        np.array([nan[0] if c.axes is None else c.axes for c in conics]).reshape(-1, 2, 2),
+        np.array([(*c.radii, np.nan, np.nan)[:2] for c in conics]).reshape(-1, 2),
+        np.array([[*map(np.stack, c.lines), *nan][:2] for c in conics]).reshape(-1, 2, 2, 2))
+
+
+def _analyze(coeffs: np.ndarray) -> tuple:
+    """Classify conic rows ``(m, 6)``: the class of each row (an
+    :class:`AllZeroError` for an all-zero one) and the centers, axes, radii
+    and lines of :class:`_Sections`.  Each branch runs on every row, or on
+    none when no row takes it, and each row keeps its own branch's values,
+    with that branch's bits."""
+    a, b, c, d, e, f = coeffs.T
+    scale = np.abs(coeffs).max(axis=1)
     thr = CONIC_CLASSIFY_TOL * scale
-    mu, E = _eigen2(a, b, c)  # rows of E are eigenvectors
-    mu_max = max(abs(mu[0]), abs(mu[1]))
 
-    if mu_max <= thr:
-        # Purely linear.
-        ln = math.hypot(d, e)
-        if ln <= thr:
-            return ConicClass.EMPTY, {}
-        base = np.array([-f * d, -f * e]) / (2.0 * ln * ln)
-        direction = np.array([-e, d]) / ln
-        return ConicClass.SINGLE_LINE, dict(lines=((base, direction),))
+    def ET_at(s, t):
+        return (ET @ np.stack([s, t], -1)[:, :, None])[:, :, 0]
 
-    zero = np.abs(mu) <= CONIC_CLASSIFY_TOL * mu_max
-    lin = E @ np.array([d, e])
-
-    if not zero.any():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu, E = _eigen2(a, b, c)  # rows of E are eigenvectors
+        mu0, mu1 = mu.T
+        mu_max = np.maximum(np.abs(mu0), np.abs(mu1))
+        ET = np.swapaxes(E, 1, 2)
+        ln = _hypot(d, e)
+        zero = np.abs(mu) <= CONIC_CLASSIFY_TOL * mu_max[:, None]
+        lin = (E @ np.stack([d, e], -1)[:, :, None])[:, :, 0]
         # Central conic.
-        w0 = np.array([-lin[0] / mu[0], -lin[1] / mu[1]])
-        center = E.T @ w0
-        c_t = f + float(lin @ w0)
-        c_zero = abs(c_t) <= thr
-        if mu[0] * mu[1] > 0:
-            sgn = math.copysign(1.0, mu[0])
-            if c_zero:
-                return ConicClass.POINT, dict(center=center)
-            if c_t * sgn > 0:
-                return ConicClass.EMPTY, {}
-            radii = (math.sqrt(-c_t / mu[0]), math.sqrt(-c_t / mu[1]))
-            klass = (
-                ConicClass.CIRCLE
-                if abs(mu[0] - mu[1]) <= CONIC_CLASSIFY_TOL * mu_max
-                else ConicClass.ELLIPSE
-            )
-            return klass, dict(center=center, axes=E, radii=radii)
-        if c_zero:
-            # Two crossing lines through the center.
-            k = math.sqrt(-mu[1] / mu[0])
-            d1 = E[0] * k + E[1]
-            d2 = -E[0] * k + E[1]
-            d1 /= np.linalg.norm(d1)
-            d2 /= np.linalg.norm(d2)
-            lines = ((center, d1), (center, d2))
-            return ConicClass.CROSSING_LINES, dict(center=center, lines=lines)
-        ti = 0 if mu[0] * c_t < 0 else 1
-        oi = 1 - ti
-        ra = math.sqrt(-c_t / mu[ti])
-        rb = math.sqrt(c_t / mu[oi])
-        axes = np.vstack([E[ti], E[oi]])
-        return ConicClass.HYPERBOLA, dict(center=center, axes=axes, radii=(ra, rb))
+        w0 = -lin / mu
+        center = (ET @ w0[:, :, None])[:, :, 0]
+        c_t = f + _dots(lin, w0)
+        radii = np.sqrt(-c_t[:, None] / mu)
+        transverse = mu0 * c_t < 0  # a hyperbola's, else along the second eigenvector
+        mu_t, mu_o = np.where(transverse, mu0, mu1), np.where(transverse, mu1, mu0)
+        # Rank one: mu[0] nonzero (|mu| descending), mu[1] ~ 0.
+        w1c = -lin[:, 0] / mu0
+        c_t1 = f - lin[:, 0] * lin[:, 0] / mu0
 
-    # Rank one: mu[0] nonzero (|mu| descending), mu[1] ~ 0.
-    w1c = -lin[0] / mu[0]
-    c_t = f - lin[0] * lin[0] / mu[0]
-    if abs(lin[1]) > thr:
-        # Parabola opening along the null eigendirection.
-        vertex = E.T @ np.array([w1c, -c_t / (2.0 * lin[1])])
-        kappa = -mu[0] / (2.0 * lin[1])
-        axes = np.vstack([E[0], E[1]])
-        return ConicClass.PARABOLA, dict(center=vertex, axes=axes, radii=(kappa,))
-    if abs(c_t) <= thr:
-        base = E.T @ np.array([w1c, 0.0])
-        return ConicClass.SINGLE_LINE, dict(lines=((base, E[1].copy()),))
-    if c_t * math.copysign(1.0, mu[0]) < 0:
-        off = math.sqrt(-c_t / mu[0])
-        base1 = E.T @ np.array([w1c + off, 0.0])
-        base2 = E.T @ np.array([w1c - off, 0.0])
-        return ConicClass.PARALLEL_LINES, dict(lines=((base1, E[1].copy()), (base2, E[1].copy())))
-    return ConicClass.EMPTY, {}
+    c_zero, sgn = np.abs(c_t) <= thr, np.copysign(1.0, mu0)
+    flat, central, definite = mu_max <= thr, ~zero.any(axis=1), mu0 * mu1 > 0
+    cases = [
+        (scale <= 1e-300, None),
+        (flat & (ln <= thr), ConicClass.EMPTY),
+        (flat, ConicClass.SINGLE_LINE),
+        (central & definite & c_zero, ConicClass.POINT),
+        (central & definite & (c_t * sgn > 0), ConicClass.EMPTY),
+        (central & definite & (np.abs(mu0 - mu1) <= CONIC_CLASSIFY_TOL * mu_max),
+         ConicClass.CIRCLE),
+        (central & definite, ConicClass.ELLIPSE),
+        (central & c_zero, ConicClass.CROSSING_LINES),
+        (central, ConicClass.HYPERBOLA),
+        (np.abs(lin[:, 1]) > thr, ConicClass.PARABOLA),
+        (np.abs(c_t1) <= thr, ConicClass.SINGLE_LINE),
+        (c_t1 * sgn < 0, ConicClass.PARALLEL_LINES),
+        (np.ones_like(flat), ConicClass.EMPTY),
+    ]
+    case = np.argmax(np.stack([m for m, _ in cases]), axis=0)
+    klass = [cases[i][1] or AllZeroError("all conic coefficients are zero") for i in case.tolist()]
+
+    axes, lines = E.copy(), np.full((len(case), 2, 2, 2), np.nan)
+
+    def put(k, fields, make):
+        """Row fields of the rows of case ``k``, from ``make()`` (all rows)."""
+        at = case == k
+        if at.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fields[at] = make()[at]
+
+    def pairs(*lines):
+        return np.stack([np.stack(ln, 1) for ln in lines], 1)
+
+    put(8, axes, lambda: np.where(transverse[:, None, None], E, E[:, ::-1]))
+    put(8, radii, lambda: np.stack([np.sqrt(-c_t / mu_t), np.sqrt(c_t / mu_o)], -1))
+    put(9, center, lambda: ET_at(w1c, -c_t1 / (2.0 * lin[:, 1])))
+    put(9, radii[:, 0], lambda: -mu0 / (2.0 * lin[:, 1]))
+    put(2, lines, lambda: pairs(*[(np.stack([-f * d, -f * e], -1) / (2.0 * ln * ln)[:, None],
+                                   np.stack([-e, d], -1) / ln[:, None])] * 2))
+
+    def crossing():
+        k = np.sqrt(-mu1 / mu0)[:, None]
+        d1, d2 = E[:, 0] * k + E[:, 1], -E[:, 0] * k + E[:, 1]
+        return pairs((center, d1 / np.sqrt(_dots(d1, d1))[:, None]),
+                     (center, d2 / np.sqrt(_dots(d2, d2))[:, None]))
+
+    put(7, lines, crossing)
+    def parallel():
+        off = np.sqrt(-c_t1 / mu0)
+        return pairs((ET_at(w1c + off, zeros), E[:, 1]), (ET_at(w1c - off, zeros), E[:, 1]))
+
+    zeros = np.zeros_like(w1c)
+    put(10, lines, lambda: pairs(*[(ET_at(w1c, zeros), E[:, 1])] * 2))
+    put(11, lines, parallel)
+    return klass, center, axes, radii, lines
+
+
+def _sections(q: tuple[np.ndarray, np.ndarray, np.ndarray], g: np.ndarray,
+              c0: np.ndarray) -> _Sections:
+    """The conic section of each quadric row ``q = (A (m,3,3), b (m,3), c (m,))``
+    by its plane row ``g . x + c0 = 0``, with :func:`intersect_quadric_plane`'s
+    bits; a plane whose gradient is zero holds a :class:`ZeroGradientError`."""
+    A, b, c = q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0, u, v, n = _frames(g, c0)
+        Au, Av, Ax0 = ((A @ w[:, :, None])[:, :, 0] for w in (u, v, x0))
+        f = ((x0[:, None, :] @ A) @ x0[:, :, None])[:, 0, 0] + 2.0 * _dots(b, x0) + c
+        coeffs = np.stack([_dots(u, Au), _dots(u, Av), _dots(v, Av),
+                           _dots(u, Ax0) + _dots(b, u), _dots(v, Ax0) + _dots(b, v), f], -1)
+        klass, *fields = _analyze(coeffs)
+    for i in np.flatnonzero(_dots(g, g) == 0.0).tolist():
+        klass[i] = ZeroGradientError("linear form has zero gradient; no plane")
+    return _Sections(x0, u, v, n, coeffs, klass, *fields)
 
 
 def intersect_quadric_plane(q: Quadric, lin: LinearForm) -> Conic:
     """Exact conic section of ``q`` by the plane ``lin = 0``."""
-    fr = plane_frame(lin)
-    x0, u, v = fr.origin, fr.u, fr.v
-    Au = q.A @ u
-    Av = q.A @ v
-    Ax0 = q.A @ x0
-    a = float(u @ Au)
-    b = float(u @ Av)
-    c = float(v @ Av)
-    d = float(u @ Ax0 + q.b @ u)
-    e = float(v @ Ax0 + q.b @ v)
-    f = q.value(x0)
-    klass, fields = _analyze((a, b, c, d, e, f))
-    return Conic(fr, (a, b, c, d, e, f), klass, **fields)
+    return _sections((q.A[None], q.b[None], np.array([q.c])), lin.g[None],
+                     np.array([lin.c0])).conic(0)
 
 
 def sample_conic(conic: Conic, n: int) -> np.ndarray:
@@ -304,7 +394,7 @@ def pcurve(conic: Conic, chart: SurfaceChart, n: int) -> np.ndarray:
     off = np.abs(stacked_values(stack_forms([q]), pts)[:, 0]) > SURF_RESIDUAL_TOL * scale
     if off.any():
         p = pts[off.argmax()]
-        raise PointOffSurfaceError(f"conic sample {tuple(p)} is not on the chart surface")
+        raise PointOffSurfaceError(f"conic sample {tuple(p.tolist())} is not on the chart surface")
     uv = np.array([chart.inverse(p) for p in pts], dtype=float)
     for col, period in ((0, chart.u_period), (1, chart.v_period)):
         if period > 0.0:

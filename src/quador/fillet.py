@@ -10,6 +10,12 @@ to the hub sphere where both vanish.
 ``beta`` is the one user-facing knob; ``alpha`` is always derived as
 ``1/(4*beta)``.  Degenerate (plane-pair) fillets are legitimate members of
 the family and are flagged as chamfer-like rather than rejected.
+
+Fillets are built as rows of arrays (:class:`FilletStack`): a lattice's
+fillets in one stacked call, and ``verify``'s every fillet at every beta of
+its grid in another.  Each row takes the float operations, in the order,
+that the one fillet takes alone, so a row keeps its bits however the rows
+are stacked; :func:`build_fillet` is the one-row call.
 """
 
 from __future__ import annotations
@@ -22,16 +28,15 @@ import numpy as np
 from .algebra import (
     LinearForm,
     Quadric,
-    classify_quadric,
-    principal_curvatures,
-    rel_coeff_residual,
-    subtract_square,
     QuadricClass,
+    classify_quadric,
+    subtract_square,
     _cross3,
+    _curvatures,
+    _dots,
     _freeze,
-    _norm,
 )
-from .conics import COMPACT_CLASSES, Conic, ConicClass, intersect_quadric_plane
+from .conics import COMPACT_CLASSES, Conic, ConicClass, _Sections, _sections, _stack_conics
 from .errors import (
     EmptyConicError,
     FilletPairMismatchError,
@@ -40,14 +45,17 @@ from .errors import (
     NoBisectorIntersectionError,
     NonPositiveBetaError,
     ParallelStubsError,
+    QuadorError,
+    SingularPointError,
     WedgeOrientationError,
 )
-from .lattice import (Lattice, FilletSpec, StubView, _unknown_fillet_ids, fillet_key,
+from .lattice import (Beam, FilletSpec, Hub, Lattice, StubView, _unknown_fillet_ids, fillet_key,
                       stub_views_at_hub)
-from .tolerances import COEFF_REL_TOL, PARALLEL_STUB_TOL
+from .tolerances import CLASSIFY_TOL, COEFF_REL_TOL, PARALLEL_STUB_TOL
 
 __all__ = [
     "FilletPatch",
+    "FilletStack",
     "fillet_planes",
     "build_fillet",
     "build_fillet_for_spec",
@@ -69,16 +77,44 @@ def fillet_planes(
     Raises :class:`NonPositiveBetaError` for a ``beta`` not positive and finite,
     and :class:`ParallelStubsError` for parallel stub planes (no corner to fill).
     """
-    if not (beta > 0.0) or not math.isfinite(beta):
-        raise NonPositiveBetaError(f"fillet beta={beta}")
-    if _norm(_cross3(G1.g, G2.g)) <= PARALLEL_STUB_TOL * G1.grad_norm() * G2.grad_norm():
-        raise ParallelStubsError("stub planes are parallel; no corner to fill")
+    with np.errstate(all="ignore"):
+        alpha, (_, _, e1, e2), checks = _planes(_forms([G1]), _forms([G2]), [beta])
+    for bad, error, message in checks:
+        if bad[0]:
+            raise error(message.format(beta))
+    return LinearForm(e1[0, :3], e1[0, 3]), LinearForm(e2[0, :3], e2[0, 3]), float(alpha[0])
+
+
+def _planes(G1: np.ndarray, G2: np.ndarray, betas):
+    """:func:`fillet_planes` row by row, for stub plane rows ``(m, 4)`` of
+    ``(g, c0)`` and ``betas``: alpha, the planes F+, F-, E1 and E2 as such
+    rows, and the checks it makes, in order, as (mask, error class, message
+    with a ``{}`` for the row's beta)."""
+    beta = np.array(betas, dtype=float)
     alpha = 1.0 / (4.0 * beta)
-    f_minus = G2 - G1
-    f_plus = G2 + G1
-    e1 = f_plus.scaled(alpha) + f_minus.scaled(beta)
-    e2 = f_plus.scaled(alpha) - f_minus.scaled(beta)
-    return e1, e2, alpha
+    fp, fm = G2 + G1, G2 - G1
+    e1 = fp * alpha[:, None] + fm * beta[:, None]
+    e2 = fp * alpha[:, None] - fm * beta[:, None]
+    g1, g2 = G1[:, :3], G2[:, :3]
+    cross = _cross3(g1, g2)
+    parallel = (np.sqrt(_dots(cross, cross))
+                <= PARALLEL_STUB_TOL * np.sqrt(_dots(g1, g1)) * np.sqrt(_dots(g2, g2)))
+    return alpha, (fp, fm, e1, e2), [
+        (~(beta > 0.0) | ~np.isfinite(beta), NonPositiveBetaError, "fillet beta={}"),
+        (parallel, ParallelStubsError, "stub planes are parallel; no corner to fill"),
+    ]
+
+
+def _forms(forms) -> np.ndarray:
+    """Linear forms as rows ``(m, 4)`` of ``(g, c0)``."""
+    return np.array([[*f.g, f.c0] for f in forms], dtype=float).reshape(-1, 4)
+
+
+def _quadrics(qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrics as rows: ``A (m,3,3)``, ``b (m,3)``, ``c (m,)``."""
+    return (np.array([q.A for q in qs], dtype=float).reshape(-1, 3, 3),
+            np.array([q.b for q in qs], dtype=float).reshape(-1, 3),
+            np.array([q.c for q in qs], dtype=float))
 
 
 def fillet_residual(
@@ -121,16 +157,160 @@ class FilletPatch:
     @property
     def is_chamfer(self) -> bool:
         """True when the fillet quadric degenerates to a plane pair."""
-        return classify_quadric(self.Q).label in PLANE_PAIR_CLASSES
+        return _one(_plane_pairs((self.Q.A[None], self.Q.b[None], np.array([self.Q.c])),
+                                 (None,))[0])
 
 
-def _tangency_conic(H: Quadric, E: LinearForm) -> Conic:
-    conic = intersect_quadric_plane(H, E)
-    if conic.klass in (ConicClass.EMPTY, ConicClass.POINT):
-        raise EmptyConicError(
-            "fillet plane misses the stub quador (invalid beta for this geometry)"
-        )
-    return conic
+@dataclass(frozen=True, eq=False)
+class FilletStack:
+    """Fillets as rows of arrays, row ``i`` for fillet ``i``: what
+    :func:`build_fillet_for_spec` builds for a sequence of specs, and what
+    :func:`fillet_extent` and :func:`fillet_min_curvature_radius` read.
+
+    ``errors[i]`` is the coded error building row ``i`` raised (its arrays
+    then hold no fillet).  ``stack[i]`` is row ``i``'s :class:`FilletPatch`,
+    with the bits of every array, or raises a copy of its error.
+    """
+
+    stubs: tuple[tuple[StubView, StubView], ...]
+    errors: tuple[QuadorError | None, ...]
+    alpha: np.ndarray  # (m,)
+    beta: np.ndarray  # (m,)
+    planes: np.ndarray  # (4, m, 4): F+, F-, E1 and E2 as rows (g, c0)
+    Q: tuple[np.ndarray, np.ndarray, np.ndarray]  # A (m,3,3), b (m,3), c (m,)
+    bisector: np.ndarray  # (m, 3)
+    center: np.ndarray  # (m, 3) hub centers
+    conics: _Sections  # conic1 of every row, then conic2 of every row
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, i: int) -> FilletPatch:
+        i = range(len(self))[i]  # a negative index counts from the end
+        error = self.errors[i]
+        if error is not None:
+            raise type(error)(*error.args)
+        A, b, c = self.Q
+        return FilletPatch(*self.stubs[i], float(self.alpha[i]), float(self.beta[i]),
+                           *(LinearForm(p[i, :3], p[i, 3]) for p in self.planes),
+                           Quadric(A[i], b[i], c[i]), self.conics.conic(i),
+                           self.conics.conic(len(self) + i), self.bisector[i])
+
+
+# Stands in for a row whose spec failed: its arrays hold NaN.
+_NAN3 = np.full(3, np.nan)
+_NAN_STUB = StubView(Hub("", (math.nan,) * 3, math.nan), Beam("", "", "", math.nan),
+                     LinearForm(_NAN3, math.nan),
+                     Quadric(np.full((3, 3), np.nan), _NAN3, math.nan), _NAN3)
+_NAN_ROW = (_NAN_STUB, _NAN_STUB, math.nan)
+
+
+def _build(rows) -> FilletStack:
+    """Build every fillet row at once; ``rows`` holds per fillet its two stubs
+    and beta, or the coded error its spec raised.
+
+    Row by row this is :func:`build_fillet`: the same float operations in
+    the same order, each array op elementwise or a stacked BLAS product of
+    one row's shape, and the first error the row's checks raise, in their
+    order: beta, parallel planes, the identity, opposite axes, the wedge,
+    then each tangency conic.
+    """
+    given = [r if isinstance(r, QuadorError) else None for r in rows]
+    live = [_NAN_ROW if e else r for r, e in zip(rows, given)]
+    s1, s2, betas = ([r[k] for r in live] for k in range(3))
+    G1, G2 = _forms([v.G for v in s1]), _forms([v.G for v in s2])
+    H1, H2 = _quadrics([v.H for v in s1]), _quadrics([v.H for v in s2])
+    w = np.array([[*v1.axis, *v2.axis] for v1, v2 in zip(s1, s2)], dtype=float).reshape(-1, 6)
+    center = np.array([v.hub.center for v in s1], dtype=float).reshape(-1, 3)
+    radius = np.array([v.hub.radius for v in s1], dtype=float)
+
+    with np.errstate(all="ignore"):
+        alpha, (fp, fm, e1, e2), checks = _planes(G1, G2, betas)
+        q1, q2 = _subtract_square(H1, e1), _subtract_square(H2, e2)
+        gap = (_symmetric(q1[0] - q2[0]), q1[1] - q2[1], q1[2] - q2[2])
+        norm_gap, norm_q1 = (np.sqrt(_dots(v, v)) for v in (_coeffs(*gap), _coeffs(*q1)))
+        residual = norm_gap / np.where(1e-300 > norm_q1, 1e-300, norm_q1)
+        w = w[:, :3] + w[:, 3:]
+        wn = np.sqrt(_dots(w, w))
+        w = w / wn[:, None]
+        probe = center + radius[:, None] * w
+        p1, p2 = (_dots(e[:, :3], probe) + e[:, 3] for e in (e1, e2))
+        sign = np.where((p1 < 0.0) & (p2 < 0.0), -1.0, 1.0)  # flip both: Q is unchanged
+        e1, e2, p1, p2 = e1 * sign[:, None], e2 * sign[:, None], p1 * sign, p2 * sign
+        planes = np.concatenate([e1, e2])
+        conics = _sections(tuple(np.concatenate(h) for h in zip(H1, H2)),
+                           planes[:, :3], planes[:, 3])
+    checks += [
+        (~(residual <= COEFF_REL_TOL),  # a NaN residual fails too
+         IdentityViolationError, "H1 - E1^2 and H2 - E2^2 disagree; upstream data is corrupt"),
+        (wn <= PARALLEL_STUB_TOL,
+         ParallelStubsError, "stub axes are opposite; no outward bisector"),
+        ((p1 <= 0.0) | (p2 <= 0.0),
+         WedgeOrientationError, "fillet wedge does not face the outward corner bisector"),
+    ]
+    m = len(rows)
+    for i, error in enumerate(given):
+        if error is None:
+            error = next((cls(message.format(betas[i])) for bad, cls, message in checks
+                          if bad[i]), None)
+        for klass in (conics.klass[i], conics.klass[m + i]):
+            if error is None and isinstance(klass, QuadorError):
+                error = klass
+            elif error is None and klass in (ConicClass.EMPTY, ConicClass.POINT):
+                error = EmptyConicError(
+                    "fillet plane misses the stub quador (invalid beta for this geometry)")
+        given[i] = error
+    return FilletStack(tuple(zip(s1, s2)), tuple(given), alpha, np.array(betas, dtype=float),
+                       np.stack([fp, fm, e1, e2]), q1, w, center, conics)
+
+
+def _symmetric(A: np.ndarray) -> np.ndarray:
+    """``A`` rows ``(m,3,3)`` made symmetric as :class:`Quadric` stores them."""
+    return 0.5 * A + 0.5 * np.swapaxes(A, 1, 2)
+
+
+def _subtract_square(q, e):
+    """:func:`subtract_square` row by row: quadric rows ``(A, b, c)`` minus
+    the squares of plane rows ``(m, 4)``."""
+    g, c0 = e[:, :3], e[:, 3]
+    A, b, c = q
+    return _symmetric(A - g[:, :, None] * g[:, None, :]), b - c0[:, None] * g, c - c0 * c0
+
+
+def _coeffs(A, b, c) -> np.ndarray:
+    """:meth:`Quadric.coeffs` row by row: ``(m, 10)``."""
+    i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+    return np.column_stack([A[:, i, j], b, c])
+
+
+def _gather(patches) -> FilletStack:
+    """Patches as a stack of their own fields; nothing is rebuilt."""
+    return FilletStack(
+        tuple((p.stub1, p.stub2) for p in patches), (None,) * len(patches),
+        np.array([p.alpha for p in patches], dtype=float),
+        np.array([p.beta for p in patches], dtype=float),
+        np.stack([_forms([p.F_plus for p in patches]), _forms([p.F_minus for p in patches]),
+                  _forms([p.E1 for p in patches]), _forms([p.E2 for p in patches])]),
+        _quadrics([p.Q for p in patches]),
+        np.array([p.bisector for p in patches], dtype=float).reshape(-1, 3),
+        np.array([p.stub1.hub.center for p in patches], dtype=float).reshape(-1, 3),
+        _stack_conics([p.conic1 for p in patches] + [p.conic2 for p in patches]))
+
+
+def _as_stack(items) -> tuple[FilletStack, bool]:
+    """One patch, a sequence of patches or a stack, as a stack; and whether
+    it was one patch."""
+    if isinstance(items, FilletStack):
+        return items, False
+    one = isinstance(items, FilletPatch)
+    return _gather([items] if one else list(items)), one
+
+
+def _one(outcome):
+    """A one-row outcome: its value, or its error raised."""
+    if isinstance(outcome, QuadorError):
+        raise outcome
+    return outcome
 
 
 def build_fillet(stub1: StubView, stub2: StubView, beta: float) -> FilletPatch:
@@ -141,80 +321,58 @@ def build_fillet(stub1: StubView, stub2: StubView, beta: float) -> FilletPatch:
     Both planes must be positive at the outward-bisector probe
     ``c + r * (u1 + u2)/|u1 + u2|``; when both are negative the pair is
     flipped together (which leaves the fillet quadric unchanged), and a
-    mixed-sign probe raises :class:`WedgeOrientationError`.
+    mixed-sign probe raises :class:`WedgeOrientationError`.  This is one row
+    of the stacked construction that :func:`build_fillet_for_spec` and
+    lattice loading use.
     """
     if stub1.hub.id != stub2.hub.id:
         raise ValueError("stubs must share a hub")
-    hub = stub1.hub
-    e1, e2, alpha = fillet_planes(stub1.G, stub2.G, beta)
-
-    q1 = subtract_square(stub1.H, e1)
-    q2 = subtract_square(stub2.H, e2)
-    if not rel_coeff_residual(q1 - q2, q1) <= COEFF_REL_TOL:  # a NaN residual fails too
-        raise IdentityViolationError(
-            "H1 - E1^2 and H2 - E2^2 disagree; upstream data is corrupt"
-        )
-
-    w = stub1.axis + stub2.axis
-    wn = _norm(w)
-    if wn <= PARALLEL_STUB_TOL:
-        raise ParallelStubsError("stub axes are opposite; no outward bisector")
-    w = w / wn
-    probe = np.asarray(hub.center) + hub.radius * w
-    p1, p2 = e1.value(probe), e2.value(probe)
-    if p1 < 0.0 and p2 < 0.0:
-        e1, e2 = -e1, -e2
-        p1, p2 = -p1, -p2
-    if p1 <= 0.0 or p2 <= 0.0:
-        raise WedgeOrientationError(
-            "fillet wedge does not face the outward corner bisector"
-        )
-
-    return FilletPatch(
-        stub1=stub1,
-        stub2=stub2,
-        alpha=alpha,
-        beta=beta,
-        F_plus=stub2.G + stub1.G,
-        F_minus=stub2.G - stub1.G,
-        E1=e1,
-        E2=e2,
-        Q=q1,
-        conic1=_tangency_conic(stub1.H, e1),
-        conic2=_tangency_conic(stub2.H, e2),
-        bisector=w,
-    )
+    return _build([(stub1, stub2, beta)])[0]
 
 
-def build_fillet_from_views(views: tuple[StubView, ...] | list[StubView],
-                            spec: FilletSpec) -> FilletPatch:
-    """Build a spec's patch from the stub views at its hub."""
+def _fillet_row(views, spec: FilletSpec):
+    """A spec's two stubs and beta from the stub views at its hub, or the
+    :class:`FilletPairMismatchError` it raises."""
     if spec.beam_i == spec.beam_j:
-        raise FilletPairMismatchError("fillet names one beam twice")
+        return FilletPairMismatchError("fillet names one beam twice")
     by_beam = {v.beam.id: v for v in views}
     for bid in (spec.beam_i, spec.beam_j):
         if bid not in by_beam:
-            raise FilletPairMismatchError(f"beam {bid!r} is not incident to hub {spec.hub!r}")
-    return build_fillet(by_beam[spec.beam_i], by_beam[spec.beam_j], spec.beta)
+            return FilletPairMismatchError(f"beam {bid!r} is not incident to hub {spec.hub!r}")
+    return by_beam[spec.beam_i], by_beam[spec.beam_j], spec.beta
 
 
-def build_fillet_for_spec(lattice: Lattice, spec: FilletSpec) -> FilletPatch:
-    """Resolve a :class:`FilletSpec` against a lattice and build the patch.
+def build_fillet_for_spec(lattice: Lattice, specs):
+    """Resolve a :class:`FilletSpec` against a lattice and build the patch;
+    given a sequence of specs, build them all at once as a :class:`FilletStack`.
 
     A spec naming a hub or beam the lattice does not define raises
-    :class:`MissingIdError`, the code validation reports for it.
+    :class:`MissingIdError`, the code validation reports for it; in a stack,
+    each row holds the error its spec raises.
     """
+    one = isinstance(specs, FilletSpec)
     resolved = lattice._resolved
-    unknown = _unknown_fillet_ids(spec, resolved.hubs, resolved.beams)
-    if unknown:
-        raise MissingIdError(f"fillet names unknown {', '.join(unknown)}")
-    return build_fillet_from_views(stub_views_at_hub(lattice, spec.hub), spec)
+    views: dict[str, list[StubView]] = {}
+    rows = []
+    for spec in [specs] if one else specs:
+        unknown = _unknown_fillet_ids(spec, resolved.hubs, resolved.beams)
+        try:
+            if unknown:
+                raise MissingIdError(f"fillet names unknown {', '.join(unknown)}")
+            if spec.hub not in views:
+                views[spec.hub] = stub_views_at_hub(lattice, spec.hub)
+            rows.append(_fillet_row(views[spec.hub], spec))
+        except QuadorError as exc:
+            rows.append(exc)
+    stack = _build(rows)
+    return stack[0] if one else stack
 
 
-def _max_distance_on_conic(conic: Conic, origin: np.ndarray) -> float:
-    """Maximum distance from ``origin`` over an ellipse or circle, in closed form.
+def _max_distances(conics: _Sections, rows: np.ndarray, origins: np.ndarray) -> np.ndarray:
+    """Maximum distance from ``origins`` over each ellipse or circle in
+    ``rows`` of ``conics``, in closed form.
 
-    With ``w`` the center's offset from ``origin`` and orthogonal semi-axes
+    With ``w`` the center's offset from the origin and orthogonal semi-axes
     ``a1``, ``a2``, the stationary points of ``|w + cos(t) a1 + sin(t) a2|^2``
     solve ``q cos t - p sin t + r sin t cos t = 0`` (``p = w.a1``,
     ``q = w.a2``, ``r = |a2|^2 - |a1|^2``).  ``u = tan(t/2)`` makes that the
@@ -222,74 +380,141 @@ def _max_distance_on_conic(conic: Conic, origin: np.ndarray) -> float:
     and ``t = pi`` (the root at ``u = inf``) are polished by Newton steps.
     Every candidate lies on the conic, so a spurious root can only lower the
     maximum; an all-zero quartic (constant distance) leaves ``t = pi``.
+
+    The roots are ``np.roots``' own: the eigenvalues of the companion matrix
+    of the quartic with its zero ends stripped, stacked per degree (a zero
+    ``q`` leaves a quadratic and a root at 0).  Each conic has five
+    candidates; one with fewer roots repeats ``t = pi``.
     """
-    center3 = conic.point3d(conic.center[0], conic.center[1])
-    d1, d2 = conic.axes
-    a1 = conic.radii[0] * (d1[0] * conic.frame.u + d1[1] * conic.frame.v)
-    a2 = conic.radii[1] * (d2[0] * conic.frame.u + d2[1] * conic.frame.v)
-    w = center3 - origin
-    p, q, r = float(w @ a1), float(w @ a2), float(a2 @ a2 - a1 @ a1)
-    u = np.roots([-q, -2.0 * (p + r), 0.0, 2.0 * (r - p), q])
-    theta = np.append(2.0 * np.arctan(u.real), math.pi)
+    s, t = conics.center[rows].T
+    u, v = conics.u[rows], conics.v[rows]
+    w = conics.origin[rows] + s[:, None] * u + t[:, None] * v - origins
+    (d1, d2), (r1, r2) = np.swapaxes(conics.axes[rows], 0, 1), conics.radii[rows].T
+    a1 = r1[:, None] * (d1[:, :1] * u + d1[:, 1:] * v)
+    a2 = r2[:, None] * (d2[:, :1] * u + d2[:, 1:] * v)
+    p, q, r = _dots(w, a1), _dots(w, a2), _dots(a2, a2) - _dots(a1, a1)
+    poly = np.stack([-q, -2.0 * (p + r), np.zeros_like(q), 2.0 * (r - p), q], -1)
+    nonzero = poly != 0.0
+    first, last = np.argmax(nonzero, 1), 4 - np.argmax(nonzero[:, ::-1], 1)
+    degree = np.where(nonzero.any(1), last - first, -1)
+    theta = np.full((len(q), 5), math.pi)
+    for n in (4, 2):  # a nonzero q, or a zero q with p + r and r - p nonzero
+        at = np.flatnonzero(degree == n)
+        if at.size:
+            coef = poly[at, 2 - n // 2:3 + n // 2]
+            companion = np.zeros((at.size, n, n))
+            companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+            companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            theta[at, :n] = 2.0 * np.arctan(np.linalg.eigvals(companion).real)
+    k, start = np.arange(5), np.maximum(degree, 0)[:, None]  # np.roots' roots at 0 follow
+    theta[(degree[:, None] >= 0) & (k >= start) & (k < start + 4 - last[:, None])] = 0.0
+    p, q, r = p[:, None], q[:, None], r[:, None]
     for _ in range(2):
         s, c = np.sin(theta), np.cos(theta)
         slope = r * (c * c - s * s) - p * c - q * s
         theta = theta - np.divide(
             q * c - p * s + r * s * c, slope, out=np.zeros_like(theta), where=slope != 0.0
         )
-    pts = w + np.outer(np.cos(theta), a1) + np.outer(np.sin(theta), a2)
-    return math.sqrt(float(np.max(np.einsum("ij,ij->i", pts, pts))))
+    pts = (w[:, None] + np.cos(theta)[..., None] * a1[:, None]
+           + np.sin(theta)[..., None] * a2[:, None]).reshape(-1, 3)
+    return np.sqrt(np.einsum("ij,ij->i", pts, pts).reshape(-1, 5).max(axis=1))
 
 
-def fillet_extent(patch: FilletPatch) -> float:
+def fillet_extent(patches):
     """How far from the hub center the fillet reaches along the stubs.
 
     Maximum distance over both tangency conics, each found in closed form
     from the stationary points of the squared distance (a quartic in
-    ``tan(t/2)``, see :func:`_max_distance_on_conic`); ``math.inf`` when
-    either conic is non-compact (parabola, hyperbola, line pairs).
+    ``tan(t/2)``, see :func:`_max_distances`); ``math.inf`` when either
+    conic is non-compact (parabola, hyperbola, line pairs).  Takes one patch
+    and returns a float, or a sequence of patches or a :class:`FilletStack`
+    and returns a list with, per row, the extent or the row's coded error.
     """
-    if (
-        patch.conic1.klass not in COMPACT_CLASSES
-        or patch.conic2.klass not in COMPACT_CLASSES
-    ):
-        return math.inf
-    center = np.asarray(patch.stub1.hub.center, dtype=float)
-    return max(
-        _max_distance_on_conic(patch.conic1, center),
-        _max_distance_on_conic(patch.conic2, center),
-    )
+    stack, one = _as_stack(patches)
+    m = len(stack)
+    klass = stack.conics.klass
+    rows = np.array([i for i in range(m) if stack.errors[i] is None and
+                     klass[i] in COMPACT_CLASSES and klass[m + i] in COMPACT_CLASSES], dtype=int)
+    extent = np.full(m, math.inf)
+    if rows.size:
+        d1, d2 = _max_distances(stack.conics, np.concatenate([rows, m + rows]),
+                                np.concatenate([stack.center[rows]] * 2)).reshape(2, -1)
+        extent[rows] = np.where(d2 > d1, d2, d1)
+    out = [e or x for e, x in zip(stack.errors, extent.tolist())]
+    return _one(out[0]) if one else out
 
 
-def fillet_min_curvature_radius(patch: FilletPatch) -> float:
+def _plane_pairs(Q, errors) -> list:
+    """Per quadric row of ``Q = (A, b, c)`` whose ``errors`` entry is None:
+    whether :func:`classify_quadric` labels it a plane pair, or the error it
+    raises.  A row whose ``A`` is provably of rank 3 is none, with no Jacobi
+    sweep: ``|det A| > 2 CLASSIFY_TOL ||A||_F^3`` bounds its smallest
+    eigenvalue above ``2 CLASSIFY_TOL lambda_max``, and
+    ``||A||_F > 2 sqrt(3) CLASSIFY_TOL max(|b|, |c|)`` bounds ``lambda_max``
+    above ``CLASSIFY_TOL`` times the coefficient scale, each with a margin
+    far above rounding.  Every other row is classified."""
+    A, b, c = Q
+    e = np.frexp(np.abs(A).max(axis=(1, 2)))[1]
+    with np.errstate(all="ignore"):
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = np.moveaxis(
+            np.ldexp(A, -e[:, None, None]), (1, 2), (0, 1))
+        det = a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20) \
+            + a02 * (a10 * a21 - a11 * a20)
+        fro = np.sqrt(np.sum(np.ldexp(A, -e[:, None, None]) ** 2, axis=(1, 2)))
+        rest = np.maximum(np.sqrt(_dots(b, b)), np.abs(c)) * np.ldexp(1.0, -e)
+        rank3 = (np.abs(det) > 2.0 * CLASSIFY_TOL * fro**3) & (
+            fro > 2.0 * math.sqrt(3.0) * CLASSIFY_TOL * rest)
+    out = []
+    for i, error in enumerate(errors):
+        if error is not None or rank3[i]:
+            out.append(error or False)
+            continue
+        try:
+            out.append(classify_quadric(Quadric(A[i], b[i], c[i])).label in PLANE_PAIR_CLASSES)
+        except QuadorError as exc:
+            out.append(exc)
+    return out
+
+
+def fillet_min_curvature_radius(patches):
     """Smallest radius of curvature of the fillet at the bisector probe.
 
     Intersects the outward bisector ray with the fillet surface (smallest
     positive root), evaluates the principal curvatures there, and returns
     ``1/max(|k1|, |k2|)``.  Plane-pair fillets have zero curvature and
     report ``math.inf``.  Raises :class:`NoBisectorIntersectionError` when
-    the ray misses the surface.
+    the ray misses the surface.  Takes one patch and returns a float, or a
+    sequence of patches or a :class:`FilletStack` and returns a list with,
+    per row, the radius or the coded error the row raises.
     """
-    if patch.is_chamfer:
-        return math.inf
-    c = np.asarray(patch.stub1.hub.center, dtype=float)
-    w = patch.bisector
-    qa = float(w @ patch.Q.A @ w)
-    qb = float(w @ patch.Q.A @ c + patch.Q.b @ w)
-    qc = patch.Q.value(c)
-    roots = []
-    if qa == 0.0:
-        if qb != 0.0:
-            roots.append(-qc / (2.0 * qb))
-    else:
+    stack, one = _as_stack(patches)
+    A, b, c = stack.Q
+    o, w = stack.center, stack.bisector
+    with np.errstate(all="ignore"):
+        wA = w[:, None, :] @ A
+        qa = (wA @ w[:, :, None])[:, 0, 0]
+        qb = (wA @ o[:, :, None])[:, 0, 0] + _dots(b, w)
+        qc = ((o[:, None, :] @ A) @ o[:, :, None])[:, 0, 0] + 2.0 * _dots(b, o) + c
         disc = qb * qb - qa * qc
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            roots.extend([(-qb - sq) / qa, (-qb + sq) / qa])
-    positive = sorted(s for s in roots if s > 0.0)
-    if not positive:
-        raise NoBisectorIntersectionError("bisector ray misses the fillet surface")
-    probe = c + positive[0] * w
-    k1, k2 = principal_curvatures(patch.Q, probe)
-    k_max = max(abs(k1), abs(k2))
-    return math.inf if k_max == 0.0 else 1.0 / k_max
+        sq = np.sqrt(disc)
+        two = (qa != 0.0) & (disc >= 0.0)  # else one root where qa == 0 and qb != 0
+        roots = np.stack([np.where(two, (-qb - sq) / qa, np.where(
+            (qa == 0.0) & (qb != 0.0), -qc / (2.0 * qb), np.nan)),
+            np.where(two, (-qb + sq) / qa, np.nan)], -1)
+        hit = (roots > 0.0).any(axis=1)
+        s = np.where(roots > 0.0, roots, np.inf).min(axis=1)
+        probe = o + s[:, None] * w
+        k1, k2, singular = _curvatures(A, b, probe)
+        k_max = np.where(np.abs(k2) > np.abs(k1), np.abs(k2), np.abs(k1))
+        radius = np.where(k_max == 0.0, np.inf, 1.0 / k_max)
+    out = []
+    for i, chamfer in enumerate(_plane_pairs(stack.Q, stack.errors)):
+        if isinstance(chamfer, QuadorError) or chamfer:
+            out.append(math.inf if chamfer is True else chamfer)
+        elif not hit[i]:
+            out.append(NoBisectorIntersectionError("bisector ray misses the fillet surface"))
+        elif singular[i]:
+            out.append(SingularPointError(f"gradient vanishes at {tuple(probe[i].tolist())}"))
+        else:
+            out.append(float(radius[i]))
+    return _one(out[0]) if one else out

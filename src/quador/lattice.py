@@ -316,7 +316,7 @@ def _unknown_fillet_ids(spec: FilletSpec, hubs, beams) -> list[str]:
 
 
 def _resolve(lattice: Lattice) -> _Resolution:
-    from .fillet import build_fillet_from_views  # fillet imports this module
+    from .fillet import _build, _fillet_row  # fillet imports this module
 
     report = ValidationReport()
 
@@ -377,20 +377,23 @@ def _resolve(lattice: Lattice) -> _Resolution:
         stubs[hub.id] = failed[0] if failed else tuple(
             g.stub_a if b.hub_a == hub.id else g.stub_b for b, g in pairs)
 
-    def resolve_fillet(fs: FilletSpec) -> FilletPatch | None:
-        subject = fillet_key(fs.hub, fs.beam_i, fs.beam_j)
+    # Every fillet is built in one stacked call; the errors are recorded in spec order.
+    rows, pending = [], []  # pending: per spec, its row index or the errors to record
+    for fs in lattice.fillets:
         unknown = _unknown_fillet_ids(fs, hubs, beams)
-        for name in unknown:
-            report.add_error(MissingIdError.code, subject, f"fillet names unknown {name}")
-        if unknown or isinstance(stubs[fs.hub], QuadorError):  # that error is recorded
-            return None
-        try:
-            return build_fillet_from_views(stubs[fs.hub], fs)
-        except QuadorError as exc:
-            report.add_error(exc.code, subject, str(exc))
-            return None
-
-    patches = tuple(resolve_fillet(fs) for fs in lattice.fillets)
+        if unknown or isinstance(stubs[fs.hub], QuadorError):  # a failed hub's error is recorded
+            pending.append([MissingIdError(f"fillet names unknown {name}") for name in unknown])
+        else:
+            pending.append(len(rows))
+            rows.append(_fillet_row(stubs[fs.hub], fs))
+    stack = _build(rows)
+    patches = []
+    for fs, row in zip(lattice.fillets, pending):
+        failed = row if isinstance(row, list) else [e for e in (stack.errors[row],) if e]
+        for exc in failed:
+            report.add_error(exc.code, fillet_key(fs.hub, fs.beam_i, fs.beam_j), str(exc))
+        patches.append(None if isinstance(row, list) or failed else stack[row])
+    patches = tuple(patches)
     return _Resolution(hubs, spheres, beams, tuple(geometry), stubs, locality, patches,
                        tuple(report.entries))
 

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (Quadric, _axis_complement, _norm, linear_product, rel_coeff_residual,
-                      stack_forms, stacked_values, subtract_square)
+from .algebra import (Quadric, _axis_complement, _dots, _norm, linear_product,
+                      rel_coeff_residual, stack_forms, stacked_values, subtract_square)
 from .conics import sample_conic
-from .errors import QuadorError
 from .fillet import (
     build_fillet_for_spec,
     fillet_extent,
@@ -102,12 +101,6 @@ def _gradients(q: Quadric, pts: np.ndarray) -> np.ndarray:
     """``q.gradient`` at each row of ``pts``, bit for bit: one stacked
     ``(3,3) @ (3,1)`` product per point, as ``A @ p`` takes."""
     return 2.0 * (q.A @ pts[:, :, None])[:, :, 0] + 2.0 * q.b
-
-
-def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise ``u @ v`` by one ``(1,3) @ (3,1)`` product per row, the bits
-    of each row's own dot product (and so of ``np.linalg.norm`` squared)."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def run_verify(
@@ -206,21 +199,16 @@ def run_verify(
             )
         )
 
-        # Extent / curvature-radius behaviour across the beta grid.
-        for spec, built in zip(lattice.fillets, assembly.fillets):
+        # Extent / curvature-radius behaviour across the beta grid, every
+        # fillet at every beta in one stacked build.
+        grid = build_fillet_for_spec(lattice, [dataclasses.replace(spec, beta=beta)
+                                               for spec in lattice.fillets for beta in BETA_GRID])
+        n = len(BETA_GRID)
+        all_extents, all_radii = fillet_extent(grid), fillet_min_curvature_radius(grid)
+        for i, built in enumerate(assembly.fillets):
             subject = built.key
-            extents = []
-            radii = []
-            try:
-                for beta in BETA_GRID:
-                    patch = build_fillet_for_spec(
-                        lattice, dataclasses.replace(spec, beta=beta)
-                    )
-                    extents.append(fillet_extent(patch))
-                    radii.append(fillet_min_curvature_radius(patch))
-                bounded = all(math.isfinite(v) for v in extents + radii)
-            except QuadorError:
-                bounded = False
+            extents, radii = all_extents[n * i:n * i + n], all_radii[n * i:n * i + n]
+            bounded = all(isinstance(v, float) and math.isfinite(v) for v in extents + radii)
             if not bounded:
                 report.checks.append(
                     Check(

@@ -22,6 +22,7 @@ from test_fillet import jittered_cubic
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
+from inputs import cubic_lattice, lattice_json  # noqa: E402
 from tracing import WRAPPED, Tracer  # noqa: E402
 
 
@@ -90,3 +91,22 @@ def test_sample_classifies_each_point_once(tmp_path, monkeypatch):
     calls = tracer.totals(parent="cli.sample")["solid.classify_point"][0]
     assert calls == len(passed) >= 1
     assert np.concatenate(passed).tolist() == [list(p) for p in rows]
+
+
+def test_traced_verify_records_each_fillet_span(tmp_path):
+    # The beta grid is built and measured in stacked calls; each still goes
+    # through the names bench/run.py wraps, so its per-layer spans never read 0.
+    path = tmp_path / "cubic.json"
+    path.write_text(lattice_json(cubic_lattice((2, 2, 2), 0)))
+    modules = {module: importlib.import_module(module) for module, _, _ in WRAPPED}
+    tracer = Tracer()
+    tracer.install(modules)
+    try:
+        argv = ["verify", str(path), "--samples", "200", "--report", str(tmp_path / "r.json")]
+        assert tracer.call("cli.verify", quador.cli.main, argv) == 0
+    finally:
+        tracer.restore()
+    calls = tracer.totals(parent="verify.run_verify")
+    for name in ("fillet.build_fillet_for_spec", "fillet.fillet_extent",
+                 "fillet.fillet_min_curvature_radius"):
+        assert calls.get(name, (0, 0.0))[0] >= 1, name

@@ -338,7 +338,7 @@ def per_point_pcurve(conic, chart, n):
     for p in sample_conic(conic, n):
         scale = max(1.0, float(np.abs(q.coeffs()).max()) * max(1.0, float(p @ p)))
         if abs(q.value(p)) > SURF_RESIDUAL_TOL * scale:
-            raise PointOffSurfaceError(f"conic sample {tuple(p)} is not on the chart surface")
+            raise PointOffSurfaceError(f"conic sample {tuple(p.tolist())} is not on the chart surface")
         params.append(chart.inverse(p))
     uv = np.array(params, dtype=float)
     for col, period in ((0, chart.u_period), (1, chart.v_period)):
@@ -378,6 +378,6 @@ class TestPCurveMatchesPerPointLoop:
                 with pytest.raises(PointOffSurfaceError) as got:
                     pcurve(conic, chart, n)
                 assert str(got.value) == str(want.value)
-                first = f"conic sample {tuple(sample_conic(conic, n)[0])} is not on the chart surface"
+                first = f"conic sample {tuple(sample_conic(conic, n)[0].tolist())} is not on the chart surface"
                 names_first.append(str(want.value) == first)
         assert sorted(names_first) == [False, False, True, True]  # a later sample for one s

@@ -1094,16 +1094,17 @@ class TestConstructionCounts:
         points = tmp_path / "points.csv"
         points.write_text("0,0,0\n2,0,0\n1,1,0\n")
 
-        calls = {"_build_beam": 0, "build_fillet": 0}
+        # Fillets are built as rows of one stacked call; count the rows.
+        calls = {"_build_beam": 0, "_build": 0}
 
         def counting(name, original):
             def wrapper(*args):
-                calls[name] += 1
+                calls[name] += len(args[0]) if name == "_build" else 1
                 return original(*args)
 
             return wrapper
 
-        for module, name in ((quador.lattice, "_build_beam"), (quador.fillet, "build_fillet")):
+        for module, name in ((quador.lattice, "_build_beam"), (quador.fillet, "_build")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
         lat = str(path)
@@ -1113,16 +1114,16 @@ class TestConstructionCounts:
             ["mesh", lat, "--resolution", "12", "-o", str(tmp_path / "m.stl")],
             ["sample", lat, "--points", str(points), "-o", str(tmp_path / "s.csv")],
         ):
-            calls.update(_build_beam=0, build_fillet=0)
+            calls.update(_build_beam=0, _build=0)
             assert main(argv) == 0, argv
-            assert calls == {"_build_beam": 12, "build_fillet": 24}, argv[0]
+            assert calls == {"_build_beam": 12, "_build": 24}, argv[0]
 
         # verify samples the bare field from the same assembly and builds
         # five beta-grid variants of each fillet.
-        calls.update(_build_beam=0, build_fillet=0)
+        calls.update(_build_beam=0, _build=0)
         assert main(["verify", lat, "--samples", "200"]) == 0
         assert calls["_build_beam"] == 12
-        assert calls["build_fillet"] <= 24 * (1 + 5)
+        assert calls["_build"] <= 24 * (1 + 5)
         capsys.readouterr()
 
     def test_hub_spheres_built_by_the_lattice_only(self, monkeypatch):

@@ -30,9 +30,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from quador.cli import main
-from quador.errors import QuadorError
-from quador.fillet import build_fillet_from_views
-from quador.lattice import Beam, FilletSpec, Hub, Lattice, stub_views_at_hub
+from quador.fillet import build_fillet_for_spec
+from quador.lattice import Beam, FilletSpec, Hub, Lattice
 from quador.latticefile import lattice_to_json, load_lattice
 from quador.solid import auto_bounds, build_assembly, classify_point, field_grid, field_value
 from quador.verify import run_verify
@@ -55,8 +54,8 @@ def _k(ca, ra, cb, rb, u: float) -> float:
     return math.sqrt(lo + (0.05 + 0.9 * u) * (hi - lo))
 
 
-def random_lattice(seed: int) -> tuple[Lattice, int]:
-    """A random valid lattice, and how many fillet specs were drawn for it."""
+def random_specs(seed: int) -> tuple[Lattice, list[FilletSpec]]:
+    """A random valid lattice without fillets, and every fillet spec drawn for it."""
     rng = np.random.default_rng(seed)
     hubs: list[Hub] = []
     count = rng.integers(3, 9)
@@ -72,19 +71,21 @@ def random_lattice(seed: int) -> tuple[Lattice, int]:
         Beam(f"b{n}", hubs[i].id, hubs[j].id,
              _k(hubs[i].center, hubs[i].radius, hubs[j].center, hubs[j].radius, rng.uniform()))
         for n, (i, j) in enumerate(sorted(pairs)))
-    bare = Lattice(tuple(hubs), beams, ())
     specs = [
         FilletSpec(h.id, bi, bj, float(rng.uniform(0.55, 3.0)))
         for h in hubs
         for bi, bj in itertools.combinations(
             [b.id for b in beams if h.id in (b.hub_a, b.hub_b)], 2)
     ]
-    kept = []
-    for spec in specs:
-        with contextlib.suppress(QuadorError):
-            build_fillet_from_views(stub_views_at_hub(bare, spec.hub), spec)
-            kept.append(spec)
-    return Lattice(bare.hubs, bare.beams, tuple(kept)), len(specs)
+    return Lattice(tuple(hubs), beams, ()), specs
+
+
+def random_lattice(seed: int) -> tuple[Lattice, int]:
+    """A random valid lattice, and how many fillet specs were drawn for it."""
+    bare, specs = random_specs(seed)
+    built = build_fillet_for_spec(bare, specs)
+    kept = tuple(spec for spec, error in zip(specs, built.errors) if error is None)
+    return Lattice(bare.hubs, bare.beams, kept), len(specs)
 
 
 def test_generator_acceptance():
