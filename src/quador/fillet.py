@@ -21,6 +21,7 @@ are stacked; :func:`build_fillet` is the one-row call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,18 +79,17 @@ def fillet_planes(
     and :class:`ParallelStubsError` for parallel stub planes (no corner to fill).
     """
     with np.errstate(all="ignore"):
-        alpha, (_, _, e1, e2), checks = _planes(_forms([G1]), _forms([G2]), [beta])
-    for bad, error, message in checks:
+        alpha, (_, _, e1, e2), errors = _planes(_forms([G1]), _forms([G2]), [beta])
+    for bad, error in errors:
         if bad[0]:
-            raise error(message.format(beta))
+            raise error(0)
     return LinearForm(e1[0, :3], e1[0, 3]), LinearForm(e2[0, :3], e2[0, 3]), float(alpha[0])
 
 
 def _planes(G1: np.ndarray, G2: np.ndarray, betas):
     """:func:`fillet_planes` row by row, for stub plane rows ``(m, 4)`` of
     ``(g, c0)`` and ``betas``: alpha, the planes F+, F-, E1 and E2 as such
-    rows, and the checks it makes, in order, as (mask, error class, message
-    with a ``{}`` for the row's beta)."""
+    rows, and the first entries of the row-error table (see :func:`_build`)."""
     beta = np.array(betas, dtype=float)
     alpha = 1.0 / (4.0 * beta)
     fp, fm = G2 + G1, G2 - G1
@@ -100,8 +100,9 @@ def _planes(G1: np.ndarray, G2: np.ndarray, betas):
     parallel = (np.sqrt(_dots(cross, cross))
                 <= PARALLEL_STUB_TOL * np.sqrt(_dots(g1, g1)) * np.sqrt(_dots(g2, g2)))
     return alpha, (fp, fm, e1, e2), [
-        (~(beta > 0.0) | ~np.isfinite(beta), NonPositiveBetaError, "fillet beta={}"),
-        (parallel, ParallelStubsError, "stub planes are parallel; no corner to fill"),
+        (~(beta > 0.0) | ~np.isfinite(beta),
+         lambda i: NonPositiveBetaError(f"fillet beta={betas[i]}")),
+        (parallel, lambda i: ParallelStubsError("stub planes are parallel; no corner to fill")),
     ]
 
 
@@ -168,8 +169,9 @@ class FilletStack:
     :func:`fillet_extent` and :func:`fillet_min_curvature_radius` read.
 
     ``errors[i]`` is the coded error building row ``i`` raised (its arrays
-    then hold no fillet).  ``stack[i]`` is row ``i``'s :class:`FilletPatch`,
-    with the bits of every array, or raises a copy of its error.
+    then hold no fillet).  ``stack[i]``, ``i`` an integer, is row ``i``'s
+    :class:`FilletPatch`, with the bits of every array, or raises a copy of
+    its error.
     """
 
     stubs: tuple[tuple[StubView, StubView], ...]
@@ -180,21 +182,25 @@ class FilletStack:
     Q: tuple[np.ndarray, np.ndarray, np.ndarray]  # A (m,3,3), b (m,3), c (m,)
     bisector: np.ndarray  # (m, 3)
     center: np.ndarray  # (m, 3) hub centers
-    conics: _Sections  # conic1 of every row, then conic2 of every row
+    conic1: _Sections  # (m rows) the tangency conics on E1
+    conic2: _Sections  # (m rows) the tangency conics on E2
 
     def __len__(self) -> int:
         return len(self.errors)
 
     def __getitem__(self, i: int) -> FilletPatch:
-        i = range(len(self))[i]  # a negative index counts from the end
+        try:
+            i = range(len(self))[operator.index(i)]  # a negative index counts from the end
+        except TypeError:
+            raise TypeError(f"FilletStack takes integer indices, not {type(i).__name__}") from None
         error = self.errors[i]
         if error is not None:
             raise type(error)(*error.args)
         A, b, c = self.Q
         return FilletPatch(*self.stubs[i], float(self.alpha[i]), float(self.beta[i]),
                            *(LinearForm(p[i, :3], p[i, 3]) for p in self.planes),
-                           Quadric(A[i], b[i], c[i]), self.conics.conic(i),
-                           self.conics.conic(len(self) + i), self.bisector[i])
+                           Quadric(A[i], b[i], c[i]), self.conic1.conic(i), self.conic2.conic(i),
+                           self.bisector[i])
 
 
 # Stands in for a row whose spec failed: its arrays hold NaN.
@@ -211,9 +217,9 @@ def _build(rows) -> FilletStack:
 
     Row by row this is :func:`build_fillet`: the same float operations in
     the same order, each array op elementwise or a stacked BLAS product of
-    one row's shape, and the first error the row's checks raise, in their
-    order: beta, parallel planes, the identity, opposite axes, the wedge,
-    then each tangency conic.
+    one row's shape, and the error of the first entry (mask, error for row
+    ``i``) of one ordered table that holds for the row: beta, parallel planes,
+    the identity, opposite axes, the wedge, then each plane's tangency conic.
     """
     given = [r if isinstance(r, QuadorError) else None for r in rows]
     live = [_NAN_ROW if e else r for r, e in zip(rows, given)]
@@ -225,7 +231,7 @@ def _build(rows) -> FilletStack:
     radius = np.array([v.hub.radius for v in s1], dtype=float)
 
     with np.errstate(all="ignore"):
-        alpha, (fp, fm, e1, e2), checks = _planes(G1, G2, betas)
+        alpha, (fp, fm, e1, e2), errors = _planes(G1, G2, betas)
         q1, q2 = _subtract_square(H1, e1), _subtract_square(H2, e2)
         gap = (_symmetric(q1[0] - q2[0]), q1[1] - q2[1], q1[2] - q2[2])
         norm_gap, norm_q1 = (np.sqrt(_dots(v, v)) for v in (_coeffs(*gap), _coeffs(*q1)))
@@ -237,31 +243,27 @@ def _build(rows) -> FilletStack:
         p1, p2 = (_dots(e[:, :3], probe) + e[:, 3] for e in (e1, e2))
         sign = np.where((p1 < 0.0) & (p2 < 0.0), -1.0, 1.0)  # flip both: Q is unchanged
         e1, e2, p1, p2 = e1 * sign[:, None], e2 * sign[:, None], p1 * sign, p2 * sign
-        planes = np.concatenate([e1, e2])
-        conics = _sections(tuple(np.concatenate(h) for h in zip(H1, H2)),
-                           planes[:, :3], planes[:, 3])
-    checks += [
-        (~(residual <= COEFF_REL_TOL),  # a NaN residual fails too
-         IdentityViolationError, "H1 - E1^2 and H2 - E2^2 disagree; upstream data is corrupt"),
+        planes = np.concatenate([e1, e2])  # both planes' conics in one call, then split
+        both = _sections(tuple(np.concatenate(h) for h in zip(H1, H2)), planes[:, :3], planes[:, 3])
+        m = len(rows)
+        conic1, conic2 = (both._make(f[k] for f in both) for k in (slice(m), slice(m, None)))
+    errors += [
+        (~(residual <= COEFF_REL_TOL), lambda i: IdentityViolationError(  # NaN fails too
+            "H1 - E1^2 and H2 - E2^2 disagree; upstream data is corrupt")),
         (wn <= PARALLEL_STUB_TOL,
-         ParallelStubsError, "stub axes are opposite; no outward bisector"),
+         lambda i: ParallelStubsError("stub axes are opposite; no outward bisector")),
         ((p1 <= 0.0) | (p2 <= 0.0),
-         WedgeOrientationError, "fillet wedge does not face the outward corner bisector"),
+         lambda i: WedgeOrientationError("fillet wedge does not face the outward corner bisector")),
     ]
-    m = len(rows)
-    for i, error in enumerate(given):
-        if error is None:
-            error = next((cls(message.format(betas[i])) for bad, cls, message in checks
-                          if bad[i]), None)
-        for klass in (conics.klass[i], conics.klass[m + i]):
-            if error is None and isinstance(klass, QuadorError):
-                error = klass
-            elif error is None and klass in (ConicClass.EMPTY, ConicClass.POINT):
-                error = EmptyConicError(
-                    "fillet plane misses the stub quador (invalid beta for this geometry)")
-        given[i] = error
+    for klass in (conic1.klass, conic2.klass):  # the section's own error, then EMPTY_CONIC
+        errors += [([isinstance(k, QuadorError) for k in klass], klass.__getitem__),
+                   ([k in (ConicClass.EMPTY, ConicClass.POINT) for k in klass],
+                    lambda i: EmptyConicError("fillet plane misses the stub quador "
+                                              "(invalid beta for this geometry)"))]
+    given = [e or next((error(i) for bad, error in errors if bad[i]), None)
+             for i, e in enumerate(given)]
     return FilletStack(tuple(zip(s1, s2)), tuple(given), alpha, np.array(betas, dtype=float),
-                       np.stack([fp, fm, e1, e2]), q1, w, center, conics)
+                       np.stack([fp, fm, e1, e2]), q1, w, center, conic1, conic2)
 
 
 def _symmetric(A: np.ndarray) -> np.ndarray:
@@ -294,7 +296,7 @@ def _gather(patches) -> FilletStack:
         _quadrics([p.Q for p in patches]),
         np.array([p.bisector for p in patches], dtype=float).reshape(-1, 3),
         np.array([p.stub1.hub.center for p in patches], dtype=float).reshape(-1, 3),
-        _stack_conics([p.conic1 for p in patches] + [p.conic2 for p in patches]))
+        _stack_conics([p.conic1 for p in patches]), _stack_conics([p.conic2 for p in patches]))
 
 
 def _as_stack(items) -> tuple[FilletStack, bool]:
@@ -431,14 +433,11 @@ def fillet_extent(patches):
     and returns a list with, per row, the extent or the row's coded error.
     """
     stack, one = _as_stack(patches)
-    m = len(stack)
-    klass = stack.conics.klass
-    rows = np.array([i for i in range(m) if stack.errors[i] is None and
-                     klass[i] in COMPACT_CLASSES and klass[m + i] in COMPACT_CLASSES], dtype=int)
-    extent = np.full(m, math.inf)
+    rows = np.flatnonzero([e is None and {k1, k2} <= COMPACT_CLASSES for e, k1, k2
+                           in zip(stack.errors, stack.conic1.klass, stack.conic2.klass)])
+    extent = np.full(len(stack), math.inf)
     if rows.size:
-        d1, d2 = _max_distances(stack.conics, np.concatenate([rows, m + rows]),
-                                np.concatenate([stack.center[rows]] * 2)).reshape(2, -1)
+        d1, d2 = (_max_distances(c, rows, stack.center[rows]) for c in (stack.conic1, stack.conic2))
         extent[rows] = np.where(d2 > d1, d2, d1)
     out = [e or x for e, x in zip(stack.errors, extent.tolist())]
     return _one(out[0]) if one else out

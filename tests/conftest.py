@@ -69,14 +69,3 @@ def transformed_quadric(A, b, c, rotation, translation):
         + c
     )
     return A2, b2, c2
-
-
-def watertight(mesh) -> bool:
-    """Every undirected edge incident to exactly two triangles."""
-    from collections import Counter
-
-    edges = Counter()
-    for t in mesh.triangles:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            edges[(min(a, b), max(a, b))] += 1
-    return bool(edges) and set(edges.values()) == {2}

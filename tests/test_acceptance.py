@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import struct
+import sys
 import time
 from pathlib import Path
 
@@ -36,10 +37,12 @@ from quador.lattice import Beam, Hub, Lattice, beam_quador, sphere_quadric, stub
 from quador.latticefile import load_lattice
 from quador.solid import auto_bounds, build_assembly, classify_point, field_grid, marching_cubes
 
-from conftest import watertight
 from test_algebra import fd_principal_curvatures
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+sys.path.insert(0, str(FIXTURES.parent / "bench"))
+
+from checks import edge_problems  # noqa: E402
 
 
 def _report(num: int, ok: bool, text: str):
@@ -314,14 +317,14 @@ def test_criterion_9_meshing():
     mesh = marching_cubes(asm, auto_bounds(asm), 64)
     sphere = sphere_quadric(sphere_lat.hubs[0])
     res_ok = max(abs(sphere.value(v)) for v in mesh.vertices) <= 0.01
-    tight_sphere = watertight(mesh)
+    tight_sphere = edge_problems(mesh.triangles) == []
 
     lat = load_lattice((FIXTURES / "perpendicular_beta1.json").read_bytes())
     full = build_assembly(lat)
     t0 = time.perf_counter()
     mesh96 = marching_cubes(full, auto_bounds(full), 96)
     elapsed = time.perf_counter() - t0
-    tight96 = watertight(mesh96)
+    tight96 = edge_problems(mesh96.triangles) == []
     rng = np.random.default_rng(5)
     tris = mesh96.triangles[rng.integers(0, len(mesh96.triangles), 2000)]
     a, b, c = (mesh96.vertices[tris[:, q]] for q in range(3))

@@ -70,6 +70,13 @@ class TestPlaneFrame:
         with pytest.raises(ZeroGradientError):
             plane_frame(LinearForm((0.0, 0.0, 0.0), 1.0))
 
+    def test_zero_gradient_section(self):
+        # The stacked section holds the row's error, and the one-row call raises it.
+        sphere = Quadric(np.eye(3), (0.0, 0.0, 0.0), -1.0)
+        with pytest.raises(ZeroGradientError) as raised:
+            intersect_quadric_plane(sphere, LinearForm((0.0, 0.0, 0.0), 1.0))
+        assert raised.value.code == "ZERO_GRADIENT"
+
     def test_determinism(self):
         lin = LinearForm((0.3, -0.4, 0.8), 0.7)
         f1, f2 = plane_frame(lin), plane_frame(lin)

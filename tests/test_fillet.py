@@ -21,7 +21,7 @@ from quador.algebra import (
     subtract_square,
 )
 from quador.conics import COMPACT_CLASSES, Conic, ConicClass, plane_frame, sample_conic
-from quador.errors import ParallelStubsError, QuadorError
+from quador.errors import ParallelStubsError, QuadorError, SingularPointError
 from quador.fillet import (
     build_fillet,
     build_fillet_for_spec,
@@ -386,6 +386,26 @@ class TestMinCurvatureRadius:
     def test_beta_half_planar_infinite(self, perp_lattice):
         patch = build_fillet(*perp_stubs(perp_lattice), 0.5)
         assert fillet_min_curvature_radius(patch) == math.inf
+
+    def test_gradient_vanishing_at_the_hit(self):
+        # Stubs to (4, 4, 0) and (4, -4, 0) make the bisector exactly (1, 0, 0).
+        # Q = |x - p|^2 with p = 0.5 * bisector: the ray meets Q = 0 at a double
+        # root (discriminant exactly 0), at p, where the gradient of Q vanishes.
+        k = math.sqrt(32.0)
+        lat = Lattice(
+            (Hub("h0", (0, 0, 0), 1.0), Hub("h1", (4, 4, 0), 1.0), Hub("h2", (4, -4, 0), 1.0)),
+            (Beam("b1", "h0", "h1", k), Beam("b2", "h0", "h2", k)),
+            (),
+        )
+        views = {v.beam.id: v for v in stub_views_at_hub(lat, "h0")}
+        patch = build_fillet(views["b1"], views["b2"], 1.0)
+        assert patch.bisector.tolist() == [1.0, 0.0, 0.0]
+        p = 0.5 * patch.bisector
+        point = dataclasses.replace(patch, Q=Quadric(np.eye(3), -p, float(p @ p)))
+        with pytest.raises(SingularPointError) as raised:
+            fillet_min_curvature_radius(point)
+        assert raised.value.code == "SINGULAR_POINT"
+        assert str(raised.value) == "gradient vanishes at (0.5, 0.0, 0.0)"
 
 
 BETA_GRID = (0.6, 0.8, 1.0, 1.25, 1.5)

@@ -307,6 +307,16 @@ class TestRowAgainstStack:
             build_fillet(view, view, 1.0)
         assert raised.value.code == "PARALLEL_STUBS"
 
+    def test_a_stack_takes_integer_indices(self):
+        lattice = LATTICES["jittered_cubic5"]
+        stack = build_fillet_for_spec(lattice, lattice.fillets)
+        assert _bits(stack[np.int64(1)]) == _bits(stack[1]) == _bits(stack[1 - len(stack)])
+        for index in (slice(0, 1), 1.0, "0"):
+            with pytest.raises(TypeError, match="^FilletStack takes integer indices, not "):
+                stack[index]
+        with pytest.raises(IndexError):
+            stack[len(stack)]
+
     def test_a_list_of_patches_reads_like_the_stack(self):
         lattice = LATTICES["jittered_cubic5"]
         stack = build_fillet_for_spec(lattice, lattice.fillets)
@@ -342,6 +352,13 @@ class TestChamferDecision:
         fallbacks = self.flags_match(build_fillet_for_spec(lattice, specs))
         if name.startswith("cubic"):
             assert fallbacks == 0  # every cubic row is proven rank 3
+
+    def test_all_zero_quadric_is_its_error(self):
+        # Subnormal coefficients: not proven rank 3, and classify_quadric
+        # raises ALL_ZERO, which the flag holds in the row's place.
+        A = np.diag([1e-310, 1e-310, 0.0])[None]
+        flags = _plane_pairs((A, np.zeros((1, 3)), np.zeros(1)), (None,))
+        assert [f.code for f in flags] == ["ALL_ZERO"]
 
     @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (1e4, 1e4, 1e4)])
     def test_at_and_near_beta_half(self, offset):

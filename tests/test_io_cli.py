@@ -1070,6 +1070,9 @@ class TestNumbersThatParse:
         assert format_value(value) == text
         assert format_values(np.array([value])) == [text]
 
+    def test_format_no_values(self):
+        assert format_values(np.array([])) == []
+
     def test_conics_non_ascii_id(self, tmp_path, capsys):
         lat = tmp_path / "lattice.json"
         lat.write_text(BETA1.read_text().replace('"h0"', '"hé"'), encoding="utf-8")

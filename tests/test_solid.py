@@ -38,10 +38,12 @@ from quador.solid import (
     marching_cubes,
 )
 
-from conftest import watertight
 from test_fillet import jittered_cubic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+sys.path.insert(0, str(FIXTURES.parent / "bench"))
+
+from checks import edge_problems  # noqa: E402
 
 
 def mesh_digest(mesh) -> str:
@@ -647,7 +649,7 @@ class TestMarchingCubes:
         assert len(mesh) > 0
         sphere = sphere_quadric(lat.hubs[0])
         assert max(abs(sphere.value(v)) for v in mesh.vertices) <= 0.01
-        assert watertight(mesh)
+        assert edge_problems(mesh.triangles) == []
 
     def test_orientation_outward(self):
         lat = Lattice((Hub("h", (0, 0, 0), 1.0),), (), ())
@@ -667,7 +669,7 @@ class TestMarchingCubes:
 
     def test_fixture_mesh_fills_corner(self, asm):
         mesh = marching_cubes(asm, auto_bounds(asm), 96)
-        assert watertight(mesh)
+        assert edge_problems(mesh.triangles) == []
         # No vertex sits in the region the fillet replaced: outside both
         # stubs, clearly inside the fillet, within the wedge.
         patch = asm.fillets[0]
