@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -44,6 +45,12 @@ EXIT_INVARIANT = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "--bounds -2,-2,-2,2,2,2" as an option missing its value: it
+        # takes only "-2" or "-.5" for a number.  No option here starts "-<digit>".
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits 2 on usage errors; our contract reserves 2 for I/O.
     def error(self, message):
         self.print_usage(sys.stderr)

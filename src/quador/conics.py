@@ -201,21 +201,6 @@ class _Sections(NamedTuple):
                      lines=tuple((ln[0], ln[1]) for ln in self.lines[i, :lines]), **fields)
 
 
-def _stack_conics(conics) -> _Sections:
-    """Conic objects as the rows of a :class:`_Sections`; a field that a
-    conic's class leaves unset holds NaN."""
-    nan = np.full((2, 2, 2), np.nan)
-    frames = np.array([[c.frame.origin, c.frame.u, c.frame.v, c.frame.normal] for c in conics],
-                      dtype=float).reshape(-1, 4, 3)
-    return _Sections(
-        *np.swapaxes(frames, 0, 1),
-        np.array([c.coeffs for c in conics], dtype=float).reshape(-1, 6), [c.klass for c in conics],
-        np.array([nan[0, 0] if c.center is None else c.center for c in conics]).reshape(-1, 2),
-        np.array([nan[0] if c.axes is None else c.axes for c in conics]).reshape(-1, 2, 2),
-        np.array([(*c.radii, np.nan, np.nan)[:2] for c in conics]).reshape(-1, 2),
-        np.array([[*map(np.stack, c.lines), *nan][:2] for c in conics]).reshape(-1, 2, 2, 2))
-
-
 def _analyze(coeffs: np.ndarray) -> tuple:
     """Classify conic rows ``(m, 6)``: the class of each row (an
     :class:`AllZeroError` for an all-zero one) and the centers, axes, radii

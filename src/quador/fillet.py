@@ -37,7 +37,7 @@ from .algebra import (
     _dots,
     _freeze,
 )
-from .conics import COMPACT_CLASSES, Conic, ConicClass, _Sections, _sections, _stack_conics
+from .conics import COMPACT_CLASSES, Conic, ConicClass, _Sections, _sections
 from .errors import (
     EmptyConicError,
     FilletPairMismatchError,
@@ -50,8 +50,7 @@ from .errors import (
     SingularPointError,
     WedgeOrientationError,
 )
-from .lattice import (Beam, FilletSpec, Hub, Lattice, StubView, _unknown_fillet_ids, fillet_key,
-                      stub_views_at_hub)
+from .lattice import Beam, FilletSpec, Hub, Lattice, StubView, fillet_key, stub_views_at_hub
 from .tolerances import CLASSIFY_TOL, COEFF_REL_TOL, PARALLEL_STUB_TOL
 
 __all__ = [
@@ -164,7 +163,8 @@ class FilletPatch:
 
 @dataclass(frozen=True, eq=False)
 class FilletStack:
-    """Fillets as rows of arrays, row ``i`` for fillet ``i``: what
+    """Fillets as rows of arrays, row ``i`` for fillet ``i``, each built by
+    :func:`_build` from its two stubs and beta: what
     :func:`build_fillet_for_spec` builds for a sequence of specs, and what
     :func:`fillet_extent` and :func:`fillet_min_curvature_radius` read.
 
@@ -285,27 +285,13 @@ def _coeffs(A, b, c) -> np.ndarray:
     return np.column_stack([A[:, i, j], b, c])
 
 
-def _gather(patches) -> FilletStack:
-    """Patches as a stack of their own fields; nothing is rebuilt."""
-    return FilletStack(
-        tuple((p.stub1, p.stub2) for p in patches), (None,) * len(patches),
-        np.array([p.alpha for p in patches], dtype=float),
-        np.array([p.beta for p in patches], dtype=float),
-        np.stack([_forms([p.F_plus for p in patches]), _forms([p.F_minus for p in patches]),
-                  _forms([p.E1 for p in patches]), _forms([p.E2 for p in patches])]),
-        _quadrics([p.Q for p in patches]),
-        np.array([p.bisector for p in patches], dtype=float).reshape(-1, 3),
-        np.array([p.stub1.hub.center for p in patches], dtype=float).reshape(-1, 3),
-        _stack_conics([p.conic1 for p in patches]), _stack_conics([p.conic2 for p in patches]))
-
-
 def _as_stack(items) -> tuple[FilletStack, bool]:
     """One patch, a sequence of patches or a stack, as a stack; and whether
-    it was one patch."""
+    it was one patch.  Patches are rebuilt from their stubs and beta."""
     if isinstance(items, FilletStack):
         return items, False
     one = isinstance(items, FilletPatch)
-    return _gather([items] if one else list(items)), one
+    return _build([(p.stub1, p.stub2, p.beta) for p in ([items] if one else items)]), one
 
 
 def _one(outcome):
@@ -332,41 +318,53 @@ def build_fillet(stub1: StubView, stub2: StubView, beta: float) -> FilletPatch:
     return _build([(stub1, stub2, beta)])[0]
 
 
-def _fillet_row(views, spec: FilletSpec):
-    """A spec's two stubs and beta from the stub views at its hub, or the
-    :class:`FilletPairMismatchError` it raises."""
-    if spec.beam_i == spec.beam_j:
-        return FilletPairMismatchError("fillet names one beam twice")
-    by_beam = {v.beam.id: v for v in views}
-    for bid in (spec.beam_i, spec.beam_j):
-        if bid not in by_beam:
-            return FilletPairMismatchError(f"beam {bid!r} is not incident to hub {spec.hub!r}")
-    return by_beam[spec.beam_i], by_beam[spec.beam_j], spec.beta
+def _fillet_rows(specs, hubs, beams, stubs) -> list:
+    """Per :class:`FilletSpec`, its two stubs and beta, or the one coded error
+    it raises, for lattice loading and :func:`build_fillet_for_spec` alike:
+    :class:`MissingIdError` for ids not in ``hubs`` or ``beams``, then what
+    ``stubs`` (per hub id, its stub views or error) holds for its hub, then
+    :class:`FilletPairMismatchError`."""
+    rows = []
+    for spec in specs:
+        unknown = ([] if spec.hub in hubs else [f"hub {spec.hub!r}"]) + [
+            f"beam {bid!r}" for bid in dict.fromkeys((spec.beam_i, spec.beam_j))
+            if bid not in beams]
+        views = () if unknown else stubs[spec.hub]
+        by_beam = {} if isinstance(views, QuadorError) else {v.beam.id: v for v in views}
+        off = [bid for bid in (spec.beam_i, spec.beam_j) if bid not in by_beam]
+        if unknown:
+            rows.append(MissingIdError(f"fillet names unknown {', '.join(unknown)}"))
+        elif isinstance(views, QuadorError):
+            rows.append(views)
+        elif spec.beam_i == spec.beam_j:
+            rows.append(FilletPairMismatchError("fillet names one beam twice"))
+        elif off:
+            rows.append(FilletPairMismatchError(
+                f"beam {off[0]!r} is not incident to hub {spec.hub!r}"))
+        else:
+            rows.append((by_beam[spec.beam_i], by_beam[spec.beam_j], spec.beta))
+    return rows
 
 
 def build_fillet_for_spec(lattice: Lattice, specs):
     """Resolve a :class:`FilletSpec` against a lattice and build the patch;
     given a sequence of specs, build them all at once as a :class:`FilletStack`.
 
-    A spec naming a hub or beam the lattice does not define raises
-    :class:`MissingIdError`, the code validation reports for it; in a stack,
-    each row holds the error its spec raises.
+    A spec raises the one coded error that validation records for it: a spec
+    naming a hub or beam the lattice does not define raises
+    :class:`MissingIdError`.  In a stack, each row holds the error its spec
+    raises.
     """
     one = isinstance(specs, FilletSpec)
+    specs = [specs] if one else list(specs)
     resolved = lattice._resolved
-    views: dict[str, list[StubView]] = {}
-    rows = []
-    for spec in [specs] if one else specs:
-        unknown = _unknown_fillet_ids(spec, resolved.hubs, resolved.beams)
+    stubs = {}
+    for hub_id in dict.fromkeys(spec.hub for spec in specs if spec.hub in resolved.hubs):
         try:
-            if unknown:
-                raise MissingIdError(f"fillet names unknown {', '.join(unknown)}")
-            if spec.hub not in views:
-                views[spec.hub] = stub_views_at_hub(lattice, spec.hub)
-            rows.append(_fillet_row(views[spec.hub], spec))
+            stubs[hub_id] = stub_views_at_hub(lattice, hub_id)
         except QuadorError as exc:
-            rows.append(exc)
-    stack = _build(rows)
+            stubs[hub_id] = exc
+    stack = _build(_fillet_rows(specs, resolved.hubs, resolved.beams, stubs))
     return stack[0] if one else stack
 
 
@@ -431,6 +429,7 @@ def fillet_extent(patches):
     conic is non-compact (parabola, hyperbola, line pairs).  Takes one patch
     and returns a float, or a sequence of patches or a :class:`FilletStack`
     and returns a list with, per row, the extent or the row's coded error.
+    Patches are rebuilt from their ``stub1``, ``stub2`` and ``beta``.
     """
     stack, one = _as_stack(patches)
     rows = np.flatnonzero([e is None and {k1, k2} <= COMPACT_CLASSES for e, k1, k2
@@ -484,7 +483,8 @@ def fillet_min_curvature_radius(patches):
     report ``math.inf``.  Raises :class:`NoBisectorIntersectionError` when
     the ray misses the surface.  Takes one patch and returns a float, or a
     sequence of patches or a :class:`FilletStack` and returns a list with,
-    per row, the radius or the coded error the row raises.
+    per row, the radius or the coded error the row raises.  Patches are
+    rebuilt from their ``stub1``, ``stub2`` and ``beta``.
     """
     stack, one = _as_stack(patches)
     A, b, c = stack.Q

@@ -307,16 +307,8 @@ def validate_lattice(lattice: Lattice) -> ValidationReport:
     return ValidationReport([*lattice._resolved.errors, *lattice._warnings])
 
 
-def _unknown_fillet_ids(spec: FilletSpec, hubs, beams) -> list[str]:
-    """The hub and beams a fillet spec names that are not in ``hubs`` and
-    ``beams`` (collections of ids), each as ``hub 'id'`` or ``beam 'id'``."""
-    unknown = [] if spec.hub in hubs else [f"hub {spec.hub!r}"]
-    return unknown + [f"beam {bid!r}" for bid in dict.fromkeys((spec.beam_i, spec.beam_j))
-                      if bid not in beams]
-
-
 def _resolve(lattice: Lattice) -> _Resolution:
-    from .fillet import _build, _fillet_row  # fillet imports this module
+    from .fillet import _build, _fillet_rows  # fillet imports this module
 
     report = ValidationReport()
 
@@ -377,23 +369,13 @@ def _resolve(lattice: Lattice) -> _Resolution:
         stubs[hub.id] = failed[0] if failed else tuple(
             g.stub_a if b.hub_a == hub.id else g.stub_b for b, g in pairs)
 
-    # Every fillet is built in one stacked call; the errors are recorded in spec order.
-    rows, pending = [], []  # pending: per spec, its row index or the errors to record
-    for fs in lattice.fillets:
-        unknown = _unknown_fillet_ids(fs, hubs, beams)
-        if unknown or isinstance(stubs[fs.hub], QuadorError):  # a failed hub's error is recorded
-            pending.append([MissingIdError(f"fillet names unknown {name}") for name in unknown])
-        else:
-            pending.append(len(rows))
-            rows.append(_fillet_row(stubs[fs.hub], fs))
-    stack = _build(rows)
-    patches = []
-    for fs, row in zip(lattice.fillets, pending):
-        failed = row if isinstance(row, list) else [e for e in (stack.errors[row],) if e]
-        for exc in failed:
-            report.add_error(exc.code, fillet_key(fs.hub, fs.beam_i, fs.beam_j), str(exc))
-        patches.append(None if isinstance(row, list) or failed else stack[row])
-    patches = tuple(patches)
+    # Every fillet is built in one stacked call, and each records its builder's error in
+    # spec order; one that holds its failed hub's error records nothing, as that error stands.
+    stack = _build(_fillet_rows(lattice.fillets, hubs, beams, stubs))
+    for fs, error in zip(lattice.fillets, stack.errors):
+        if error and error is not stubs.get(fs.hub):
+            report.add_error(error.code, fillet_key(fs.hub, fs.beam_i, fs.beam_j), str(error))
+    patches = tuple(None if e else stack[i] for i, e in enumerate(stack.errors))
     return _Resolution(hubs, spheres, beams, tuple(geometry), stubs, locality, patches,
                        tuple(report.entries))
 

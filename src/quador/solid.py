@@ -32,6 +32,7 @@ bit of the dense evaluation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -377,17 +378,19 @@ def marching_cubes(
     welded by grid-edge identity (exact, not tolerance-based), so shared
     cell faces stitch perfectly and closed surfaces come out watertight.
     Triangles are wound so their normals point along ``+grad f`` (outward).
+    ``resolution`` is cells per axis: one integer or three, numpy integers
+    included, each >= 2; anything else raises :class:`ValueError`.
     """
     # Only meshing needs the tables; compiling and importing them at module
     # level raises the peak RSS of every other command by about 1.5 MB.
     from .mc_tables import EDGE_AXIS, EDGE_LOW, TRI_EDGES, VERT_OFFSETS
 
-    if isinstance(resolution, int):
-        res = (resolution, resolution, resolution)
-    else:
-        res = tuple(int(r) for r in resolution)
-    if any(r < 2 for r in res):
-        raise ValueError(f"resolution must be >= 2 per axis, got {res}")
+    try:
+        res = tuple(map(operator.index, np.broadcast_to(resolution, 3)))
+    except (TypeError, ValueError):  # not integers, or neither one value nor three
+        res = ()
+    if not res or min(res) < 2:
+        raise ValueError(f"resolution must be one integer or three, each >= 2, got {resolution!r}")
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)
     # Each span must be positive and finite (Python floats overflow silently).

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,10 +114,13 @@ def run_verify(
 
     Identity/tangency checks use their own pinned relative tolerances;
     ``tol`` is the boundary band for the sampled membership check (a
-    monotonicity violation must leave the solid by more than ``tol >= 0``).
+    monotonicity violation must leave the solid by more than ``tol >= 0``),
+    and ``samples >= 1`` its point count.
     """
     if not tol >= 0.0:  # NaN too
         raise ValueError("tol must be >= 0")
+    if operator.index(samples) < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     report = VerifyReport()
     assembly = build_assembly(lattice)
     spheres = lattice._resolved.spheres

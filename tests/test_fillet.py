@@ -20,7 +20,7 @@ from quador.algebra import (
     principal_curvatures,
     subtract_square,
 )
-from quador.conics import COMPACT_CLASSES, Conic, ConicClass, plane_frame, sample_conic
+from quador.conics import COMPACT_CLASSES, ConicClass, _sections, sample_conic
 from quador.errors import ParallelStubsError, QuadorError, SingularPointError
 from quador.fillet import (
     build_fillet,
@@ -97,6 +97,19 @@ class TestFilletPlanes:
 def perp_stubs(lattice):
     views = {v.beam.id: v for v in stub_views_at_hub(lattice, "h0")}
     return views["b1"], views["b2"]
+
+
+def one_row(lattice, **fields):
+    """The fillet between beams b1 and b2 at hub h0, beta 1, as a one-row
+    stack with ``fields`` replaced; a patch given to the extent and radius
+    functions is rebuilt from its stubs and beta, so an edit goes here."""
+    stack = build_fillet_for_spec(lattice, [FilletSpec("h0", "b1", "b2", 1.0)])
+    return dataclasses.replace(stack, **fields)
+
+
+def quadric_row(q: Quadric):
+    """``q`` as the one quadric row ``(A, b, c)`` of a stack."""
+    return q.A[None], q.b[None], np.array([q.c])
 
 
 class TestBuildFillet:
@@ -335,20 +348,16 @@ class TestExtent:
         # Every point of the circle is equally far from the hub center, so
         # the stationary-point quartic vanishes identically.
         r = 0.75
-        circle = Conic(
-            plane_frame(LinearForm((0.0, 0.0, 1.0), -h)),
-            (1.0, 0.0, 1.0, 0.0, 0.0, -r * r),
-            ConicClass.CIRCLE,
-            np.zeros(2),
-            np.eye(2),
-            (r, r),
-        )
-        patch = dataclasses.replace(
-            build_fillet(*perp_stubs(perp_lattice), 1.0),
-            conic1=circle,
-            conic2=circle,
-        )  # at hub h0, the origin
-        assert fillet_extent(patch) == pytest.approx(math.hypot(r, h), abs=1e-15)
+        # The cylinder x^2 + y^2 = r^2 cut by z = h: coefficients
+        # (1, 0, 1, 0, 0, -r^2), center 0, axes I and radii (r, r) in the frame.
+        cylinder = Quadric(np.diag([1.0, 1.0, 0.0]), np.zeros(3), -r * r)
+        circle = _sections(quadric_row(cylinder), np.array([[0.0, 0.0, 1.0]]), np.array([-h]))
+        c = circle.conic(0)
+        assert (c.klass, c.coeffs, c.center.tolist(), c.axes.tolist(), c.radii) == (
+            ConicClass.CIRCLE, (1.0, 0.0, 1.0, 0.0, 0.0, -r * r), [0.0, 0.0], np.eye(2).tolist(),
+            (r, r))
+        stack = one_row(perp_lattice, conic1=circle, conic2=circle)  # at hub h0, the origin
+        assert fillet_extent(stack)[0] == pytest.approx(math.hypot(r, h), abs=1e-15)
 
 
 class TestMinCurvatureRadius:
@@ -361,27 +370,21 @@ class TestMinCurvatureRadius:
         # bisector w = (1, 1, 0)/sqrt(2), so the ray meets it at the root of a
         # linear equation.
         Q = Quadric(np.diag([0.0, 0.0, 1.0]), (-1.0, -1.0, 0.0), 1.0)
-        patch = dataclasses.replace(build_fillet(*perp_stubs(perp_lattice), 1.0), Q=Q)
-        w = patch.bisector
+        stack = one_row(perp_lattice, Q=quadric_row(Q))
+        w = stack.bisector[0]
         assert w @ Q.A @ w == 0.0
         k1, k2 = principal_curvatures(Q, -Q.c / (2.0 * (Q.b @ w)) * w)
-        assert fillet_min_curvature_radius(patch) == 1.0 / max(abs(k1), abs(k2))
+        assert fillet_min_curvature_radius(stack) == [1.0 / max(abs(k1), abs(k2))]
 
     def test_sphere_control(self):
         # Same machinery applied to a hub sphere returns its radius.
-        import dataclasses
-
-        from quador.lattice import Hub, Lattice, Beam
-
         lat = Lattice(
             (Hub("h0", (0, 0, 0), 2.0), Hub("h1", (8, 0, 0), 2.0), Hub("h2", (0, 8, 0), 2.0)),
             (Beam("b1", "h0", "h1", 8.0), Beam("b2", "h0", "h2", 8.0)),
             (),
         )
-        views = {v.beam.id: v for v in stub_views_at_hub(lat, "h0")}
-        patch = build_fillet(views["b1"], views["b2"], 1.0)
-        sphere_patch = dataclasses.replace(patch, Q=sphere_quadric(lat.hubs[0]))
-        assert fillet_min_curvature_radius(sphere_patch) == pytest.approx(2.0, abs=1e-12)
+        sphere = one_row(lat, Q=quadric_row(sphere_quadric(lat.hubs[0])))
+        assert fillet_min_curvature_radius(sphere) == [pytest.approx(2.0, abs=1e-12)]
 
     def test_beta_half_planar_infinite(self, perp_lattice):
         patch = build_fillet(*perp_stubs(perp_lattice), 0.5)
@@ -397,15 +400,14 @@ class TestMinCurvatureRadius:
             (Beam("b1", "h0", "h1", k), Beam("b2", "h0", "h2", k)),
             (),
         )
-        views = {v.beam.id: v for v in stub_views_at_hub(lat, "h0")}
-        patch = build_fillet(views["b1"], views["b2"], 1.0)
-        assert patch.bisector.tolist() == [1.0, 0.0, 0.0]
-        p = 0.5 * patch.bisector
-        point = dataclasses.replace(patch, Q=Quadric(np.eye(3), -p, float(p @ p)))
-        with pytest.raises(SingularPointError) as raised:
-            fillet_min_curvature_radius(point)
-        assert raised.value.code == "SINGULAR_POINT"
-        assert str(raised.value) == "gradient vanishes at (0.5, 0.0, 0.0)"
+        bisector = one_row(lat).bisector[0]
+        assert bisector.tolist() == [1.0, 0.0, 0.0]
+        p = 0.5 * bisector
+        point = one_row(lat, Q=quadric_row(Quadric(np.eye(3), -p, float(p @ p))))
+        (error,) = fillet_min_curvature_radius(point)
+        assert isinstance(error, SingularPointError)
+        assert error.code == "SINGULAR_POINT"
+        assert str(error) == "gradient vanishes at (0.5, 0.0, 0.0)"
 
 
 BETA_GRID = (0.6, 0.8, 1.0, 1.25, 1.5)

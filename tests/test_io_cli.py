@@ -432,6 +432,12 @@ class TestVerify:
         with pytest.raises(ValueError, match="tol must be >= 0"):
             run_verify(load_lattice(BETA1.read_bytes()), tol=tol, samples=500)
 
+    @pytest.mark.parametrize("samples", [-1, 0])
+    def test_samples_checked_before_anything_is_built(self, monkeypatch, samples):
+        monkeypatch.setattr(quador.verify, "build_assembly", None)
+        with pytest.raises(ValueError, match=f"^samples must be >= 1, got {samples}$"):
+            run_verify(load_lattice(BETA1.read_bytes()), samples=samples)
+
     def test_fillet_degenerate_on_beta_grid_warns(self):
         # Valid at beta 1, but at beta 0.6 the corner bisector misses the fillet.
         lat = three_hub_lattice(0.7122, 5.8595, 5.2435, 0.8775, 1.2762, 6.4621, 6.0569, 1.0)
@@ -676,6 +682,21 @@ class TestCli:
                      "-o", str(out)]) == 1
         assert "DEGENERATE_BOUNDS" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_mesh_bounds_with_a_negative_corner(self, tmp_path):
+        # "-2,-2,..." after a space is the value of --bounds, as after "=".
+        spaced, joined = tmp_path / "spaced.stl", tmp_path / "joined.stl"
+        assert main(["mesh", str(BETA1), "--bounds", "-2,-2,-2,2,2,2", "--resolution", "8",
+                     "-o", str(spaced)]) == 0
+        assert main(["mesh", str(BETA1), "--bounds=-2,-2,-2,2,2,2", "--resolution", "8",
+                     "-o", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    @pytest.mark.parametrize("tol", ["-1", "-1e-3"])
+    def test_negative_tol_fails_on_its_range(self, capsys, tol):
+        assert main(["verify", str(BETA1), "--tol", tol]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"argument --tol: expected 1 float value(s), finite and in [0, inf], got {tol!r}\n")
 
     def test_sample_points(self, tmp_path):
         pts = tmp_path / "pts.csv"

@@ -645,6 +645,17 @@ class TestBuildersOwnTheirRules:
         assert raised.value.code == code
         assert [e.code for e in validate_lattice(lattice).errors] == [code]
 
+    @pytest.mark.parametrize("changes", [dict(hub="hx", beam_j="ghost"),
+                                         dict(beam_i="ghost", beam_j="phantom")],
+                             ids=["hub-and-beam-unknown", "two-beams-unknown"])
+    def test_one_entry_per_spec_as_the_builder_raises(self, perp_lattice, changes):
+        lattice, build = _with_fillet(**changes)(perp_lattice)
+        with pytest.raises(QuadorError) as raised:
+            build()
+        assert raised.value.code == "MISSING_ID"
+        assert [(e.code, e.message) for e in validate_lattice(lattice).entries] == [
+            (raised.value.code, str(raised.value))]
+
     @pytest.mark.parametrize("far_hub,k", [("h3", 0.5), ("ghost", 4.0)],
                              ids=["plane-misses-sphere", "unknown-hub"])
     def test_failed_beam_is_reported_once(self, perp_lattice, far_hub, k):

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -724,6 +725,22 @@ class TestMarchingCubes:
     def test_resolution_validation(self, asm):
         with pytest.raises(ValueError):
             marching_cubes(asm, (np.zeros(3), np.ones(3)), 1)
+
+    @pytest.mark.parametrize("resolution", [(8, 8), "8", (8.7, 8, 8), 8.0, (8, 8, 1), True, None],
+                             ids=["two", "string", "float-axis", "float", "axis-1", "bool", "none"])
+    def test_resolution_is_one_or_three_integers(self, asm, resolution):
+        with pytest.raises(ValueError, match=re.escape(f"got {resolution!r}")):
+            marching_cubes(asm, (np.zeros(3), np.ones(3)), resolution)
+
+    def test_numpy_integer_resolution(self, asm):
+        bounds = (np.full(3, -0.3), np.full(3, 0.3))
+        expect = marching_cubes(asm, bounds, (8, 9, 10))
+        for resolution in ((np.int64(8), np.uint8(9), 10), np.array([8, 9, 10])):
+            mesh = marching_cubes(asm, bounds, resolution)
+            assert mesh.triangles.tolist() == expect.triangles.tolist()
+            assert mesh.vertices.tobytes() == expect.vertices.tobytes()
+        assert marching_cubes(asm, bounds, np.int64(8)).vertices.tobytes() == \
+            marching_cubes(asm, bounds, 8).vertices.tobytes()
 
     def test_determinism(self, asm):
         lo, hi = auto_bounds(asm)
