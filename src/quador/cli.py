@@ -47,9 +47,10 @@ EXIT_INVARIANT = 3
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "--bounds -2,-2,-2,2,2,2" as an option missing its value: it
-        # takes only "-2" or "-.5" for a number.  No option here starts "-<digit>".
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse reads "--bounds -2,-2,-2,2,2,2" or "--tol -inf" as an option missing
+        # its value: it takes only "-2" or "-.5" for a number.  No option here starts
+        # "-<digit>", "-i" or "-n", so these reach the flag's type and its range message.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     # argparse exits 2 on usage errors; our contract reserves 2 for I/O.
     def error(self, message):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .algebra import (
     _dots,
     _freeze,
 )
-from .conics import COMPACT_CLASSES, Conic, ConicClass, _Sections, _sections
+from .conics import COMPACT_CLASSES, ConicClass, _Sections, _sections
 from .errors import (
     EmptyConicError,
     FilletPairMismatchError,
@@ -131,23 +131,22 @@ def fillet_residual(
 @dataclass(frozen=True, eq=False)
 class FilletPatch:
     """A built fillet between two stubs at one hub: ``Q = H1 - E1^2 = H2 - E2^2``
-    with ``H1``, ``H2`` the quadrics of ``stub1`` and ``stub2``."""
+    with ``H1``, ``H2`` the quadrics of ``stub1`` and ``stub2``.  A view of row
+    ``row`` of ``stack``: each field is read, and its object built, on each read."""
 
-    stub1: StubView
-    stub2: StubView
-    alpha: float
-    beta: float
-    F_plus: LinearForm
-    F_minus: LinearForm
-    E1: LinearForm
-    E2: LinearForm
-    Q: Quadric
-    conic1: Conic
-    conic2: Conic
-    bisector: np.ndarray  # unit outward corner bisector
+    stack: FilletStack = field(repr=False)  # its repr holds every row
+    row: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "bisector", _freeze(self.bisector))
+    stub1 = property(lambda p: p.stack.stubs[p.row][0])
+    stub2 = property(lambda p: p.stack.stubs[p.row][1])
+    alpha = property(lambda p: float(p.stack.alpha[p.row]))
+    beta = property(lambda p: float(p.stack.beta[p.row]))
+    F_plus, F_minus, E1, E2 = (property(lambda p, k=k: LinearForm(
+        p.stack.planes[k, p.row, :3], p.stack.planes[k, p.row, 3])) for k in range(4))
+    Q = property(lambda p: Quadric(*(a[p.row] for a in p.stack.Q)))
+    conic1 = property(lambda p: p.stack.conic1.conic(p.row))
+    conic2 = property(lambda p: p.stack.conic2.conic(p.row))
+    bisector = property(lambda p: _freeze(p.stack.bisector[p.row]))  # unit, outward
 
     @property
     def key(self) -> str:
@@ -157,8 +156,8 @@ class FilletPatch:
     @property
     def is_chamfer(self) -> bool:
         """True when the fillet quadric degenerates to a plane pair."""
-        return _one(_plane_pairs((self.Q.A[None], self.Q.b[None], np.array([self.Q.c])),
-                                 (None,))[0])
+        Q = self.Q
+        return _one(_plane_pairs((Q.A[None], Q.b[None], np.array([Q.c])), (None,))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +169,7 @@ class FilletStack:
 
     ``errors[i]`` is the coded error building row ``i`` raised (its arrays
     then hold no fillet).  ``stack[i]``, ``i`` an integer, is row ``i``'s
-    :class:`FilletPatch`, with the bits of every array, or raises a copy of
+    :class:`FilletPatch`, a view that reads the arrays, or raises a copy of
     its error.
     """
 
@@ -196,11 +195,7 @@ class FilletStack:
         error = self.errors[i]
         if error is not None:
             raise type(error)(*error.args)
-        A, b, c = self.Q
-        return FilletPatch(*self.stubs[i], float(self.alpha[i]), float(self.beta[i]),
-                           *(LinearForm(p[i, :3], p[i, 3]) for p in self.planes),
-                           Quadric(A[i], b[i], c[i]), self.conic1.conic(i), self.conic2.conic(i),
-                           self.bisector[i])
+        return FilletPatch(self, i)
 
 
 # Stands in for a row whose spec failed: its arrays hold NaN.

@@ -48,9 +48,13 @@ def _object(pairs: list) -> dict:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(where, f"expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise ParseError(where, "number out of the float range") from None
+    if not math.isfinite(number):
         raise ParseError(where, f"number must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _require_str(value, where: str) -> str:
@@ -122,9 +126,14 @@ def load_lattice(text: str | bytes) -> Lattice:
         except UnicodeDecodeError as exc:
             raise ParseError("/", f"not valid UTF-8: {exc}") from exc
     try:
-        doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_object)
+        # ``int`` refuses a literal past its digit limit (at least 640 digits); a
+        # literal cut to 400 characters is as far past the float range.
+        doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_object,
+                         parse_int=lambda literal: int(literal[:400]))
     except json.JSONDecodeError as exc:
         raise ParseError(f"/ (line {exc.lineno}, col {exc.colno})", exc.msg) from exc
+    except RecursionError:
+        raise ParseError("/", "arrays or objects nested too deeply") from None
 
     _require_obj(doc, "", _SCHEMA, required=False)
     sections = {}

@@ -144,47 +144,43 @@ def run_verify(
     report.checks.append(_check("sphere_stub_gradient", residuals, GRAD_REL_TOL,
                                 f"{len(residuals)} stubs x 32 circle points"))
 
-    # Fillet identity: the stored patch quadric matches both expressions.
     if assembly.fillets:
-        residuals = []
-        for p in assembly.fillets:
-            for h, e in ((p.stub1.H, p.E1), (p.stub2.H, p.E2)):
+        identity, law, residuals, angles = [], [], [], []
+        for p in assembly.fillets:  # a patch builds its fields' objects on each read
+            H, Q = (p.stub1.H, p.stub2.H), p.Q
+            F_plus, F_minus, alpha, beta = p.F_plus, p.F_minus, p.alpha, p.beta
+            # Fillet identity: the stored patch quadric matches both expressions.
+            for h, e in zip(H, (p.E1, p.E2)):
                 expect = subtract_square(h, e)
-                residuals.append(rel_coeff_residual(p.Q - expect, expect))
-        identity = _check("fillet_identity", residuals, COEFF_REL_TOL)
-        if identity.status == "fail":
-            identity.detail = "IDENTITY_VIOLATION"
-        report.checks.append(identity)
+                identity.append(rel_coeff_residual(Q - expect, expect))
 
-        # Residual law with deliberately mis-scaled alpha.
-        residuals = []
-        for p in assembly.fillets:
+            # Residual law with deliberately mis-scaled alpha.
             for t in (0.5, 2.0):
-                alpha_t = p.alpha * t
-                e1 = p.F_plus.scaled(alpha_t) + p.F_minus.scaled(p.beta)
-                e2 = p.F_plus.scaled(alpha_t) - p.F_minus.scaled(p.beta)
-                res = fillet_residual(p.stub1.H, p.stub2.H, e1, e2)
-                expect = linear_product(p.F_plus, p.F_minus).scaled(
-                    1.0 - 4.0 * alpha_t * p.beta
-                )
-                residuals.append(rel_coeff_residual(res - expect, expect))
-        report.checks.append(_check("residual_law", residuals, COEFF_REL_TOL,
-                                    "alpha scaled by 0.5 and 2.0"))
+                alpha_t = alpha * t
+                e1 = F_plus.scaled(alpha_t) + F_minus.scaled(beta)
+                e2 = F_plus.scaled(alpha_t) - F_minus.scaled(beta)
+                res = fillet_residual(*H, e1, e2)
+                expect = linear_product(F_plus, F_minus).scaled(1.0 - 4.0 * alpha_t * beta)
+                law.append(rel_coeff_residual(res - expect, expect))
 
-        # Tangency-conic residuals and gradient angles.
-        residuals = []
-        angles = []
-        for p in assembly.fillets:
-            for conic, h in ((p.conic1, p.stub1.H), (p.conic2, p.stub2.H)):
+            # Tangency-conic residuals and gradient angles.
+            for conic, h in zip((p.conic1, p.conic2), H):
                 pts = sample_conic(conic, 32)
                 scale = np.maximum(1.0, _dots(pts, pts))[:, None]
-                residuals.append(np.abs(stacked_values(stack_forms((h, p.Q)), pts)) / scale)
-                gq = _gradients(p.Q, pts)
+                residuals.append(np.abs(stacked_values(stack_forms((h, Q)), pts)) / scale)
+                gq = _gradients(Q, pts)
                 gh = _gradients(h, pts)
                 cosang = _dots(gq, gh) / (np.sqrt(_dots(gq, gq)) * np.sqrt(_dots(gh, gh)))
                 angles += [math.acos(min(1.0, max(-1.0, c))) for c in cosang.tolist()]
-        report.checks.append(_check("conic_tangency_residual", residuals, SURF_RESIDUAL_TOL))
-        report.checks.append(_check("conic_tangency_angle", angles, TANGENT_ANGLE_TOL))
+        identity = _check("fillet_identity", identity, COEFF_REL_TOL)
+        if identity.status == "fail":
+            identity.detail = "IDENTITY_VIOLATION"
+        report.checks += [
+            identity,
+            _check("residual_law", law, COEFF_REL_TOL, "alpha scaled by 0.5 and 2.0"),
+            _check("conic_tangency_residual", residuals, SURF_RESIDUAL_TOL),
+            _check("conic_tangency_angle", angles, TANGENT_ANGLE_TOL),
+        ]
 
         # Material monotonicity: adding fillets never removes material.
         lo, hi = auto_bounds(assembly)

@@ -18,11 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quador.conics
 import quador.fillet
 from quador.algebra import Quadric, classify_quadric
 from quador.errors import QuadorError
 from quador.fillet import (
     PLANE_PAIR_CLASSES,
+    FilletPatch,
     FilletStack,
     _plane_pairs,
     build_fillet,
@@ -316,6 +318,30 @@ class TestRowAgainstStack:
                 stack[index]
         with pytest.raises(IndexError):
             stack[len(stack)]
+
+    def test_a_patch_is_a_read_only_view_of_its_row(self, monkeypatch):
+        lattice = LATTICES["jittered_cubic5"]
+        stack = build_fillet_for_spec(lattice, lattice.fillets)
+        assert [f.name for f in dataclasses.fields(FilletPatch)] == ["stack", "row"]
+        for module, name in ((quador.fillet, "LinearForm"), (quador.fillet, "Quadric"),
+                             (quador.conics, "Conic"), (quador.conics, "PlaneFrame")):
+            monkeypatch.setattr(module, name, None)  # building one raises TypeError
+        patch = stack[-1]
+        assert (patch.stack, patch.row) == (stack, len(stack) - 1)
+        assert repr(patch) == f"FilletPatch(row={len(stack) - 1})"
+        with pytest.raises(TypeError):
+            patch.Q
+        monkeypatch.undo()
+        assert _bits(patch) == _bits(build_fillet(patch.stub1, patch.stub2, patch.beta))
+        for array in (patch.bisector, patch.Q.A, patch.Q.b, patch.E1.g, patch.F_minus.g):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            patch.Q = None
+        # A fillet changes with its stack's arrays: a new stack's row reads them.
+        A, b, c = stack.Q
+        edited = dataclasses.replace(stack, Q=(A, b, c + 1.0))[patch.row]
+        assert edited.Q.c == patch.Q.c + 1.0 and _bits(stack[-1]) == _bits(patch)
 
     def test_a_list_of_patches_reads_like_the_stack(self):
         lattice = LATTICES["jittered_cubic5"]

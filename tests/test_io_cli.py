@@ -67,17 +67,19 @@ def obj_polylines(path: Path) -> list[tuple[str, np.ndarray]]:
 
 def corrupt_first_fillet(monkeypatch, delta=1e-6):
     """Make verify's assemblies carry a first fillet whose ``Q`` has
-    ``A[0, 0]`` raised by ``delta`` after construction."""
+    ``A[0, 0]`` raised by ``delta`` after construction: a patch is a view of
+    its stack's row, so the row is edited in a copy of the stack."""
 
     def build(lattice):
         assembly = build_assembly(lattice)
         if not assembly.fillets:
             return assembly
         patch = assembly.fillets[0]
-        A = patch.Q.A.copy()
-        A[0, 0] += delta
-        patch = dataclasses.replace(patch, Q=Quadric(A, patch.Q.b, patch.Q.c))
-        return dataclasses.replace(assembly, fillets=(patch,) + assembly.fillets[1:])
+        A, b, c = patch.stack.Q
+        A = A.copy()
+        A[patch.row, 0, 0] += delta
+        stack = dataclasses.replace(patch.stack, Q=(A, b, c))
+        return dataclasses.replace(assembly, fillets=(stack[patch.row],) + assembly.fillets[1:])
 
     monkeypatch.setattr(quador.verify, "build_assembly", build)
 
@@ -209,8 +211,25 @@ class TestLoadLattice:
         # A document that is not an object is reported at "/", as the others are.
         (b"[]", "/", "expected an object, got list"),
         (b'"hubs"', "/", "expected an object, got str"),
+        # Integer literals past the float range, and past int's digit limit.
+        (b'{"hubs": [{"id": "h", "center": [0, 0, 0], "radius": 1' + b"0" * 400 + b"}]}",
+         "/hubs/0/radius", "number out of the float range"),
+        (b'{"hubs": [{"id": "h", "center": [0, -1' + b"0" * 400 + b', 0], "radius": 1}]}',
+         "/hubs/0/center/1", "number out of the float range"),
+        (b'{"beams": [{"id": "b", "hubs": ["a", "c"], "k": 4' + b"0" * 400 + b"}]}",
+         "/beams/0/k", "number out of the float range"),
+        (b'{"fillets": [{"hub": "h", "beams": ["a", "c"], "beta": -1' + b"0" * 5000 + b"}]}",
+         "/fillets/0/beta", "number out of the float range"),
+        (b'{"hubs": [{"id": "h", "center": [0, 0, 0], "radius": 1' + b"0" * 5000 + b"}]}",
+         "/hubs/0/radius", "number out of the float range"),
+        (b'{"hubs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "/",
+         "arrays or objects nested too deeply"),
+        (b'{"hubs": [' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_000 + b"]}", "/",
+         "arrays or objects nested too deeply"),
     ], ids=["huge-number", "hub-not-object", "hubs-not-array", "bad-utf8", "truncated",
-            "array-document", "string-document"])
+            "array-document", "string-document", "int-past-float", "center-past-float",
+            "k-past-float", "beta-past-int-digits", "radius-past-int-digits",
+            "deep-arrays", "deep-objects"])
     def test_parse_error_location(self, text, loc, message, tmp_path, capsys):
         with pytest.raises(ParseError) as exc:
             load_lattice(text)
@@ -219,6 +238,14 @@ class TestLoadLattice:
         path.write_bytes(text)
         assert main(["classify", str(path)]) == 1
         assert capsys.readouterr().err == f"quador: parse error at {loc}: {message}\n"
+
+    def test_integers_read_as_floats_bit_for_bit(self):
+        # "-0" is the integer 0; 2**53 + 1 and -(10**22 + 1) round to the nearest float.
+        text = ('{"hubs": [{"id": "h", "center": [-0, 9007199254740993, '
+                '-10000000000000000000001], "radius": 3}]}')
+        center = load_lattice(text).hubs[0].center
+        assert [struct.pack("<d", c) for c in center] == [
+            struct.pack("<d", c) for c in (0.0, 2.0**53, -1e22)]
 
     def test_nan_rejected(self):
         text = '{"hubs": [{"id": "h", "center": [0, 0, NaN], "radius": 1}]}'
@@ -692,7 +719,7 @@ class TestCli:
                      "-o", str(joined)]) == 0
         assert spaced.read_bytes() == joined.read_bytes()
 
-    @pytest.mark.parametrize("tol", ["-1", "-1e-3"])
+    @pytest.mark.parametrize("tol", ["-1", "-1e-3", "-inf", "-nan", "-Infinity"])
     def test_negative_tol_fails_on_its_range(self, capsys, tol):
         assert main(["verify", str(BETA1), "--tol", tol]) == 1
         assert capsys.readouterr().err.endswith(
@@ -927,22 +954,29 @@ class TestCli:
         capsys.readouterr()
         out = str(tmp_path / "out")
         lattice = str(BETA1)
-        for argv in (
-            ["conics", lattice, "--samples-per-curve", "1", "-o", out],
-            ["verify", lattice, "--samples", "-5"],
-            ["verify", lattice, "--samples", "1.5"],
-            ["verify", lattice, "--tol", "-1"],
-            ["verify", lattice, "--tol", "nan"],
-            ["verify", lattice, "--seed", "-1"],
-            ["mesh", lattice, "--bounds", "1,2,3", "-o", out],
-            ["mesh", lattice, "--bounds", "0,0,0,1,1,inf", "-o", out],
-            ["mesh", lattice, "--resolution", "1025", "-o", out],
-            ["sample", lattice, "--grid", "0,2,2", "-o", out],
-            ["sample", lattice, "--grid", "2,2", "-o", out],
+        # Each argv, with the count and kind of values its flag takes and their range.
+        for argv, expected, bounds in (
+            (["conics", lattice, "--samples-per-curve", "1", "-o", out], "1 int", "[4, 100000]"),
+            (["verify", lattice, "--samples", "-5"], "1 int", "[1, 10000000]"),
+            (["verify", lattice, "--samples", "1.5"], "1 int", "[1, 10000000]"),
+            (["verify", lattice, "--tol", "-1"], "1 float", "[0, inf]"),
+            (["verify", lattice, "--tol", "nan"], "1 float", "[0, inf]"),
+            (["verify", lattice, "--tol", "-inf"], "1 float", "[0, inf]"),
+            (["verify", lattice, "--seed", "-1"], "1 int", "[0, inf]"),
+            (["verify", lattice, "--seed", "-inf"], "1 int", "[0, inf]"),
+            (["mesh", lattice, "--bounds", "1,2,3", "-o", out], "6 float", "[-inf, inf]"),
+            (["mesh", lattice, "--bounds", "0,0,0,1,1,inf", "-o", out], "6 float", "[-inf, inf]"),
+            (["mesh", lattice, "--bounds", "-inf,0,0,1,1,1", "-o", out], "6 float", "[-inf, inf]"),
+            (["mesh", lattice, "--resolution", "1025", "-o", out], "1 int", "[2, 512]"),
+            (["sample", lattice, "--grid", "0,2,2", "-o", out], "3 int", "[1, inf]"),
+            (["sample", lattice, "--grid", "2,2", "-o", out], "3 int", "[1, inf]"),
         ):
             assert main(argv) == 1, argv
             flag = next(a for a in argv if a.startswith("--"))
-            assert f"argument {flag}:" in capsys.readouterr().err, argv
+            value = argv[argv.index(flag) + 1]
+            assert capsys.readouterr().err.endswith(
+                f"argument {flag}: expected {expected} value(s), finite and in {bounds}, "
+                f"got {value!r}\n"), argv
         assert not Path(out).exists()
 
 
