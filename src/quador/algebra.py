@@ -184,6 +184,15 @@ def stack_forms(forms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return A.reshape(-1, 3, 3), b.reshape(-1, 1, 3), c
 
 
+def _stack_rows(*forms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`stack_forms` of row 0 of each form, then of row 1, and so on; a
+    form is plane rows ``(m, 4)`` of ``(g, c0)`` or quadric rows ``(A, b, c)``."""
+    rows = [f if isinstance(f, tuple) else (np.zeros((len(f), 3, 3)), 0.5 * f[:, :3], f[:, 3])
+            for f in forms]
+    A, b, c = (np.stack([r[i] for r in rows], axis=1) for i in range(3))
+    return A.reshape(-1, 3, 3), b.reshape(-1, 1, 3), c.reshape(-1)
+
+
 def stacked_values(stack, points) -> np.ndarray:
     """Every stacked form at every point: ``(..., m)`` for points ``(..., 3)``.
 

@@ -228,9 +228,7 @@ def _build(rows) -> FilletStack:
     with np.errstate(all="ignore"):
         alpha, (fp, fm, e1, e2), errors = _planes(G1, G2, betas)
         q1, q2 = _subtract_square(H1, e1), _subtract_square(H2, e2)
-        gap = (_symmetric(q1[0] - q2[0]), q1[1] - q2[1], q1[2] - q2[2])
-        norm_gap, norm_q1 = (np.sqrt(_dots(v, v)) for v in (_coeffs(*gap), _coeffs(*q1)))
-        residual = norm_gap / np.where(1e-300 > norm_q1, 1e-300, norm_q1)
+        residual = _rel_residual(_minus(q1, q2), q1)
         w = w[:, :3] + w[:, 3:]
         wn = np.sqrt(_dots(w, w))
         w = w / wn[:, None]
@@ -278,6 +276,17 @@ def _coeffs(A, b, c) -> np.ndarray:
     """:meth:`Quadric.coeffs` row by row: ``(m, 10)``."""
     i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
     return np.column_stack([A[:, i, j], b, c])
+
+
+def _minus(q, p):
+    """``q - p`` (:meth:`Quadric.__sub__`) row by row."""
+    return _symmetric(q[0] - p[0]), q[1] - p[1], q[2] - p[2]
+
+
+def _rel_residual(q, ref) -> np.ndarray:
+    """:func:`rel_coeff_residual` row by row."""
+    norm_q, norm_ref = (np.sqrt(_dots(v, v)) for v in (_coeffs(*q), _coeffs(*ref)))
+    return norm_q / np.where(1e-300 > norm_ref, 1e-300, norm_ref)
 
 
 def _as_stack(items) -> tuple[FilletStack, bool]:

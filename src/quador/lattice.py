@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import LinearForm, Quadric, _freeze, stack_forms, stacked_values, subtract_square
+from .algebra import LinearForm, Quadric, _freeze, _stack_rows, stacked_values, subtract_square
 from .errors import (
     CenterOverflowError,
     CoincidentHubsError,
@@ -44,7 +44,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .fillet import FilletPatch
+    from .fillet import FilletStack
 
 __all__ = [
     "Hub",
@@ -287,7 +287,7 @@ class _Resolution:
     geometry: tuple[BeamGeometry | QuadorError, ...]  # one per lattice beam
     stubs: dict[str, tuple[StubView, ...] | QuadorError]  # per hub id
     locality: dict[str, float]  # fillet-clipping ball radius per hub id
-    patches: tuple[FilletPatch | None, ...]  # one per spec; None if it failed
+    fillets: FilletStack  # one row per spec; errors[i] is its error, or None
     errors: tuple[ValidationIssue, ...]  # what the build pass recorded
 
 
@@ -375,8 +375,7 @@ def _resolve(lattice: Lattice) -> _Resolution:
     for fs, error in zip(lattice.fillets, stack.errors):
         if error and error is not stubs.get(fs.hub):
             report.add_error(error.code, fillet_key(fs.hub, fs.beam_i, fs.beam_j), str(error))
-    patches = tuple(None if e else stack[i] for i, e in enumerate(stack.errors))
-    return _Resolution(hubs, spheres, beams, tuple(geometry), stubs, locality, patches,
+    return _Resolution(hubs, spheres, beams, tuple(geometry), stubs, locality, stack,
                        tuple(report.entries))
 
 
@@ -396,21 +395,24 @@ def _warning_pass(lattice: Lattice) -> tuple[ValidationIssue, ...]:
                     f"hub spheres {h1.id!r} and {h2.id!r} overlap",
                 )
 
-    fillet_wedges: dict[str, list[tuple[LinearForm, LinearForm]]] = {}
+    stack = resolved.fillets
+    E1, E2 = stack.planes[2:]
+    forms = _stack_rows(E1, E2, stack.Q)  # rows 3i to 3i + 2 are fillet i's E1, E2 and Q
+    fillet_wedges: dict[str, list[int]] = {}
     dirs = np.random.default_rng(0).normal(size=(_WEDGE_SAMPLES, 3))  # same for every fillet
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    for patch in resolved.patches:
-        if patch is None:
+    for i, (stub1, stub2) in enumerate(stack.stubs):
+        if stack.errors[i]:
             continue
-        hub = patch.stub1.hub
-        fillet_wedges.setdefault(hub.id, []).append((patch.E1, patch.E2))
+        hub = stub1.hub
+        fillet_wedges.setdefault(hub.id, []).append(i)
         boundary = np.asarray(hub.center) + resolved.locality[hub.id] * dirs
-        e1, e2, q = stacked_values(stack_forms((patch.E1, patch.E2, patch.Q)), boundary).T
+        e1, e2, q = stacked_values(tuple(f[3 * i:3 * i + 3] for f in forms), boundary).T
         active = int(np.count_nonzero((e1 >= 0) & (e2 >= 0) & (q <= 0)))
         if active:
             report.add_warning(
                 "FILLET_ACTIVE_AT_LOCALITY",
-                patch.key,
+                fillet_key(hub.id, stub1.beam.id, stub2.beam.id),
                 f"fillet solid reaches the locality sphere "
                 f"({active}/{_WEDGE_SAMPLES} sampled directions); it will be clipped",
             )
@@ -421,7 +423,7 @@ def _warning_pass(lattice: Lattice) -> tuple[ValidationIssue, ...]:
         hub = resolved.hubs[hub_id]
         r = hub.radius
         box = np.random.default_rng(1).uniform(-2 * r, 2 * r, size=(_WEDGE_SAMPLES, 3))
-        positive = stacked_values(stack_forms(f for w in wedges for f in w),
+        positive = stacked_values(_stack_rows(E1[wedges], E2[wedges]),
                                   np.asarray(hub.center) + box) > 0
         in_wedge = positive[:, 0::2] & positive[:, 1::2]  # (point, wedge)
         # Wedge pairs a < b with a sample point in both, in (a, b) order.

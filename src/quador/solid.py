@@ -7,13 +7,13 @@ clipped to its wedge and a hub locality ball
 and positive outside; the tangency planes separating the surfaces make the
 piecewise evaluation sign-correct.
 
-An :class:`Assembly` holds the hubs, beam geometries and fillet patches its
+An :class:`Assembly` holds the hubs, beam geometries and fillet stack its
 lattice built, and builds one part table from them on first use: every
-part's forms, the hub spheres and fillet locality balls among them, in one
-coefficient stack, read by ``field_value``, ``classify_point`` and
-``field_grid`` alike.  It is frozen, so the table never goes stale; threads
-racing on first use at most build it twice.  All of it is safe for
-concurrent use.
+part's forms in one coefficient stack, the fillets' rows and locality balls
+straight from the stack's arrays, read by ``field_value``,
+``classify_point`` and ``field_grid`` alike.  It is frozen, so the table
+never goes stale; threads racing on first use at most build it twice.
+All of it is safe for concurrent use.
 
 Points are evaluated in batches: ``field_value`` and ``classify_point``
 take one point or an ``(n, 3)`` array, and evaluate every form at a chunk
@@ -39,15 +39,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Quadric, stack_forms, stacked_values
+from .algebra import _dots, _stack_rows, stack_forms, stacked_values
 from .errors import DegenerateBoundsError, ValidationError
-from .fillet import FilletPatch
+from .fillet import FilletStack
 from .fillet import build_fillet_for_spec  # noqa: F401  (bench/tracing.py wraps it here)
 from .lattice import (
     BeamGeometry,
     Hub,
     Lattice,
     beam_radius,
+    fillet_key,
     validate_lattice,
 )
 
@@ -84,7 +85,6 @@ _KIND_RANK = {"HUB": 0, "BEAM": 1, "FILLET": 2}
 
 
 class _PartTable(NamedTuple):
-    parts: tuple  # (label, forms) per part
     stack: tuple  # stack_forms of every part's forms, in part order
     bounds: np.ndarray  # part i is stack rows bounds[i]:bounds[i + 1]
     by_label: np.ndarray  # part indices, preferred label first
@@ -96,36 +96,36 @@ class Assembly:
     lattice: Lattice
     hubs: tuple[Hub, ...]
     beams: tuple[BeamGeometry, ...]
-    fillets: tuple[FilletPatch, ...]
+    fillets: FilletStack  # every row built; () for none
 
     @cached_property
     def _table(self) -> _PartTable:
         # Frozen, so never stale; threads racing here at most build it twice.
         resolved = self.lattice._resolved
-        rho = resolved.locality
-        parts = [(RegionLabel("HUB", hub.id), (resolved.spheres[hub.id],)) for hub in self.hubs]
-        parts += [(RegionLabel("BEAM", bg.beam.id), (bg.stub_a.H, -bg.stub_a.G, -bg.stub_b.G))
-                  for bg in self.beams]
-        for p in self.fillets:
-            hub = p.stub1.hub
-            c, r = np.asarray(hub.center, dtype=float), rho[hub.id]
-            ball = Quadric(np.eye(3), -c, float(c @ c) - r * r)  # |x - c|^2 - rho^2
-            parts.append((RegionLabel("FILLET", p.key), (p.Q, -p.E1, -p.E2, ball)))
+        labels = [RegionLabel("HUB", hub.id) for hub in self.hubs]
+        labels += [RegionLabel("BEAM", bg.beam.id) for bg in self.beams]
+        sizes = [1] * len(self.hubs) + [3] * len(self.beams)
+        stack = stack_forms([*(resolved.spheres[hub.id] for hub in self.hubs), *(
+            f for bg in self.beams for f in (bg.stub_a.H, -bg.stub_a.G, -bg.stub_b.G))])
+        fillets = self.fillets
+        if len(fillets):  # each fillet's Q, -E1, -E2 and ball |x - c|^2 - rho^2
+            c = fillets.center
+            rho = np.array([resolved.locality[s.hub.id] for s, _ in fillets.stubs])
+            ball = (np.broadcast_to(np.eye(3), (len(c), 3, 3)), -c, _dots(c, c) - rho * rho)
+            rows = _stack_rows(fillets.Q, -fillets.planes[2], -fillets.planes[3], ball)
+            stack = tuple(map(np.concatenate, zip(stack, rows)))
+            labels += [RegionLabel("FILLET", fillet_key(s1.hub.id, s1.beam.id, s2.beam.id))
+                       for s1, s2 in fillets.stubs]
+            sizes += [4] * len(fillets)
         # Stable, so a label tie keeps the first part in part order.
-        order = sorted(range(len(parts)),
-                       key=lambda i: (_KIND_RANK[parts[i][0].kind], parts[i][0].key))
-        bounds = np.cumsum([0] + [len(fns) for _, fns in parts])
-        stack = stack_forms(f for _, fns in parts for f in fns)
-        labels = np.array([parts[i][0] for i in order] + [OUTSIDE], dtype=object)
-        return _PartTable(tuple(parts), stack, bounds, np.array(order, dtype=int), labels)
-
-    def parts(self) -> tuple:
-        """(label, functions) in deterministic order."""
-        return self._table.parts
+        order = sorted(range(len(labels)),
+                       key=lambda i: (_KIND_RANK[labels[i].kind], labels[i].key))
+        labels = np.array([labels[i] for i in order] + [OUTSIDE], dtype=object)
+        return _PartTable(stack, np.cumsum([0] + sizes), np.array(order, dtype=int), labels)
 
 
 def build_assembly(lattice: Lattice) -> Assembly:
-    """Assemble the quadrics, planes and fillet patches the lattice built.
+    """Assemble the quadrics, planes and fillet stack the lattice built.
 
     The ids must hold and every part must build; otherwise
     :class:`ValidationError` carries :func:`validate_lattice`'s report.
@@ -137,7 +137,7 @@ def build_assembly(lattice: Lattice) -> Assembly:
     resolved = lattice._resolved
     if resolved.errors:
         raise ValidationError(validate_lattice(lattice))
-    return Assembly(lattice, lattice.hubs, resolved.geometry, resolved.patches)
+    return Assembly(lattice, lattice.hubs, resolved.geometry, resolved.fillets)
 
 
 def _points(x) -> tuple[np.ndarray, bool]:
@@ -236,7 +236,7 @@ def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
     out = np.full(shape or (1,), math.inf)  # a scalar is one slab of one point
     X, Y, Z = (a.reshape((1,) * (out.ndim - a.ndim) + a.shape) for a in (X, Y, Z))
     table = assembly._table
-    if (table.parts and out.ndim == 3 and out.size
+    if (len(table.bounds) > 1 and out.ndim == 3 and out.size
             and all(a.size == a.shape[i] for i, a in enumerate((X, Y, Z)))):
         from .cull import culled_grid  # only meshing culls; see quador.cull
 
@@ -245,7 +245,7 @@ def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
     step = max(1, _SLAB_POINTS // max(1, math.prod(out.shape[1:])))
     for start in range(0, len(out), step):
         slab = slice(start, start + step)
-        _lower_to_parts(out[slab], table, range(len(table.parts)),
+        _lower_to_parts(out[slab], table, range(len(table.bounds) - 1),
                         *(a[slab] if len(a) > 1 else a for a in (X, Y, Z)))
     return out.reshape(shape)
 

@@ -7,10 +7,10 @@ tangency-conic residuals, material monotonicity under fillet addition, and
 extent/curvature behaviour across a beta grid.  Produces a machine-readable
 report; all randomness is seeded.
 
-Each check evaluates its points in batches: a circle's or a conic's 32
-points go through one stacked product per quantity, with each point's own
-``value``, ``gradient`` and dot-product bits, so the report is the one a
-point-by-point loop gives.
+Each check evaluates in batches: the fillet checks read the rows of the
+assembly's fillet stack, every fillet and point at once, with each row's
+object operations and each point's own ``value``, ``gradient`` and
+dot-product bits, so the report is the one a per-fillet, point-by-point loop gives.
 """
 
 from __future__ import annotations
@@ -23,16 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (Quadric, _axis_complement, _dots, _norm, linear_product,
-                      rel_coeff_residual, stack_forms, stacked_values, subtract_square)
+from .algebra import (_axis_complement, _dots, _norm, _stack_rows, rel_coeff_residual,
+                      stacked_values)
 from .conics import sample_conic
-from .fillet import (
-    build_fillet_for_spec,
-    fillet_extent,
-    fillet_min_curvature_radius,
-    fillet_residual,
-)
-from .lattice import Lattice, stub_views_at_hub
+from .fillet import (FilletStack, _minus, _quadrics, _rel_residual, _subtract_square, _symmetric,
+                     build_fillet_for_spec, fillet_extent, fillet_min_curvature_radius)
+from .lattice import Lattice, fillet_key, stub_views_at_hub
 from .solid import auto_bounds, build_assembly, field_grid
 from .tolerances import (
     COEFF_REL_TOL,
@@ -98,10 +94,32 @@ def _circle_points(center, radius, normal, offset, n=32) -> np.ndarray:
     return p0 + rc * (cos * w1 + sin * w2)
 
 
-def _gradients(q: Quadric, pts: np.ndarray) -> np.ndarray:
-    """``q.gradient`` at each row of ``pts``, bit for bit: one stacked
-    ``(3,3) @ (3,1)`` product per point, as ``A @ p`` takes."""
-    return 2.0 * (q.A @ pts[:, :, None])[:, :, 0] + 2.0 * q.b
+def _gradients(A: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """:meth:`Quadric.gradient` of ``A``, ``b`` at the points ``(..., 3)``,
+    bit for bit: one stacked ``(3,3) @ (3,1)`` product per point, as ``A @ p`` takes."""
+    return 2.0 * (A @ pts[..., None])[..., 0] + 2.0 * b
+
+
+def _identity_and_law(stack: FilletStack, H) -> tuple[list, list]:
+    """Per row, :func:`rel_coeff_residual` of ``Q - (H - E^2)`` for each
+    plane, and of ``(H1 - E1^2) - (H2 - E2^2)`` minus ``(1 - 4 alpha beta)
+    F+ F-`` (:func:`linear_product`) with alpha scaled by 0.5 and by 2.0,
+    each operation the one its objects take; ``H`` holds the stubs' rows."""
+    fp, fm, e1, e2 = stack.planes
+    identity = [_rel_residual(_minus(stack.Q, q), q) for q in map(_subtract_square, H, (e1, e2))]
+    gp, gm, beta = fp[:, :3], fm[:, :3], stack.beta
+    A = _symmetric(0.5 * (gp[:, :, None] * gm[:, None, :])
+                   + 0.5 * (gm[:, :, None] * gp[:, None, :]))
+    b, c = 0.5 * fp[:, 3:] * gm + 0.5 * fm[:, 3:] * gp, fp[:, 3] * fm[:, 3]  # F+ F-
+    law = []
+    for t in (0.5, 2.0):
+        alpha_t = stack.alpha * t
+        plus, minus = fp * alpha_t[:, None], fm * beta[:, None]
+        s = 1.0 - 4.0 * alpha_t * beta
+        expect = (_symmetric(A * s[:, None, None]), b * s[:, None], c * s)
+        residual = _minus(*map(_subtract_square, H, (plus + minus, plus - minus)))
+        law.append(_rel_residual(_minus(residual, expect), expect))
+    return identity, law
 
 
 def run_verify(
@@ -138,40 +156,27 @@ def run_verify(
         for view in stub_views_at_hub(lattice, hub.id):
             offset = -view.G.value(hub.center) / view.G.grad_norm()
             pts = _circle_points(hub.center, hub.radius, view.G.g, offset)
-            gs = _gradients(sphere, pts)
-            gap = _gradients(view.H, pts) - gs
+            gs = _gradients(sphere.A, sphere.b, pts)
+            gap = _gradients(view.H.A, view.H.b, pts) - gs
             residuals.append(np.sqrt(_dots(gap, gap)) / np.sqrt(_dots(gs, gs)))
     report.checks.append(_check("sphere_stub_gradient", residuals, GRAD_REL_TOL,
                                 f"{len(residuals)} stubs x 32 circle points"))
 
-    if assembly.fillets:
-        identity, law, residuals, angles = [], [], [], []
-        for p in assembly.fillets:  # a patch builds its fields' objects on each read
-            H, Q = (p.stub1.H, p.stub2.H), p.Q
-            F_plus, F_minus, alpha, beta = p.F_plus, p.F_minus, p.alpha, p.beta
-            # Fillet identity: the stored patch quadric matches both expressions.
-            for h, e in zip(H, (p.E1, p.E2)):
-                expect = subtract_square(h, e)
-                identity.append(rel_coeff_residual(Q - expect, expect))
+    stack = assembly.fillets
+    if len(stack):
+        H = [_quadrics([s.H for s in stubs]) for stubs in zip(*stack.stubs)]  # stub1's, stub2's
+        identity, law = _identity_and_law(stack, H)
 
-            # Residual law with deliberately mis-scaled alpha.
-            for t in (0.5, 2.0):
-                alpha_t = alpha * t
-                e1 = F_plus.scaled(alpha_t) + F_minus.scaled(beta)
-                e2 = F_plus.scaled(alpha_t) - F_minus.scaled(beta)
-                res = fillet_residual(*H, e1, e2)
-                expect = linear_product(F_plus, F_minus).scaled(1.0 - 4.0 * alpha_t * beta)
-                law.append(rel_coeff_residual(res - expect, expect))
-
-            # Tangency-conic residuals and gradient angles.
-            for conic, h in zip((p.conic1, p.conic2), H):
-                pts = sample_conic(conic, 32)
-                scale = np.maximum(1.0, _dots(pts, pts))[:, None]
-                residuals.append(np.abs(stacked_values(stack_forms((h, Q)), pts)) / scale)
-                gq = _gradients(Q, pts)
-                gh = _gradients(h, pts)
-                cosang = _dots(gq, gh) / (np.sqrt(_dots(gq, gq)) * np.sqrt(_dots(gh, gh)))
-                angles += [math.acos(min(1.0, max(-1.0, c))) for c in cosang.tolist()]
+        # Tangency-conic residuals and gradient angles at 32 samples of each conic.
+        residuals, angles = [], []
+        for sections, h in zip((stack.conic1, stack.conic2), H):
+            pts = np.stack([sample_conic(sections.conic(i), 32) for i in range(len(stack))])
+            forms = (f.reshape(len(stack), 1, 2, *f.shape[1:]) for f in _stack_rows(h, stack.Q))
+            scale = np.maximum(1.0, _dots(pts, pts))[..., None]
+            residuals.append(np.abs(stacked_values(tuple(forms), pts)) / scale)
+            gq, gh = (_gradients(q[0][:, None], q[1][:, None], pts) for q in (stack.Q, h))
+            cosang = _dots(gq, gh) / (np.sqrt(_dots(gq, gq)) * np.sqrt(_dots(gh, gh)))
+            angles += [math.acos(min(1.0, max(-1.0, c))) for c in cosang.ravel().tolist()]
         identity = _check("fillet_identity", identity, COEFF_REL_TOL)
         if identity.status == "fail":
             identity.detail = "IDENTITY_VIOLATION"
@@ -205,8 +210,8 @@ def run_verify(
                                                for spec in lattice.fillets for beta in BETA_GRID])
         n = len(BETA_GRID)
         all_extents, all_radii = fillet_extent(grid), fillet_min_curvature_radius(grid)
-        for i, built in enumerate(assembly.fillets):
-            subject = built.key
+        for i, (stub1, stub2) in enumerate(stack.stubs):
+            subject = fillet_key(stub1.hub.id, stub1.beam.id, stub2.beam.id)
             extents, radii = all_extents[n * i:n * i + n], all_radii[n * i:n * i + n]
             bounded = all(isinstance(v, float) and math.isfinite(v) for v in extents + radii)
             if not bounded:

@@ -89,12 +89,14 @@ def _patch_bits(h, p) -> None:
 
 
 def patch_digest(lattice: Lattice) -> str:
+    """The bits of each row of the lattice's fillet stack, ``b"none"`` for a failed one."""
     h = hashlib.sha256()
-    for p in lattice._resolved.patches:
-        if p is None:
-            h.update(b"none")
+    stack = lattice._resolved.fillets
+    for i, error in enumerate(stack.errors):
+        if error is None:
+            _patch_bits(h, stack[i])
         else:
-            _patch_bits(h, p)
+            h.update(b"none")
     return h.hexdigest()
 
 

@@ -23,11 +23,13 @@ import quador
 import quador.latticefile
 import quador.verify
 import quador.writers
-from quador.algebra import Quadric, _axis_complement, stack_forms, stacked_values
+from quador.algebra import (LinearForm, Quadric, _axis_complement, linear_product,
+                            rel_coeff_residual, stack_forms, stacked_values, subtract_square)
 from quador.cli import _csv_field, build_parser, main
 from quador.conics import ConicClass, sample_conic
 from quador.errors import NoBisectorIntersectionError, ParseError, ValidationError
-from quador.fillet import build_fillet_for_spec, fillet_min_curvature_radius
+from quador.fillet import (_quadrics, build_fillet_for_spec, fillet_min_curvature_radius,
+                           fillet_residual)
 from quador.lattice import Beam, FilletSpec, Hub, Lattice, stub_views_at_hub
 from quador.latticefile import lattice_to_json, load_lattice
 from quador.solid import Mesh, auto_bounds, build_assembly, classify_point, marching_cubes
@@ -40,6 +42,7 @@ sys.path.insert(0, str(FIXTURES.parent / "bench"))
 
 from inputs import cubic_lattice  # noqa: E402
 from test_lattice import three_hub_lattice  # noqa: E402
+from test_solid import lattice_named  # noqa: E402
 BETA05 = FIXTURES / "perpendicular_beta05.json"
 
 
@@ -67,19 +70,18 @@ def obj_polylines(path: Path) -> list[tuple[str, np.ndarray]]:
 
 def corrupt_first_fillet(monkeypatch, delta=1e-6):
     """Make verify's assemblies carry a first fillet whose ``Q`` has
-    ``A[0, 0]`` raised by ``delta`` after construction: a patch is a view of
-    its stack's row, so the row is edited in a copy of the stack."""
+    ``A[0, 0]`` raised by ``delta`` after construction: the row is edited in
+    a copy of the assembly's fillet stack."""
 
     def build(lattice):
         assembly = build_assembly(lattice)
         if not assembly.fillets:
             return assembly
-        patch = assembly.fillets[0]
-        A, b, c = patch.stack.Q
+        A, b, c = assembly.fillets.Q
         A = A.copy()
-        A[patch.row, 0, 0] += delta
-        stack = dataclasses.replace(patch.stack, Q=(A, b, c))
-        return dataclasses.replace(assembly, fillets=(stack[patch.row],) + assembly.fillets[1:])
+        A[0, 0, 0] += delta
+        stack = dataclasses.replace(assembly.fillets, Q=(A, b, c))
+        return dataclasses.replace(assembly, fillets=stack)
 
     monkeypatch.setattr(quador.verify, "build_assembly", build)
 
@@ -436,7 +438,44 @@ class TestObjPolylines:
         assert out.read_bytes() == row_obj_polylines(curves)
 
 
+def fillet_checks_reference(stack) -> tuple[list, list]:
+    """``fillet_identity``'s values per plane (E1, E2) and ``residual_law``'s
+    per scale of alpha (0.5, 2.0), each a list over the stack's rows, from
+    each row's objects."""
+    identity, law = [[], []], [[], []]
+    for p in stack:
+        H = (p.stub1.H, p.stub2.H)
+        for k, (h, e) in enumerate(zip(H, (p.E1, p.E2))):
+            expect = subtract_square(h, e)
+            identity[k].append(rel_coeff_residual(p.Q - expect, expect))
+        for k, t in enumerate((0.5, 2.0)):
+            alpha_t = p.alpha * t
+            e1 = p.F_plus.scaled(alpha_t) + p.F_minus.scaled(p.beta)
+            e2 = p.F_plus.scaled(alpha_t) - p.F_minus.scaled(p.beta)
+            expect = linear_product(p.F_plus, p.F_minus).scaled(1.0 - 4.0 * alpha_t * p.beta)
+            law[k].append(rel_coeff_residual(fillet_residual(*H, e1, e2) - expect, expect))
+    return identity, law
+
+
 class TestVerify:
+    @pytest.mark.parametrize("name", [
+        *(path.stem for path in sorted(FIXTURES.glob("*.json"))), "jittered_cubic-5",
+        *(f"cubic-{seed}" for seed in range(5)), *(f"random-{seed}" for seed in range(10))])
+    def test_stacked_fillet_checks_equal_per_fillet_references(self, name):
+        stack = build_assembly(lattice_named(name)).fillets
+        if not len(stack):
+            assert fillet_checks_reference(stack) == ([[], []], [[], []])
+            return
+        A, b, c = stack.Q
+        A = A.copy()
+        A[0, 0, 0] += 1e-6
+        for rows in (stack, dataclasses.replace(stack, Q=(A, b, c))):
+            H = [_quadrics([s.H for s in stubs]) for stubs in zip(*rows.stubs)]
+            identity, law = fillet_checks_reference(rows)
+            got = quador.verify._identity_and_law(rows, H)
+            assert np.array(got[0]).tobytes() == np.array(identity).tobytes()
+            assert np.array(got[1]).tobytes() == np.array(law).tobytes()
+
     def test_fixture_passes(self):
         report = run_verify(load_lattice(BETA1.read_bytes()), samples=2000)
         assert report.passed
@@ -514,9 +553,9 @@ class TestVerify:
         for _ in range(60):
             q = Quadric(rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal())
             h = Quadric(rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal())
-            grads = quador.verify._gradients(q, pts)
+            grads = quador.verify._gradients(q.A, q.b, pts)
             assert grads.tobytes() == np.array([q.gradient(p) for p in pts]).tobytes()
-            other = quador.verify._gradients(h, pts)
+            other = quador.verify._gradients(h.A, h.b, pts)
             npt.assert_array_equal(quador.verify._dots(grads, other),
                                    [g @ o for g, o in zip(grads, other)])
             npt.assert_array_equal(np.sqrt(quador.verify._dots(grads, grads)),
@@ -1204,17 +1243,33 @@ class TestConstructionCounts:
             return wrapper
 
         for name, module in (("lattice", quador.lattice), ("verify", quador.verify)):
-            monkeypatch.setattr(module, "subtract_square", counting(name, module.subtract_square))
+            monkeypatch.setattr(module, "subtract_square",
+                                counting(name, quador.algebra.subtract_square), raising=False)
         lattice = load_lattice(json.dumps(cubic_lattice((2, 2, 2), 1)))
         asm = build_assembly(lattice)
-        asm.parts()
+        asm._table
         # One sphere per hub; two stub quadrics per beam, one on each hub's sphere.
         assert (len(lattice.hubs), len(lattice.beams), len(lattice.fillets)) == (8, 12, 24)
         assert (len(spheres), squares) == (8, {"lattice": 24, "verify": 0})
         run_verify(lattice, samples=50)
-        # verify builds no sphere or stub; its only squares are fillet_identity's
-        # two expected quadrics per fillet.
-        assert (len(spheres), squares) == (8, {"lattice": 24, "verify": 2 * 24})
+        # verify builds no sphere or stub, and its fillet checks square rows.
+        assert (len(spheres), squares) == (8, {"lattice": 24, "verify": 0})
+
+    def test_verify_builds_forms_per_beam_not_per_fillet(self, monkeypatch):
+        counts = []
+        for shape in ((2, 2, 2), (3, 3, 3)):
+            lattice = load_lattice(json.dumps(cubic_lattice(shape, 1)))
+            built = {LinearForm: 0, Quadric: 0}
+            with monkeypatch.context() as patch:
+                for cls in built:
+                    patch.setattr(cls, "__post_init__", lambda self, cls=cls, f=cls.__post_init__:
+                                  built.__setitem__(cls, built[cls] + 1) or f(self))
+                run_verify(lattice, samples=50)
+            counts.append((len(lattice.beams), len(lattice.fillets), built))
+        (beams2, fillets2, built2), (beams3, fillets3, built3) = counts
+        assert (beams3 / beams2, fillets3 / fillets2) == (4.5, 6.0)
+        assert all(built2[cls] > 0 and built3[cls] * beams2 == built2[cls] * beams3
+                   for cls in built2)
 
     @pytest.mark.parametrize("source", sorted(p.name for p in FIXTURES.glob("*.json")) + [
         ((2, 2, 2), 0), ((2, 2, 2), 1), ((2, 2, 2), 2), ((3, 3, 2), 0), ((3, 3, 3), 0)])
@@ -1230,12 +1285,12 @@ class TestConstructionCounts:
         views = [v for hub in lattice.hubs for v in stub_views_at_hub(lattice, hub.id)]
         assert len(views) == len(stubs) == 2 * len(asm.beams)
         assert all(v is stubs[v.hub.id, v.beam.id] for v in views)
-        beam_parts = [forms for label, forms in asm.parts() if label.kind == "BEAM"]
-        assert len(beam_parts) == len(asm.beams)
-        assert all(forms[0] is bg.stub_a.H for forms, bg in zip(beam_parts, asm.beams))
-        for p in asm.fillets:
-            for stub in (p.stub1, p.stub2):
-                assert stub is stubs[stub.hub.id, stub.beam.id]
+        # Each beam part's first row in the part table holds its stub_a.H.
+        rows = asm._table.bounds[len(asm.hubs):][:len(asm.beams)]
+        for got, expect in zip(asm._table.stack, stack_forms(bg.stub_a.H for bg in asm.beams)):
+            assert got[rows].tobytes() == expect.tobytes()
+        for stub in itertools.chain.from_iterable(asm.fillets.stubs):
+            assert stub is stubs[stub.hub.id, stub.beam.id]
 
 
 # The argv that writes each of the CLI's five outputs to a given path.

@@ -670,9 +670,10 @@ def sampled_fillet_warnings(lattice):
     """The two sampled fillet warnings, from each form's own ``value`` point by point."""
     resolved = lattice._resolved
     found, at_hub = [], {}
-    for fs, patch in zip(lattice.fillets, resolved.patches):
-        if patch is None:
+    for i, (fs, error) in enumerate(zip(lattice.fillets, resolved.fillets.errors)):
+        if error is not None:
             continue
+        patch = resolved.fillets[i]
         at_hub.setdefault(fs.hub, []).append(patch)
         dirs = np.random.default_rng(0).normal(size=(512, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]

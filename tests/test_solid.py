@@ -19,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 import quador
 from quador import cull
-from quador.algebra import LinearForm, Quadric, stacked_values
+from quador.algebra import LinearForm, Quadric, stack_forms, stacked_values
 from quador.errors import DegenerateBoundsError, ValidationError
 from quador.lattice import Beam, FilletSpec, Hub, Lattice, beam_radius, sphere_quadric
-from quador.latticefile import load_lattice_path
+from quador.latticefile import load_lattice, load_lattice_path
 from quador.mc_tables import EDGE_VERTS, TRI_TABLE, VERT_OFFSETS
 from quador.cull import _box, _form_bounds, _form_table
 from quador.solid import (
@@ -31,6 +31,7 @@ from quador.solid import (
     _form_grid,
     Mesh,
     PointClassification,
+    RegionLabel,
     auto_bounds,
     build_assembly,
     classify_point,
@@ -45,6 +46,35 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 sys.path.insert(0, str(FIXTURES.parent / "bench"))
 
 from checks import edge_problems  # noqa: E402
+from inputs import cubic_lattice, lattice_json  # noqa: E402
+
+
+def reference_parts(asm) -> list:
+    """(label, forms) per part, in part order, built as objects: each hub's
+    sphere; each beam's stub quadric and negated planes; each fillet's
+    ``Q``, ``-E1`` and ``-E2`` and its locality ball ``|x - c|^2 - rho^2``."""
+    resolved = asm.lattice._resolved
+    parts = [(RegionLabel("HUB", hub.id), (resolved.spheres[hub.id],)) for hub in asm.hubs]
+    parts += [(RegionLabel("BEAM", bg.beam.id), (bg.stub_a.H, -bg.stub_a.G, -bg.stub_b.G))
+              for bg in asm.beams]
+    for p in asm.fillets:
+        hub = p.stub1.hub
+        c, r = np.asarray(hub.center, dtype=float), resolved.locality[hub.id]
+        ball = Quadric(np.eye(3), -c, float(c @ c) - r * r)
+        parts.append((RegionLabel("FILLET", p.key), (p.Q, -p.E1, -p.E2, ball)))
+    return parts
+
+
+def reference_table(asm) -> tuple:
+    """The part table of :func:`reference_parts`: its form stack, part
+    bounds, part indices in label preference order, and labels in that
+    order followed by ``OUTSIDE``."""
+    parts = reference_parts(asm)
+    rank = {"HUB": 0, "BEAM": 1, "FILLET": 2}
+    order = sorted(range(len(parts)), key=lambda i: (rank[parts[i][0].kind], parts[i][0].key))
+    return (stack_forms(f for _, fns in parts for f in fns),
+            np.cumsum([0] + [len(fns) for _, fns in parts]), np.array(order, dtype=int),
+            np.array([parts[i][0] for i in order] + [OUTSIDE], dtype=object))
 
 
 def mesh_digest(mesh) -> str:
@@ -108,7 +138,7 @@ class TestFieldValue:
         # Lipschitz bound from part coefficients over the sampled box.
         box_r = float(np.max(np.abs(pts))) + 1.0
         lip = 0.0
-        for _, fns in asm.parts():
+        for _, fns in reference_parts(asm):
             for fn in fns:
                 if hasattr(fn, "A"):
                     lip = max(
@@ -171,10 +201,11 @@ class TestClassifyPoint:
         # Oracle: test each part's defining inequalities independently.
         rng = np.random.default_rng(41)
         lo, hi = auto_bounds(asm)
+        parts = reference_parts(asm)
         for _ in range(10000):
             p = rng.uniform(lo, hi)
             inside_any = False
-            for _, fns in asm.parts():
+            for _, fns in parts:
                 if all(f.value(p) <= 0.0 for f in fns):
                     inside_any = True
                     break
@@ -190,9 +221,9 @@ class TestClassifyPoint:
         assert not np.any((f_bare <= 0.0) & (f_full > 0.0))
 
 
-def part_values_oracle(asm, p):
-    """(label, value) per part from each form's own ``value``."""
-    return [(label, max(f.value(p) for f in fns)) for label, fns in asm.parts()]
+def part_values_oracle(parts, p):
+    """(label, value) per part of ``parts`` from each form's own ``value``."""
+    return [(label, max(f.value(p) for f in fns)) for label, fns in parts]
 
 
 class TestOnePartTable:
@@ -206,8 +237,9 @@ class TestOnePartTable:
             asm = build_assembly(load_lattice_path(FIXTURES / f"{name}.json"))
         lo, hi = auto_bounds(asm)
         rng = np.random.default_rng(43)
+        reference = reference_parts(asm)
         for p in rng.uniform(lo, hi, size=(400, 3)):
-            parts = part_values_oracle(asm, p)
+            parts = part_values_oracle(reference, p)
             best = min(v for _, v in parts)
             assert field_value(asm, p) == best
             res = classify_point(asm, p, tol=1e-3)
@@ -233,7 +265,7 @@ class TestOnePartTable:
             classify_point(asm, p)
             field_value(asm, p)
         assert built == []
-        assert asm.parts() is asm.parts()
+        assert asm._table is asm._table
 
     def test_replace_gets_its_own_table(self, perp_lattice, asm):
         rng = np.random.default_rng(53)
@@ -244,7 +276,22 @@ class TestOnePartTable:
         got = field_grid(bare, pts[:, 0], pts[:, 1], pts[:, 2])
         assert got.tobytes() == field_grid(expect, pts[:, 0], pts[:, 1], pts[:, 2]).tobytes()
         assert np.any(got != full)
-        assert len(bare.parts()) == len(asm.parts()) - 1
+        assert len(bare._table.bounds) == len(asm._table.bounds) - 1
+
+    @pytest.mark.parametrize("name", [
+        *(path.stem for path in sorted(FIXTURES.glob("*.json"))), "jittered_cubic-5",
+        *(f"cubic-{seed}" for seed in range(5)), *(f"random-{seed}" for seed in range(10))])
+    def test_table_equals_object_reference(self, name):
+        asm = build_assembly(lattice_named(name))
+        for got in (asm, dataclasses.replace(asm, fillets=())):
+            table = got._table
+            stack, bounds, order, labels = reference_table(got)
+            for a, b in zip(table.stack, stack):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert table.bounds.tolist() == bounds.tolist()
+            assert table.by_label.tolist() == order.tolist()
+            assert table.labels.tolist() == labels.tolist()
+        assert len(asm.fillets) == len(asm.lattice.fillets)
 
 
 def classify_point_reference(assembly, x, tol=1e-9):
@@ -256,9 +303,8 @@ def classify_point_reference(assembly, x, tol=1e-9):
     if best > tol:
         return PointClassification("outside", OUTSIDE, best)
     state = "boundary" if abs(best) <= tol else "inside"
-    order = table.by_label
-    i = order[np.argmax(values[order] <= tol)]
-    return PointClassification(state, table.parts[i][0], float(values[i]))
+    k = np.argmax(values[table.by_label] <= tol)
+    return PointClassification(state, table.labels[k], float(values[table.by_label[k]]))
 
 
 def point_chunk(asm) -> int:
@@ -279,13 +325,22 @@ def assert_batch_matches_points(asm, pts, tol=1e-9):
     assert got.value.tobytes() == np.array([e.value for e in expect]).tobytes()
     field = np.array([np.fmin.reduce(np.maximum.reduceat(
         stacked_values(asm._table.stack, p), asm._table.bounds[:-1]), initial=math.inf)
-        if len(asm._table.parts) else math.inf for p in pts])
+        if len(asm._table.bounds) > 1 else math.inf for p in pts])
     assert field_value(asm, pts).tobytes() == field.tobytes()
 
 
 def lattice_named(name):
-    if name.startswith("jittered_cubic"):
-        return jittered_cubic(int(name.rsplit("-", 1)[1]))
+    """A fixture by its stem, or ``jittered_cubic-<seed>``, ``cubic-<seed>`` (a
+    2x2x2 cubic) or ``random-<seed>`` (a random valid lattice)."""
+    kind, _, seed = name.rpartition("-")
+    if kind == "jittered_cubic":
+        return jittered_cubic(int(seed))
+    if kind == "cubic":
+        return load_lattice(lattice_json(cubic_lattice((2, 2, 2), int(seed))).encode())
+    if kind == "random":
+        from test_random_lattices import random_lattice  # it imports this module
+
+        return random_lattice(int(seed))[0]
     return load_lattice_path(FIXTURES / f"{name}.json")
 
 
