@@ -42,6 +42,7 @@ from .fillet import (
 from .lattice import (
     Beam,
     BeamGeometry,
+    BeamStack,
     FilletSpec,
     Hub,
     Lattice,

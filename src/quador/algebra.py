@@ -211,6 +211,38 @@ def rel_coeff_residual(q: Quadric, ref: Quadric) -> float:
     return _norm(q.coeffs()) / max(_norm(ref.coeffs()), 1e-300)
 
 
+# Row forms: the operations above on quadric rows ``(A (m,3,3), b (m,3), c (m,))``
+# and plane rows ``(m, 4)`` of ``(g, c0)``, each row taking its object's bits.
+
+def _symmetric(A: np.ndarray) -> np.ndarray:
+    """``A`` rows ``(m,3,3)`` made symmetric as :class:`Quadric` stores them."""
+    return 0.5 * A + 0.5 * np.swapaxes(A, -1, -2)
+
+
+def _subtract_square(q, e):
+    """:func:`subtract_square` row by row: quadric rows minus the squares of plane rows."""
+    g, c0 = e[..., :3], e[..., 3]
+    A, b, c = q
+    return _symmetric(A - g[..., :, None] * g[..., None, :]), b - c0[..., None] * g, c - c0 * c0
+
+
+def _coeffs(A, b, c) -> np.ndarray:
+    """:meth:`Quadric.coeffs` row by row: ``(m, 10)``."""
+    i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+    return np.concatenate([A[..., i, j], b, c[..., None]], axis=-1)
+
+
+def _minus(q, p):
+    """``q - p`` (:meth:`Quadric.__sub__`) row by row."""
+    return _symmetric(q[0] - p[0]), q[1] - p[1], q[2] - p[2]
+
+
+def _rel_residual(q, ref) -> np.ndarray:
+    """:func:`rel_coeff_residual` row by row."""
+    norm_q, norm_ref = (np.sqrt(_dots(v, v)) for v in (_coeffs(*q), _coeffs(*ref)))
+    return norm_q / np.where(1e-300 > norm_ref, 1e-300, norm_ref)
+
+
 # ---------------------------------------------------------------------------
 # Symmetric 3x3 eigen-decomposition (cyclic Jacobi)
 # ---------------------------------------------------------------------------

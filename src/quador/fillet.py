@@ -21,7 +21,6 @@ are stacked; :func:`build_fillet` is the one-row call.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,9 @@ from .algebra import (
     _curvatures,
     _dots,
     _freeze,
+    _minus,
+    _rel_residual,
+    _subtract_square,
 )
 from .conics import COMPACT_CLASSES, ConicClass, _Sections, _sections
 from .errors import (
@@ -50,7 +52,8 @@ from .errors import (
     SingularPointError,
     WedgeOrientationError,
 )
-from .lattice import Beam, FilletSpec, Hub, Lattice, StubView, fillet_key, stub_views_at_hub
+from .lattice import (FilletSpec, Lattice, StubView, _first_errors, _stub_rows, _view, fillet_key,
+                      stub_views_at_hub)
 from .tolerances import CLASSIFY_TOL, COEFF_REL_TOL, PARALLEL_STUB_TOL
 
 __all__ = [
@@ -78,7 +81,8 @@ def fillet_planes(
     and :class:`ParallelStubsError` for parallel stub planes (no corner to fill).
     """
     with np.errstate(all="ignore"):
-        alpha, (_, _, e1, e2), errors = _planes(_forms([G1]), _forms([G2]), [beta])
+        alpha, (_, _, e1, e2), errors = _planes(*(np.array([[*G.g, G.c0]]) for G in (G1, G2)),
+                                                [beta])
     for bad, error in errors:
         if bad[0]:
             raise error(0)
@@ -103,18 +107,6 @@ def _planes(G1: np.ndarray, G2: np.ndarray, betas):
          lambda i: NonPositiveBetaError(f"fillet beta={betas[i]}")),
         (parallel, lambda i: ParallelStubsError("stub planes are parallel; no corner to fill")),
     ]
-
-
-def _forms(forms) -> np.ndarray:
-    """Linear forms as rows ``(m, 4)`` of ``(g, c0)``."""
-    return np.array([[*f.g, f.c0] for f in forms], dtype=float).reshape(-1, 4)
-
-
-def _quadrics(qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrics as rows: ``A (m,3,3)``, ``b (m,3)``, ``c (m,)``."""
-    return (np.array([q.A for q in qs], dtype=float).reshape(-1, 3, 3),
-            np.array([q.b for q in qs], dtype=float).reshape(-1, 3),
-            np.array([q.c for q in qs], dtype=float))
 
 
 def fillet_residual(
@@ -168,12 +160,12 @@ class FilletStack:
     :func:`fillet_extent` and :func:`fillet_min_curvature_radius` read.
 
     ``errors[i]`` is the coded error building row ``i`` raised (its arrays
-    then hold no fillet).  ``stack[i]``, ``i`` an integer, is row ``i``'s
-    :class:`FilletPatch`, a view that reads the arrays, or raises a copy of
-    its error.
+    then hold no fillet, and its stubs are None).  ``stack[i]``, ``i`` an
+    integer, is row ``i``'s :class:`FilletPatch`, a view that reads the
+    arrays, or raises a copy of its error.
     """
 
-    stubs: tuple[tuple[StubView, StubView], ...]
+    stubs: tuple[tuple[StubView, StubView] | tuple[None, None], ...]
     errors: tuple[QuadorError | None, ...]
     alpha: np.ndarray  # (m,)
     beta: np.ndarray  # (m,)
@@ -188,27 +180,13 @@ class FilletStack:
         return len(self.errors)
 
     def __getitem__(self, i: int) -> FilletPatch:
-        try:
-            i = range(len(self))[operator.index(i)]  # a negative index counts from the end
-        except TypeError:
-            raise TypeError(f"FilletStack takes integer indices, not {type(i).__name__}") from None
-        error = self.errors[i]
-        if error is not None:
-            raise type(error)(*error.args)
-        return FilletPatch(self, i)
-
-
-# Stands in for a row whose spec failed: its arrays hold NaN.
-_NAN3 = np.full(3, np.nan)
-_NAN_STUB = StubView(Hub("", (math.nan,) * 3, math.nan), Beam("", "", "", math.nan),
-                     LinearForm(_NAN3, math.nan),
-                     Quadric(np.full((3, 3), np.nan), _NAN3, math.nan), _NAN3)
-_NAN_ROW = (_NAN_STUB, _NAN_STUB, math.nan)
+        return _view(self, i, FilletPatch)
 
 
 def _build(rows) -> FilletStack:
     """Build every fillet row at once; ``rows`` holds per fillet its two stubs
-    and beta, or the coded error its spec raised.
+    and beta, or the coded error its spec raised.  Each stub's ``G``, ``H``
+    and axis rows are read from its beam stack.
 
     Row by row this is :func:`build_fillet`: the same float operations in
     the same order, each array op elementwise or a stacked BLAS product of
@@ -217,19 +195,16 @@ def _build(rows) -> FilletStack:
     the identity, opposite axes, the wedge, then each plane's tangency conic.
     """
     given = [r if isinstance(r, QuadorError) else None for r in rows]
-    live = [_NAN_ROW if e else r for r, e in zip(rows, given)]
+    live = [(None, None, math.nan) if e else r for r, e in zip(rows, given)]
     s1, s2, betas = ([r[k] for r in live] for k in range(3))
-    G1, G2 = _forms([v.G for v in s1]), _forms([v.G for v in s2])
-    H1, H2 = _quadrics([v.H for v in s1]), _quadrics([v.H for v in s2])
-    w = np.array([[*v1.axis, *v2.axis] for v1, v2 in zip(s1, s2)], dtype=float).reshape(-1, 6)
-    center = np.array([v.hub.center for v in s1], dtype=float).reshape(-1, 3)
-    radius = np.array([v.hub.radius for v in s1], dtype=float)
+    G1, H1, w1, center, radius = _stub_rows(s1)
+    G2, H2, w2, _, _ = _stub_rows(s2)
 
     with np.errstate(all="ignore"):
         alpha, (fp, fm, e1, e2), errors = _planes(G1, G2, betas)
         q1, q2 = _subtract_square(H1, e1), _subtract_square(H2, e2)
         residual = _rel_residual(_minus(q1, q2), q1)
-        w = w[:, :3] + w[:, 3:]
+        w = w1 + w2
         wn = np.sqrt(_dots(w, w))
         w = w / wn[:, None]
         probe = center + radius[:, None] * w
@@ -253,40 +228,9 @@ def _build(rows) -> FilletStack:
                    ([k in (ConicClass.EMPTY, ConicClass.POINT) for k in klass],
                     lambda i: EmptyConicError("fillet plane misses the stub quador "
                                               "(invalid beta for this geometry)"))]
-    given = [e or next((error(i) for bad, error in errors if bad[i]), None)
-             for i, e in enumerate(given)]
-    return FilletStack(tuple(zip(s1, s2)), tuple(given), alpha, np.array(betas, dtype=float),
-                       np.stack([fp, fm, e1, e2]), q1, w, center, conic1, conic2)
-
-
-def _symmetric(A: np.ndarray) -> np.ndarray:
-    """``A`` rows ``(m,3,3)`` made symmetric as :class:`Quadric` stores them."""
-    return 0.5 * A + 0.5 * np.swapaxes(A, 1, 2)
-
-
-def _subtract_square(q, e):
-    """:func:`subtract_square` row by row: quadric rows ``(A, b, c)`` minus
-    the squares of plane rows ``(m, 4)``."""
-    g, c0 = e[:, :3], e[:, 3]
-    A, b, c = q
-    return _symmetric(A - g[:, :, None] * g[:, None, :]), b - c0[:, None] * g, c - c0 * c0
-
-
-def _coeffs(A, b, c) -> np.ndarray:
-    """:meth:`Quadric.coeffs` row by row: ``(m, 10)``."""
-    i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
-    return np.column_stack([A[:, i, j], b, c])
-
-
-def _minus(q, p):
-    """``q - p`` (:meth:`Quadric.__sub__`) row by row."""
-    return _symmetric(q[0] - p[0]), q[1] - p[1], q[2] - p[2]
-
-
-def _rel_residual(q, ref) -> np.ndarray:
-    """:func:`rel_coeff_residual` row by row."""
-    norm_q, norm_ref = (np.sqrt(_dots(v, v)) for v in (_coeffs(*q), _coeffs(*ref)))
-    return norm_q / np.where(1e-300 > norm_ref, 1e-300, norm_ref)
+    return FilletStack(tuple(zip(s1, s2)), _first_errors(given, errors), alpha,
+                       np.array(betas, dtype=float), np.stack([fp, fm, e1, e2]), q1, w, center,
+                       conic1, conic2)
 
 
 def _as_stack(items) -> tuple[FilletStack, bool]:

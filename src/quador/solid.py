@@ -7,10 +7,11 @@ clipped to its wedge and a hub locality ball
 and positive outside; the tangency planes separating the surfaces make the
 piecewise evaluation sign-correct.
 
-An :class:`Assembly` holds the hubs, beam geometries and fillet stack its
-lattice built, and builds one part table from them on first use: every
-part's forms in one coefficient stack, the fillets' rows and locality balls
-straight from the stack's arrays, read by ``field_value``,
+An :class:`Assembly` holds the hubs, beam stack and fillet stack its
+lattice built, and builds one part table from their rows on first use:
+every part's forms in one coefficient stack (each hub's sphere, each beam's
+``H_a``, ``-G_a`` and ``-G_b``, each fillet's ``Q``, ``-E1``, ``-E2`` and
+locality ball) straight from the arrays, read by ``field_value``,
 ``classify_point`` and ``field_grid`` alike.  It is frozen, so the table
 never goes stale; threads racing on first use at most build it twice.
 All of it is safe for concurrent use.
@@ -39,18 +40,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _dots, _stack_rows, stack_forms, stacked_values
+from .algebra import _dots, _stack_rows, stacked_values
 from .errors import DegenerateBoundsError, ValidationError
 from .fillet import FilletStack
 from .fillet import build_fillet_for_spec  # noqa: F401  (bench/tracing.py wraps it here)
-from .lattice import (
-    BeamGeometry,
-    Hub,
-    Lattice,
-    beam_radius,
-    fillet_key,
-    validate_lattice,
-)
+from .lattice import BeamStack, Hub, Lattice, fillet_key, validate_lattice
 
 __all__ = [
     "Assembly",
@@ -85,7 +79,7 @@ _KIND_RANK = {"HUB": 0, "BEAM": 1, "FILLET": 2}
 
 
 class _PartTable(NamedTuple):
-    stack: tuple  # stack_forms of every part's forms, in part order
+    stack: tuple  # _stack_rows of every part's forms, in part order
     bounds: np.ndarray  # part i is stack rows bounds[i]:bounds[i + 1]
     by_label: np.ndarray  # part indices, preferred label first
     labels: np.ndarray  # object: the parts' labels in by_label order, then OUTSIDE
@@ -94,29 +88,29 @@ class _PartTable(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Assembly:
     lattice: Lattice
-    hubs: tuple[Hub, ...]
-    beams: tuple[BeamGeometry, ...]
+    hubs: tuple[Hub, ...]  # the lattice's, one sphere row each
+    beams: BeamStack  # every row built
     fillets: FilletStack  # every row built; () for none
 
     @cached_property
     def _table(self) -> _PartTable:
         # Frozen, so never stale; threads racing here at most build it twice.
         resolved = self.lattice._resolved
+        beams, fillets = self.beams, self.fillets
         labels = [RegionLabel("HUB", hub.id) for hub in self.hubs]
-        labels += [RegionLabel("BEAM", bg.beam.id) for bg in self.beams]
-        sizes = [1] * len(self.hubs) + [3] * len(self.beams)
-        stack = stack_forms([*(resolved.spheres[hub.id] for hub in self.hubs), *(
-            f for bg in self.beams for f in (bg.stub_a.H, -bg.stub_a.G, -bg.stub_b.G))])
-        fillets = self.fillets
+        labels += [RegionLabel("BEAM", beam.id) for beam in beams.beams]
+        sizes = [1] * len(self.hubs) + [3] * len(beams)
+        parts = [_stack_rows(resolved.spheres.Q),
+                 _stack_rows(tuple(a[0] for a in beams.H), -beams.G[0], -beams.G[1])]
         if len(fillets):  # each fillet's Q, -E1, -E2 and ball |x - c|^2 - rho^2
             c = fillets.center
             rho = np.array([resolved.locality[s.hub.id] for s, _ in fillets.stubs])
             ball = (np.broadcast_to(np.eye(3), (len(c), 3, 3)), -c, _dots(c, c) - rho * rho)
-            rows = _stack_rows(fillets.Q, -fillets.planes[2], -fillets.planes[3], ball)
-            stack = tuple(map(np.concatenate, zip(stack, rows)))
+            parts.append(_stack_rows(fillets.Q, -fillets.planes[2], -fillets.planes[3], ball))
             labels += [RegionLabel("FILLET", fillet_key(s1.hub.id, s1.beam.id, s2.beam.id))
                        for s1, s2 in fillets.stubs]
             sizes += [4] * len(fillets)
+        stack = tuple(map(np.concatenate, zip(*parts)))
         # Stable, so a label tie keeps the first part in part order.
         order = sorted(range(len(labels)),
                        key=lambda i: (_KIND_RANK[labels[i].kind], labels[i].key))
@@ -329,19 +323,22 @@ def auto_bounds(assembly: Assembly) -> tuple[np.ndarray, np.ndarray]:
         lo = np.minimum(lo, c - hub.radius)
         hi = np.maximum(hi, c + hub.radius)
         r_max = max(r_max, hub.radius)
-    for bg in assembly.beams:
-        ca = np.asarray(bg.stub_a.hub.center)
-        u = bg.stub_a.axis
+    beams = assembly.beams
+    # Python floats, whose ** is libm's pow, as beam_radius takes it.
+    for ca, u, r_a, lam, g0, length in zip(beams.center[0], beams.axis[0], *(
+            a.tolist() for a in (beams.radius[0], beams.lam, beams.g0, beams.length))):
         spread = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-        a, b, c = bg.lam**2 - 1.0, 2.0 * bg.lam * bg.g0, bg.g0**2 + bg.stub_a.hub.radius**2
-        stations = [0.0, bg.length, *_real_roots(a, b, c)]
+        a, b, c = lam**2 - 1.0, 2.0 * lam * g0, g0**2 + r_a**2
+        stations = [0.0, length, *_real_roots(a, b, c)]
         for u2, w2 in zip((u * u).tolist(), (spread * spread).tolist()):
             k = u2 - w2 * a
             stations += _real_roots(4.0 * k * a, 4.0 * k * b, 4.0 * u2 * c - w2 * b * b)
         for s in stations:
-            rho = beam_radius(bg, s) if 0.0 <= s <= bg.length else None
-            if rho is not None:
+            # beam_radius(bg, s) squared; below 0 off the beam or where no section is real.
+            rho_sq = r_a**2 + (lam * s + g0) ** 2 - s * s if 0.0 <= s <= length else -1.0
+            if not rho_sq < 0.0:
                 p = ca + s * u
+                rho = math.sqrt(rho_sq)
                 lo = np.minimum(lo, p - rho * spread)
                 hi = np.maximum(hi, p + rho * spread)
     if not np.all(np.isfinite(lo)):

@@ -7,10 +7,11 @@ tangency-conic residuals, material monotonicity under fillet addition, and
 extent/curvature behaviour across a beta grid.  Produces a machine-readable
 report; all randomness is seeded.
 
-Each check evaluates in batches: the fillet checks read the rows of the
-assembly's fillet stack, every fillet and point at once, with each row's
-object operations and each point's own ``value``, ``gradient`` and
-dot-product bits, so the report is the one a per-fillet, point-by-point loop gives.
+Each check evaluates in batches: the beam and fillet checks read the rows
+of the assembly's beam and fillet stacks, every part and point at once,
+with each row's object operations and each point's own ``value``,
+``gradient`` and dot-product bits, so the report is the one a per-part,
+point-by-point loop gives; none of them builds a ``Quadric`` or ``LinearForm``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (_axis_complement, _dots, _norm, _stack_rows, rel_coeff_residual,
-                      stacked_values)
+from .algebra import (_axis_complement, _dots, _minus, _rel_residual, _stack_rows,
+                      _subtract_square, _symmetric, stacked_values)
 from .conics import sample_conic
-from .fillet import (FilletStack, _minus, _quadrics, _rel_residual, _subtract_square, _symmetric,
-                     build_fillet_for_spec, fillet_extent, fillet_min_curvature_radius)
-from .lattice import Lattice, fillet_key, stub_views_at_hub
+from .fillet import (FilletStack, build_fillet_for_spec, fillet_extent,
+                     fillet_min_curvature_radius)
+from .lattice import Lattice, _stub_rows, fillet_key, stub_views_at_hub
 from .solid import auto_bounds, build_assembly, field_grid
 from .tolerances import (
     COEFF_REL_TOL,
@@ -82,18 +83,6 @@ def _check(name: str, values, tol: float, detail: str = "") -> Check:
     return Check(name, "pass" if worst <= tol else "fail", worst, tol, detail)
 
 
-def _circle_points(center, radius, normal, offset, n=32) -> np.ndarray:
-    """``n`` points, as rows, on the circle {|x-c|=r} cut by the plane at
-    signed distance ``offset`` from the center along ``normal``."""
-    normal = normal / _norm(normal)
-    rc = math.sqrt(max(0.0, radius * radius - offset * offset))
-    w1, w2 = _axis_complement(normal)
-    p0 = np.asarray(center) + offset * normal
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False).tolist()
-    cos, sin = (np.array([f(x) for x in t])[:, None] for f in (math.cos, math.sin))
-    return p0 + rc * (cos * w1 + sin * w2)
-
-
 def _gradients(A: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """:meth:`Quadric.gradient` of ``A``, ``b`` at the points ``(..., 3)``,
     bit for bit: one stacked ``(3,3) @ (3,1)`` product per point, as ``A @ p`` takes."""
@@ -141,42 +130,50 @@ def run_verify(
         raise ValueError(f"samples must be >= 1, got {samples}")
     report = VerifyReport()
     assembly = build_assembly(lattice)
-    spheres = lattice._resolved.spheres
 
     # Two-sphere tangency: both ends construct the same beam quadric.
-    residuals = [rel_coeff_residual(bg.stub_a.H - bg.stub_b.H, bg.stub_a.H)
-                 for bg in assembly.beams]
-    report.checks.append(_check("two_sphere_tangency", residuals, COEFF_REL_TOL,
-                                f"{len(assembly.beams)} beams"))
+    H_a, H_b = zip(*assembly.beams.H)
+    report.checks.append(_check("two_sphere_tangency", _rel_residual(_minus(H_a, H_b), H_a),
+                                COEFF_REL_TOL, f"{len(assembly.beams)} beams"))
 
-    # Sphere-stub gradient equality along each tangency circle.
-    residuals = []
-    for hub in lattice.hubs:
-        sphere = spheres[hub.id]
-        for view in stub_views_at_hub(lattice, hub.id):
-            offset = -view.G.value(hub.center) / view.G.grad_norm()
-            pts = _circle_points(hub.center, hub.radius, view.G.g, offset)
-            gs = _gradients(sphere.A, sphere.b, pts)
-            gap = _gradients(view.H.A, view.H.b, pts) - gs
-            residuals.append(np.sqrt(_dots(gap, gap)) / np.sqrt(_dots(gs, gs)))
-    report.checks.append(_check("sphere_stub_gradient", residuals, GRAD_REL_TOL,
-                                f"{len(residuals)} stubs x 32 circle points"))
+    # Sphere-stub gradient equality at 32 points of each stub's tangency circle
+    # {|x - c| = r, G = 0}, every stub at once, each with its hub's sphere row.
+    views = [stub_views_at_hub(lattice, hub.id) for hub in lattice.hubs]
+    hub_row = np.repeat(np.arange(len(views)), [len(v) for v in views])
+    G, H, _, center, radius = _stub_rows([v for at_hub in views for v in at_hub])
+    A, b, _ = (a[hub_row] for a in lattice._resolved.spheres.Q)
+    gn = np.sqrt(_dots(G[:, :3], G[:, :3]))
+    offset = -(_dots(G[:, :3], center) + G[:, 3]) / gn
+    normal = G[:, :3] / gn[:, None]
+    rc = radius * radius - offset * offset
+    rc = np.sqrt(np.where(rc > 0.0, rc, 0.0))
+    w1, w2 = _axis_complement(normal)
+    t = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False).tolist()
+    cos, sin = (np.array([f(x) for x in t])[:, None] for f in (math.cos, math.sin))
+    pts = (center + offset[:, None] * normal)[:, None] + rc[:, None, None] * (
+        cos * w1[:, None] + sin * w2[:, None])
+    gs = _gradients(A[:, None], b[:, None], pts)
+    gap = _gradients(H[0][:, None], H[1][:, None], pts) - gs
+    report.checks.append(_check("sphere_stub_gradient",
+                                np.sqrt(_dots(gap, gap)) / np.sqrt(_dots(gs, gs)),
+                                GRAD_REL_TOL, f"{len(G)} stubs x 32 circle points"))
 
     stack = assembly.fillets
     if len(stack):
-        H = [_quadrics([s.H for s in stubs]) for stubs in zip(*stack.stubs)]  # stub1's, stub2's
+        H = [_stub_rows(stubs)[1] for stubs in zip(*stack.stubs)]  # stub1's, stub2's
         identity, law = _identity_and_law(stack, H)
 
         # Tangency-conic residuals and gradient angles at 32 samples of each conic.
-        residuals, angles = [], []
+        residuals, cosines = [], []
         for sections, h in zip((stack.conic1, stack.conic2), H):
             pts = np.stack([sample_conic(sections.conic(i), 32) for i in range(len(stack))])
             forms = (f.reshape(len(stack), 1, 2, *f.shape[1:]) for f in _stack_rows(h, stack.Q))
             scale = np.maximum(1.0, _dots(pts, pts))[..., None]
             residuals.append(np.abs(stacked_values(tuple(forms), pts)) / scale)
             gq, gh = (_gradients(q[0][:, None], q[1][:, None], pts) for q in (stack.Q, h))
-            cosang = _dots(gq, gh) / (np.sqrt(_dots(gq, gq)) * np.sqrt(_dots(gh, gh)))
-            angles += [math.acos(min(1.0, max(-1.0, c))) for c in cosang.ravel().tolist()]
+            cosines.append(_dots(gq, gh) / (np.sqrt(_dots(gq, gq)) * np.sqrt(_dots(gh, gh))))
+        # The largest angle is the acos of the smallest cosine, clamped; NaN reads as pi.
+        angle = math.acos(min(1.0, max(-1.0, float(np.min(cosines)))))
         identity = _check("fillet_identity", identity, COEFF_REL_TOL)
         if identity.status == "fail":
             identity.detail = "IDENTITY_VIOLATION"
@@ -184,7 +181,7 @@ def run_verify(
             identity,
             _check("residual_law", law, COEFF_REL_TOL, "alpha scaled by 0.5 and 2.0"),
             _check("conic_tangency_residual", residuals, SURF_RESIDUAL_TOL),
-            _check("conic_tangency_angle", angles, TANGENT_ANGLE_TOL),
+            _check("conic_tangency_angle", [angle], TANGENT_ANGLE_TOL),
         ]
 
         # Material monotonicity: adding fillets never removes material.

@@ -115,8 +115,11 @@ def quadric_row(q: Quadric):
 class TestBuildFillet:
     def test_opposite_axes_with_crossing_planes(self, perp_lattice):
         # Hand-built stubs: the planes cross, but the axes leave no outward bisector.
+        # s2 reads its row of a copy of its beam stack whose axis row is edited.
         s1, s2 = perp_stubs(perp_lattice)
-        s2 = dataclasses.replace(s2, axis=-s1.axis)
+        axis = s2.stack.axis.copy()
+        axis[s2.end, s2.row] = -s1.axis
+        s2 = dataclasses.replace(s2, stack=dataclasses.replace(s2.stack, axis=axis))
         with pytest.raises(ParallelStubsError, match="stub axes are opposite"):
             build_fillet(s1, s2, 1.0)
 

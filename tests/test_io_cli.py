@@ -28,9 +28,8 @@ from quador.algebra import (LinearForm, Quadric, _axis_complement, linear_produc
 from quador.cli import _csv_field, build_parser, main
 from quador.conics import ConicClass, sample_conic
 from quador.errors import NoBisectorIntersectionError, ParseError, ValidationError
-from quador.fillet import (_quadrics, build_fillet_for_spec, fillet_min_curvature_radius,
-                           fillet_residual)
-from quador.lattice import Beam, FilletSpec, Hub, Lattice, stub_views_at_hub
+from quador.fillet import build_fillet_for_spec, fillet_min_curvature_radius, fillet_residual
+from quador.lattice import Beam, FilletSpec, Hub, Lattice, sphere_quadric, stub_views_at_hub
 from quador.latticefile import lattice_to_json, load_lattice
 from quador.solid import Mesh, auto_bounds, build_assembly, classify_point, marching_cubes
 from quador.verify import run_verify
@@ -470,7 +469,8 @@ class TestVerify:
         A = A.copy()
         A[0, 0, 0] += 1e-6
         for rows in (stack, dataclasses.replace(stack, Q=(A, b, c))):
-            H = [_quadrics([s.H for s in stubs]) for stubs in zip(*rows.stubs)]
+            H = [tuple(np.array([getattr(s.H, f) for s in stubs]) for f in "Abc")
+                 for stubs in zip(*rows.stubs)]  # each stub's own H object, as rows
             identity, law = fillet_checks_reference(rows)
             got = quador.verify._identity_and_law(rows, H)
             assert np.array(got[0]).tobytes() == np.array(identity).tobytes()
@@ -571,7 +571,6 @@ class TestVerify:
         lattice = jittered_cubic(5) if name == "jittered_cubic" else load_lattice(
             (FIXTURES / name).read_bytes())
         measured = {c.name: c.measured for c in run_verify(lattice, samples=50).checks}
-        spheres = lattice._resolved.spheres
         gradient = [0.0]
         for hub in lattice.hubs:
             for view in stub_views_at_hub(lattice, hub.id):
@@ -582,7 +581,7 @@ class TestVerify:
                 p0 = np.asarray(hub.center) + offset * normal
                 for t in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):
                     p = p0 + rc * (math.cos(t) * w1 + math.sin(t) * w2)
-                    gs = spheres[hub.id].gradient(p)
+                    gs = sphere_quadric(hub).gradient(p)
                     gradient.append(float(np.linalg.norm(view.H.gradient(p) - gs)
                                           / np.linalg.norm(gs)))
         assert measured["sphere_stub_gradient"] == max(gradient)
@@ -1191,17 +1190,17 @@ class TestConstructionCounts:
         points = tmp_path / "points.csv"
         points.write_text("0,0,0\n2,0,0\n1,1,0\n")
 
-        # Fillets are built as rows of one stacked call; count the rows.
-        calls = {"_build_beam": 0, "_build": 0}
+        # Beams and fillets are built as rows of one stacked call each; count the rows.
+        calls = {"_build_beams": 0, "_build": 0}
 
         def counting(name, original):
             def wrapper(*args):
-                calls[name] += len(args[0]) if name == "_build" else 1
+                calls[name] += len(args[0])
                 return original(*args)
 
             return wrapper
 
-        for module, name in ((quador.lattice, "_build_beam"), (quador.fillet, "_build")):
+        for module, name in ((quador.lattice, "_build_beams"), (quador.fillet, "_build")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
         lat = str(path)
@@ -1211,65 +1210,56 @@ class TestConstructionCounts:
             ["mesh", lat, "--resolution", "12", "-o", str(tmp_path / "m.stl")],
             ["sample", lat, "--points", str(points), "-o", str(tmp_path / "s.csv")],
         ):
-            calls.update(_build_beam=0, _build=0)
+            calls.update(_build_beams=0, _build=0)
             assert main(argv) == 0, argv
-            assert calls == {"_build_beam": 12, "_build": 24}, argv[0]
+            assert calls == {"_build_beams": 12, "_build": 24}, argv[0]
 
         # verify samples the bare field from the same assembly and builds
         # five beta-grid variants of each fillet.
-        calls.update(_build_beam=0, _build=0)
+        calls.update(_build_beams=0, _build=0)
         assert main(["verify", lat, "--samples", "200"]) == 0
-        assert calls["_build_beam"] == 12
+        assert calls["_build_beams"] == 12
         assert calls["_build"] <= 24 * (1 + 5)
         capsys.readouterr()
 
     def test_hub_spheres_built_by_the_lattice_only(self, monkeypatch):
         import quador.lattice
-        import quador.solid
 
-        spheres = []
-        original = quador.lattice.sphere_quadric
-        for module in (quador.lattice, quador.solid, quador.verify):
-            monkeypatch.setattr(module, "sphere_quadric",
-                                lambda hub: spheres.append(hub.id) or original(hub), raising=False)
-        # Calls of subtract_square (S - G^2 and the like) made from each module.
-        squares = {"lattice": 0, "verify": 0}
-
-        def counting(name, original):
-            def wrapper(q, g):
-                squares[name] += 1
-                return original(q, g)
-
-            return wrapper
-
-        for name, module in (("lattice", quador.lattice), ("verify", quador.verify)):
-            monkeypatch.setattr(module, "subtract_square",
-                                counting(name, quador.algebra.subtract_square), raising=False)
+        # Hub rows built by the stacked sphere call, and rows of stub planes
+        # squared (H = S - G^2) by the beam call.
+        rows = {"spheres": 0, "squares": 0}
+        spheres, squares = quador.lattice._spheres, quador.lattice._subtract_square
+        monkeypatch.setattr(quador.lattice, "_spheres", lambda hubs: rows.__setitem__(
+            "spheres", rows["spheres"] + len(hubs)) or spheres(hubs))
+        monkeypatch.setattr(quador.lattice, "_subtract_square", lambda q, e: rows.__setitem__(
+            "squares", rows["squares"] + e[..., 0].size) or squares(q, e))
         lattice = load_lattice(json.dumps(cubic_lattice((2, 2, 2), 1)))
         asm = build_assembly(lattice)
         asm._table
-        # One sphere per hub; two stub quadrics per beam, one on each hub's sphere.
+        # One sphere row per hub; two stub quadric rows per beam, one on each hub's sphere.
         assert (len(lattice.hubs), len(lattice.beams), len(lattice.fillets)) == (8, 12, 24)
-        assert (len(spheres), squares) == (8, {"lattice": 24, "verify": 0})
+        assert rows == {"spheres": 8, "squares": 24}
         run_verify(lattice, samples=50)
-        # verify builds no sphere or stub, and its fillet checks square rows.
-        assert (len(spheres), squares) == (8, {"lattice": 24, "verify": 0})
+        # verify builds no sphere or stub: it reads the lattice's rows.
+        assert rows == {"spheres": 8, "squares": 24}
 
     def test_verify_builds_forms_per_beam_not_per_fillet(self, monkeypatch):
-        counts = []
+        # Load, assembly and its part table build no Quadric or LinearForm, and
+        # neither does verify, per beam or per fillet.
         for shape in ((2, 2, 2), (3, 3, 3)):
-            lattice = load_lattice(json.dumps(cubic_lattice(shape, 1)))
+            text = json.dumps(cubic_lattice(shape, 1))
             built = {LinearForm: 0, Quadric: 0}
             with monkeypatch.context() as patch:
                 for cls in built:
                     patch.setattr(cls, "__post_init__", lambda self, cls=cls, f=cls.__post_init__:
                                   built.__setitem__(cls, built[cls] + 1) or f(self))
+                lattice = load_lattice(text)
+                build_assembly(lattice)._table
+                assert built == {LinearForm: 0, Quadric: 0}, shape
                 run_verify(lattice, samples=50)
-            counts.append((len(lattice.beams), len(lattice.fillets), built))
-        (beams2, fillets2, built2), (beams3, fillets3, built3) = counts
-        assert (beams3 / beams2, fillets3 / fillets2) == (4.5, 6.0)
-        assert all(built2[cls] > 0 and built3[cls] * beams2 == built2[cls] * beams3
-                   for cls in built2)
+            parts = {2: (12, 24), 3: (54, 144)}[shape[0]]  # beams, fillets
+            assert (len(lattice.beams), len(lattice.fillets)) == parts
+            assert built == {LinearForm: 0, Quadric: 0}, shape
 
     @pytest.mark.parametrize("source", sorted(p.name for p in FIXTURES.glob("*.json")) + [
         ((2, 2, 2), 0), ((2, 2, 2), 1), ((2, 2, 2), 2), ((3, 3, 2), 0), ((3, 3, 3), 0)])

@@ -40,6 +40,7 @@ from quador.solid import (
     marching_cubes,
 )
 
+from beam_reference import reference_sphere
 from test_fillet import jittered_cubic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -54,7 +55,7 @@ def reference_parts(asm) -> list:
     sphere; each beam's stub quadric and negated planes; each fillet's
     ``Q``, ``-E1`` and ``-E2`` and its locality ball ``|x - c|^2 - rho^2``."""
     resolved = asm.lattice._resolved
-    parts = [(RegionLabel("HUB", hub.id), (resolved.spheres[hub.id],)) for hub in asm.hubs]
+    parts = [(RegionLabel("HUB", hub.id), (reference_sphere(hub),)) for hub in asm.hubs]
     parts += [(RegionLabel("BEAM", bg.beam.id), (bg.stub_a.H, -bg.stub_a.G, -bg.stub_b.G))
               for bg in asm.beams]
     for p in asm.fillets:
