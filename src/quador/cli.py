@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_numbers(float, low=0), default=1e-9, help="base tolerance")
     p.add_argument("--samples", type=_numbers(int, low=1, high=10**7), default=10000,
                    help="random sample count (1..10000000)")
-    p.add_argument("--seed", type=_numbers(int, low=0), default=0, help="random seed")
+    p.add_argument("--seed", type=_numbers(int, low=0), default=0, help="random seed (>= 0)")
     p.add_argument("--report", help="write the JSON report here")
 
     p = sub.add_parser("mesh", help="polygonize the solid and write STL/OBJ")

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import stat
 import struct
@@ -456,6 +457,24 @@ def fillet_checks_reference(stack) -> tuple[list, list]:
     return identity, law
 
 
+def material_draw(monkeypatch, block: int, seed: int = 0) -> tuple[float, list]:
+    """The fixture's ``material_monotonicity`` count, 50 points in blocks of
+    ``block``, with a shipped field that gives up material where fillets are,
+    and ``(filleted, points)`` for each ``field_grid`` call it made."""
+    field_grid, calls = quador.verify.field_grid, []
+
+    def losing(assembly, *xyz):
+        calls.append((bool(assembly.fillets), np.stack(xyz, axis=-1)))
+        return field_grid(assembly, *xyz) + (1.0 if assembly.fillets else 0.0)
+
+    monkeypatch.setattr(quador.verify, "field_grid", losing)
+    monkeypatch.setattr(quador.verify, "_BLOCK", block)
+    report = run_verify(load_lattice(BETA1.read_bytes()), samples=50, seed=seed)
+    check = next(c for c in report.checks if c.name == "material_monotonicity")
+    assert check.detail == f"50 points, seed {seed}"
+    return check.measured, calls
+
+
 class TestVerify:
     @pytest.mark.parametrize("name", [
         *(path.stem for path in sorted(FIXTURES.glob("*.json"))), "jittered_cubic-5",
@@ -504,6 +523,12 @@ class TestVerify:
         with pytest.raises(ValueError, match=f"^samples must be >= 1, got {samples}$"):
             run_verify(load_lattice(BETA1.read_bytes()), samples=samples)
 
+    def test_seed_checked_before_anything_is_built(self, monkeypatch):
+        # random.Random seeds from abs(seed), so -1 would draw seed 1's points.
+        monkeypatch.setattr(quador.verify, "build_assembly", None)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            run_verify(load_lattice(BETA1.read_bytes()), seed=-1)
+
     def test_fillet_degenerate_on_beta_grid_warns(self):
         # Valid at beta 1, but at beta 0.6 the corner bisector misses the fillet.
         lat = three_hub_lattice(0.7122, 5.8595, 5.2435, 0.8775, 1.2762, 6.4621, 6.0569, 1.0)
@@ -535,6 +560,30 @@ class TestVerify:
         report = run_verify(load_lattice(BETA1.read_bytes()), samples=500)
         check = next(c for c in report.checks if c.name == "material_monotonicity")
         assert check.status == "fail" and check.measured > 0
+
+    def test_material_points_drawn_in_blocks(self, monkeypatch):
+        counted, calls = material_draw(monkeypatch, block=7)
+        assert max(len(pts) for _, pts in calls) == 7 and len(calls) == 2 * 8
+        bare, full = (np.concatenate([pts for f, pts in calls if f == filleted])
+                      for filleted in (False, True))
+        assert bare.tobytes() == full.tobytes() and full.shape == (50, 3)
+        whole, one = material_draw(monkeypatch, block=10_000)
+        assert len(one) == 2 and one[1][1].tobytes() == full.tobytes()
+        assert counted == whole > 0
+        # Each value is the top 53 bits of a little-endian u8 of Random(seed)
+        # bytes, scaled onto the auto bounds.
+        lo, hi = auto_bounds(build_assembly(load_lattice(BETA1.read_bytes())))
+        rng = random.Random(0)
+        expected = [lo[i] + (hi[i] - lo[i]) * (
+            (int.from_bytes(rng.randbytes(8), "little") >> 11) * 0.5**53)
+            for _ in range(50) for i in range(3)]
+        assert full.ravel().tolist() == expected
+
+    def test_material_points_follow_the_seed(self, monkeypatch):
+        points = [np.concatenate([pts for _, pts in material_draw(monkeypatch, 7, seed)[1]])
+                  for seed in (3, 3, 4)]
+        assert points[0].tobytes() == points[1].tobytes()
+        assert not np.any(points[0] == points[2])
 
     def test_nan_measurement_fails(self, monkeypatch, tmp_path, capsys):
         corrupt_first_fillet(monkeypatch, delta=math.nan)
@@ -1058,6 +1107,26 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         text=True,
         env=child_env(),
     )
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # A fresh interpreter: this process has long imported numpy.random.
+    script = (
+        "import sys\n"
+        "from quador.cli import main\n"
+        "for argv in (['verify', sys.argv[1], '--report', 'report.json'],\n"
+        "             ['mesh', sys.argv[1], '--resolution', '8', '-o', 'mesh.stl'],\n"
+        "             ['sample', sys.argv[1], '--grid', '3,3,3', '-o', 'grid.csv'],\n"
+        "             ['conics', sys.argv[1], '-o', 'conics.obj'],\n"
+        "             ['classify', sys.argv[1]]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script, str(BETA1)], cwd=tmp_path,
+                         capture_output=True, text=True, env=child_env())
+    assert run.returncode == 0, run.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "conics.obj", "grid.csv", "mesh.stl", "report.json"]
 
 
 def cubic_filleted(n: int) -> Lattice:
