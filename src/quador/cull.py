@@ -41,17 +41,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .solid import _SLAB_POINTS, _lower_to_parts, _PartTable
+from .solid import _BATCH, _lower_to_parts, _PartTable
 
-# Bricks of _BRICK points a side are halved down to leaves of _LEAF.  One cap
-# bounds memory: no batch holds more than _BATCH units, be they (brick, form)
-# rows bounded at once, leaves of the top bricks grouped at once or points
-# gathered at once.  Half and twice this size measured 8-23% slower on the
-# benchmark grids, and twice it raised marching_cubes' peak memory.
+# Bricks of _BRICK points a side are halved down to leaves of _LEAF.  The one
+# batch budget bounds memory: no batch holds more than _BATCH units, be they
+# (brick, form) rows bounded at once, leaves of the top bricks grouped at once
+# or points gathered at once.  Half and twice _BATCH measured 8-23% slower on
+# the benchmark grids, and twice it raised marching_cubes' peak memory.
 _BRICK = 32
 _LEAF = 4
 _SIZES = tuple(_BRICK >> k for k in range((_BRICK // _LEAF).bit_length()))
-_BATCH = _SLAB_POINTS >> 2
 # Rounding slack per unit of term size (256 ulps), and the largest term size
 # for which a bound counts as finite (no partial sum of the formula overflows).
 _ROUNDING = 2.0 ** -44

@@ -19,10 +19,11 @@ All of it is safe for concurrent use.
 Points are evaluated in batches: ``field_value`` and ``classify_point``
 take one point or an ``(n, 3)`` array, and evaluate every form at a chunk
 of points in one ``stacked_values`` call, with the label rule applied to
-the whole chunk.  They keep the BLAS products and the ``np.fmin`` NaN rule
-of one point at a time, so each value keeps its bits however the points
-are batched, and ``sample.csv`` keeps its bytes; ``field_grid``'s
-term-by-term formula still differs from them in the last bits (see there).
+the whole chunk; one budget, ``_BATCH``, sizes these chunks and every other
+batched loop.  They keep the BLAS products and the ``np.fmin`` NaN rule of
+one point at a time, so each value keeps its bits however the points are
+batched, and ``sample.csv`` keeps its bytes; ``field_grid``'s term-by-term
+formula still differs from them in the last bits (see there).
 
 Each part matters only near its own hub, so on the grid that
 :func:`marching_cubes` meshes, ``field_grid`` evaluates a part only where
@@ -144,15 +145,22 @@ def _points(x) -> tuple[np.ndarray, bool]:
     return pts, False
 
 
+# The one batch budget: every batched loop takes at most _BATCH units at once,
+# be they floats of a point chunk's largest temporary, points of a slab or
+# block, quador.cull's (brick, form) rows and leaves, or numbers in text rows,
+# so no field temporary holds more than _BATCH float64 values unless one point
+# or grid row does.  Dense slabs 4x larger or smaller ran slower, and sample's
+# RSS peaked lowest here.  quador.cull needs _BATCH >= (_BRICK // _LEAF) ** 3.
+_BATCH = 1 << 14
+
+
 def _part_values(assembly: Assembly, pts: np.ndarray):
     """Each part's value at the points ``(n, 3)``, as ``(rows, values)`` per
     chunk of points: ``values[k, i]`` is the max of part ``i``'s forms' own
     ``value`` at point ``rows.start + k``, bit for bit."""
     table = assembly._table
-    # stacked_values' largest temporary holds 3 floats per point-form; a
-    # chunk keeps it at _SLAB_POINTS // 4 floats (128 KiB), where sample's
-    # peak RSS measured lowest (a whole _SLAB_POINTS added about 0.9 MB).
-    step = max(1, _SLAB_POINTS // (12 * max(1, len(table.stack[2]))))
+    # stacked_values' largest temporary holds 3 floats per point-form.
+    step = max(1, _BATCH // (3 * max(1, len(table.stack[2]))))
     for start in range(0, len(pts), step):
         rows = slice(start, start + step)
         forms = stacked_values(table.stack, pts[rows])
@@ -168,11 +176,6 @@ def field_value(assembly: Assembly, x):
         # fmin skips a NaN part (a form that overflowed) rather than returning NaN.
         np.fmin.reduce(values, axis=-1, initial=math.inf, out=out[rows])
     return float(out[0]) if one else out
-
-
-# Grid points per field_grid slab: the slab's few float64 temporaries
-# (512 KiB each) stay in cache, and the result grid is the only whole-grid array.
-_SLAB_POINTS = 1 << 16
 
 
 def _form_grid(A, b, c, x, y, z):
@@ -221,9 +224,9 @@ def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
     minimum.  The parts left out lie strictly above it, so no bit changes.
     A brick whose bounds are not finite keeps every part.
 
-    Any other input is filled slab by slab along the first broadcast axis,
-    one part at a time.  Either way, besides the result, only about a slab's
-    worth of values, bounds and indices is live at once.
+    Any other input is filled one part at a time, in slabs of ``_BATCH``
+    points along the first broadcast axis.  Either way, besides the result,
+    only about ``_BATCH`` values, bounds and indices are live at once.
     """
     X, Y, Z = (np.asarray(a, dtype=float) for a in (X, Y, Z))
     shape = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
@@ -236,7 +239,7 @@ def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
 
         culled_grid(out, table, tuple(a.ravel() for a in (X, Y, Z)))
         return out
-    step = max(1, _SLAB_POINTS // max(1, math.prod(out.shape[1:])))
+    step = max(1, _BATCH // max(1, math.prod(out.shape[1:])))
     for start in range(0, len(out), step):
         slab = slice(start, start + step)
         _lower_to_parts(out[slab], table, range(len(table.bounds) - 1),

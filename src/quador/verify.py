@@ -6,8 +6,8 @@ circles, the single-fillet-quadric identity, the scaled-plane residual law,
 tangency-conic residuals, material monotonicity under fillet addition, and
 extent/curvature behaviour across a beta grid.  Produces a machine-readable
 report; all randomness is seeded.  The material check draws and checks its
-points in blocks from ``random.Random(seed)``, so its memory does not grow
-with ``samples``.
+points from ``random.Random(seed)`` in blocks of the one batch budget,
+``quador.solid._BATCH`` points, so its memory does not grow with ``samples``.
 
 Each check evaluates in batches: the beam and fillet checks read the rows
 of the assembly's beam and fillet stacks, every part and point at once,
@@ -33,7 +33,7 @@ from .conics import sample_conic
 from .fillet import (FilletStack, build_fillet_for_spec, fillet_extent,
                      fillet_min_curvature_radius)
 from .lattice import Lattice, _stub_rows, fillet_key, stub_views_at_hub
-from .solid import auto_bounds, build_assembly, field_grid
+from .solid import _BATCH, auto_bounds, build_assembly, field_grid
 from .tolerances import (
     COEFF_REL_TOL,
     GRAD_REL_TOL,
@@ -44,9 +44,6 @@ from .tolerances import (
 __all__ = ["Check", "VerifyReport", "run_verify", "BETA_GRID"]
 
 BETA_GRID = (0.6, 0.8, 1.0, 1.25, 1.5)
-
-# Material-check points per field_grid call: >= the default 10,000; cache-sized.
-_BLOCK = 1 << 14
 
 
 @dataclass
@@ -145,11 +142,10 @@ def run_verify(
                                 COEFF_REL_TOL, f"{len(assembly.beams)} beams"))
 
     # Sphere-stub gradient equality at 32 points of each stub's tangency circle
-    # {|x - c| = r, G = 0}, every stub at once, each with its hub's sphere row.
+    # {|x - c| = r, G = 0}, every stub at once, each with its hub's sphere
+    # |x - c|^2 - r^2 (A = I, b = -c) from the stub's own center row.
     views = [stub_views_at_hub(lattice, hub.id) for hub in lattice.hubs]
-    hub_row = np.repeat(np.arange(len(views)), [len(v) for v in views])
     G, H, _, center, radius = _stub_rows([v for at_hub in views for v in at_hub])
-    A, b, _ = (a[hub_row] for a in lattice._resolved.spheres.Q)
     gn = np.sqrt(_dots(G[:, :3], G[:, :3]))
     offset = -(_dots(G[:, :3], center) + G[:, 3]) / gn
     normal = G[:, :3] / gn[:, None]
@@ -160,7 +156,7 @@ def run_verify(
     cos, sin = (np.array([f(x) for x in t])[:, None] for f in (math.cos, math.sin))
     pts = (center + offset[:, None] * normal)[:, None] + rc[:, None, None] * (
         cos * w1[:, None] + sin * w2[:, None])
-    gs = _gradients(A[:, None], b[:, None], pts)
+    gs = _gradients(np.eye(3), -center[:, None], pts)
     gap = _gradients(H[0][:, None], H[1][:, None], pts) - gs
     report.checks.append(_check("sphere_stub_gradient",
                                 np.sqrt(_dots(gap, gap)) / np.sqrt(_dots(gs, gs)),
@@ -196,8 +192,8 @@ def run_verify(
         lo, hi = auto_bounds(assembly)
         rng, bare = random.Random(operator.index(seed)), dataclasses.replace(assembly, fillets=())
         violations = 0
-        for start in range(0, samples, _BLOCK):
-            n = min(_BLOCK, samples - start)
+        for start in range(0, samples, _BATCH):
+            n = min(_BATCH, samples - start)
             # The top 53 bits of each <u8 are uniform in [0, 1); whole 4-byte
             # words concatenate exactly, so the block size moves no point.
             pts = (np.frombuffer(rng.randbytes(24 * n), "<u8").reshape(n, 3) >> 11) * 0.5**53

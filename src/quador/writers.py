@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import StlRangeError
-from .solid import Mesh
+from .solid import _BATCH, Mesh
 
 __all__ = [
     "write_stl",
@@ -160,8 +160,8 @@ def format_values(values: np.ndarray) -> list[str]:
     return text.replace(".0,", ",").replace("-0,", "0,")[:-1].split(", ")
 
 
-# Rows of text per chunk handed to write_output (OBJ records, sample rows).
-_OBJ_ROWS = 4096
+# Rows of text per chunk handed to write_output: _BATCH numbers, 4 a sample row.
+_OBJ_ROWS = _BATCH // 4
 
 
 def _rows(prefix: bytes, fields: np.ndarray) -> bytes:

@@ -468,7 +468,7 @@ def material_draw(monkeypatch, block: int, seed: int = 0) -> tuple[float, list]:
         return field_grid(assembly, *xyz) + (1.0 if assembly.fillets else 0.0)
 
     monkeypatch.setattr(quador.verify, "field_grid", losing)
-    monkeypatch.setattr(quador.verify, "_BLOCK", block)
+    monkeypatch.setattr(quador.verify, "_BATCH", block)
     report = run_verify(load_lattice(BETA1.read_bytes()), samples=50, seed=seed)
     check = next(c for c in report.checks if c.name == "material_monotonicity")
     assert check.detail == f"50 points, seed {seed}"

@@ -26,7 +26,7 @@ from quador.latticefile import load_lattice, load_lattice_path
 from quador.mc_tables import EDGE_VERTS, TRI_TABLE, VERT_OFFSETS
 from quador.cull import _box, _form_bounds, _form_table
 from quador.solid import (
-    _SLAB_POINTS,
+    _BATCH,
     OUTSIDE,
     _form_grid,
     Mesh,
@@ -309,9 +309,9 @@ def classify_point_reference(assembly, x, tol=1e-9):
 
 
 def point_chunk(asm) -> int:
-    """Points per stacked evaluation in ``classify_point``: ``_SLAB_POINTS // 4``
-    floats in the largest temporary, 3 per point-form."""
-    return max(1, _SLAB_POINTS // (12 * max(1, len(asm._table.stack[2]))))
+    """Points per stacked evaluation in ``classify_point``: ``_BATCH`` floats
+    in the largest temporary, 3 per point-form."""
+    return max(1, _BATCH // (3 * max(1, len(asm._table.stack[2]))))
 
 
 def assert_batch_matches_points(asm, pts, tol=1e-9):
@@ -436,7 +436,7 @@ class TestFieldGridSlabs:
     def test_res64_axes_and_meshgrid(self, beta1_asm):
         lo, hi = auto_bounds(beta1_asm)
         axes = [np.linspace(lo[i], hi[i], 65) for i in range(3)]
-        assert 65 ** 3 > 2 * _SLAB_POINTS
+        assert 65 ** 3 > 2 * _BATCH
         broadcast = (axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :])
         expect = dense_field_grid(beta1_asm, *broadcast).tobytes()
         assert field_grid(beta1_asm, *broadcast).tobytes() == expect
@@ -445,7 +445,7 @@ class TestFieldGridSlabs:
 
     def test_scattered_points_over_several_slabs(self, beta1_asm):
         lo, hi = auto_bounds(beta1_asm)
-        pts = np.random.default_rng(59).uniform(lo, hi, size=(2 * _SLAB_POINTS + 123, 3))
+        pts = np.random.default_rng(59).uniform(lo, hi, size=(2 * _BATCH + 123, 3))
         got = field_grid(beta1_asm, pts[:, 0], pts[:, 1], pts[:, 2])
         assert got.shape == (len(pts),)
         assert got.tobytes() == dense_field_grid(beta1_asm, *pts.T).tobytes()
@@ -605,6 +605,67 @@ class TestFieldGridCulled:
         lower, upper = _form_bounds(forms[:, :, None], _box(lo, hi)[:, None, :])
         finite = np.isfinite(lower).all(axis=0) & np.isfinite(upper).all(axis=0)
         assert finite.any() and not finite.all()
+
+
+class TestBatchBudget:
+    """One budget, ``quador.solid._BATCH``, sizes every batched evaluation:
+    no temporary holds more than ``_BATCH`` values, and its size moves no bit."""
+
+    def test_temporaries_hold_at_most_the_budget(self, beta1_asm, monkeypatch):
+        sizes = {"grid": [], "points": [], "verify": []}
+
+        def form_grid(A, b, c, *xyz, f=quador.solid._form_grid):
+            sizes["grid"].append(np.broadcast(*xyz).size)
+            return f(A, b, c, *xyz)
+
+        def values(stack, pts, f=quador.solid.stacked_values):
+            sizes["points"].append(3 * len(stack[2]) * len(pts))  # (row @ A) is the largest
+            return f(stack, pts)
+
+        def grid(assembly, *xyz, f=quador.verify.field_grid):
+            sizes["verify"].append(np.broadcast(*xyz).size)
+            return f(assembly, *xyz)
+
+        monkeypatch.setattr(quador.solid, "_form_grid", form_grid)
+        monkeypatch.setattr(quador.solid, "stacked_values", values)
+        monkeypatch.setattr(quador.verify, "field_grid", grid)
+        cubic, axes = CULLED_GRIDS["cubic-2x2x2"]()
+        cubic = build_assembly(cubic)
+        for asm in (beta1_asm, cubic):
+            lo, hi = auto_bounds(asm)
+            pts = np.random.default_rng(71).uniform(lo, hi, size=(2 * _BATCH + 123, 3))
+            field_grid(asm, *pts.T)  # dense slabs of scattered points
+            classify_point(asm, pts)
+        field_grid(beta1_asm, *np.meshgrid(*(a.ravel() for a in axes), indexing="ij"))
+        field_grid(cubic, *axes)  # culled leaves
+        assert quador.verify.run_verify(beta1_asm.lattice, samples=_BATCH + 5).passed
+        assert max(sizes["grid"]) == max(sizes["verify"]) == _BATCH
+        assert 0 < max(sizes["points"]) <= _BATCH
+        assert sorted(sizes["verify"]) == [5, 5, _BATCH, _BATCH]
+
+    def test_small_budget_keeps_every_bit(self, beta1_asm, monkeypatch):
+        cubic, axes = CULLED_GRIDS["cubic-2x2x2"]()
+        cubic = build_assembly(cubic)
+        lo, hi = auto_bounds(cubic)
+        pts = np.random.default_rng(73).uniform(lo, hi, size=(2500, 3))
+
+        def outputs():
+            """Each output's bytes, by name."""
+            out = {"culled": field_grid(cubic, *axes), "scattered": field_grid(cubic, *pts.T),
+                   "meshgrid": field_grid(beta1_asm, *np.meshgrid(*(a.ravel()[::3] for a in axes),
+                                                                  indexing="ij"))}
+            for name, asm in (("fixture", beta1_asm), ("cubic", cubic)):
+                got = classify_point(asm, pts)
+                out.update({f"{name} field_value": field_value(asm, pts),
+                            f"{name} value": got.value, f"{name} state": got.state,
+                            f"{name} label": got.label.astype(str),
+                            f"{name} verify": quador.verify.run_verify(asm.lattice).to_json()})
+            return {k: np.asarray(v).tobytes() for k, v in out.items()}
+
+        expect = outputs()
+        for module in (quador.solid, cull, quador.verify):  # not a power of two, >= 512
+            monkeypatch.setattr(module, "_BATCH", 700)
+        assert outputs() == expect
 
 
 _row = st.floats(-10.0, 10.0, allow_nan=False)
