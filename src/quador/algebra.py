@@ -56,10 +56,13 @@ def _norm(v: np.ndarray) -> float:
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.cross`` of two 3-vectors, or of two stacks of rows ``(m, 3)``, in
-    numpy's term order, so the bits are the same without its per-call overhead."""
-    i, j = [1, 2, 0], [2, 0, 1]  # component k is a[i[k]] b[j[k]] - a[j[k]] b[i[k]]
+    numpy's term order and into one output: its bits, without its overhead or copies."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     with np.errstate(invalid="ignore", over="ignore"):  # float arithmetic: no warning
-        return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+        for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # a[i] b[j] - a[j] b[i]
+            np.multiply(a[..., i], b[..., j], out=out[..., k])
+            out[..., k] -= a[..., j] * b[..., i]
+    return out
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -146,8 +146,8 @@ def _points(x) -> tuple[np.ndarray, bool]:
 
 
 # The one batch budget: every batched loop takes at most _BATCH units at once,
-# be they floats of a point chunk's largest temporary, points of a slab or
-# block, quador.cull's (brick, form) rows and leaves, or numbers in text rows,
+# be they floats of a point chunk's largest temporary, points of a slab,
+# quador.cull's (brick, form) rows and leaves, or numbers in text rows,
 # so no field temporary holds more than _BATCH float64 values unless one point
 # or grid row does.  Dense slabs 4x larger or smaller ran slower, and sample's
 # RSS peaked lowest here.  quador.cull needs _BATCH >= (_BRICK // _LEAF) ** 3.

@@ -5,9 +5,9 @@ two-sphere beam agreement, sphere-stub gradient equality along tangency
 circles, the single-fillet-quadric identity, the scaled-plane residual law,
 tangency-conic residuals, material monotonicity under fillet addition, and
 extent/curvature behaviour across a beta grid.  Produces a machine-readable
-report; all randomness is seeded.  The material check draws and checks its
-points from ``random.Random(seed)`` in blocks of the one batch budget,
-``quador.solid._BATCH`` points, so its memory does not grow with ``samples``.
+report.  Material monotonicity is decided from the part table, not sampled:
+the shipped field is a min over parts, so it holds wherever every bare part
+is among the shipped parts, and the check evaluates no point.
 
 Each check evaluates in batches: the beam and fillet checks read the rows
 of the assembly's beam and fillet stacks, every part and point at once,
@@ -22,7 +22,6 @@ import dataclasses
 import json
 import math
 import operator
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,8 @@ from .conics import sample_conic
 from .fillet import (FilletStack, build_fillet_for_spec, fillet_extent,
                      fillet_min_curvature_radius)
 from .lattice import Lattice, _stub_rows, fillet_key, stub_views_at_hub
-from .solid import _BATCH, auto_bounds, build_assembly, field_grid
+from .solid import auto_bounds, field_grid  # noqa: F401  (bench/tracing.py wraps it here)
+from .solid import build_assembly
 from .tolerances import (
     COEFF_REL_TOL,
     GRAD_REL_TOL,
@@ -70,7 +70,7 @@ class VerifyReport:
         return out
 
     def to_json(self) -> str:
-        doc = {"checks": [dataclasses.asdict(c) for c in self.checks], "summary": self.summary()}
+        doc = {"checks": [vars(c) for c in self.checks], "summary": self.summary()}
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -114,6 +114,22 @@ def _identity_and_law(stack: FilletStack, H) -> tuple[list, list]:
     return identity, law
 
 
+def _missing_parts(assembly) -> list:
+    """The labels of the bare lattice's parts (its hubs and beams) that are
+    not, bit for bit, among ``assembly``'s parts.  The field is a min over
+    parts, so with none missing the value at any point is at most the bare
+    value, or NaN: no point inside the bare solid lies outside by ``tol``."""
+    def keys(table):  # each part's rows of the coefficient stack, as bytes
+        rows = np.concatenate([a.reshape(len(a), -1) for a in table.stack], axis=1)
+        blob, width = rows.tobytes(), rows.strides[0]
+        return [blob[s * width:e * width] for s, e in zip(table.bounds[:-1], table.bounds[1:])]
+
+    bare, shipped = dataclasses.replace(assembly, fillets=())._table, set(keys(assembly._table))
+    labels = np.empty(len(bare.by_label), dtype=object)
+    labels[bare.by_label] = bare.labels[:-1]
+    return [label for key, label in zip(keys(bare), labels) if key not in shipped]
+
+
 def run_verify(
     lattice: Lattice,
     tol: float = 1e-9,
@@ -123,15 +139,16 @@ def run_verify(
     """Run every invariant check against a validated lattice.
 
     Identity/tangency checks use their own pinned relative tolerances;
-    ``tol`` is the boundary band for the sampled membership check (a
-    monotonicity violation must leave the solid by more than ``tol >= 0``),
-    and ``samples >= 1`` its point count and ``seed >= 0`` its seed.
+    ``tol`` is the boundary band of the material check (a monotonicity
+    violation must leave the solid by more than ``tol >= 0``).  That check
+    is decided for every point, so ``samples >= 1`` and ``seed >= 0`` only
+    name the sample its report covers.
     """
     if not tol >= 0.0:  # NaN too
         raise ValueError("tol must be >= 0")
     if operator.index(samples) < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if operator.index(seed) < 0:  # Random would draw abs(seed)'s points
+    if operator.index(seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     report = VerifyReport()
     assembly = build_assembly(lattice)
@@ -189,27 +206,11 @@ def run_verify(
         ]
 
         # Material monotonicity: adding fillets never removes material.
-        lo, hi = auto_bounds(assembly)
-        rng, bare = random.Random(operator.index(seed)), dataclasses.replace(assembly, fillets=())
-        violations = 0
-        for start in range(0, samples, _BATCH):
-            n = min(_BATCH, samples - start)
-            # The top 53 bits of each <u8 are uniform in [0, 1); whole 4-byte
-            # words concatenate exactly, so the block size moves no point.
-            pts = (np.frombuffer(rng.randbytes(24 * n), "<u8").reshape(n, 3) >> 11) * 0.5**53
-            pts *= hi - lo
-            pts += lo
-            violations += int(np.count_nonzero((field_grid(bare, *pts.T) <= 0.0)
-                                               & (field_grid(assembly, *pts.T) > tol)))
-        report.checks.append(
-            Check(
-                "material_monotonicity",
-                "pass" if violations == 0 else "fail",
-                float(violations),
-                tol,
-                f"{samples} points, seed {seed}",
-            )
-        )
+        missing = _missing_parts(assembly)
+        report.checks.append(Check("material_monotonicity", "fail" if missing else "pass",
+                                   float(len(missing)), tol,
+                                   f"{missing[0]} is not a shipped part" if missing
+                                   else f"{samples} points, seed {seed}"))
 
         # Extent / curvature-radius behaviour across the beta grid, every
         # fillet at every beta in one stacked build.

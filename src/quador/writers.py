@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .algebra import _cross3
 from .errors import StlRangeError
 from .solid import _BATCH, Mesh
 
@@ -62,7 +63,7 @@ def write_stl(mesh: Mesh, path: str | Path) -> int:
     """
     corners = mesh.vertices[mesh.triangles]
     a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
-    normals = _cross(b - a, c - a)
+    normals = _cross3(b - a, c - a)
     # A (1, 3) @ (3, 1) matmul takes the same dot product as np.linalg.norm
     # of one vector, so the normals match a per-triangle norm bit for bit.
     norms = np.sqrt(normals[:, None, :] @ normals[:, :, None])[:, 0]
@@ -83,16 +84,6 @@ def write_stl(mesh: Mesh, path: str | Path) -> int:
     # The record array goes out through the buffer protocol, not as a copy.
     write_output(path, _STL_HEADER, struct.pack("<I", len(records)), records)
     return len(records)
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``np.cross`` of (n, 3) float64 rows, term for term, without the
-    float64 copies of both inputs that ``np.cross`` makes."""
-    out = np.empty_like(u)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(u[:, j], v[:, k], out=out[:, i])
-        out[:, i] -= u[:, k] * v[:, j]
-    return out
 
 
 def write_output(path: str | os.PathLike, *chunks) -> None:

@@ -22,9 +22,10 @@ import pytest
 
 import quador
 import quador.latticefile
+import quador.solid
 import quador.verify
 import quador.writers
-from quador.algebra import (LinearForm, Quadric, _axis_complement, linear_product,
+from quador.algebra import (LinearForm, Quadric, _axis_complement, _cross3, linear_product,
                             rel_coeff_residual, stack_forms, stacked_values, subtract_square)
 from quador.cli import _csv_field, build_parser, main
 from quador.conics import ConicClass, sample_conic
@@ -32,7 +33,8 @@ from quador.errors import NoBisectorIntersectionError, ParseError, ValidationErr
 from quador.fillet import build_fillet_for_spec, fillet_min_curvature_radius, fillet_residual
 from quador.lattice import Beam, FilletSpec, Hub, Lattice, sphere_quadric, stub_views_at_hub
 from quador.latticefile import lattice_to_json, load_lattice
-from quador.solid import Mesh, auto_bounds, build_assembly, classify_point, marching_cubes
+from quador.solid import (Mesh, auto_bounds, build_assembly, classify_point, field_grid,
+                          marching_cubes)
 from quador.verify import run_verify
 from quador.writers import format_values, write_obj_mesh, write_stl
 
@@ -321,7 +323,7 @@ class TestStl:
         rng = np.random.default_rng(3)
         u, v = (rng.standard_normal((500, 3)) * 10.0 ** rng.integers(-8, 9, (500, 3))
                 for _ in range(2))
-        npt.assert_array_equal(quador.writers._cross(u, v), np.cross(u, v))
+        assert _cross3(u, v).tobytes() == np.cross(u, v).tobytes()
 
     def test_round_trip_normals_and_empty_mesh(self, tmp_path, perp_lattice):
         asm = build_assembly(perp_lattice)
@@ -457,22 +459,40 @@ def fillet_checks_reference(stack) -> tuple[list, list]:
     return identity, law
 
 
-def material_draw(monkeypatch, block: int, seed: int = 0) -> tuple[float, list]:
-    """The fixture's ``material_monotonicity`` count, 50 points in blocks of
-    ``block``, with a shipped field that gives up material where fillets are,
-    and ``(filleted, points)`` for each ``field_grid`` call it made."""
-    field_grid, calls = quador.verify.field_grid, []
+def material_violations(shipped, samples: int, seed: int = 0, tol: float = 1e-9) -> int:
+    """The sampled ``material_monotonicity`` count that ``run_verify`` once
+    made: ``samples`` points in ``shipped``'s auto bounds, each coordinate
+    the top 53 bits of a little-endian u8 of ``random.Random(seed)`` bytes,
+    that are inside the bare lattice and outside ``shipped`` by more than ``tol``."""
+    lo, hi = auto_bounds(shipped)
+    raw = random.Random(seed).randbytes(24 * samples)
+    pts = lo + (hi - lo) * ((np.frombuffer(raw, "<u8").reshape(samples, 3) >> 11) * 0.5**53)
+    bare = dataclasses.replace(shipped, fillets=())
+    return int(np.count_nonzero((field_grid(bare, *pts.T) <= 0.0)
+                                & (field_grid(shipped, *pts.T) > tol)))
 
-    def losing(assembly, *xyz):
-        calls.append((bool(assembly.fillets), np.stack(xyz, axis=-1)))
-        return field_grid(assembly, *xyz) + (1.0 if assembly.fillets else 0.0)
 
-    monkeypatch.setattr(quador.verify, "field_grid", losing)
-    monkeypatch.setattr(quador.verify, "_BATCH", block)
-    report = run_verify(load_lattice(BETA1.read_bytes()), samples=50, seed=seed)
-    check = next(c for c in report.checks if c.name == "material_monotonicity")
-    assert check.detail == f"50 points, seed {seed}"
-    return check.measured, calls
+def tampered(lattice, edit):
+    """``lattice``'s assembly with its part table replaced by ``edit(table)``."""
+    asm = build_assembly(lattice)
+    asm.__dict__["_table"] = edit(asm._table)
+    return asm
+
+
+def drop_part(table, p: int):
+    """``table`` without part ``p``'s rows."""
+    lo, hi = table.bounds[p], table.bounds[p + 1]
+    bounds = np.delete(table.bounds, p + 1)
+    bounds[p + 1:] -= hi - lo
+    return table._replace(stack=tuple(np.delete(a, np.s_[lo:hi], axis=0) for a in table.stack),
+                          bounds=bounds)
+
+
+def thin_part(table, p: int):
+    """``table`` with part ``p``'s first constant raised by 1: it holds less."""
+    c = table.stack[2].copy()
+    c[table.bounds[p]] += 1.0
+    return table._replace(stack=(*table.stack[:2], c))
 
 
 class TestVerify:
@@ -524,7 +544,6 @@ class TestVerify:
             run_verify(load_lattice(BETA1.read_bytes()), samples=samples)
 
     def test_seed_checked_before_anything_is_built(self, monkeypatch):
-        # random.Random seeds from abs(seed), so -1 would draw seed 1's points.
         monkeypatch.setattr(quador.verify, "build_assembly", None)
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             run_verify(load_lattice(BETA1.read_bytes()), seed=-1)
@@ -549,41 +568,48 @@ class TestVerify:
         check = next(c for c in report.checks if c.name == "fillet_identity")
         assert check.detail == "IDENTITY_VIOLATION"
 
-    def test_material_loss_detected(self, monkeypatch):
-        # A shipped field that gives up material where fillets are must fail.
-        field_grid = quador.verify.field_grid
+    @pytest.mark.parametrize("name", [
+        *(path.stem for path in sorted(FIXTURES.glob("*.json"))), "jittered_cubic-5",
+        *(f"random-{seed}" for seed in range(3))])
+    def test_sampled_oracle_finds_no_violation_where_the_check_passes(self, name):
+        lattice = lattice_named(name)
+        checks = [c for c in run_verify(lattice, samples=1).checks
+                  if c.name == "material_monotonicity"]
+        assert all(c.status == "pass" and c.measured == 0.0 for c in checks)
+        assert material_violations(build_assembly(lattice), 2000, seed=7) == 0
 
-        def losing(assembly, *xyz):
-            return field_grid(assembly, *xyz) + (1.0 if assembly.fillets else 0.0)
-
-        monkeypatch.setattr(quador.verify, "field_grid", losing)
-        report = run_verify(load_lattice(BETA1.read_bytes()), samples=500)
+    @pytest.mark.parametrize("edit", [drop_part, thin_part])
+    @pytest.mark.parametrize("kind", ["HUB", "BEAM"])
+    def test_shipped_table_without_a_bare_part_fails(self, monkeypatch, edit, kind):
+        lattice = load_lattice(BETA1.read_bytes())
+        asm = build_assembly(lattice)
+        p, label = (0, f"HUB({asm.hubs[0].id})") if kind == "HUB" else (
+            len(asm.hubs), f"BEAM({asm.beams.beams[0].id})")
+        monkeypatch.setattr(quador.verify, "build_assembly",
+                            lambda lat: tampered(lat, lambda t: edit(t, p)))
+        report = run_verify(lattice, samples=500)
         check = next(c for c in report.checks if c.name == "material_monotonicity")
-        assert check.status == "fail" and check.measured > 0
+        assert (check.status, check.detail) == ("fail", f"{label} is not a shipped part")
+        assert check.measured >= 1.0 and not report.passed
+        # The material it lost is really gone: the sampled oracle finds it.
+        assert material_violations(tampered(lattice, lambda t: edit(t, p)), 2000) > 0
 
-    def test_material_points_drawn_in_blocks(self, monkeypatch):
-        counted, calls = material_draw(monkeypatch, block=7)
-        assert max(len(pts) for _, pts in calls) == 7 and len(calls) == 2 * 8
-        bare, full = (np.concatenate([pts for f, pts in calls if f == filleted])
-                      for filleted in (False, True))
-        assert bare.tobytes() == full.tobytes() and full.shape == (50, 3)
-        whole, one = material_draw(monkeypatch, block=10_000)
-        assert len(one) == 2 and one[1][1].tobytes() == full.tobytes()
-        assert counted == whole > 0
-        # Each value is the top 53 bits of a little-endian u8 of Random(seed)
-        # bytes, scaled onto the auto bounds.
-        lo, hi = auto_bounds(build_assembly(load_lattice(BETA1.read_bytes())))
-        rng = random.Random(0)
-        expected = [lo[i] + (hi[i] - lo[i]) * (
-            (int.from_bytes(rng.randbytes(8), "little") >> 11) * 0.5**53)
-            for _ in range(50) for i in range(3)]
-        assert full.ravel().tolist() == expected
+    def test_material_check_evaluates_no_point(self, monkeypatch):
+        lattice = load_lattice(BETA1.read_bytes())
+        expect = run_verify(lattice, samples=10**4).checks
 
-    def test_material_points_follow_the_seed(self, monkeypatch):
-        points = [np.concatenate([pts for _, pts in material_draw(monkeypatch, 7, seed)[1]])
-                  for seed in (3, 3, 4)]
-        assert points[0].tobytes() == points[1].tobytes()
-        assert not np.any(points[0] == points[2])
+        def refuse(*args):
+            raise AssertionError("no field pass")
+
+        for module, name in ((quador.solid, "field_grid"), (quador.verify, "field_grid"),
+                             (quador.verify, "auto_bounds")):
+            monkeypatch.setattr(module, name, refuse)
+        got = run_verify(lattice, samples=10**7).checks
+        material = [c.name for c in got].index("material_monotonicity")
+        assert got[material].detail == "10000000 points, seed 0"
+        assert expect[material].detail == "10000 points, seed 0"
+        got[material].detail = expect[material].detail
+        assert got == expect
 
     def test_nan_measurement_fails(self, monkeypatch, tmp_path, capsys):
         corrupt_first_fillet(monkeypatch, delta=math.nan)

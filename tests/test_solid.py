@@ -612,7 +612,7 @@ class TestBatchBudget:
     no temporary holds more than ``_BATCH`` values, and its size moves no bit."""
 
     def test_temporaries_hold_at_most_the_budget(self, beta1_asm, monkeypatch):
-        sizes = {"grid": [], "points": [], "verify": []}
+        sizes = {"grid": [], "points": []}
 
         def form_grid(A, b, c, *xyz, f=quador.solid._form_grid):
             sizes["grid"].append(np.broadcast(*xyz).size)
@@ -622,13 +622,8 @@ class TestBatchBudget:
             sizes["points"].append(3 * len(stack[2]) * len(pts))  # (row @ A) is the largest
             return f(stack, pts)
 
-        def grid(assembly, *xyz, f=quador.verify.field_grid):
-            sizes["verify"].append(np.broadcast(*xyz).size)
-            return f(assembly, *xyz)
-
         monkeypatch.setattr(quador.solid, "_form_grid", form_grid)
         monkeypatch.setattr(quador.solid, "stacked_values", values)
-        monkeypatch.setattr(quador.verify, "field_grid", grid)
         cubic, axes = CULLED_GRIDS["cubic-2x2x2"]()
         cubic = build_assembly(cubic)
         for asm in (beta1_asm, cubic):
@@ -638,10 +633,8 @@ class TestBatchBudget:
             classify_point(asm, pts)
         field_grid(beta1_asm, *np.meshgrid(*(a.ravel() for a in axes), indexing="ij"))
         field_grid(cubic, *axes)  # culled leaves
-        assert quador.verify.run_verify(beta1_asm.lattice, samples=_BATCH + 5).passed
-        assert max(sizes["grid"]) == max(sizes["verify"]) == _BATCH
+        assert max(sizes["grid"]) == _BATCH
         assert 0 < max(sizes["points"]) <= _BATCH
-        assert sorted(sizes["verify"]) == [5, 5, _BATCH, _BATCH]
 
     def test_small_budget_keeps_every_bit(self, beta1_asm, monkeypatch):
         cubic, axes = CULLED_GRIDS["cubic-2x2x2"]()
@@ -663,7 +656,7 @@ class TestBatchBudget:
             return {k: np.asarray(v).tobytes() for k, v in out.items()}
 
         expect = outputs()
-        for module in (quador.solid, cull, quador.verify):  # not a power of two, >= 512
+        for module in (quador.solid, cull):  # not a power of two, >= 512
             monkeypatch.setattr(module, "_BATCH", 700)
         assert outputs() == expect
 
