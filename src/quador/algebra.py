@@ -6,6 +6,11 @@ function ``Q(x) = x^T A x + 2 b^T x + c`` with ``A`` stored exactly
 symmetric.  Both are immutable values; every operation here is pure, so the
 whole module is safe for concurrent use.
 
+Each form operation (value, gradient, coefficient vector, difference,
+``Q - L^2``, relative residual, stacking) is one row function below, which
+the kernel calls on all its forms at once; the object methods and
+:func:`subtract_square` are one-row calls of it, and keep its bits.
+
 The sign convention throughout the kernel: implicit functions are negative
 inside the solid and increase outward, so ``+grad`` is the outward normal.
 """
@@ -32,9 +37,7 @@ __all__ = [
     "QuadricClass",
     "QuadricClassification",
     "subtract_square",
-    "stack_forms",
     "stacked_values",
-    "rel_coeff_residual",
     "jacobi_eigen3",
     "classify_quadric",
     "principal_curvatures",
@@ -83,6 +86,85 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# Row functions: each form operation on quadric rows ``(A (...,3,3), b (...,3),
+# c (...))`` and plane rows ``(..., 4)`` of ``(g, c0)``, row by row.
+
+def _symmetric(A: np.ndarray) -> np.ndarray:
+    """``A`` rows ``(...,3,3)`` made exactly symmetric, as :class:`Quadric`
+    stores them; halving first keeps a sum near the float maximum from
+    overflowing."""
+    return 0.5 * A + 0.5 * np.swapaxes(A, -1, -2)
+
+
+def _plane_values(e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``g . x + c0`` of plane rows ``e`` at the points ``x (..., 3)``, row by row."""
+    return _dots(e[..., :3], x) + e[..., 3]
+
+
+def _gradients(A: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``2 (A x + b)`` of quadric rows ``A``, ``b`` at the points ``(..., 3)``:
+    one stacked ``(3,3) @ (3,1)`` product per point."""
+    return 2.0 * (A @ pts[..., None])[..., 0] + 2.0 * b
+
+
+def _coeffs(A, b, c) -> np.ndarray:
+    """The canonical coefficient vectors ``(..., 10)`` of quadric rows: ``A``'s
+    diagonal, its off-diagonals ``01``, ``02``, ``12``, then ``b`` and ``c``."""
+    i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+    return np.concatenate([A[..., i, j], b, c[..., None]], axis=-1)
+
+
+def _minus(q, p):
+    """``q - p`` of quadric rows."""
+    return _symmetric(q[0] - p[0]), q[1] - p[1], q[2] - p[2]
+
+
+def _subtract_square(q, e):
+    """``Q - L^2`` of quadric rows and plane rows: ``(g . x + c0)^2`` expands
+    to ``x^T g g^T x + 2 c0 g . x + c0^2``, so the rows are ``(A - g g^T,
+    b - c0 g, c - c0^2)``, invariant under flipping the sign of ``L``."""
+    g, c0 = e[..., :3], e[..., 3]
+    A, b, c = q
+    return _symmetric(A - g[..., :, None] * g[..., None, :]), b - c0[..., None] * g, c - c0 * c0
+
+
+def _rel_residual(q, ref) -> np.ndarray:
+    """``|q| / |ref|`` of quadric rows over their coefficient vectors, ``|ref|``
+    floored at 1e-300."""
+    norm_q, norm_ref = (np.sqrt(_dots(v, v)) for v in (_coeffs(*q), _coeffs(*ref)))
+    return norm_q / np.where(1e-300 > norm_ref, 1e-300, norm_ref)
+
+
+def _stack_rows(*forms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One stack ``A (n,3,3)``, ``b (n,1,3)``, ``c (n,)`` for :func:`stacked_values`
+    of row 0 of each form, then of row 1, and so on; a form is plane rows
+    ``(m, 4)``, which enter as ``A = 0, b = g/2, c = c0``, or quadric rows."""
+    rows = [f if isinstance(f, tuple) else (np.zeros((len(f), 3, 3)), 0.5 * f[:, :3], f[:, 3])
+            for f in forms]
+    A, b, c = (np.stack([r[i] for r in rows], axis=1) for i in range(3))
+    return A.reshape(-1, 3, 3), b.reshape(-1, 1, 3), c.reshape(-1)
+
+
+def stacked_values(stack, points) -> np.ndarray:
+    """Every stacked form at every point: ``(..., m)`` for points ``(..., 3)``
+    and a stack ``A (m,3,3)``, ``b (m,1,3)``, ``c (m,)``, by ``(1,3) @ (3,3)``
+    and ``(1,3) @ (3,1)`` BLAS products.  Leading stack axes broadcast against
+    the points': ``A (k,1,3,3)``, ``b (k,1,1,3)``, ``c (k,1)`` give form ``i``
+    at point ``i`` of ``(k, 3)`` points.
+
+    A plane row of :func:`_stack_rows` gives ``g . x + c0``, up to the sign
+    of a zero, where ``x`` is finite and each ``g_i`` and ``g_i x_i`` is zero
+    or of magnitude in [2**-1021, 2**1022], so that halving ``g`` and doubling
+    are exact.  Elsewhere it need not: a subnormal ``g_i`` loses bits when
+    halved (``g = (5e-324, 0, 0)``, ``c0 = 0`` at ``(1e300, 0, 0)`` gives 0.0,
+    not 4.94e-24), and an infinite ``x_i`` meets the zero ``A`` (``0 * inf``).
+    """
+    A, b, c = stack
+    row = np.asarray(points, dtype=float)[..., None, None, :]
+    col = np.swapaxes(row, -1, -2)
+    return ((row @ A) @ col + 2.0 * (b @ col))[..., 0, 0] + c
+
+
 @dataclass(frozen=True, eq=False)
 class LinearForm:
     """Affine function ``L(x) = g . x + c0``."""
@@ -95,22 +177,10 @@ class LinearForm:
         object.__setattr__(self, "c0", float(self.c0))
 
     def value(self, x) -> float:
-        return float(self.g @ _vec(x) + self.c0)
+        return float(_plane_values(np.append(self.g, self.c0), _vec(x)))
 
     def grad_norm(self) -> float:
         return _norm(self.g)
-
-    def scaled(self, s: float) -> "LinearForm":
-        return LinearForm(self.g * s, self.c0 * s)
-
-    def __neg__(self) -> "LinearForm":
-        return self.scaled(-1.0)
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm(self.g + other.g, self.c0 + other.c0)
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm(self.g - other.g, self.c0 - other.c0)
 
     def __repr__(self):
         gx, gy, gz = self.g
@@ -129,121 +199,34 @@ class Quadric:
         A = np.asarray(self.A, dtype=float)
         if A.shape != (3, 3):
             raise ValueError(f"A must be 3x3, got {A.shape}")
-        # Store exactly symmetric: averaging makes A[i,j] == A[j,i] bitwise;
-        # halving first keeps a sum near the float maximum from overflowing.
-        object.__setattr__(self, "A", _freeze(0.5 * A + 0.5 * A.T))
+        object.__setattr__(self, "A", _freeze(_symmetric(A)))
         object.__setattr__(self, "b", _freeze(_vec(self.b)))
         object.__setattr__(self, "c", float(self.c))
 
+    def _row(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This quadric as a one-row :func:`stacked_values` stack."""
+        return self.A[None], self.b[None, None], np.array([self.c])
+
     def value(self, x) -> float:
-        v = _vec(x)
-        return float(v @ self.A @ v + 2.0 * (self.b @ v) + self.c)
+        return float(stacked_values(self._row(), _vec(x))[0])
 
     def gradient(self, x) -> np.ndarray:
-        return 2.0 * (self.A @ _vec(x)) + 2.0 * self.b
+        return _gradients(self.A, self.b, _vec(x))
 
     def coeffs(self) -> np.ndarray:
         """Canonical 10-vector (A diagonal, off-diagonals, b, c) for comparisons."""
-        A, b = self.A, self.b
-        return np.array(
-            [A[0, 0], A[1, 1], A[2, 2], A[0, 1], A[0, 2], A[1, 2],
-             b[0], b[1], b[2], self.c]
-        )
-
-    def scaled(self, s: float) -> "Quadric":
-        return Quadric(self.A * s, self.b * s, self.c * s)
+        return _coeffs(self.A, self.b, np.array(self.c))
 
     def __sub__(self, other: "Quadric") -> "Quadric":
-        return Quadric(self.A - other.A, self.b - other.b, self.c - other.c)
+        return Quadric(*_minus((self.A, self.b, self.c), (other.A, other.b, other.c)))
 
     def __repr__(self):
         return f"Quadric(c={self.c:g}, b={tuple(self.b.tolist())}, A={self.A.tolist()})"
 
 
 def subtract_square(q: Quadric, lin: LinearForm) -> Quadric:
-    """Return the quadric ``Q - L^2``.
-
-    ``(g.x + c0)^2`` expands to ``x^T g g^T x + 2 c0 g.x + c0^2``, so the
-    result is ``(A - g g^T, b - c0 g, c - c0^2)``.  The result is invariant
-    under flipping the sign of ``lin``.
-    """
-    g, c0 = lin.g, lin.c0
-    return Quadric(q.A - np.outer(g, g), q.b - c0 * g, q.c - c0 * c0)
-
-
-def linear_product(p: LinearForm, q: LinearForm) -> Quadric:
-    """The quadric ``P(x) * Q(x)`` of two linear forms."""
-    A = 0.5 * np.outer(p.g, q.g) + 0.5 * np.outer(q.g, p.g)  # halved first: no overflow
-    b = 0.5 * p.c0 * q.g + 0.5 * q.c0 * p.g
-    return Quadric(A, b, p.c0 * q.c0)
-
-
-def stack_forms(forms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forms as one stack ``A (m,3,3)``, ``b (m,1,3)``, ``c (m,)``; a linear
-    form ``g . x + c0`` enters as ``A = 0, b = g/2, c = c0``."""
-    rows = [(f.A, f.b, f.c) if isinstance(f, Quadric) else (np.zeros((3, 3)), 0.5 * f.g, f.c0)
-            for f in forms]
-    A, b, c = (np.array([r[i] for r in rows], dtype=float) for i in range(3))
-    return A.reshape(-1, 3, 3), b.reshape(-1, 1, 3), c
-
-
-def _stack_rows(*forms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`stack_forms` of row 0 of each form, then of row 1, and so on; a
-    form is plane rows ``(m, 4)`` of ``(g, c0)`` or quadric rows ``(A, b, c)``."""
-    rows = [f if isinstance(f, tuple) else (np.zeros((len(f), 3, 3)), 0.5 * f[:, :3], f[:, 3])
-            for f in forms]
-    A, b, c = (np.stack([r[i] for r in rows], axis=1) for i in range(3))
-    return A.reshape(-1, 3, 3), b.reshape(-1, 1, 3), c.reshape(-1)
-
-
-def stacked_values(stack, points) -> np.ndarray:
-    """Every stacked form at every point: ``(..., m)`` for points ``(..., 3)``.
-
-    The same ``(1,3) @ (3,3)`` and ``(1,3) @ (3,1)`` BLAS products, summed in
-    the same order, as :meth:`Quadric.value`, so each value is the form's own
-    ``value`` bit for bit (for a plane, halving ``g`` and doubling are exact).
-    """
-    A, b, c = stack
-    row = np.asarray(points, dtype=float)[..., None, None, :]
-    col = np.swapaxes(row, -1, -2)
-    return ((row @ A) @ col + 2.0 * (b @ col))[..., 0, 0] + c
-
-
-def rel_coeff_residual(q: Quadric, ref: Quadric) -> float:
-    """``|q| / |ref|`` over the canonical coefficient vectors (``ref`` floored)."""
-    return _norm(q.coeffs()) / max(_norm(ref.coeffs()), 1e-300)
-
-
-# Row forms: the operations above on quadric rows ``(A (m,3,3), b (m,3), c (m,))``
-# and plane rows ``(m, 4)`` of ``(g, c0)``, each row taking its object's bits.
-
-def _symmetric(A: np.ndarray) -> np.ndarray:
-    """``A`` rows ``(m,3,3)`` made symmetric as :class:`Quadric` stores them."""
-    return 0.5 * A + 0.5 * np.swapaxes(A, -1, -2)
-
-
-def _subtract_square(q, e):
-    """:func:`subtract_square` row by row: quadric rows minus the squares of plane rows."""
-    g, c0 = e[..., :3], e[..., 3]
-    A, b, c = q
-    return _symmetric(A - g[..., :, None] * g[..., None, :]), b - c0[..., None] * g, c - c0 * c0
-
-
-def _coeffs(A, b, c) -> np.ndarray:
-    """:meth:`Quadric.coeffs` row by row: ``(m, 10)``."""
-    i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
-    return np.concatenate([A[..., i, j], b, c[..., None]], axis=-1)
-
-
-def _minus(q, p):
-    """``q - p`` (:meth:`Quadric.__sub__`) row by row."""
-    return _symmetric(q[0] - p[0]), q[1] - p[1], q[2] - p[2]
-
-
-def _rel_residual(q, ref) -> np.ndarray:
-    """:func:`rel_coeff_residual` row by row."""
-    norm_q, norm_ref = (np.sqrt(_dots(v, v)) for v in (_coeffs(*q), _coeffs(*ref)))
-    return norm_q / np.where(1e-300 > norm_ref, 1e-300, norm_ref)
+    """The quadric ``Q - L^2``: one row of :func:`_subtract_square`."""
+    return Quadric(*_subtract_square((q.A, q.b, q.c), np.append(lin.g, lin.c0)))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +526,7 @@ def _curvatures(A: np.ndarray, b: np.ndarray, p: np.ndarray):
     e = np.frexp(np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(b).max(axis=1)))[1]
     A, b = np.ldexp(A, -e[:, None, None]), np.ldexp(b, -e[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
-        grad = 2.0 * (A @ p[:, :, None])[:, :, 0] + 2.0 * b
+        grad = _gradients(A, b, p)
         gn = np.sqrt(_dots(grad, grad))
         u, v = _axis_complement(grad / gn[:, None])
         H = 2.0 * A

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import LinearForm, Quadric, _axis_complement, _dots, stack_forms, stacked_values
+from .algebra import LinearForm, Quadric, _axis_complement, _dots, stacked_values
 from .charts import SurfaceChart
 from .errors import (AllZeroError, NotACurveError, PointOffSurfaceError, QuadorError,
                      ZeroGradientError)
@@ -299,7 +299,7 @@ def _sections(q: tuple[np.ndarray, np.ndarray, np.ndarray], g: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         x0, u, v, n = _frames(g, c0)
         Au, Av, Ax0 = ((A @ w[:, :, None])[:, :, 0] for w in (u, v, x0))
-        f = ((x0[:, None, :] @ A) @ x0[:, :, None])[:, 0, 0] + 2.0 * _dots(b, x0) + c
+        f = stacked_values((A[:, None], b[:, None, None], c[:, None]), x0)[:, 0]
         coeffs = np.stack([_dots(u, Au), _dots(u, Av), _dots(v, Av),
                            _dots(u, Ax0) + _dots(b, u), _dots(v, Ax0) + _dots(b, v), f], -1)
         klass, *fields = _analyze(coeffs)
@@ -376,7 +376,7 @@ def pcurve(conic: Conic, chart: SurfaceChart, n: int) -> np.ndarray:
     q = chart.classification.reconstruct()
     pts = sample_conic(conic, n)
     scale = np.maximum(1.0, np.abs(q.coeffs()).max() * np.maximum(1.0, (pts * pts).sum(1)))
-    off = np.abs(stacked_values(stack_forms([q]), pts)[:, 0]) > SURF_RESIDUAL_TOL * scale
+    off = np.abs(stacked_values(q._row(), pts)[:, 0]) > SURF_RESIDUAL_TOL * scale
     if off.any():
         p = pts[off.argmax()]
         raise PointOffSurfaceError(f"conic sample {tuple(p.tolist())} is not on the chart surface")

@@ -172,3 +172,7 @@ class ValidationError(QuadorError):
             "lattice validation failed: "
             + "; ".join(f"{e.code} ({e.subject})" for e in report.errors)
         )
+
+
+__all__ = [name for name, value in list(globals().items())  # every error class above
+           if isinstance(value, type) and issubclass(value, QuadorError)]

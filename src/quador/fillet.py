@@ -36,8 +36,10 @@ from .algebra import (
     _dots,
     _freeze,
     _minus,
+    _plane_values,
     _rel_residual,
     _subtract_square,
+    stacked_values,
 )
 from .conics import COMPACT_CLASSES, ConicClass, _Sections, _sections
 from .errors import (
@@ -208,7 +210,7 @@ def _build(rows) -> FilletStack:
         wn = np.sqrt(_dots(w, w))
         w = w / wn[:, None]
         probe = center + radius[:, None] * w
-        p1, p2 = (_dots(e[:, :3], probe) + e[:, 3] for e in (e1, e2))
+        p1, p2 = (_plane_values(e, probe) for e in (e1, e2))
         sign = np.where((p1 < 0.0) & (p2 < 0.0), -1.0, 1.0)  # flip both: Q is unchanged
         e1, e2, p1, p2 = e1 * sign[:, None], e2 * sign[:, None], p1 * sign, p2 * sign
         planes = np.concatenate([e1, e2])  # both planes' conics in one call, then split
@@ -441,7 +443,7 @@ def fillet_min_curvature_radius(patches):
         wA = w[:, None, :] @ A
         qa = (wA @ w[:, :, None])[:, 0, 0]
         qb = (wA @ o[:, :, None])[:, 0, 0] + _dots(b, w)
-        qc = ((o[:, None, :] @ A) @ o[:, :, None])[:, 0, 0] + 2.0 * _dots(b, o) + c
+        qc = stacked_values((A[:, None], b[:, None, None], c[:, None]), o)[:, 0]
         disc = qb * qb - qa * qc
         sq = np.sqrt(disc)
         two = (qa != 0.0) & (disc >= 0.0)  # else one root where qa == 0 and qb != 0

@@ -34,8 +34,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .algebra import (LinearForm, Quadric, _coeffs, _dots, _freeze, _stack_rows,
-                      _subtract_square, stacked_values)
+from .algebra import (LinearForm, Quadric, _coeffs, _dots, _freeze, _plane_values,
+                      _stack_rows, _subtract_square, stacked_values)
 from .errors import (
     CenterOverflowError,
     CoincidentHubsError,
@@ -277,11 +277,11 @@ def _build_beams(rows, spheres: _Spheres) -> BeamStack:
         c0 = cl / (2.0 * k) + k / 2.0
         G = np.stack([np.column_stack([g, c0]), np.column_stack([g, c0 - k])])  # G_a, G_b
         lam = np.sqrt(_dots(g, g))
-        at_own, at_far = _dots(g, c) + G[:, :, 3], _dots(g, c[::-1]) + G[:, :, 3]
+        at_own, at_far = _plane_values(G, c), _plane_values(G, c[::-1])
         miss = np.abs(at_own) >= lam * r
         G = G * np.where(at_far < 0.0, -1.0, 1.0)[..., None]
         H = _subtract_square((SA, Sb, Sc), G)  # sign-invariant in G
-        g0 = _dots(G[0, :, :3], ca) + G[0, :, 3]
+        g0 = _plane_values(G[0], ca)
         axis = diff / d[:, None]
     a, b = (lambda i: hubs[i][0].id), (lambda i: hubs[i][1].id)
     errors = _first_errors(given, [
@@ -330,14 +330,17 @@ def _stub_rows(views):
     return G, (A, b, c), axis, center, radius
 
 
-def beam_radius(geom: BeamGeometry, s: float) -> float | None:
-    """Cross-section radius at axial distance ``s`` from the hub_a center.
+def _rho_sq(r_a: float, lam: float, g0: float, s: float) -> float:
+    """``rho^2 = r_a^2 + (lam*s + g0)^2 - s^2`` on Python floats, whose ``**`` is libm's pow."""
+    return r_a**2 + (lam * s + g0) ** 2 - s * s
 
-    From the surface-of-revolution property,
-    ``rho^2 = r_a^2 + (lam*s + g0)^2 - s^2``; returns ``None`` where the
-    quador has no real section.
+
+def beam_radius(geom: BeamGeometry, s: float) -> float | None:
+    """Cross-section radius at axial distance ``s`` from the hub_a center, from
+    the surface-of-revolution property (:func:`_rho_sq`); returns ``None``
+    where the quador has no real section.
     """
-    rho_sq = geom.stub_a.hub.radius**2 + (geom.lam * s + geom.g0) ** 2 - s * s
+    rho_sq = _rho_sq(geom.stub_a.hub.radius, geom.lam, geom.g0, s)
     if rho_sq < 0.0:
         return None
     return math.sqrt(rho_sq)

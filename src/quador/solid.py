@@ -45,7 +45,7 @@ from .algebra import _dots, _stack_rows, stacked_values
 from .errors import DegenerateBoundsError, ValidationError
 from .fillet import FilletStack
 from .fillet import build_fillet_for_spec  # noqa: F401  (bench/tracing.py wraps it here)
-from .lattice import BeamStack, Hub, Lattice, fillet_key, validate_lattice
+from .lattice import BeamStack, Hub, Lattice, _rho_sq, fillet_key, validate_lattice
 
 __all__ = [
     "Assembly",
@@ -327,7 +327,7 @@ def auto_bounds(assembly: Assembly) -> tuple[np.ndarray, np.ndarray]:
         hi = np.maximum(hi, c + hub.radius)
         r_max = max(r_max, hub.radius)
     beams = assembly.beams
-    # Python floats, whose ** is libm's pow, as beam_radius takes it.
+    # Python floats, whose ** is libm's pow, as _rho_sq takes it.
     for ca, u, r_a, lam, g0, length in zip(beams.center[0], beams.axis[0], *(
             a.tolist() for a in (beams.radius[0], beams.lam, beams.g0, beams.length))):
         spread = np.sqrt(np.maximum(0.0, 1.0 - u * u))
@@ -337,8 +337,8 @@ def auto_bounds(assembly: Assembly) -> tuple[np.ndarray, np.ndarray]:
             k = u2 - w2 * a
             stations += _real_roots(4.0 * k * a, 4.0 * k * b, 4.0 * u2 * c - w2 * b * b)
         for s in stations:
-            # beam_radius(bg, s) squared; below 0 off the beam or where no section is real.
-            rho_sq = r_a**2 + (lam * s + g0) ** 2 - s * s if 0.0 <= s <= length else -1.0
+            # Below 0 off the beam or where no section is real.
+            rho_sq = _rho_sq(r_a, lam, g0, s) if 0.0 <= s <= length else -1.0
             if not rho_sq < 0.0:
                 p = ca + s * u
                 rho = math.sqrt(rho_sq)

@@ -11,9 +11,10 @@ is among the shipped parts, and the check evaluates no point.
 
 Each check evaluates in batches: the beam and fillet checks read the rows
 of the assembly's beam and fillet stacks, every part and point at once,
-with each row's object operations and each point's own ``value``,
-``gradient`` and dot-product bits, so the report is the one a per-part,
-point-by-point loop gives; none of them builds a ``Quadric`` or ``LinearForm``.
+through ``quador.algebra``'s row functions.  The object methods are one-row
+calls of those functions, so the report is the one a per-part,
+point-by-point loop of ``Quadric`` and ``LinearForm`` calls gives; none of
+the checks builds such an object.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (_axis_complement, _dots, _minus, _rel_residual, _stack_rows,
-                      _subtract_square, _symmetric, stacked_values)
+from .algebra import (_axis_complement, _dots, _gradients, _minus, _plane_values,
+                      _rel_residual, _stack_rows, _subtract_square, _symmetric, stacked_values)
 from .conics import sample_conic
 from .fillet import (FilletStack, build_fillet_for_spec, fillet_extent,
                      fillet_min_curvature_radius)
@@ -86,17 +87,10 @@ def _check(name: str, values, tol: float, detail: str = "") -> Check:
     return Check(name, "pass" if worst <= tol else "fail", worst, tol, detail)
 
 
-def _gradients(A: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """:meth:`Quadric.gradient` of ``A``, ``b`` at the points ``(..., 3)``,
-    bit for bit: one stacked ``(3,3) @ (3,1)`` product per point, as ``A @ p`` takes."""
-    return 2.0 * (A @ pts[..., None])[..., 0] + 2.0 * b
-
-
 def _identity_and_law(stack: FilletStack, H) -> tuple[list, list]:
-    """Per row, :func:`rel_coeff_residual` of ``Q - (H - E^2)`` for each
-    plane, and of ``(H1 - E1^2) - (H2 - E2^2)`` minus ``(1 - 4 alpha beta)
-    F+ F-`` (:func:`linear_product`) with alpha scaled by 0.5 and by 2.0,
-    each operation the one its objects take; ``H`` holds the stubs' rows."""
+    """Per row, the relative residual of ``Q - (H - E^2)`` for each plane,
+    and of ``(H1 - E1^2) - (H2 - E2^2)`` minus ``(1 - 4 alpha beta) F+ F-``
+    with alpha scaled by 0.5 and by 2.0; ``H`` holds the stubs' rows."""
     fp, fm, e1, e2 = stack.planes
     identity = [_rel_residual(_minus(stack.Q, q), q) for q in map(_subtract_square, H, (e1, e2))]
     gp, gm, beta = fp[:, :3], fm[:, :3], stack.beta
@@ -164,7 +158,7 @@ def run_verify(
     views = [stub_views_at_hub(lattice, hub.id) for hub in lattice.hubs]
     G, H, _, center, radius = _stub_rows([v for at_hub in views for v in at_hub])
     gn = np.sqrt(_dots(G[:, :3], G[:, :3]))
-    offset = -(_dots(G[:, :3], center) + G[:, 3]) / gn
+    offset = -_plane_values(G, center) / gn
     normal = G[:, :3] / gn[:, None]
     rc = radius * radius - offset * offset
     rc = np.sqrt(np.where(rc > 0.0, rc, 0.0))

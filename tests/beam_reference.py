@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from quador.algebra import LinearForm, Quadric, subtract_square
+from quador.algebra import LinearForm, Quadric
 from quador.errors import (
     CenterOverflowError,
     CoincidentHubsError,
@@ -20,6 +20,8 @@ from quador.errors import (
     PlaneMissesSphereError,
     RadiusOverflowError,
 )
+
+from form_reference import linear_value, neg, quadric_coeffs, subtract_square
 
 MAX_RADIUS = math.sqrt(sys.float_info.max)
 
@@ -68,15 +70,15 @@ def reference_beam(beam, hub_a, hub_b, sphere_a: Quadric, sphere_b: Quadric) -> 
         H = subtract_square(sphere_a, G_a)
         lam = G_a.grad_norm()
         for G, c, hub in ((G_a, ca, hub_a), (G_b_raw, cb, hub_b)):
-            if abs(G.value(c)) >= lam * hub.radius:
+            if abs(linear_value(G, c)) >= lam * hub.radius:
                 raise PlaneMissesSphereError(f"tangency plane misses hub sphere {hub.id!r}")
-    if not (math.isfinite(lam) and np.isfinite(H.coeffs()).all()):
+    if not (math.isfinite(lam) and np.isfinite(quadric_coeffs(H)).all()):
         raise DegenerateBeamError(
             f"beam between {hub_a.id!r} and {hub_b.id!r} has k={k}: its tangency planes overflow"
         )
 
-    if G_a.value(cb) < 0.0:
-        G_a = -G_a
-    G_b = -G_b_raw if G_b_raw.value(ca) < 0.0 else G_b_raw
+    if linear_value(G_a, cb) < 0.0:
+        G_a = neg(G_a)
+    G_b = neg(G_b_raw) if linear_value(G_b_raw, ca) < 0.0 else G_b_raw
     return ReferenceBeam(G_a, G_b, H, subtract_square(sphere_b, G_b), (cb - ca) / d, d, lam,
-                         G_a.value(ca))
+                         linear_value(G_a, ca))

@@ -21,7 +21,6 @@ from quador.algebra import (
     Quadric,
     QuadricClass,
     classify_quadric,
-    linear_product,
     subtract_square,
 )
 from quador.cli import main
@@ -37,6 +36,7 @@ from quador.lattice import Beam, Hub, Lattice, beam_quador, sphere_quadric, stub
 from quador.latticefile import load_lattice
 from quador.solid import auto_bounds, build_assembly, classify_point, field_grid, marching_cubes
 
+from form_reference import add, linear_product, scaled, sub
 from test_algebra import fd_principal_curvatures
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -107,12 +107,12 @@ def test_criterion_2_residual_law():
         h1 = subtract_square(s, g1)
         h2 = subtract_square(s, g2)
         alpha = 1.0 / (4.0 * beta) * rng.choice([0.5, 2.0])
-        f_minus = g2 - g1
-        f_plus = g2 + g1
-        e1 = f_plus.scaled(alpha) + f_minus.scaled(beta)
-        e2 = f_plus.scaled(alpha) - f_minus.scaled(beta)
+        f_minus = sub(g2, g1)
+        f_plus = add(g2, g1)
+        e1 = add(scaled(f_plus, alpha), scaled(f_minus, beta))
+        e2 = sub(scaled(f_plus, alpha), scaled(f_minus, beta))
         res = fillet_residual(h1, h2, e1, e2)
-        expect = linear_product(f_plus, f_minus).scaled(1.0 - 4.0 * alpha * beta)
+        expect = scaled(linear_product(f_plus, f_minus), 1.0 - 4.0 * alpha * beta)
         denom = max(np.linalg.norm(expect.coeffs()), 1e-300)
         worst = max(worst, np.linalg.norm((res - expect).coeffs()) / denom)
     _report(2, worst <= 1e-12, f"residual law max rel deviation {worst:.2e}")

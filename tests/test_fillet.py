@@ -16,7 +16,6 @@ from quador.algebra import (
     Quadric,
     QuadricClass,
     classify_quadric,
-    linear_product,
     principal_curvatures,
     subtract_square,
 )
@@ -41,6 +40,8 @@ from quador.lattice import (
 )
 from quador.latticefile import load_lattice_path
 from quador.verify import BETA_GRID as VERIFY_BETA_GRID
+
+from form_reference import add, linear_product, neg, scaled, sub
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -157,7 +158,7 @@ class TestBuildFillet:
     def test_orientation_flip_keeps_quadric(self, perp_lattice):
         # Flipping both planes together is a no-op on the fillet quadric.
         patch = build_fillet(*perp_stubs(perp_lattice), 1.0)
-        q_flip = subtract_square(patch.stub1.H, -patch.E1)
+        q_flip = subtract_square(patch.stub1.H, neg(patch.E1))
         npt.assert_array_equal(patch.Q.coeffs(), q_flip.coeffs())
         hub = patch.stub1.hub
         assert patch.E1.value(np.asarray(hub.center) + hub.radius * patch.bisector) > 0
@@ -176,13 +177,13 @@ class TestResidual:
         # alpha = beta = 1 gives residual (1-4) F+ F- = -3(y^2 - x^2).
         h1 = Quadric(np.diag([0.0, 1.0, 1.0]), np.zeros(3), -1.0)
         h2 = Quadric(np.diag([1.0, 0.0, 1.0]), np.zeros(3), -1.0)
-        f_plus = Y_PLANE + X_PLANE
-        f_minus = Y_PLANE - X_PLANE
-        e1 = f_plus + f_minus  # 2y
-        e2 = f_plus - f_minus  # 2x
+        f_plus = add(Y_PLANE, X_PLANE)
+        f_minus = sub(Y_PLANE, X_PLANE)
+        e1 = add(f_plus, f_minus)  # 2y
+        e2 = sub(f_plus, f_minus)  # 2x
         res = fillet_residual(h1, h2, e1, e2)
         npt.assert_allclose(res.coeffs(), [3, -3, 0, 0, 0, 0, 0, 0, 0, 0], atol=1e-15)
-        expect = linear_product(f_plus, f_minus).scaled(1.0 - 4.0)
+        expect = scaled(linear_product(f_plus, f_minus), 1.0 - 4.0)
         npt.assert_allclose(res.coeffs(), expect.coeffs(), atol=1e-15)
 
     def test_equal_planes_reduce_to_difference(self):
@@ -191,7 +192,7 @@ class TestResidual:
         e = LinearForm((0.3, -0.2, 0.9), 0.4)
         res = fillet_residual(h1, h2, e, e)
         npt.assert_array_equal(res.coeffs(), (h1 - h2).coeffs())
-        f_pf_m = linear_product(Y_PLANE + X_PLANE, Y_PLANE - X_PLANE)
+        f_pf_m = linear_product(add(Y_PLANE, X_PLANE), sub(Y_PLANE, X_PLANE))
         npt.assert_allclose(res.coeffs(), f_pf_m.coeffs(), atol=1e-15)
 
     def test_residual_law_random_scales(self, perp_lattice):
@@ -200,12 +201,12 @@ class TestResidual:
         for _ in range(50):
             beta = rng.uniform(0.1, 2.0)
             alpha = 1.0 / (4.0 * beta) * rng.choice([0.5, 2.0])
-            f_minus = s2.G - s1.G
-            f_plus = s2.G + s1.G
-            e1 = f_plus.scaled(alpha) + f_minus.scaled(beta)
-            e2 = f_plus.scaled(alpha) - f_minus.scaled(beta)
+            f_minus = sub(s2.G, s1.G)
+            f_plus = add(s2.G, s1.G)
+            e1 = add(scaled(f_plus, alpha), scaled(f_minus, beta))
+            e2 = sub(scaled(f_plus, alpha), scaled(f_minus, beta))
             res = fillet_residual(s1.H, s2.H, e1, e2)
-            expect = linear_product(f_plus, f_minus).scaled(1.0 - 4.0 * alpha * beta)
+            expect = scaled(linear_product(f_plus, f_minus), 1.0 - 4.0 * alpha * beta)
             denom = max(np.linalg.norm(expect.coeffs()), 1e-300)
             assert np.linalg.norm((res - expect).coeffs()) <= 1e-12 * denom
 

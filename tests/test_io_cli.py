@@ -25,8 +25,8 @@ import quador.latticefile
 import quador.solid
 import quador.verify
 import quador.writers
-from quador.algebra import (LinearForm, Quadric, _axis_complement, _cross3, linear_product,
-                            rel_coeff_residual, stack_forms, stacked_values, subtract_square)
+from quador.algebra import (LinearForm, Quadric, _axis_complement, _cross3, stacked_values,
+                            subtract_square)
 from quador.cli import _csv_field, build_parser, main
 from quador.conics import ConicClass, sample_conic
 from quador.errors import NoBisectorIntersectionError, ParseError, ValidationError
@@ -37,6 +37,8 @@ from quador.solid import (Mesh, auto_bounds, build_assembly, classify_point, fie
                           marching_cubes)
 from quador.verify import run_verify
 from quador.writers import format_values, write_obj_mesh, write_stl
+
+from form_reference import add, linear_product, rel_coeff_residual, scaled, stack_forms, sub
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BETA1 = FIXTURES / "perpendicular_beta1.json"
@@ -452,9 +454,9 @@ def fillet_checks_reference(stack) -> tuple[list, list]:
             identity[k].append(rel_coeff_residual(p.Q - expect, expect))
         for k, t in enumerate((0.5, 2.0)):
             alpha_t = p.alpha * t
-            e1 = p.F_plus.scaled(alpha_t) + p.F_minus.scaled(p.beta)
-            e2 = p.F_plus.scaled(alpha_t) - p.F_minus.scaled(p.beta)
-            expect = linear_product(p.F_plus, p.F_minus).scaled(1.0 - 4.0 * alpha_t * p.beta)
+            e1 = add(scaled(p.F_plus, alpha_t), scaled(p.F_minus, p.beta))
+            e2 = sub(scaled(p.F_plus, alpha_t), scaled(p.F_minus, p.beta))
+            expect = scaled(linear_product(p.F_plus, p.F_minus), 1.0 - 4.0 * alpha_t * p.beta)
             law[k].append(rel_coeff_residual(fillet_residual(*H, e1, e2) - expect, expect))
     return identity, law
 

@@ -44,6 +44,7 @@ from quador.lattice import (
 )
 from quador.latticefile import load_lattice, load_lattice_path
 
+from form_reference import neg
 from test_fillet import jittered_cubic
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -177,7 +178,7 @@ class TestBeamQuador:
         geom = beam_quador(Hub("a", (0, 0, 0), 1.0), Hub("b", (4, 0, 0), 2.0), 4.0)
         s = sphere_quadric(Hub("a", (0, 0, 0), 1.0))
         h_pos = subtract_square(s, geom.stub_a.G)
-        h_neg = subtract_square(s, -geom.stub_a.G)
+        h_neg = subtract_square(s, neg(geom.stub_a.G))
         npt.assert_array_equal(h_pos.coeffs(), h_neg.coeffs())
 
     @pytest.mark.parametrize("k", [1e-300, -1e-300, 5e-324, 1e-308])

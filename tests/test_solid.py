@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import quador
 from quador import cull
-from quador.algebra import LinearForm, Quadric, stack_forms, stacked_values
+from quador.algebra import LinearForm, Quadric, stacked_values
 from quador.errors import DegenerateBoundsError, ValidationError
 from quador.lattice import Beam, FilletSpec, Hub, Lattice, beam_radius, sphere_quadric
 from quador.latticefile import load_lattice, load_lattice_path
@@ -41,6 +41,7 @@ from quador.solid import (
 )
 
 from beam_reference import reference_sphere
+from form_reference import neg, stack_forms
 from test_fillet import jittered_cubic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -56,13 +57,13 @@ def reference_parts(asm) -> list:
     ``Q``, ``-E1`` and ``-E2`` and its locality ball ``|x - c|^2 - rho^2``."""
     resolved = asm.lattice._resolved
     parts = [(RegionLabel("HUB", hub.id), (reference_sphere(hub),)) for hub in asm.hubs]
-    parts += [(RegionLabel("BEAM", bg.beam.id), (bg.stub_a.H, -bg.stub_a.G, -bg.stub_b.G))
+    parts += [(RegionLabel("BEAM", bg.beam.id), (bg.stub_a.H, neg(bg.stub_a.G), neg(bg.stub_b.G)))
               for bg in asm.beams]
     for p in asm.fillets:
         hub = p.stub1.hub
         c, r = np.asarray(hub.center, dtype=float), resolved.locality[hub.id]
         ball = Quadric(np.eye(3), -c, float(c @ c) - r * r)
-        parts.append((RegionLabel("FILLET", p.key), (p.Q, -p.E1, -p.E2, ball)))
+        parts.append((RegionLabel("FILLET", p.key), (p.Q, neg(p.E1), neg(p.E2), ball)))
     return parts
 
 
