@@ -43,6 +43,14 @@ __all__ = [
     "principal_curvatures",
 ]
 
+# The one batch budget: every batched loop takes at most _BATCH units at once,
+# be they floats of a point chunk's or conic chunk's largest temporary, points
+# of a slab, quador.cull's (brick, form) rows and leaves, or numbers in text
+# rows, so no temporary holds more than _BATCH float64 values unless one point,
+# grid row or conic does.  Dense slabs 4x larger or smaller ran slower, and
+# sample's RSS peaked lowest here.  quador.cull needs _BATCH >= (_BRICK // _LEAF) ** 3.
+_BATCH = 1 << 14
+
 
 def _vec(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)

@@ -186,16 +186,19 @@ def _cmd_conics(args) -> int:
     if not lattice.fillets:
         print("quador: lattice has no fillets; nothing to export", file=sys.stderr)
         return EXIT_USAGE
-    assembly = build_assembly(lattice)
+    stack = build_assembly(lattice).fillets
+    samples = [sample_conic(sections, args.samples_per_curve)
+               for sections in (stack.conic1, stack.conic2)]
     curves = []
-    for p in assembly.fillets:
-        for which, conic in (("stub1", p.conic1), ("stub2", p.conic2)):
+    for p in stack:
+        for which, conic, pts in zip(("stub1", "stub2"), (p.conic1, p.conic2),
+                                     (s[p.row] for s in samples)):
             closed = conic.klass in CLOSED_CLASSES
             comment = f"fillet {p.key} {which} class={conic.klass.value}"
             if not closed:
                 r = UNBOUNDED_PARAM_RANGE
                 comment += f" param_range=[{-r:g}, {r:g}] per branch"
-            pieces = conic_pieces(conic, sample_conic(conic, args.samples_per_curve))
+            pieces = conic_pieces(conic, pts)
             part = "branch" if conic.klass is ConicClass.HYPERBOLA else "line"
             labels = [""] if len(pieces) == 1 else [f" ({part} {i} of 2)" for i in (1, 2)]
             curves += [(piece, closed, comment + label) for piece, label in zip(pieces, labels)]

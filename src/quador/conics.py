@@ -5,6 +5,10 @@ the frame into a quadric yields exact 2D coefficients
 ``a s^2 + 2b st + c t^2 + 2d s + 2e t + f`` which are classified and given a
 closed-form parametrization.  Sampled points satisfy both the 2D implicit
 equation and the original 3D quadric to tight relative tolerance.
+
+Conics are rows: a section holds many as arrays, and a :class:`Conic` is a
+view of one row.  :func:`sample_conic` samples one conic or a whole
+section (a fillet stack's ``conic1`` or ``conic2``) by the same code.
 ``CURVE_CLASSES``, ``COMPACT_CLASSES`` and ``CLOSED_CLASSES`` say once which
 classes are curves, bounded and closed; :func:`conic_pieces` splits samples
 into the polylines that draw them.
@@ -13,14 +17,15 @@ into the polylines that draw them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import LinearForm, Quadric, _axis_complement, _dots, stacked_values
-from .charts import SurfaceChart
+from .algebra import (_BATCH, LinearForm, Quadric, _axis_complement, _dots,
+                      stacked_values)
+from .charts import TWO_PI, SurfaceChart
 from .errors import (AllZeroError, NotACurveError, PointOffSurfaceError, QuadorError,
                      ZeroGradientError)
 from .tolerances import CONIC_CLASSIFY_TOL, SURF_RESIDUAL_TOL, UNBOUNDED_PARAM_RANGE
@@ -36,8 +41,6 @@ __all__ = [
     "conic_pieces",
     "pcurve",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 class ConicClass(Enum):
@@ -96,11 +99,13 @@ def _frames(g: np.ndarray, c0: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Conic:
-    """A classified conic in a plane frame.
+    """A classified conic in a plane frame: a view of row ``row`` of
+    ``sections``, each field read from its arrays on each read.
 
     ``coeffs`` are ``(a, b, c, d, e, f)`` of
     ``a s^2 + 2b st + c t^2 + 2d s + 2e t + f`` in frame coordinates.
-    Parametrization data depends on the class:
+    Parametrization data depends on the class (a field the class lacks reads
+    None or empty):
 
     * ellipse/circle: ``center``, ``axes`` (2x2, rows unit), ``radii``
     * parabola: ``center`` = vertex, ``axes`` rows = (sweep dir, axis dir),
@@ -111,13 +116,17 @@ class Conic:
     * point: ``center``
     """
 
-    frame: PlaneFrame
-    coeffs: tuple[float, float, float, float, float, float]
-    klass: ConicClass
-    center: np.ndarray | None = None
-    axes: np.ndarray | None = None
-    radii: tuple[float, ...] = ()
-    lines: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    sections: _Sections = field(repr=False)  # its repr holds every row
+    row: int
+
+    frame = property(lambda c: PlaneFrame(*(a[c.row] for a in c.sections[:4])))
+    coeffs = property(lambda c: tuple(c.sections.coeffs[c.row].tolist()))
+    klass = property(lambda c: c.sections.klass[c.row])
+    center = property(lambda c: c.sections.center[c.row] if _FIELDS[c.klass][0] else None)
+    axes = property(lambda c: c.sections.axes[c.row] if _FIELDS[c.klass][1] else None)
+    radii = property(lambda c: tuple(c.sections.radii[c.row, :_FIELDS[c.klass][1]].tolist()))
+    lines = property(lambda c: tuple((ln[0], ln[1])
+                                     for ln in c.sections.lines[c.row, :_FIELDS[c.klass][2]]))
 
     def point3d(self, s: float, t: float) -> np.ndarray:
         return self.frame.point(s, t)
@@ -188,22 +197,17 @@ class _Sections(NamedTuple):
     lines: np.ndarray
 
     def conic(self, i: int) -> Conic:
-        """Row ``i`` as a :class:`Conic`; raises a copy of the row's error."""
+        """Row ``i`` as a :class:`Conic` view; raises a copy of the row's error."""
         klass = self.klass[i]
         if isinstance(klass, QuadorError):
             raise type(klass)(*klass.args)
-        centered, radii, lines = _FIELDS[klass]
-        fields = dict(center=self.center[i]) if centered else {}
-        if radii:
-            fields.update(axes=self.axes[i], radii=tuple(self.radii[i, :radii].tolist()))
-        frame = PlaneFrame(self.origin[i], self.u[i], self.v[i], self.normal[i])
-        return Conic(frame, tuple(self.coeffs[i].tolist()), klass,
-                     lines=tuple((ln[0], ln[1]) for ln in self.lines[i, :lines]), **fields)
+        return Conic(self, i)
 
 
 def _analyze(coeffs: np.ndarray) -> tuple:
     """Classify conic rows ``(m, 6)``: the class of each row (an
-    :class:`AllZeroError` for an all-zero one) and the centers, axes, radii
+    :class:`AllZeroError` for an all-zero one, a :class:`NotACurveError` for
+    one with a coefficient that is not finite) and the centers, axes, radii
     and lines of :class:`_Sections`.  Each branch runs on every row, or on
     none when no row takes it, and each row keeps its own branch's values,
     with that branch's bits."""
@@ -253,6 +257,8 @@ def _analyze(coeffs: np.ndarray) -> tuple:
     ]
     case = np.argmax(np.stack([m for m, _ in cases]), axis=0)
     klass = [cases[i][1] or AllZeroError("all conic coefficients are zero") for i in case.tolist()]
+    for i in np.flatnonzero(~np.isfinite(coeffs).all(axis=1)).tolist():
+        klass[i] = NotACurveError("conic coefficients are not finite")
 
     axes, lines = E.copy(), np.full((len(case), 2, 2, 2), np.nan)
 
@@ -314,46 +320,62 @@ def intersect_quadric_plane(q: Quadric, lin: LinearForm) -> Conic:
                      np.array([lin.c0])).conic(0)
 
 
-def sample_conic(conic: Conic, n: int) -> np.ndarray:
-    """``n`` points on the conic as an (n, 3) array.
+def sample_conic(conic: Conic | _Sections, n: int) -> np.ndarray:
+    """``n`` points on a conic as an ``(n, 3)`` array, or on each row of a
+    section (a fillet stack's ``conic1`` or ``conic2``) as ``(m, n, 3)``.
 
     Ellipses/circles are sampled by uniform angle starting on the first
     principal axis; parabolas by uniform parameter over ``[-r, r]`` with
     ``r = UNBOUNDED_PARAM_RANGE``; hyperbolas and line pairs by uniform
     parameter per branch/line over the same symmetric range.  Raises
-    :class:`NotACurveError` for point/empty conics.
+    ``ValueError`` for ``n < 2``; else the first row that cannot be sampled
+    raises, as a row-by-row loop would: a copy of its coded error, or
+    :class:`NotACurveError` for a point/empty conic.
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    if conic.klass not in CURVE_CLASSES:
-        raise NotACurveError(f"cannot sample a {conic.klass.value} conic")
-    r = UNBOUNDED_PARAM_RANGE
-    # Every point takes the float operations, in the order, that one
-    # ``center + r1 cos(th) d1 + r2 sin(th) d2`` (and so on) per point takes.
-    if conic.axes is None:  # line classes
-        k = len(conic.lines)
-        counts = [n // k + (i < n % k) for i in range(k)]
-        pts2 = np.concatenate([base + np.linspace(-r, r, m)[:, None] * direction
-                               for (base, direction), m in zip(conic.lines, counts)])
+    one = isinstance(conic, Conic)  # then as a one-row section
+    conics = conic.sections._make(f[conic.row:][:1] for f in conic.sections) if one else conic
+    for k in conics.klass:
+        if isinstance(k, QuadorError):
+            raise type(k)(*k.args)
+        if k not in CURVE_CLASSES:
+            raise NotACurveError(f"cannot sample a {k.value} conic")
+    out = np.empty((len(conics.klass), n, 3))
+    step = max(1, _BATCH // (3 * n))  # rows at once: temporaries of about _BATCH values
+    for k in set(conics.klass):
+        at = np.flatnonzero([c is k for c in conics.klass])
+        for i in (at[s:s + step] for s in range(0, len(at), step)):
+            origin, u, v = (a[i, None] for a in conics[:3])
+            pts2 = _plane_samples(k, *(a[i] for a in conics[6:]), n)
+            out[i] = origin + pts2[..., :1] * u + pts2[..., 1:] * v
+    return out[0] if one else out
+
+
+def _plane_samples(klass: ConicClass, center, axes, radii, lines, n: int) -> np.ndarray:
+    """:func:`sample_conic`'s frame coordinates ``(m, n, 2)`` of conic rows of
+    one class, from their :class:`_Sections` fields.  Every point takes the
+    float operations, in the order, that one ``center + r1 cos(th) d1 +
+    r2 sin(th) d2`` (and so on) per point takes."""
+    r, half = UNBOUNDED_PARAM_RANGE, n - n // 2  # the first branch's or line's share
+    if klass in (ConicClass.PARABOLA, ConicClass.SINGLE_LINE):  # one piece
+        half = n
+    second = np.arange(n) >= half  # the points of a second branch or line
+    t = np.concatenate([np.linspace(-r, r, half), np.linspace(-r, r, n - half)])
+    if _FIELDS[klass][2]:  # line classes
+        which = second.astype(int)
+        return lines[:, which, 0] + t[:, None] * lines[:, which, 1]
+    if klass is ConicClass.PARABOLA:
+        c1, c2 = t[None], radii[:, :1] * t * t
+    elif klass is ConicClass.HYPERBOLA:
+        t = t.tolist()
+        c1 = np.where(second, -1.0, 1.0) * radii[:, :1] * np.array([math.cosh(x) for x in t])
+        c2 = radii[:, 1:] * np.array([math.sinh(x) for x in t])
     else:
-        if conic.klass is ConicClass.PARABOLA:
-            (kappa,) = conic.radii
-            c1 = np.linspace(-r, r, n)
-            c2 = kappa * c1 * c1
-        elif conic.klass is ConicClass.HYPERBOLA:
-            ra, rb = conic.radii
-            m = n - n // 2  # the first branch's share
-            t = np.linspace(-r, r, m).tolist() + np.linspace(-r, r, n - m).tolist()
-            c1 = np.array([(1.0 if i < m else -1.0) * ra * math.cosh(x) for i, x in enumerate(t)])
-            c2 = np.array([rb * math.sinh(x) for x in t])
-        else:
-            r1, r2 = conic.radii
-            th = [TWO_PI * j / n for j in range(n)]
-            c1 = np.array([r1 * math.cos(x) for x in th])
-            c2 = np.array([r2 * math.sin(x) for x in th])
-        d1, d2 = conic.axes
-        pts2 = conic.center + c1[:, None] * d1 + c2[:, None] * d2
-    return conic.point3d(pts2[:, :1], pts2[:, 1:])  # (n, 1) columns broadcast
+        th = [TWO_PI * j / n for j in range(n)]
+        c1 = radii[:, :1] * np.array([math.cos(x) for x in th])
+        c2 = radii[:, 1:] * np.array([math.sin(x) for x in th])
+    return center[:, None] + c1[..., None] * axes[:, None, 0] + c2[..., None] * axes[:, None, 1]
 
 
 def conic_pieces(conic: Conic, pts: np.ndarray) -> list[np.ndarray]:

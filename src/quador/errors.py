@@ -119,7 +119,7 @@ class EmptyConicError(QuadorError):
 
 
 class NotACurveError(QuadorError):
-    """Sampling requested on a point/empty conic."""
+    """Sampling requested on a point/empty conic, or conic coefficients that are not finite."""
 
     code = "NOT_A_CURVE"
 

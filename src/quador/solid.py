@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _dots, _stack_rows, stacked_values
+from .algebra import _BATCH, _dots, _stack_rows, stacked_values
 from .errors import DegenerateBoundsError, ValidationError
 from .fillet import FilletStack
 from .fillet import build_fillet_for_spec  # noqa: F401  (bench/tracing.py wraps it here)
@@ -143,15 +143,6 @@ def _points(x) -> tuple[np.ndarray, bool]:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected a point (3,) or points (n, 3), got shape {pts.shape}")
     return pts, False
-
-
-# The one batch budget: every batched loop takes at most _BATCH units at once,
-# be they floats of a point chunk's largest temporary, points of a slab,
-# quador.cull's (brick, form) rows and leaves, or numbers in text rows,
-# so no field temporary holds more than _BATCH float64 values unless one point
-# or grid row does.  Dense slabs 4x larger or smaller ran slower, and sample's
-# RSS peaked lowest here.  quador.cull needs _BATCH >= (_BRICK // _LEAF) ** 3.
-_BATCH = 1 << 14
 
 
 def _part_values(assembly: Assembly, pts: np.ndarray):

@@ -11,10 +11,11 @@ is among the shipped parts, and the check evaluates no point.
 
 Each check evaluates in batches: the beam and fillet checks read the rows
 of the assembly's beam and fillet stacks, every part and point at once,
-through ``quador.algebra``'s row functions.  The object methods are one-row
-calls of those functions, so the report is the one a per-part,
-point-by-point loop of ``Quadric`` and ``LinearForm`` calls gives; none of
-the checks builds such an object.
+through ``quador.algebra``'s row functions, and sample each tangency
+plane's conics in one ``sample_conic`` call.  The object methods are
+one-row calls of those functions, so the report is the one a per-part,
+point-by-point loop of ``Quadric``, ``LinearForm`` and ``Conic`` calls
+gives; none of the checks builds such an object.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def run_verify(
         # Tangency-conic residuals and gradient angles at 32 samples of each conic.
         residuals, cosines = [], []
         for sections, h in zip((stack.conic1, stack.conic2), H):
-            pts = np.stack([sample_conic(sections.conic(i), 32) for i in range(len(stack))])
+            pts = sample_conic(sections, 32)
             forms = (f.reshape(len(stack), 1, 2, *f.shape[1:]) for f in _stack_rows(h, stack.Q))
             scale = np.maximum(1.0, _dots(pts, pts))[..., None]
             residuals.append(np.abs(stacked_values(tuple(forms), pts)) / scale)

@@ -1,18 +1,23 @@
 """Plane frames, conic sections, sampling and p-curves."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import quador.conics
 from quador.algebra import LinearForm, Quadric, classify_quadric
 from quador.charts import parametrize
 from quador.conics import (
     CLOSED_CLASSES,
     COMPACT_CLASSES,
     CURVE_CLASSES,
+    Conic,
     ConicClass,
+    _sections,
     classify_conic,
     conic_pieces,
     intersect_quadric_plane,
@@ -24,6 +29,7 @@ from quador.errors import (
     AllZeroError,
     NotACurveError,
     PointOffSurfaceError,
+    QuadorError,
     ZeroGradientError,
 )
 from quador.tolerances import SURF_RESIDUAL_TOL, UNBOUNDED_PARAM_RANGE
@@ -146,6 +152,17 @@ class TestClassifyConic:
         with pytest.raises(AllZeroError):
             classify_conic((0, 0, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("coeffs", [(math.nan,) * 6, (1, 0, 1, 0, 0, math.nan),
+                                        (math.inf, 0, 1, 0, 0, -1)])
+    def test_non_finite_is_not_a_curve(self, coeffs):
+        with pytest.raises(NotACurveError, match="not finite"):
+            classify_conic(coeffs)
+
+    def test_non_finite_plane_is_not_a_curve(self):
+        # Once a CIRCLE whose samples were all NaN.
+        with pytest.raises(NotACurveError, match="not finite"):
+            intersect_quadric_plane(UNIT_SPHERE, LinearForm((0.0, 0.0, 1.0), math.nan))
+
     def test_agrees_with_quadric_classifier_on_cylinder_section(self):
         # Plane section of a circular cylinder perpendicular to its axis.
         conic = intersect_quadric_plane(CYLINDER_X, LinearForm((1.0, 0.0, 0.0), -2.0))
@@ -235,6 +252,14 @@ def per_point_sample_conic(conic, n):
     return np.array([conic.point3d(p[0], p[1]) for p in pts2])
 
 
+def section(cases) -> quador.conics._Sections:
+    """The conics of (quadric, plane) pairs as the rows of one section."""
+    qs, lins = zip(*cases)
+    return _sections((np.stack([q.A for q in qs]), np.stack([q.b for q in qs]),
+                      np.array([q.c for q in qs])),
+                     np.stack([lin.g for lin in lins]), np.array([lin.c0 for lin in lins]))
+
+
 class TestBatchedSampling:
     """``sample_conic`` lifts all samples at once; every bit stays the
     per-point loop's."""
@@ -268,6 +293,49 @@ class TestBatchedSampling:
         assert seen == {ConicClass.CIRCLE, ConicClass.ELLIPSE, ConicClass.PARABOLA,
                         ConicClass.HYPERBOLA, ConicClass.PARALLEL_LINES,
                         ConicClass.CROSSING_LINES, ConicClass.SINGLE_LINE}
+
+    def moved_cases(self, seed: int) -> list:
+        """Three rigid motions of each case, shuffled: (quadric, plane) pairs."""
+        rng = np.random.default_rng(seed)
+        cases = []
+        for q, lin in self.CASES * 3:
+            R, t = random_rotation(rng), rng.uniform(-3, 3, 3)
+            g = R @ lin.g
+            cases.append((Quadric(*transformed_quadric(q.A, q.b, q.c, R, t)),
+                          LinearForm(g, lin.c0 - g @ t)))
+        return [cases[i] for i in rng.permutation(len(cases))]
+
+    def test_one_call_samples_a_mixed_section(self, monkeypatch):
+        cases = self.moved_cases(43)
+        rows = section(cases)
+        assert set(rows.klass) == CURVE_CLASSES
+        assert [f.name for f in dataclasses.fields(Conic)] == ["sections", "row"]
+        expect = {n: [per_point_sample_conic(intersect_quadric_plane(q, lin), n).tobytes()
+                      for q, lin in cases] for n in (2, 3, 7, 32, 129)}
+        for budget in (quador.conics._BATCH, 97):  # 97: one row, or a few, at a time
+            monkeypatch.setattr(quador.conics, "_BATCH", budget)
+            for n, want in expect.items():
+                got = sample_conic(rows, n)
+                assert got.shape == (len(cases), n, 3)
+                assert [pts.tobytes() for pts in got] == want
+                assert [per_point_sample_conic(rows.conic(i), n).tobytes()
+                        for i in range(len(cases))] == want
+
+    def test_a_section_raises_its_first_rows_error(self):
+        good = self.moved_cases(47)[:4]
+        bad = [(UNIT_SPHERE, LinearForm((0.0, 0.0, 1.0), -1.0)),  # POINT
+               (UNIT_SPHERE, LinearForm((0.0, 0.0, 1.0), -2.0)),  # EMPTY
+               (UNIT_SPHERE, LinearForm((0.0, 0.0, 0.0), 1.0)),  # ZERO_GRADIENT
+               (UNIT_SPHERE, LinearForm((0.0, 0.0, 1.0), math.nan)),  # NOT_A_CURVE
+               (Quadric(np.zeros((3, 3)), np.zeros(3), 0.0), LinearForm((0.0, 0.0, 1.0), 0.0))]
+        for first, later in itertools.permutations(bad, 2):
+            with pytest.raises(QuadorError) as want:  # the first bad row alone
+                sample_conic(intersect_quadric_plane(*first), 7)
+            with pytest.raises(QuadorError) as got:
+                sample_conic(section(good[:2] + [first] + good[2:] + [later]), 7)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        with pytest.raises(ValueError, match="n >= 2"):
+            sample_conic(section(good), 1)
 
 
 class TestClassFacts:

@@ -21,6 +21,7 @@ import numpy.testing as npt
 import pytest
 
 import quador
+import quador.conics
 import quador.latticefile
 import quador.solid
 import quador.verify
@@ -38,7 +39,8 @@ from quador.solid import (Mesh, auto_bounds, build_assembly, classify_point, fie
 from quador.verify import run_verify
 from quador.writers import format_values, write_obj_mesh, write_stl
 
-from form_reference import add, linear_product, rel_coeff_residual, scaled, stack_forms, sub
+from form_reference import (add, linear_product, quadric_gradient, quadric_value,
+                            rel_coeff_residual, scaled, stack_forms, sub)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BETA1 = FIXTURES / "perpendicular_beta1.json"
@@ -631,14 +633,14 @@ class TestVerify:
             q = Quadric(rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal())
             h = Quadric(rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal())
             grads = quador.verify._gradients(q.A, q.b, pts)
-            assert grads.tobytes() == np.array([q.gradient(p) for p in pts]).tobytes()
+            assert grads.tobytes() == np.array([quadric_gradient(q, p) for p in pts]).tobytes()
             other = quador.verify._gradients(h.A, h.b, pts)
             npt.assert_array_equal(quador.verify._dots(grads, other),
                                    [g @ o for g, o in zip(grads, other)])
             npt.assert_array_equal(np.sqrt(quador.verify._dots(grads, grads)),
                                    [np.linalg.norm(g) for g in grads])
             npt.assert_array_equal(stacked_values(stack_forms((h, q)), pts),
-                                   [[h.value(p), q.value(p)] for p in pts])
+                                   [[quadric_value(h, p), quadric_value(q, p)] for p in pts])
 
     @pytest.mark.parametrize("name", [
         *(path.name for path in sorted(FIXTURES.glob("*.json"))), "jittered_cubic"])
@@ -1317,6 +1319,28 @@ class TestConstructionCounts:
         assert main(["verify", lat, "--samples", "200"]) == 0
         assert calls["_build_beams"] == 12
         assert calls["_build"] <= 24 * (1 + 5)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name", ["perpendicular_beta1", "jittered_cubic"])
+    def test_verify_and_conics_sample_once_per_plane(self, name, tmp_path, monkeypatch, capsys):
+        from test_fillet import jittered_cubic
+
+        lattice = (jittered_cubic(5) if name == "jittered_cubic"
+                   else load_lattice(BETA1.read_bytes()))
+        path = tmp_path / "lattice.json"
+        path.write_text(lattice_to_json(lattice))
+        calls = []
+        for module in (quador.verify, quador.cli):
+            def counted(conics, n, sample=module.sample_conic, module=module.__name__):
+                calls.append(module)
+                return sample(conics, n)
+
+            monkeypatch.setattr(module, "sample_conic", counted)
+        monkeypatch.setattr(quador.conics, "PlaneFrame", None)  # building one raises TypeError
+        run_verify(lattice)
+        assert calls == ["quador.verify"] * 2
+        assert main(["conics", str(path), "-o", str(tmp_path / "conics.obj")]) == 0
+        assert calls == ["quador.verify"] * 2 + ["quador.cli"] * 2
         capsys.readouterr()
 
     def test_hub_spheres_built_by_the_lattice_only(self, monkeypatch):
