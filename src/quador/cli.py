@@ -105,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mesh", help="polygonize the solid and write STL/OBJ")
     p.add_argument("lattice")
-    # The field grid is dense, about 12.5 bytes of peak RSS per grid point:
-    # about 1.7 GB at 512.
+    # The field grid is dense, 8 bytes per grid point: about 1.3 GB of peak
+    # RSS at 512.
     p.add_argument("--resolution", type=_numbers(int, low=2, high=512), default=64,
                    help="cells per axis (2..512)")
     p.add_argument("--bounds", type=_bounds, default="auto",

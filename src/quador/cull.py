@@ -26,11 +26,16 @@ comes near (the most is 62%, on the 6-part fixture), and by then its
 bounds are paid for; only a lattice of very few parts, whose leaves keep
 them all, evaluates up to that factor slower than dense.
 
+Bricks are bounded in batches of at most ``_BATCH`` (brick, form) rows.
+A row reads 21 values, 12 of its form and 9 of its brick's box, and each
+column is gathered only when the bound reads it: bounding a batch holds
+about 16 values a row at once, indices and temporaries included, where
+gathering the 21 columns first would hold about 29.
+
 Meshing alone reads this module, so :mod:`quador.solid` imports it on
 first use: the other commands do not compile it.  It calls no numpy
-function that imports :mod:`numpy.ma` (a plain ``np.unique`` does; the
-weld in marching cubes, which asks it for indices, does not): importing
-that here raised the mesh's peak RSS by about 1 MB.
+function that imports :mod:`numpy.ma` (a plain ``np.unique`` does):
+importing that here raised the mesh's peak RSS by about 1 MB.
 """
 
 from __future__ import annotations
@@ -82,9 +87,11 @@ def _box(lo, hi):
         return np.vstack([0.5 * (lo + hi), h, h.max(axis=0) ** 2, X, X * X])
 
 
-def _form_bounds(form, box):
+def _form_bounds(form, box, form_at=..., box_at=...):
     """Bounds on every value :func:`~quador.solid._form_grid` gives in a box,
-    for columns of :func:`_form_table` and :func:`_box`.
+    for columns of :func:`_form_table` and :func:`_box`: bound ``k`` reads
+    form ``form_at[k]`` and box ``box_at[k]``, and by default the columns
+    broadcast.  A column is gathered only when it is read.
 
     With centre ``m`` and half-extent ``h``, ``|f(m + d) - f(m)| <= 2 sum
     |(Am + b)_i| h_i + ||A|| max(h_i)^2``.  The slack covers the rounding
@@ -93,15 +100,17 @@ def _form_bounds(form, box):
     never of ``|f|``, so cancelling coefficients stay covered.  The bounds
     are not finite unless ``M < _TERMS_MAX``.
     """
-    U, b, (c, norm_A, norm_b) = form[:6], form[6:9], form[9:]
-    m, h, (hh, X, XX) = box[:3], box[3:6], box[6:]
+    m = [box[i][box_at] for i in range(3)]
+    c, norm_A = form[9][form_at], form[10][form_at]
     with np.errstate(over="ignore", invalid="ignore"):
-        fm, r = c, norm_A * hh
+        fm, r = c, norm_A * box[6][box_at]
         for i, (j0, j1, j2) in enumerate(_SYM):
-            g = U[j0] * m[0] + U[j1] * m[1] + U[j2] * m[2] + b[i]
-            fm = fm + m[i] * (g + b[i])
-            r = r + 2.0 * np.abs(g) * h[i]
-        M = norm_A * XX + norm_b * X + np.abs(c)
+            b = form[6 + i][form_at]
+            g = (form[j0][form_at] * m[0] + form[j1][form_at] * m[1]
+                 + form[j2][form_at] * m[2] + b)
+            fm = fm + m[i] * (g + b)
+            r = r + 2.0 * np.abs(g) * box[3 + i][box_at]
+        M = norm_A * box[8][box_at] + form[11][form_at] * box[7][box_at] + np.abs(c)
         pad = r + np.where(M < _TERMS_MAX, _ROUNDING * M + 2.0 ** -1000, math.inf)
         return fm - pad, fm + pad
 
@@ -199,8 +208,8 @@ def _cull(grid, box, pair_brick, pair_part):
     nforms = grid.nforms[pair_part]
     starts = np.flatnonzero(np.diff(pair_brick, prepend=-1))  # every brick has pairs
     lower, upper = _form_bounds(
-        grid.forms.take(_ranges(grid.table.bounds[pair_part], nforms), axis=1),
-        box.repeat(np.add.reduceat(nforms, starts), axis=1))
+        grid.forms, box, _ranges(grid.table.bounds[pair_part], nforms),
+        np.repeat(np.arange(len(starts)), np.add.reduceat(nforms, starts)))
     first = np.cumsum(nforms) - nforms
     lower, upper = np.maximum.reduceat(lower, first), np.maximum.reduceat(upper, first)
     finite = np.isfinite(np.maximum.reduceat(upper, starts))  # so lower is finite too

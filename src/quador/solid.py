@@ -217,7 +217,7 @@ def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
 
     Any other input is filled one part at a time, in slabs of ``_BATCH``
     points along the first broadcast axis.  Either way, besides the result,
-    only about ``_BATCH`` values, bounds and indices are live at once.
+    no array holds more than about ``_BATCH`` values, bounds or indices.
     """
     X, Y, Z = (np.asarray(a, dtype=float) for a in (X, Y, Z))
     shape = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
@@ -371,10 +371,12 @@ def marching_cubes(
     Triangles are wound so their normals point along ``+grad f`` (outward).
     ``resolution`` is cells per axis: one integer or three, numpy integers
     included, each >= 2; anything else raises :class:`ValueError`.
+    Besides the field grid and the mesh, each array holds at most
+    ``_BATCH`` values or a few bytes per triangle corner
+    (:mod:`quador.mc_tables`).
     """
-    # Only meshing needs the tables; compiling and importing them at module
-    # level raises the peak RSS of every other command by about 1.5 MB.
-    from .mc_tables import EDGE_AXIS, EDGE_LOW, TRI_EDGES, VERT_OFFSETS
+    # Only meshing compiles the tables and the extraction.
+    from .mc_tables import polygonize
 
     try:
         res = tuple(map(operator.index, np.broadcast_to(resolution, 3)))
@@ -392,48 +394,4 @@ def marching_cubes(
     ys = np.linspace(lo[1], hi[1], res[1] + 1)
     zs = np.linspace(lo[2], hi[2], res[2] + 1)
     F = field_grid(assembly, xs[:, None, None], ys[None, :, None], zs[None, None, :])
-
-    # Each cell's case sits at its low corner in a grid shaped like F, so a
-    # cell's flat index is that corner's flat index into F.
-    nx, ny, nz = res
-    inside = F < 0.0
-    case = np.zeros(F.shape, dtype=np.uint8)
-    cell_case = case[:nx, :ny, :nz]
-    for bit, (dx, dy, dz) in enumerate(VERT_OFFSETS):
-        cell_case |= inside[dx : dx + nx, dy : dy + ny, dz : dz + nz].astype(np.uint8) << bit
-    del inside
-    cells = np.flatnonzero((case != 0) & (case != 255))
-    edges = TRI_EDGES[case.ravel()[cells]]
-    del case, cell_case
-
-    # One key per triangle corner, in cell order then table order: grid edge
-    # (axis, low end) has key axis * F.size + the low end's flat index, which
-    # is the corner's cell index plus a per-edge offset.
-    strides = np.array([(ny + 1) * (nz + 1), nz + 1, 1])
-    edge_offset = EDGE_AXIS * F.size + EDGE_LOW @ strides
-    rows, cols = np.nonzero(edges >= 0)
-    key = cells[rows] + edge_offset[edges[rows, cols]]
-    del cells, edges, rows, cols
-    # Weld corners on the same grid edge; number vertices by first use.
-    key, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    vertex_of_corner = np.argsort(order)[inverse]
-    del first, inverse
-
-    # Interpolate from the canonical (low) end so both adjacent cells
-    # produce bit-identical coordinates.
-    axis, low = np.divmod(key[order], F.size)
-    f = F.ravel()
-    f0 = f[low]
-    f1 = f[low + strides[axis]]
-    t = np.divide(f0, f0 - f1, out=np.full_like(f0, 0.5), where=f0 != f1)
-    low = np.unravel_index(low, F.shape)
-    coords = (xs, ys, zs)
-    vertices = np.stack([coords[i][low[i]] for i in range(3)], axis=1)
-    for i in range(3):
-        on = axis == i
-        vertices[on, i] += t[on] * (coords[i][low[i][on] + 1] - coords[i][low[i][on]])
-
-    # Table winding faces the inside; swap for outward normals.
-    triangles = vertex_of_corner.reshape(-1, 3)[:, [0, 2, 1]]
-    return Mesh(vertices, triangles)
+    return Mesh(*polygonize(F, (xs, ys, zs)))

@@ -7,13 +7,7 @@ vertices, plus a zero uint16 attribute), so the file length is always
 use ``l`` polyline records with metadata comments.  All writers are
 deterministic: identical input produces byte-identical output.
 
-OBJ rows are built ``_OBJ_ROWS`` at a time as one fixed-width bytes table
-per chunk (prefix, field, space, ..., newline), whose NUL padding is then
-stripped.  A chunk's coordinates are made unique by their bits, so each
-distinct value goes through :func:`format_values` once (marching-cubes
-vertices have two of three coordinates on grid planes); vertex numbers are
-formatted once per mesh.  Stripping every NUL is safe because the table
-holds only number text; comments and ids never enter it.
+The STL records and OBJ rows are built in :mod:`quador.formats`.
 
 Every output, including the CLI's CSV and JSON, goes through
 :func:`write_output`: the bytes go to a fresh sibling temp file, which is
@@ -36,8 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import _cross3
-from .errors import StlRangeError
 from .solid import _BATCH, Mesh
 
 __all__ = [
@@ -61,26 +53,9 @@ def write_stl(mesh: Mesh, path: str | Path) -> int:
     Raises :class:`StlRangeError` before the file is opened when a finite
     normal or vertex coordinate does not fit in float32.
     """
-    corners = mesh.vertices[mesh.triangles]
-    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
-    normals = _cross3(b - a, c - a)
-    # A (1, 3) @ (3, 1) matmul takes the same dot product as np.linalg.norm
-    # of one vector, so the normals match a per-triangle norm bit for bit.
-    norms = np.sqrt(normals[:, None, :] @ normals[:, :, None])[:, 0]
-    np.divide(normals, norms, out=normals, where=norms > 0.0)
-    records = np.zeros(len(corners), dtype=_STL_RECORD)
-    with np.errstate(over="ignore"):
-        records["normal"] = normals
-        records["vertices"] = corners
-    # One mask at a time, and the second only after an overflow, keeps the
-    # peak memory at the records plus one boolean per value.
-    for field, values in (("normal", normals), ("vertices", corners)):
-        infinite = np.isinf(records[field])
-        if infinite.any():
-            overflow = infinite & np.isfinite(values)
-            if overflow.any():
-                value = float(values[overflow][0])
-                raise StlRangeError(f"STL {field} value {value!r} is outside the float32 range")
+    from .formats import stl_records  # only mesh and conics compile it
+
+    records = stl_records(mesh)
     # The record array goes out through the buffer protocol, not as a copy.
     write_output(path, _STL_HEADER, struct.pack("<I", len(records)), records)
     return len(records)
@@ -155,38 +130,11 @@ def format_values(values: np.ndarray) -> list[str]:
 _OBJ_ROWS = _BATCH // 4
 
 
-def _rows(prefix: bytes, fields: np.ndarray) -> bytes:
-    """``prefix f1 f2 ... fk`` rows, one per row of the ``(n, k)`` bytes
-    array ``fields``, built as one fixed-width table."""
-    n, k = fields.shape
-    table = np.empty((n, 2 * k + 1), dtype=f"S{max(fields.itemsize, len(prefix))}")
-    table[:, 0] = prefix
-    table[:, 1::2] = fields
-    table[:, 2:-1:2] = b" "
-    table[:, -1] = b"\n"
-    return table.tobytes().translate(None, b"\0")
-
-
-def _obj_vertex_rows(vertices: np.ndarray) -> list[bytes]:
-    """``v x y z`` rows, each value as :func:`format_values` prints it, in
-    chunks of ``_OBJ_ROWS`` rows."""
-    chunks = []
-    for start in range(0, len(vertices), _OBJ_ROWS):
-        values = np.ravel(vertices[start : start + _OBJ_ROWS])
-        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        text = np.array(format_values(bits.view(np.float64)), dtype="S")
-        chunks.append(_rows(b"v ", text[inverse].reshape(-1, 3)))
-    return chunks
-
-
 def write_obj_mesh(mesh: Mesh, path: str | Path) -> int:
     """Write OBJ ``v``/``f`` records (1-based indices); returns the triangle count."""
-    chunks = _obj_vertex_rows(mesh.vertices)
-    count = len(mesh.vertices)
-    numbers = np.arange(1, count + 1).astype(f"S{len(str(count))}")
-    for start in range(0, len(mesh.triangles), _OBJ_ROWS):
-        chunks.append(_rows(b"f ", numbers[mesh.triangles[start : start + _OBJ_ROWS]]))
-    write_output(path, *(chunks or [b"\n"]))
+    from .formats import obj_mesh_rows  # only mesh and conics compile it
+
+    write_output(path, *(obj_mesh_rows(mesh) or [b"\n"]))
     return len(mesh.triangles)
 
 
@@ -198,15 +146,7 @@ def write_obj_polylines(
     Each curve is (points, closed, comment); closed curves repeat their
     first index at the end of the ``l`` record.  Returns the polyline count.
     """
-    chunks = []
-    base = 1
-    for points, closed, comment in curves:
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
-        if comment:
-            chunks.append(f"# {comment}\n".encode("utf-8"))
-        chunks += _obj_vertex_rows(points)
-        idx = [*range(base, base + len(points)), *([base] if closed else [])]
-        chunks.append(("l " + " ".join(map(str, idx)) + "\n").encode("ascii"))
-        base += len(points)
-    write_output(path, *(chunks or [b"\n"]))
+    from .formats import obj_polyline_rows  # only mesh and conics compile it
+
+    write_output(path, *(obj_polyline_rows(curves) or [b"\n"]))
     return len(curves)

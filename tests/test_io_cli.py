@@ -22,6 +22,7 @@ import pytest
 
 import quador
 import quador.conics
+import quador.formats
 import quador.latticefile
 import quador.solid
 import quador.verify
@@ -30,7 +31,8 @@ from quador.algebra import (LinearForm, Quadric, _axis_complement, _cross3, stac
                             subtract_square)
 from quador.cli import _csv_field, build_parser, main
 from quador.conics import ConicClass, sample_conic
-from quador.errors import NoBisectorIntersectionError, ParseError, ValidationError
+from quador.errors import (NoBisectorIntersectionError, ParseError, StlRangeError,
+                           ValidationError)
 from quador.fillet import build_fillet_for_spec, fillet_min_curvature_radius, fillet_residual
 from quador.lattice import Beam, FilletSpec, Hub, Lattice, sphere_quadric, stub_views_at_hub
 from quador.latticefile import lattice_to_json, load_lattice
@@ -329,6 +331,19 @@ class TestStl:
                 for _ in range(2))
         assert _cross3(u, v).tobytes() == np.cross(u, v).tobytes()
 
+    def test_range_checked_past_the_first_chunk(self, tmp_path, monkeypatch):
+        # Records are filled _BATCH // 9 triangles at a time; the only
+        # coordinate beyond float32 is in a later chunk's last triangle.
+        count = 2 * (quador.formats._BATCH // 9) + 5
+        vertices = np.random.default_rng(83).normal(size=(3 * count, 3))
+        vertices[-1, 2] = -1e39
+        mesh = Mesh(vertices, np.arange(3 * count).reshape(-1, 3))
+        opened = []
+        monkeypatch.setattr(quador.writers, "open", lambda *a: opened.append(a), raising=False)
+        with pytest.raises(StlRangeError, match=re.escape("STL vertices value -1e+39 is outside")):
+            write_stl(mesh, tmp_path / "m.stl")
+        assert opened == [] and list(tmp_path.iterdir()) == []
+
     def test_round_trip_normals_and_empty_mesh(self, tmp_path, perp_lattice):
         asm = build_assembly(perp_lattice)
         mesh = marching_cubes(asm, auto_bounds(asm), 12)
@@ -436,7 +451,12 @@ class TestObjPolylines:
         # A conic in an axis plane: every point shares its z.
         lambda: [(np.column_stack([np.cos(TestObjPolylines.ANGLES), np.sin(TestObjPolylines.ANGLES),
                                    np.full(128, 1.25)]), True, "circle at z=1.25")],
-    ], ids=["special-values", "none", "empty-curves", "several-chunks", "constant-coordinate"])
+        # Many short curves, so chunks of rows cross curve boundaries; some
+        # empty, open or closed, numbered past each digit width.
+        lambda: [(np.random.default_rng(seed).normal(size=(seed % 97, 3)), seed % 3 == 0,
+                  f"curve {seed}" if seed % 5 else "") for seed in range(400)],
+    ], ids=["special-values", "none", "empty-curves", "several-chunks", "constant-coordinate",
+            "many-curves"])
     def test_bytes_match_per_value_format(self, curves, tmp_path):
         curves = curves()
         out = tmp_path / "c.obj"
@@ -1098,7 +1118,7 @@ class TestCli:
 
 
 def test_mesh_resolution_range(tmp_path, capsys):
-    # The dense grid needs about 1.7 GB at 512 cells per axis; 513 is refused
+    # The dense grid needs about 1.3 GB at 512 cells per axis; 513 is refused
     # before anything is built.  512 is only parsed here, not meshed.
     out = tmp_path / "m.stl"
     assert main(["mesh", str(BETA1), "--resolution", "513", "-o", str(out)]) == 1
@@ -1157,6 +1177,27 @@ def test_no_command_imports_numpy_random(tmp_path):
     assert run.returncode == 0, run.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "conics.obj", "grid.csv", "mesh.stl", "report.json"]
+
+
+@pytest.mark.parametrize("fmt", ["stl", "obj"])
+def test_mesh_leaves_numpy_ma_unimported(tmp_path, fmt):
+    # A plain np.unique imports numpy.ma (0.5 MB of code); meshing and both
+    # mesh writers call no function that does.
+    script = (
+        "import sys\n"
+        "from quador.cli import main\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script, "mesh", str(BETA1), "--resolution", "40",
+                          "--format", fmt, "-o", f"mesh.{fmt}"],
+                         cwd=tmp_path, capture_output=True, text=True, env=child_env())
+    assert run.returncode == 0, run.stderr
+    before, after = run.stdout.split()[-2:]
+    if before == "True":
+        pytest.skip("numpy.ma is already imported before the mesh (by numpy or another package)")
+    assert after == "False"
 
 
 def cubic_filleted(n: int) -> Lattice:

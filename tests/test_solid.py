@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quador
-from quador import cull
+from quador import cull, formats
 from quador.algebra import LinearForm, Quadric, stacked_values
 from quador.errors import DegenerateBoundsError, ValidationError
 from quador.lattice import Beam, FilletSpec, Hub, Lattice, beam_radius, sphere_quadric
@@ -39,6 +39,7 @@ from quador.solid import (
     field_value,
     marching_cubes,
 )
+from quador.writers import write_stl
 
 from beam_reference import reference_sphere
 from form_reference import neg, stack_forms
@@ -637,6 +638,48 @@ class TestBatchBudget:
         assert max(sizes["grid"]) == _BATCH
         assert 0 < max(sizes["points"]) <= _BATCH
 
+    def test_cull_bounding_holds_fewer_than_21_columns(self, monkeypatch):
+        # Bounding a batch of up to _BATCH (brick, form) rows reads 21 values
+        # a row (12 of the form, 9 of the box); gathered whole, they alone
+        # would hold 21 * _BATCH floats.
+        rows, peaks = [], []
+
+        def cull_pairs(grid, box, pair_brick, pair_part, f=cull._cull):
+            rows.append(int(grid.nforms[pair_part].sum()))
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            keep = f(grid, box, pair_brick, pair_part)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return keep
+
+        monkeypatch.setattr(cull, "_cull", cull_pairs)
+        lattice, axes = CULLED_GRIDS["cubic-2x2x2"]()
+        asm = build_assembly(lattice)
+        tracemalloc.start()
+        try:
+            field_grid(asm, *axes)
+        finally:
+            tracemalloc.stop()
+        assert _BATCH - 64 <= max(rows) <= _BATCH
+        assert max(peaks) < 21 * 8 * _BATCH
+
+    def test_small_budget_keeps_mesh_bytes(self, beta1_asm, monkeypatch, tmp_path):
+        # Slabs of one cell layer, and several chunks of corners, vertices and
+        # STL records, on a mesh of a few thousand triangles.
+        bounds = auto_bounds(beta1_asm)
+
+        def outputs():
+            mesh = marching_cubes(beta1_asm, bounds, (21, 30, 17))
+            write_stl(mesh, tmp_path / "m.stl")
+            return mesh.vertices.tobytes(), mesh.triangles.tobytes(), \
+                (tmp_path / "m.stl").read_bytes()
+
+        expect = outputs()
+        assert len(expect[1]) // 24 > 700  # triangles
+        for module in (formats, quador.mc_tables):
+            monkeypatch.setattr(module, "_BATCH", 700)
+        assert outputs() == expect
+
     def test_small_budget_keeps_every_bit(self, beta1_asm, monkeypatch):
         cubic, axes = CULLED_GRIDS["cubic-2x2x2"]()
         cubic = build_assembly(cubic)
@@ -872,6 +915,27 @@ class TestMarchingCubes:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * 2**20
+
+    @pytest.mark.parametrize("lattice, res", [
+        (lambda: load_lattice_path(FIXTURES / "perpendicular_beta1.json"), 64),
+        (lambda: load_lattice_path(FIXTURES / "perpendicular_beta1.json"), 128),
+        (lambda: load_lattice(lattice_json(cubic_lattice((2, 2, 2), 0)).encode()), 48),
+    ], ids=["fixture-64", "fixture-128", "cubic-48"])
+    def test_peak_beside_grid_and_mesh(self, lattice, res):
+        # Besides the field grid and the mesh, every array holds a few bytes
+        # per triangle corner or a few batches: whole-volume byte masks at 128,
+        # or five int64 arrays per corner, fail here.
+        asm = build_assembly(lattice())
+        bounds = auto_bounds(asm)
+        marching_cubes(asm, bounds, 8)  # the part table and tables are built once
+        tracemalloc.start()
+        try:
+            mesh = marching_cubes(asm, bounds, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rest = peak - 8 * (res + 1) ** 3 - mesh.vertices.nbytes - mesh.triangles.nbytes
+        assert rest <= 12 * mesh.triangles.size + 8 * 8 * _BATCH
 
     def test_box_inside_hub_is_empty(self):
         asm = build_assembly(Lattice((Hub("h", (0, 0, 0), 1.0),), (), ()))
