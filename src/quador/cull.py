@@ -26,11 +26,12 @@ comes near (the most is 62%, on the 6-part fixture), and by then its
 bounds are paid for; only a lattice of very few parts, whose leaves keep
 them all, evaluates up to that factor slower than dense.
 
-Bricks are bounded in batches of at most ``_BATCH`` (brick, form) rows.
-A row reads 21 values, 12 of its form and 9 of its brick's box, and each
-column is gathered only when the bound reads it: bounding a batch holds
-about 16 values a row at once, indices and temporaries included, where
-gathering the 21 columns first would hold about 29.
+Bricks are bounded in batches of at most ``_BATCH`` (brick, form) rows
+and ``_BATCH // 9`` bricks.  A row reads 21 values, 12 of its form and 9
+of its brick's box, and each column is gathered only when the bound
+reads it: bounding a batch holds about 16 values a row at once, indices
+and temporaries included, where gathering the 21 columns first would
+hold about 29.
 
 Meshing alone reads this module, so :mod:`quador.solid` imports it on
 first use: the other commands do not compile it.  It calls no numpy
@@ -170,9 +171,10 @@ def _cull_down(grid, top):
     while work:
         level, bricks, pair_brick, pair_part = work.pop()
         s = _SIZES[level]
-        # At most _BATCH (brick, form) rows at a time; the rest waits.
+        # At most _BATCH (brick, form) rows, and bricks whose 9 box values
+        # fill _BATCH, at a time; the rest waits.
         rows = np.cumsum(np.bincount(pair_brick, grid.nforms[pair_part], len(bricks)))
-        cut = max(1, int(np.searchsorted(rows, _BATCH, side="right")))
+        cut = max(1, min(int(np.searchsorted(rows, _BATCH, side="right")), _BATCH // 9))
         if cut < len(bricks):
             rest = np.searchsorted(pair_brick, cut)
             work.append((level, bricks[cut:], pair_brick[rest:] - cut, pair_part[rest:]))

@@ -563,9 +563,8 @@ class TestFieldGridCulled:
 
     def test_imports_no_numpy_ma(self):
         # A plain np.unique imports numpy.ma.  The mesh command imports it
-        # nowhere else (marching cubes asks np.unique for indices, which skips
-        # it), and doing so inside the culled grid raised its peak RSS by
-        # about 1 MB.
+        # nowhere else, and doing so inside the culled grid raised its peak
+        # RSS by about 1 MB.
         code = textwrap.dedent("""
             import sys
             import numpy as np
@@ -638,14 +637,18 @@ class TestBatchBudget:
         assert max(sizes["grid"]) == _BATCH
         assert 0 < max(sizes["points"]) <= _BATCH
 
-    def test_cull_bounding_holds_fewer_than_21_columns(self, monkeypatch):
+    @pytest.mark.parametrize("case", ["cubic-2x2x2", "fixture-fine-grid"])
+    def test_cull_bounding_holds_fewer_than_21_columns(self, case, monkeypatch):
         # Bounding a batch of up to _BATCH (brick, form) rows reads 21 values
         # a row (12 of the form, 9 of the box); gathered whole, they alone
-        # would hold 21 * _BATCH floats.
-        rows, peaks = [], []
+        # would hold 21 * _BATCH floats.  On the few-part fixture, leaves of
+        # one form each make batches of many bricks, whose 9-value box table
+        # must fit the budget too.
+        rows, boxes, peaks = [], [], []
 
         def cull_pairs(grid, box, pair_brick, pair_part, f=cull._cull):
             rows.append(int(grid.nforms[pair_part].sum()))
+            boxes.append(box.size)
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             keep = f(grid, box, pair_brick, pair_part)
@@ -653,14 +656,15 @@ class TestBatchBudget:
             return keep
 
         monkeypatch.setattr(cull, "_cull", cull_pairs)
-        lattice, axes = CULLED_GRIDS["cubic-2x2x2"]()
+        lattice, axes = CULLED_GRIDS[case]()
         asm = build_assembly(lattice)
         tracemalloc.start()
         try:
             field_grid(asm, *axes)
         finally:
             tracemalloc.stop()
-        assert _BATCH - 64 <= max(rows) <= _BATCH
+        assert max(rows) <= _BATCH and max(boxes) <= _BATCH
+        assert max(max(rows), max(boxes)) >= _BATCH - 64  # some batch fills the budget
         assert max(peaks) < 21 * 8 * _BATCH
 
     def test_small_budget_keeps_mesh_bytes(self, beta1_asm, monkeypatch, tmp_path):
