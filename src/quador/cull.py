@@ -1,4 +1,14 @@
-"""Exact part culling for :func:`~quador.solid.field_grid` on a grid of axis vectors.
+"""The mesh field behind :func:`~quador.solid.field_grid`: the grid formula,
+the bounds whose slack covers its rounding, and both fills, culled bricks
+for three axis vectors and budgeted slabs for any other broadcast.
+
+The grid formula (:func:`_form_grid`) expands each form term by term and
+min-reduces the parts by ``np.minimum`` in part order, elementwise, so no
+value's bits depend on how the work is split or broadcast.  The point
+path's BLAS products and ``np.fmin`` (:func:`~quador.solid.field_value`)
+differ from it in the last bits of about a quarter of the values, and give
+inf where it gives NaN at (1e160, 1e160, 0).  Both stay: the reference
+digests pin the meshes to this formula and ``sample.csv`` to that one.
 
 A part matters only near its own hub, so most of the assembly's parts
 cannot hold the minimum at a given grid point.  The grid is split into
@@ -15,16 +25,15 @@ strictly above the minimum at every point of its brick, so leaving it out
 changes no bit of the grid.
 
 Every brick is culled down to its leaves, however many forms they keep.
-Each kept part is evaluated over all its leaves at once, by the dense
-path's formula, and folded into the grid in part order.  NaN propagates
+Each kept part is evaluated over all its leaves at once, by the grid
+formula, and folded into the grid in part order.  NaN propagates
 through ``min`` in any order, and of equal values (``0.0``, ``-0.0``)
 ``np.minimum`` keeps the later part's, which every leaf over a point
-keeps too.  Per value, gathering costs 1.2 to 1.5 times what broadcasting
-does, so broadcasting a top brick would pay only where its leaves keep
-more than about 70% of all forms.  No top brick of the benchmark grids
-comes near (the most is 62%, on the 6-part fixture), and by then its
-bounds are paid for; only a lattice of very few parts, whose leaves keep
-them all, evaluates up to that factor slower than dense.
+keeps too.  Gathering costs 1.2 to 1.5 times what broadcasting does per
+value, so broadcasting a top brick would pay only where its leaves keep
+more than about 70% of all forms: no top brick of the benchmark grids
+comes near (62% at most, on the 6-part fixture), and only a lattice of
+very few parts, whose leaves keep them all, pays up to that factor.
 
 Bricks are bounded in batches of at most ``_BATCH`` (brick, form) rows
 and ``_BATCH // 9`` bricks.  A row reads 21 values, 12 of its form and 9
@@ -34,26 +43,26 @@ and temporaries included, where gathering the 21 columns first would
 hold about 29.
 
 Meshing alone reads this module, so :mod:`quador.solid` imports it on
-first use: the other commands do not compile it.  It calls no numpy
-function that imports :mod:`numpy.ma` (a plain ``np.unique`` does):
-importing that here raised the mesh's peak RSS by about 1 MB.
+first use and the other commands do not compile it; it imports nothing
+from :mod:`quador.solid` and reads the part table's ``stack`` and
+``bounds`` only.  It calls no numpy function that imports :mod:`numpy.ma`
+(a plain ``np.unique`` does), which raised the mesh's peak RSS by 1 MB.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .solid import _BATCH, _lower_to_parts, _PartTable
+from .algebra import _BATCH
 
-# Bricks of _BRICK points a side are halved down to leaves of _LEAF.  The one
-# batch budget bounds memory: no batch holds more than _BATCH units, be they
-# (brick, form) rows bounded at once, leaves of the top bricks grouped at once
-# or points gathered at once.  Half and twice _BATCH measured 8-23% slower on
-# the benchmark grids, and twice it raised marching_cubes' peak memory.
+# Bricks of _BRICK points a side are halved down to leaves of _LEAF.  Half and
+# twice _BATCH measured 8-23% slower on the benchmark grids, and twice it
+# raised marching_cubes' peak memory.
 _BRICK = 32
 _LEAF = 4
 _SIZES = tuple(_BRICK >> k for k in range((_BRICK // _LEAF).bit_length()))
@@ -67,6 +76,50 @@ _TERMS_MAX = 2.0 ** 1020
 # the symmetric matrix sits in it.
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _SYM = [[_UPPER.index((min(i, j), max(i, j))) for j in range(3)] for i in range(3)]
+
+
+def _form_grid(A, b, c, x, y, z):
+    """One form's values over broadcast coordinates; ``A is None`` for a plane.
+
+    A fixed summation order keeps each value's bits whatever the slab, brick
+    or broadcast: a plane row takes ``2 (b . X) + c``, the bits of
+    ``g . X + c0``.
+    """
+    linear = 2.0 * (b[0] * x + b[1] * y + b[2] * z)
+    if A is None:
+        return linear + c
+    return (A[0, 0] * x * x + A[1, 1] * y * y + A[2, 2] * z * z
+            + 2.0 * (A[0, 1] * x * y + A[0, 2] * x * z + A[1, 2] * y * z)
+            + linear + c)
+
+
+def _lower_to_parts(out, table, parts, x, y, z):
+    """Lower ``out`` to each listed part's value, the max of its forms', at
+    the broadcast points ``x, y, z``, part by part in the listed order."""
+    A, b, c = table.stack
+    for p in parts:
+        forms = (_form_grid(A[i] if A[i].any() else None, b[i, 0], c[i], x, y, z)
+                 for i in range(table.bounds[p], table.bounds[p + 1]))
+        np.minimum(out, functools.reduce(np.maximum, forms), out=out)
+
+
+def fill_grid(table, X, Y, Z):
+    """The field of a part table over broadcastable coordinate arrays, as
+    :func:`~quador.solid.field_grid` documents it."""
+    X, Y, Z = (np.asarray(a, dtype=float) for a in (X, Y, Z))
+    shape = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
+    out = np.full(shape or (1,), math.inf)  # a scalar is one slab of one point
+    X, Y, Z = (a.reshape((1,) * (out.ndim - a.ndim) + a.shape) for a in (X, Y, Z))
+    if (len(table.bounds) > 1 and out.ndim == 3 and out.size
+            and all(a.size == a.shape[i] for i, a in enumerate((X, Y, Z)))):
+        culled_grid(out, table, tuple(a.ravel() for a in (X, Y, Z)))
+        return out
+    step = max(1, _BATCH // max(1, math.prod(out.shape[1:])))
+    for start in range(0, len(out), step):
+        slab = slice(start, start + step)
+        _lower_to_parts(out[slab], table, range(len(table.bounds) - 1),
+                        *(a[slab] if len(a) > 1 else a for a in (X, Y, Z)))
+    return out.reshape(shape)
 
 
 def _form_table(A, b, c):
@@ -88,11 +141,10 @@ def _box(lo, hi):
         return np.vstack([0.5 * (lo + hi), h, h.max(axis=0) ** 2, X, X * X])
 
 
-def _form_bounds(form, box, form_at=..., box_at=...):
-    """Bounds on every value :func:`~quador.solid._form_grid` gives in a box,
-    for columns of :func:`_form_table` and :func:`_box`: bound ``k`` reads
-    form ``form_at[k]`` and box ``box_at[k]``, and by default the columns
-    broadcast.  A column is gathered only when it is read.
+def _form_bounds(form, box, form_at, box_at):
+    """Bounds on every value :func:`_form_grid` gives in a box, for columns
+    of :func:`_form_table` and :func:`_box`: bound ``k`` reads form
+    ``form_at[k]`` and box ``box_at[k]``, each column only when read.
 
     With centre ``m`` and half-extent ``h``, ``|f(m + d) - f(m)| <= 2 sum
     |(Am + b)_i| h_i + ||A|| max(h_i)^2``.  The slack covers the rounding
@@ -117,12 +169,11 @@ def _form_bounds(form, box, form_at=..., box_at=...):
 
 
 class _Grid(NamedTuple):
-    """What the culled path reads: the result, its axes, the part table and
-    per-size brick indices."""
+    """What the culled fill reads."""
 
     out: np.ndarray
     axes: tuple  # the three coordinate vectors
-    table: _PartTable
+    table: tuple  # the assembly's part table; its stack and bounds are read
     forms: np.ndarray  # _form_table of the stack
     nforms: np.ndarray  # forms per part
     points: dict  # brick size -> per axis, _brick_points

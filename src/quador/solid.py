@@ -22,13 +22,11 @@ of points in one ``stacked_values`` call, with the label rule applied to
 the whole chunk; one budget, ``_BATCH``, sizes these chunks and every other
 batched loop.  They keep the BLAS products and the ``np.fmin`` NaN rule of
 one point at a time, so each value keeps its bits however the points are
-batched, and ``sample.csv`` keeps its bytes; ``field_grid``'s term-by-term
-formula still differs from them in the last bits (see there).
+batched, and ``sample.csv`` keeps its bytes.
 
-Each part matters only near its own hub, so on the grid that
-:func:`marching_cubes` meshes, ``field_grid`` evaluates a part only where
-its bounds cannot rule it out (:mod:`quador.cull`), and the grid keeps every
-bit of the dense evaluation.
+This module owns the part table, the point path, ``auto_bounds`` and
+``marching_cubes``; the grid's formula, bounds and fills are
+:mod:`quador.cull`'s, and the extraction is :mod:`quador.mc_tables`'.
 """
 
 from __future__ import annotations
@@ -169,73 +167,22 @@ def field_value(assembly: Assembly, x):
     return float(out[0]) if one else out
 
 
-def _form_grid(A, b, c, x, y, z):
-    """One form's values over broadcast coordinates; ``A is None`` for a plane.
-
-    A fixed summation order keeps each value's bits whatever the slab, brick
-    or broadcast: a plane row takes ``2 (b . X) + c``, the bits of
-    ``g . X + c0``.
-    """
-    linear = 2.0 * (b[0] * x + b[1] * y + b[2] * z)
-    if A is None:
-        return linear + c
-    return (A[0, 0] * x * x + A[1, 1] * y * y + A[2, 2] * z * z
-            + 2.0 * (A[0, 1] * x * y + A[0, 2] * x * z + A[1, 2] * y * z)
-            + linear + c)
-
-
-def _lower_to_parts(out, table, parts, x, y, z):
-    """Lower ``out`` to each listed part's value at the broadcast points
-    ``x, y, z``, part by part in the listed order."""
-    A, b, c = table.stack
-    for p in parts:
-        part = None
-        for i in range(table.bounds[p], table.bounds[p + 1]):
-            v = _form_grid(A[i] if A[i].any() else None, b[i, 0], c[i], x, y, z)
-            part = v if part is None else np.maximum(part, v)
-        np.minimum(out, part, out=out)
-
-
 def field_grid(assembly: Assembly, X, Y, Z) -> np.ndarray:
-    """The solid's field over broadcastable coordinate arrays.
+    """The solid's field over broadcastable coordinate arrays, by the grid
+    formula of :mod:`quador.cull`: not the bits of :func:`field_value`, and
+    the same bits however the work is split or broadcast.
 
-    Not the batched :func:`field_value`: its term-by-term forms
-    (:func:`_form_grid`) and ``np.minimum`` differ from the point path's BLAS
-    products and ``np.fmin`` in the last bits of about a quarter of the
-    values, and at (1e160, 1e160, 0) it gives NaN where ``field_value`` gives
-    inf.  Both stay: the reference digests pin the meshes to this formula and
-    ``sample.csv`` to that one.  Every value is computed elementwise by the
-    same operations in the same order (the parts min-reduced in part order),
-    so its bits do not depend on how the work is split or broadcast.
-
-    Three axis vectors broadcast against each other (shapes ``(nx, 1, 1)``,
-    ``(1, ny, 1)``, ``(1, 1, nz)``, as :func:`marching_cubes` passes them)
-    go through :mod:`quador.cull`: each form is bounded on bricks of the
-    grid, and a part is evaluated only in the bricks where it can hold the
-    minimum.  The parts left out lie strictly above it, so no bit changes.
-    A brick whose bounds are not finite keeps every part.
-
-    Any other input is filled one part at a time, in slabs of ``_BATCH``
-    points along the first broadcast axis.  Either way, besides the result,
-    no array holds more than about ``_BATCH`` values, bounds or indices.
+    On three axis vectors broadcast against each other (shapes ``(nx, 1, 1)``,
+    ``(1, ny, 1)``, ``(1, 1, nz)``, as :func:`marching_cubes` passes them), a
+    part is evaluated only in the bricks of the grid where its bounds let it
+    hold the minimum, so no bit changes.  Any other input is filled one part
+    at a time, in slabs of ``_BATCH`` points along the first broadcast axis.
+    Either way, besides the result, no array holds more than about
+    ``_BATCH`` values, bounds or indices.
     """
-    X, Y, Z = (np.asarray(a, dtype=float) for a in (X, Y, Z))
-    shape = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
-    out = np.full(shape or (1,), math.inf)  # a scalar is one slab of one point
-    X, Y, Z = (a.reshape((1,) * (out.ndim - a.ndim) + a.shape) for a in (X, Y, Z))
-    table = assembly._table
-    if (len(table.bounds) > 1 and out.ndim == 3 and out.size
-            and all(a.size == a.shape[i] for i, a in enumerate((X, Y, Z)))):
-        from .cull import culled_grid  # only meshing culls; see quador.cull
+    from .cull import fill_grid  # only meshing compiles grid code; see quador.cull
 
-        culled_grid(out, table, tuple(a.ravel() for a in (X, Y, Z)))
-        return out
-    step = max(1, _BATCH // max(1, math.prod(out.shape[1:])))
-    for start in range(0, len(out), step):
-        slab = slice(start, start + step)
-        _lower_to_parts(out[slab], table, range(len(table.bounds) - 1),
-                        *(a[slab] if len(a) > 1 else a for a in (X, Y, Z)))
-    return out.reshape(shape)
+    return fill_grid(assembly._table, X, Y, Z)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .solid import _BATCH, Mesh
+from .algebra import _BATCH
+from .solid import Mesh
 
 __all__ = [
     "write_stl",

@@ -1,5 +1,6 @@
 """Assembly field, point classification, bounds and polygonization."""
 
+import ast
 import dataclasses
 import hashlib
 import itertools
@@ -24,11 +25,10 @@ from quador.errors import DegenerateBoundsError, ValidationError
 from quador.lattice import Beam, FilletSpec, Hub, Lattice, beam_radius, sphere_quadric
 from quador.latticefile import load_lattice, load_lattice_path
 from quador.mc_tables import EDGE_VERTS, TRI_TABLE, VERT_OFFSETS
-from quador.cull import _box, _form_bounds, _form_table
+from quador.cull import _box, _form_bounds, _form_grid, _form_table
 from quador.solid import (
     _BATCH,
     OUTSIDE,
-    _form_grid,
     Mesh,
     PointClassification,
     RegionLabel,
@@ -603,19 +603,32 @@ class TestFieldGridCulled:
         lo, hi = (np.array([m.ravel() for m in np.meshgrid(*(end(q, axis=1) for q in leaves),
                                                             indexing="ij")])
                   for end in (np.min, np.max))
-        lower, upper = _form_bounds(forms[:, :, None], _box(lo, hi)[:, None, :])
+        lower, upper = _form_bounds(forms[:, :, None], _box(lo, hi)[:, None, :], ..., ...)
         finite = np.isfinite(lower).all(axis=0) & np.isfinite(upper).all(axis=0)
         assert finite.any() and not finite.all()
 
+    def test_cull_imports_nothing_from_solid(self):
+        # quador.solid imports quador.cull on first use; an import back, at
+        # module level or inside a function, would make the two a cycle.
+        imported = set()
+        for node in ast.walk(ast.parse(Path(cull.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                package = ".".join(filter(None, ["quador" if node.level else "", node.module]))
+                imported.add(package)
+                imported.update(f"{package}.{alias.name}" for alias in node.names)
+        assert not {m for m in imported if m == "quador.solid" or m.startswith("quador.solid.")}
+
 
 class TestBatchBudget:
-    """One budget, ``quador.solid._BATCH``, sizes every batched evaluation:
+    """One budget, ``quador.algebra._BATCH``, sizes every batched evaluation:
     no temporary holds more than ``_BATCH`` values, and its size moves no bit."""
 
     def test_temporaries_hold_at_most_the_budget(self, beta1_asm, monkeypatch):
         sizes = {"grid": [], "points": []}
 
-        def form_grid(A, b, c, *xyz, f=quador.solid._form_grid):
+        def form_grid(A, b, c, *xyz, f=cull._form_grid):
             sizes["grid"].append(np.broadcast(*xyz).size)
             return f(A, b, c, *xyz)
 
@@ -623,7 +636,7 @@ class TestBatchBudget:
             sizes["points"].append(3 * len(stack[2]) * len(pts))  # (row @ A) is the largest
             return f(stack, pts)
 
-        monkeypatch.setattr(quador.solid, "_form_grid", form_grid)
+        monkeypatch.setattr(cull, "_form_grid", form_grid)
         monkeypatch.setattr(quador.solid, "stacked_values", values)
         cubic, axes = CULLED_GRIDS["cubic-2x2x2"]()
         cubic = build_assembly(cubic)
@@ -745,7 +758,8 @@ def test_form_bounds_hold(quadric, upper, g, d, origin, scale, corner, size, ext
     pts = np.concatenate([pts, np.array(list(itertools.product(*zip(lo, hi)))).T], axis=1)
     values = _form_grid(A, b, c, *pts)
     form = _form_table((A if quadric else np.zeros((3, 3)))[None], b[None], np.array([c]))
-    lower, upper_bound = _form_bounds(form[:, 0], _box(lo[:, None], hi[:, None])[:, 0])
+    box = _box(lo[:, None], hi[:, None])[:, 0]
+    lower, upper_bound = _form_bounds(form[:, 0], box, ..., ...)
     assert math.isfinite(lower) and math.isfinite(upper_bound)
     assert np.all(lower <= values) and np.all(values <= upper_bound)
 
