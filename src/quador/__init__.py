@@ -17,14 +17,12 @@ from .algebra import (
     principal_curvatures,
     subtract_square,
 )
-from .charts import SurfaceChart, parametrize
 from .conics import (
     Conic,
     ConicClass,
     PlaneFrame,
     classify_conic,
     intersect_quadric_plane,
-    pcurve,
     plane_frame,
     sample_conic,
 )

@@ -318,22 +318,6 @@ class QuadricClass(Enum):
     EMPTY = "EMPTY"
 
 
-#: Classes with a closed-form surface chart.
-CHARTED_CLASSES = frozenset(
-    {
-        QuadricClass.ELLIPSOID,
-        QuadricClass.HYPERBOLOID_ONE_SHEET,
-        QuadricClass.HYPERBOLOID_TWO_SHEETS,
-        QuadricClass.ELLIPTIC_PARABOLOID,
-        QuadricClass.HYPERBOLIC_PARABOLOID,
-        QuadricClass.ELLIPTIC_CYLINDER,
-        QuadricClass.HYPERBOLIC_CYLINDER,
-        QuadricClass.PARABOLIC_CYLINDER,
-        QuadricClass.CONE,
-    }
-)
-
-
 @dataclass(frozen=True, eq=False)
 class QuadricClassification:
     """Canonical frame and coefficients of a classified quadric.
@@ -359,27 +343,6 @@ class QuadricClassification:
         object.__setattr__(self, "translation", _freeze(self.translation))
         object.__setattr__(self, "diag", tuple(float(d) for d in self.diag))
         object.__setattr__(self, "scalar", float(self.scalar))
-
-    def to_canonical(self, x) -> np.ndarray:
-        return self.rotation.T @ (_vec(x) - self.translation)
-
-    def to_world(self, y) -> np.ndarray:
-        return self.translation + self.rotation @ np.asarray(y, dtype=float)
-
-    def reconstruct(self) -> Quadric:
-        """Rebuild the quadric from frame + canonical coefficients."""
-        R, t = self.rotation, self.translation
-        lam = np.asarray(self.diag)
-        A = R @ np.diag(lam) @ R.T
-        b = -A @ t
-        c = float(t @ A @ t)
-        if self.parabolic_axis is not None:
-            u = R[:, self.parabolic_axis]
-            b = b + self.scalar * u
-            c -= 2.0 * self.scalar * float(u @ t)
-        else:
-            c += self.scalar
-        return Quadric(A, b, c)
 
 
 #: The definite classes of ranks 3, 2 and 1: the degenerate one, where the

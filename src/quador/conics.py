@@ -25,10 +25,8 @@ import numpy as np
 
 from .algebra import (_BATCH, LinearForm, Quadric, _axis_complement, _dots,
                       stacked_values)
-from .charts import TWO_PI, SurfaceChart
-from .errors import (AllZeroError, NotACurveError, PointOffSurfaceError, QuadorError,
-                     ZeroGradientError)
-from .tolerances import CONIC_CLASSIFY_TOL, SURF_RESIDUAL_TOL, UNBOUNDED_PARAM_RANGE
+from .errors import AllZeroError, NotACurveError, QuadorError, ZeroGradientError
+from .tolerances import CONIC_CLASSIFY_TOL, UNBOUNDED_PARAM_RANGE
 
 __all__ = [
     "PlaneFrame",
@@ -39,7 +37,6 @@ __all__ = [
     "classify_conic",
     "sample_conic",
     "conic_pieces",
-    "pcurve",
 ]
 
 
@@ -372,7 +369,7 @@ def _plane_samples(klass: ConicClass, center, axes, radii, lines, n: int) -> np.
         c1 = np.where(second, -1.0, 1.0) * radii[:, :1] * np.array([math.cosh(x) for x in t])
         c2 = radii[:, 1:] * np.array([math.sinh(x) for x in t])
     else:
-        th = [TWO_PI * j / n for j in range(n)]
+        th = [math.tau * j / n for j in range(n)]
         c1 = radii[:, :1] * np.array([math.cos(x) for x in th])
         c2 = radii[:, 1:] * np.array([math.sin(x) for x in th])
     return center[:, None] + c1[..., None] * axes[:, None, 0] + c2[..., None] * axes[:, None, 1]
@@ -387,23 +384,3 @@ def conic_pieces(conic: Conic, pts: np.ndarray) -> list[np.ndarray]:
         return [pts[:half], pts[half:]]
     return [pts]
 
-
-def pcurve(conic: Conic, chart: SurfaceChart, n: int) -> np.ndarray:
-    """Trimming curve of a conic in a chart's parameter space.
-
-    Samples the conic, checks each sample lies on the chart's surface, and
-    inverts the chart.  Angular parameters are unwrapped so consecutive
-    samples never jump by a period.  Returns an (n, 2) array of ``(u, v)``.
-    """
-    q = chart.classification.reconstruct()
-    pts = sample_conic(conic, n)
-    scale = np.maximum(1.0, np.abs(q.coeffs()).max() * np.maximum(1.0, (pts * pts).sum(1)))
-    off = np.abs(stacked_values(q._row(), pts)[:, 0]) > SURF_RESIDUAL_TOL * scale
-    if off.any():
-        p = pts[off.argmax()]
-        raise PointOffSurfaceError(f"conic sample {tuple(p.tolist())} is not on the chart surface")
-    uv = np.array([chart.inverse(p) for p in pts], dtype=float)
-    for col, period in ((0, chart.u_period), (1, chart.v_period)):
-        if period > 0.0:
-            uv[:, col] = np.unwrap(uv[:, col], period=period)
-    return uv

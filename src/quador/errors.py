@@ -30,12 +30,6 @@ class SingularPointError(QuadorError):
     code = "SINGULAR_POINT"
 
 
-class UnsupportedClassError(QuadorError):
-    """No closed-form chart exists for this quadric class."""
-
-    code = "UNSUPPORTED_CLASS"
-
-
 class ZeroGradientError(QuadorError):
     """A linear form with zero gradient does not define a plane."""
 
@@ -124,12 +118,6 @@ class NotACurveError(QuadorError):
     code = "NOT_A_CURVE"
 
 
-class PointOffSurfaceError(QuadorError):
-    """A p-curve was requested for a conic that does not lie on the chart."""
-
-    code = "POINT_OFF_SURFACE"
-
-
 class NoBisectorIntersectionError(QuadorError):
     """The outward bisector ray misses the fillet surface."""
 
@@ -161,8 +149,8 @@ class ParseError(QuadorError):
 
 class ValidationError(QuadorError):
     """A lattice has a bad id or a part that fails to build; ``report`` holds
-    the full findings of :func:`~quador.lattice.validate_lattice`, errors
-    first, then warnings.  The message names the errors only."""
+    the errors :func:`~quador.lattice.validate_lattice` finds, and the
+    message names each one."""
 
     code = "VALIDATION_ERROR"
 

@@ -18,9 +18,7 @@ Everything here is immutable after construction and safe for concurrent
 reads.  Each lattice builds each hub sphere, beam (its two stubs) and fillet
 once, on first use, and records the errors that building them raised
 (``_resolve``, the build pass); it raises copies of those errors, never
-the cached instances.  The warning checks read the built parts in
-a separate pass (``_warning_pass``) that only :func:`validate_lattice` runs,
-once per lattice, so loading and assembling a valid lattice never pay for it.
+the cached instances.  :func:`validate_lattice` reports those errors.
 """
 
 from __future__ import annotations
@@ -34,8 +32,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .algebra import (LinearForm, Quadric, _coeffs, _dots, _freeze, _plane_values,
-                      _stack_rows, _subtract_square, stacked_values)
+from .algebra import LinearForm, Quadric, _coeffs, _dots, _freeze, _plane_values, _subtract_square
 from .errors import (
     CenterOverflowError,
     CoincidentHubsError,
@@ -103,10 +100,6 @@ class Lattice:
     def _resolved(self) -> _Resolution:
         # Frozen, so never stale; threads racing here at most build it twice.
         return _resolve(self)
-
-    @cached_property
-    def _warnings(self) -> tuple[ValidationIssue, ...]:
-        return _warning_pass(self)
 
 
 def fillet_key(hub_id: str, beam_i: str, beam_j: str) -> str:
@@ -362,7 +355,7 @@ def stub_views_at_hub(lattice: Lattice, hub_id: str) -> list[StubView]:
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    severity: str  # "error" | "warning"
+    severity: str  # always "error"
     code: str
     subject: str
     message: str
@@ -383,14 +376,8 @@ class ValidationReport:
     def add_error(self, code: str, subject: str, message: str):
         self.entries.append(ValidationIssue("error", code, subject, message))
 
-    def add_warning(self, code: str, subject: str, message: str):
-        self.entries.append(ValidationIssue("warning", code, subject, message))
-
     def codes(self) -> set[str]:
         return {e.code for e in self.entries}
-
-
-_WEDGE_SAMPLES = 512  # points sampled by each fillet check in validation
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,15 +399,10 @@ def validate_lattice(lattice: Lattice) -> ValidationReport:
 
     Errors: duplicate or missing ids and self-loops; otherwise the coded error
     that building a hub, beam or fillet raised, once, under that part.  A part
-    at a failed hub or beam is not built, so it is not reported again.
-    Warnings: overlapping hub spheres, built fillets still active on their
-    locality sphere (sampled), and overlapping fillet wedges at hubs with
-    more than two beams (sampled).  Every error comes before every warning.
-    The warnings are computed on a lattice's first call and cached;
-    :func:`~quador.latticefile.load_lattice` and
-    :func:`~quador.solid.build_assembly` check the errors only.
+    at a failed hub or beam is not built, so it is not reported again.  These
+    are the build pass's records, so the first call on a lattice builds it.
     """
-    return ValidationReport([*lattice._resolved.errors, *lattice._warnings])
+    return ValidationReport(list(lattice._resolved.errors))
 
 
 def _resolve(lattice: Lattice) -> _Resolution:
@@ -492,60 +474,3 @@ def _resolve(lattice: Lattice) -> _Resolution:
     return _Resolution(hubs, spheres, beams, geometry, stubs, locality, stack,
                        tuple(report.entries))
 
-
-def _warning_pass(lattice: Lattice) -> tuple[ValidationIssue, ...]:
-    """The warnings on a lattice's built parts, in this order: overlapping hub
-    spheres, each built fillet still active on its locality sphere, and
-    overlapping fillet wedges at each hub with more than two beams."""
-    resolved = lattice._resolved
-    report = ValidationReport()
-    for i, h1 in enumerate(lattice.hubs):
-        for h2 in lattice.hubs[i + 1:]:
-            gap = math.dist(h1.center, h2.center)
-            if gap < h1.radius + h2.radius:
-                report.add_warning(
-                    "HUB_OVERLAP",
-                    f"{h1.id}+{h2.id}",
-                    f"hub spheres {h1.id!r} and {h2.id!r} overlap",
-                )
-
-    stack = resolved.fillets
-    E1, E2 = stack.planes[2:]
-    forms = _stack_rows(E1, E2, stack.Q)  # rows 3i to 3i + 2 are fillet i's E1, E2 and Q
-    fillet_wedges: dict[str, list[int]] = {}
-    dirs = np.random.default_rng(0).normal(size=(_WEDGE_SAMPLES, 3))  # same for every fillet
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    for i, (stub1, stub2) in enumerate(stack.stubs):
-        if stack.errors[i]:
-            continue
-        hub = stub1.hub
-        fillet_wedges.setdefault(hub.id, []).append(i)
-        boundary = np.asarray(hub.center) + resolved.locality[hub.id] * dirs
-        e1, e2, q = stacked_values(tuple(f[3 * i:3 * i + 3] for f in forms), boundary).T
-        active = int(np.count_nonzero((e1 >= 0) & (e2 >= 0) & (q <= 0)))
-        if active:
-            report.add_warning(
-                "FILLET_ACTIVE_AT_LOCALITY",
-                fillet_key(hub.id, stub1.beam.id, stub2.beam.id),
-                f"fillet solid reaches the locality sphere "
-                f"({active}/{_WEDGE_SAMPLES} sampled directions); it will be clipped",
-            )
-
-    for hub_id, wedges in fillet_wedges.items():
-        if len(wedges) < 2 or len(resolved.stubs[hub_id]) <= 2:
-            continue
-        hub = resolved.hubs[hub_id]
-        r = hub.radius
-        box = np.random.default_rng(1).uniform(-2 * r, 2 * r, size=(_WEDGE_SAMPLES, 3))
-        positive = stacked_values(_stack_rows(E1[wedges], E2[wedges]),
-                                  np.asarray(hub.center) + box) > 0
-        in_wedge = positive[:, 0::2] & positive[:, 1::2]  # (point, wedge)
-        # Wedge pairs a < b with a sample point in both, in (a, b) order.
-        for a, b in zip(*np.nonzero(np.triu(in_wedge.T @ in_wedge, 1))):
-            report.add_warning(
-                "FILLET_WEDGE_OVERLAP",
-                hub_id,
-                f"fillet wedges {a} and {b} at hub {hub_id!r} overlap "
-                "(sampled); tangency between the patches is not guaranteed",
-            )
-    return tuple(report.entries)

@@ -13,8 +13,7 @@ Numbers must be finite (booleans and ``NaN``/``Infinity`` are rejected), ids
 must be non-empty printable strings, and fixed-length arrays must have
 exactly the declared length.  Missing top-level sections default to empty.
 After parsing, the ids are checked and every part of the lattice is built;
-any error raises :class:`ValidationError` with the full report attached.  A
-valid lattice's warnings are not computed here.
+any error raises :class:`ValidationError` with the full report attached.
 """
 
 from __future__ import annotations
@@ -117,8 +116,7 @@ def load_lattice(text: str | bytes) -> Lattice:
     """Parse (strictly) a lattice document, check its ids and build its parts.
 
     A bad id or a part that fails to build raises :class:`ValidationError`
-    with :func:`validate_lattice`'s report.  A valid lattice's warnings are
-    not computed; :func:`validate_lattice` computes them on demand.
+    with :func:`validate_lattice`'s report.
     """
     if isinstance(text, bytes):
         try:

@@ -122,7 +122,6 @@ def build_assembly(lattice: Lattice) -> Assembly:
 
     The ids must hold and every part must build; otherwise
     :class:`ValidationError` carries :func:`validate_lattice`'s report.
-    Warnings are not checked.
     Each hub's fillets are clipped to a ball of radius the minimum center
     distance to a connected hub (``2r`` for isolated hubs), and at least
     ``1.25 r``.

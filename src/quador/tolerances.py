@@ -10,7 +10,7 @@ COEFF_REL_TOL = 1e-12
 # Gradient agreement along tangency circles/conics, relative to |grad S|.
 GRAD_REL_TOL = 1e-12
 
-# On-surface residual for sampled curve/chart points, relative to scale.
+# On-surface residual for sampled conic points, relative to scale.
 SURF_RESIDUAL_TOL = 1e-10
 
 # Relative rank threshold for quadric classification (eigenvalue zeroing).

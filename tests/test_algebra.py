@@ -23,7 +23,7 @@ from quador.algebra import (
 from quador.errors import AllZeroError, SingularPointError
 
 from conftest import random_rotation, transformed_quadric
-from form_reference import linear_product, neg, scaled, stack_forms
+from form_reference import linear_product, neg, reconstruct, scaled, stack_forms
 
 UNIT_SPHERE = Quadric(np.eye(3), np.zeros(3), -1.0)
 CYLINDER_X = Quadric(np.diag([0.0, 1.0, 1.0]), np.zeros(3), -1.0)  # y^2 + z^2 - 1
@@ -356,7 +356,7 @@ class TestClassify:
         q = Quadric(*transformed_quadric(A, b, c, R, t))
         cls = classify_quadric(q)
         assert cls.label is label
-        recon = cls.reconstruct()
+        recon = reconstruct(cls)
         denom = np.linalg.norm(q.coeffs())
         assert np.linalg.norm((q.coeffs() - recon.coeffs())) <= 1e-10 * denom
 
@@ -437,7 +437,7 @@ class TestClassify:
     def test_linear_plane(self):
         cls = classify_quadric(Quadric(np.zeros((3, 3)), (0.0, 0.0, 0.5), -0.5))
         assert cls.label is QuadricClass.SINGLE_PLANE
-        recon = cls.reconstruct()
+        recon = reconstruct(cls)
         npt.assert_allclose(recon.coeffs(), [0, 0, 0, 0, 0, 0, 0, 0, 0.5, -0.5], atol=1e-14)
 
 

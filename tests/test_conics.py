@@ -1,4 +1,4 @@
-"""Plane frames, conic sections, sampling and p-curves."""
+"""Plane frames, conic sections and sampling."""
 
 import dataclasses
 import itertools
@@ -10,7 +10,6 @@ import pytest
 
 import quador.conics
 from quador.algebra import LinearForm, Quadric, classify_quadric
-from quador.charts import parametrize
 from quador.conics import (
     CLOSED_CLASSES,
     COMPACT_CLASSES,
@@ -21,18 +20,16 @@ from quador.conics import (
     classify_conic,
     conic_pieces,
     intersect_quadric_plane,
-    pcurve,
     plane_frame,
     sample_conic,
 )
 from quador.errors import (
     AllZeroError,
     NotACurveError,
-    PointOffSurfaceError,
     QuadorError,
     ZeroGradientError,
 )
-from quador.tolerances import SURF_RESIDUAL_TOL, UNBOUNDED_PARAM_RANGE
+from quador.tolerances import UNBOUNDED_PARAM_RANGE
 
 from conftest import random_rotation, transformed_quadric
 
@@ -376,83 +373,3 @@ class TestConicPieces:
                 else:
                     assert len(pieces) == 1
         assert seen == CURVE_CLASSES
-
-
-class TestPCurve:
-    def test_sphere_circle_constant_latitude(self):
-        conic = intersect_quadric_plane(UNIT_SPHERE, LinearForm((0.0, 0.0, 1.0), -0.5))
-        chart = parametrize(classify_quadric(UNIT_SPHERE))
-        uv = pcurve(conic, chart, 64)
-        npt.assert_allclose(uv[:, 1], math.pi / 6, atol=1e-12)
-        # u sweeps a full turn continuously (unwrapped, no 2*pi jumps)
-        du = np.diff(uv[:, 0])
-        assert np.all(np.abs(du) < 0.2)
-        assert abs(abs(uv[-1, 0] - uv[0, 0]) - 2 * math.pi * 63 / 64) <= 1e-9
-
-    def test_tangency_ellipse_on_cylinder_chart(self):
-        conic = intersect_quadric_plane(CYLINDER_X, LinearForm((-0.75, 1.25, 0.0), 0.0))
-        chart = parametrize(classify_quadric(CYLINDER_X))
-        pts = sample_conic(conic, 128)
-        uv = pcurve(conic, chart, 128)
-        for p, (u, v) in zip(pts, uv):
-            p2 = chart.forward(u, v)
-            assert np.linalg.norm(p2 - p) <= 1e-9 * max(1.0, np.linalg.norm(p))
-        assert np.all(np.abs(np.diff(uv[:, 0])) < 0.5)
-
-    def test_off_surface_rejected(self):
-        conic = intersect_quadric_plane(UNIT_SPHERE, LinearForm((0.0, 0.0, 1.0), -0.5))
-        chart = parametrize(classify_quadric(CYLINDER_X))
-        with pytest.raises(PointOffSurfaceError):
-            pcurve(conic, chart, 16)
-
-
-def per_point_pcurve(conic, chart, n):
-    """``pcurve`` as one surface check and one unwrap step per sample."""
-    q = chart.classification.reconstruct()
-    params = []
-    for p in sample_conic(conic, n):
-        scale = max(1.0, float(np.abs(q.coeffs()).max()) * max(1.0, float(p @ p)))
-        if abs(q.value(p)) > SURF_RESIDUAL_TOL * scale:
-            raise PointOffSurfaceError(f"conic sample {tuple(p.tolist())} is not on the chart surface")
-        params.append(chart.inverse(p))
-    uv = np.array(params, dtype=float)
-    for col, period in ((0, chart.u_period), (1, chart.v_period)):
-        if period > 0.0:
-            for i in range(1, len(uv)):
-                jump = uv[i, col] - uv[i - 1, col]
-                uv[i, col] -= period * round(jump / period)
-    return uv
-
-
-class TestPCurveMatchesPerPointLoop:
-    def test_sphere_and_cylinder_charts(self):
-        rng = np.random.default_rng(11)
-        cases = [(UNIT_SPHERE, LinearForm(rng.normal(size=3), rng.uniform(-0.5, 0.5)))
-                 for _ in range(8)]
-        cases += [(CYLINDER_X, LinearForm(rng.normal(size=3), rng.uniform(-0.5, 0.5)))
-                  for _ in range(8)]
-        cases.append((CYLINDER_X, LinearForm((0.0, 1.0, 0.0), 0.0)))  # a line pair
-        for q, lin in cases:
-            conic = intersect_quadric_plane(q, lin)
-            chart = parametrize(classify_quadric(q))
-            for n in (4, 33, 256):
-                npt.assert_allclose(pcurve(conic, chart, n), per_point_pcurve(conic, chart, n),
-                                    rtol=0.0, atol=1e-12)
-
-    def test_off_surface_names_the_same_first_sample(self):
-        # The cut y = 0 of y^2 + z^2 = 1 is the lines z = 1 and z = -1; the
-        # cylinder y^2 + (z - 2 s)^2 = 1 holds only the line z = s.
-        conic = intersect_quadric_plane(CYLINDER_X, LinearForm((0.0, 1.0, 0.0), 0.0))
-        names_first = []
-        for s in (1.0, -1.0):
-            other = Quadric(np.diag([0.0, 1.0, 1.0]), (0.0, 0.0, -2.0 * s), 3.0)
-            chart = parametrize(classify_quadric(other))
-            for n in (4, 9):
-                with pytest.raises(PointOffSurfaceError) as want:
-                    per_point_pcurve(conic, chart, n)
-                with pytest.raises(PointOffSurfaceError) as got:
-                    pcurve(conic, chart, n)
-                assert str(got.value) == str(want.value)
-                first = f"conic sample {tuple(sample_conic(conic, n)[0].tolist())} is not on the chart surface"
-                names_first.append(str(want.value) == first)
-        assert sorted(names_first) == [False, False, True, True]  # a later sample for one s

@@ -5,12 +5,14 @@ give the bits of its former object body (``form_reference``) over the whole
 float range: every exponent from -1074 to 1023, signed zeros, subnormals,
 infinities and NaN (any NaN for a NaN; see :func:`same_bits`).
 ``stacked_values``' plane-row claim is checked as its docstring states it,
-and each module's ``__all__`` against its code.
+and each module's ``__all__`` and imports against its code.
 """
 
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +123,40 @@ def test_every_name_in_all_exists():
         assert not missing, f"{module.__name__}.__all__ names {missing}"
 
 
+def unused_imports(source: str) -> list[str]:
+    """The names a module's source imports and never reads, ``__all__``
+    counting as a read; an import line marked ``# noqa: F401`` is kept on purpose."""
+    tree, lines = ast.parse(source), source.splitlines()
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):  # the strings of __all__ = [...]
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= {n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        unused += [name for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                   if name not in read]
+    return unused
+
+
+def test_no_unused_imports():
+    for path in sorted(Path(quador.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            assert unused_imports(path.read_text()) == [], path.name
+
+
+def test_unused_imports_finds_each_kind():
+    source = ("from __future__ import annotations\nimport os, sys as system\n"
+              "from math import pi, tau  # noqa: F401\nfrom json import (dumps,\n  loads)\n"
+              "__all__ = ['dumps']\nprint(os.sep)\n")
+    assert unused_imports(source) == ["system", "loads"]
+
+
 def test_every_public_name_is_in_a_modules_all():
     declared = {name for module in modules() for name in getattr(module, "__all__", ())}
     public = [name for name, value in vars(quador).items()
@@ -128,7 +164,26 @@ def test_every_public_name_is_in_a_modules_all():
     assert sorted(set(public) - declared) == []
 
 
-@pytest.mark.parametrize("name", ["linear_product", "rel_coeff_residual", "stack_forms"])
-def test_removed_names_are_gone(name):
+REMOVED = [
+    ("quador.algebra", "linear_product"),
+    ("quador.algebra", "rel_coeff_residual"),
+    ("quador.algebra", "stack_forms"),
+    ("quador", "charts"),
+    ("quador.conics", "pcurve"),
+    ("quador.algebra", "CHARTED_CLASSES"),
+    ("quador.errors", "UnsupportedClassError"),
+    ("quador.errors", "PointOffSurfaceError"),
+    ("quador.lattice", "_warning_pass"),
+    ("quador.lattice", "ValidationReport.add_warning"),
+]
+
+
+@pytest.mark.parametrize("module,name", REMOVED,
+                         ids=[name.rpartition(".")[2] for _, name in REMOVED])
+def test_removed_names_are_gone(module, name):
+    owner, _, attr = name.rpartition(".")
+    if owner:  # a method of a kept class
+        assert not hasattr(getattr(importlib.import_module(module), owner), attr)
+        return
     with pytest.raises(ImportError):
-        exec(f"from quador.algebra import {name}", {})
+        exec(f"from {module} import {name}", {})

@@ -415,16 +415,6 @@ class TestValidation:
         report.entries.clear()  # each call returns its own report
         assert "COINCIDENT_HUBS" in validate_lattice(lat).codes()
 
-    def test_overlap_warning(self):
-        lat = Lattice(
-            (Hub("a", (0, 0, 0), 1.0), Hub("b", (1.5, 0, 0), 1.0)),
-            (),
-            (),
-        )
-        report = validate_lattice(lat)
-        assert report.ok  # warning only
-        assert "HUB_OVERLAP" in report.codes()
-
     def test_parallel_stub_fillet_rejected(self):
         lat = Lattice(
             (
@@ -439,63 +429,21 @@ class TestValidation:
         assert not report.ok
         assert "PARALLEL_STUBS" in report.codes()
 
-    def test_chamfer_unbounded_warns_locality(self, perp_lattice_beta):
-        report = validate_lattice(perp_lattice_beta(0.5))
-        assert report.ok
-        assert "FILLET_ACTIVE_AT_LOCALITY" in report.codes()
-
-    def test_wedge_overlap_warning(self):
-        # Three nearly coplanar beams with two fillets sharing the middle stub.
-        lat = Lattice(
-            (
-                Hub("h0", (0, 0, 0), 1.0),
-                Hub("h1", (4, 0, 0), 1.0),
-                Hub("h2", (0, 4, 0), 1.0),
-                Hub("h3", (2.83, 2.83, 0), 1.0),
-            ),
-            (
-                Beam("b1", "h0", "h1", 4.0),
-                Beam("b2", "h0", "h2", 4.0),
-                Beam("b3", "h0", "h3", 4.0),
-            ),
-            (
-                FilletSpec("h0", "b1", "b3", 1.0),
-                FilletSpec("h0", "b3", "b2", 1.0),
-            ),
-        )
-        report = validate_lattice(lat)
-        assert report.ok
-        assert "FILLET_WEDGE_OVERLAP" in report.codes()
-
-    @pytest.mark.parametrize("beta", [0.5, 0.6, 1.0])
-    def test_sampled_fillet_warnings_match_pointwise_oracle(self, beta):
-        lat = jittered_cubic(5)
-        lat = Lattice(lat.hubs, lat.beams,
-                      tuple(dataclasses.replace(f, beta=beta) for f in lat.fillets))
-        got = [(e.code, e.subject, e.message) for e in validate_lattice(lat).entries
-               if e.code in ("FILLET_ACTIVE_AT_LOCALITY", "FILLET_WEDGE_OVERLAP")]
-        expect = sampled_fillet_warnings(lat)
-        assert [(code, subject) for code, subject, _ in got] == [e[:2] for e in expect]
-        for (_, _, message), (_, _, fragment) in zip(got, expect):
-            assert fragment in message
-        assert {code for code, _, _ in got} == (
-            {"FILLET_WEDGE_OVERLAP"} if beta == 1.0
-            else {"FILLET_ACTIVE_AT_LOCALITY", "FILLET_WEDGE_OVERLAP"})
 
 
 # sha256 of json.dumps([[severity, code, subject, message], ...]) of each
-# lattice's validation entries, recorded when the warnings were still
-# computed with every lattice build.
+# lattice's validation entries.  None of these lattices has an error, so
+# each digest is that of an empty list.
 FROZEN_ENTRIES = {
     "asymmetric_beam": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-    "perpendicular_beta05": "79801f939c136ea6343c03949094ba5e49fe5bbdea83b3bd5f91497a120ebe79",
+    "perpendicular_beta05": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "perpendicular_beta1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "single_hub": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-    "cubic-2x2x2-s0": "9c6129febb409e8c6910d907169752c7b894c725984c6564a8b8c0f75dd6e920",
-    "cubic-2x2x2-s1": "9c6129febb409e8c6910d907169752c7b894c725984c6564a8b8c0f75dd6e920",
-    "cubic-2x2x2-s2": "9c6129febb409e8c6910d907169752c7b894c725984c6564a8b8c0f75dd6e920",
-    "cubic-3x3x2-s1": "d75d6aa3742a5edef8ee1c8ec80832bddf7b6ff5d7b69a5d6c3bc2d870440059",
-    "jittered-5": "46217e6897156bc6d833572a4996c2b3cbbdd7cfedc4d3c1f61b89c977d17b26",
+    "cubic-2x2x2-s0": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "cubic-2x2x2-s1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "cubic-2x2x2-s2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "cubic-3x3x2-s1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "jittered-5": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
 }
 
 
@@ -510,9 +458,9 @@ def _frozen_lattice(name: str) -> Lattice:
 
 
 def _mixed_document() -> dict:
-    """``perpendicular_beta05.json`` with warnings and errors interleaved in
-    build order: a beam at ``k = 0``, an overlapping hub pair and, after the
-    fillet that warns, a fillet naming an unknown beam."""
+    """``perpendicular_beta05.json`` with two failing parts among parts that
+    build: a beam at ``k = 0``, an overlapping hub pair and, after the fillet
+    that builds, a fillet naming an unknown beam."""
     doc = json.loads((FIXTURES / "perpendicular_beta05.json").read_text())
     doc["hubs"] += [{"id": "h3", "center": [0, 0, 4], "radius": 1},
                     {"id": "h4", "center": [0, 0, 5], "radius": 1}]
@@ -529,7 +477,7 @@ class TestValidationOnDemand:
         digest = hashlib.sha256(json.dumps(entries).encode()).hexdigest()
         assert digest == FROZEN_ENTRIES[name]
 
-    def test_errors_come_before_warnings(self, tmp_path, capsys):
+    def test_errors_in_build_order_in_report_and_stderr(self, tmp_path, capsys):
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(_mixed_document()))
         with pytest.raises(ValidationError) as raised:
@@ -538,8 +486,6 @@ class TestValidationOnDemand:
         assert got == [
             ("error", "DEGENERATE_K", "b3"),
             ("error", "MISSING_ID", "h0:b1+ghost"),
-            ("warning", "HUB_OVERLAP", "h3+h4"),
-            ("warning", "FILLET_ACTIVE_AT_LOCALITY", "h0:b1+b2"),
         ]
         assert str(raised.value) == (
             "lattice validation failed: DEGENERATE_K (b3); MISSING_ID (h0:b1+ghost)")
@@ -550,38 +496,36 @@ class TestValidationOnDemand:
             "  [MISSING_ID] h0:b1+ghost: fillet names unknown beam 'ghost'\n"
         )
 
-    def test_warning_pass_runs_only_for_validate_lattice(self, tmp_path):
+    def test_no_command_imports_numpy_random(self, tmp_path):
         # A fresh interpreter, so no other test has imported numpy.random.
         (tmp_path / "cubic.json").write_text(lattice_json(cubic_lattice((2, 2, 2), 1)))
+        (tmp_path / "mixed.json").write_text(json.dumps(_mixed_document()))
         script = textwrap.dedent("""
+            import json
             import sys
-            import quador.lattice
             from quador.cli import main
-            from quador.latticefile import load_lattice_path
-            from quador.solid import auto_bounds, build_assembly, field_grid
+            from quador.lattice import Beam, FilletSpec, Hub, Lattice, validate_lattice
 
-            calls = []
-            warning_pass = quador.lattice._warning_pass
-            quador.lattice._warning_pass = lambda lat: calls.append(1) or warning_pass(lat)
-
-            asm = build_assembly(load_lattice_path(sys.argv[1]))
-            lo, hi = auto_bounds(asm)
-            field_grid(asm, *(lo[:, None] + (hi - lo)[:, None] * [0.0, 0.5, 1.0]))
-            for argv in (["classify", "cubic.json"],
+            for argv in (["verify", "cubic.json"],
+                         ["classify", "cubic.json"],
                          ["conics", "cubic.json", "-o", "conics.obj"],
                          ["sample", "cubic.json", "--grid", "3,3,3", "-o", "sample.csv"],
                          ["mesh", "cubic.json", "--resolution", "8", "-o", "mesh.stl"]):
                 assert main(argv) == 0, argv
+            assert main(["classify", "mixed.json"]) == 1
+            with open("mixed.json") as f:
+                doc = json.load(f)
+            lattice = Lattice(
+                tuple(Hub(h["id"], tuple(h["center"]), h["radius"]) for h in doc["hubs"]),
+                tuple(Beam(b["id"], *b["hubs"], b["k"]) for b in doc["beams"]),
+                tuple(FilletSpec(f["hub"], *f["beams"], f["beta"]) for f in doc["fillets"]))
+            assert [e.code for e in validate_lattice(lattice).entries] == [
+                "DEGENERATE_K", "MISSING_ID"]
             assert "numpy.random" not in sys.modules
-            assert calls == []
-            lattice = load_lattice_path("cubic.json")
-            assert quador.lattice.validate_lattice(lattice).entries
-            assert quador.lattice.validate_lattice(lattice).entries
-            assert calls == [1]
         """)
         src = str(Path(quador.__file__).resolve().parents[1])
         run = subprocess.run(
-            [sys.executable, "-c", script, str(FIXTURES / "perpendicular_beta1.json")],
+            [sys.executable, "-c", script],
             cwd=tmp_path, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src},
         )
@@ -666,35 +610,3 @@ class TestBuildersOwnTheirRules:
                           perp_lattice.fillets)
         assert [e.subject for e in validate_lattice(lattice).errors] == ["b3"]
 
-
-def sampled_fillet_warnings(lattice):
-    """The two sampled fillet warnings, from each form's own ``value`` point by point."""
-    resolved = lattice._resolved
-    found, at_hub = [], {}
-    for i, (fs, error) in enumerate(zip(lattice.fillets, resolved.fillets.errors)):
-        if error is not None:
-            continue
-        patch = resolved.fillets[i]
-        at_hub.setdefault(fs.hub, []).append(patch)
-        dirs = np.random.default_rng(0).normal(size=(512, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        center = np.asarray(resolved.hubs[fs.hub].center)
-        boundary = center + resolved.locality[fs.hub] * dirs
-        active = sum(
-            patch.E1.value(p) >= 0 and patch.E2.value(p) >= 0 and patch.Q.value(p) <= 0
-            for p in boundary
-        )
-        if active:
-            subject = f"{fs.hub}:{fs.beam_i}+{fs.beam_j}"
-            found.append(("FILLET_ACTIVE_AT_LOCALITY", subject, f"({active}/512 sampled"))
-    for hub_id, patches in at_hub.items():
-        if len(patches) < 2 or len(resolved.stubs[hub_id]) <= 2:
-            continue
-        hub = resolved.hubs[hub_id]
-        rng = np.random.default_rng(1)
-        box = rng.uniform(-2 * hub.radius, 2 * hub.radius, size=(512, 3))
-        pts = np.asarray(hub.center) + box
-        for (a, pa), (b, pb) in itertools.combinations(enumerate(patches), 2):
-            if any(all(e.value(p) > 0 for e in (pa.E1, pa.E2, pb.E1, pb.E2)) for p in pts):
-                found.append(("FILLET_WEDGE_OVERLAP", hub_id, f"wedges {a} and {b} at"))
-    return found
