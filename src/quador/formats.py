@@ -6,7 +6,9 @@ imports this module on first use: the other commands do not compile it.
 
 STL records are filled ``_BATCH // 9`` triangles at a time.  OBJ rows are
 built ``_OBJ_ROWS`` at a time as one fixed-width bytes table per chunk
-(prefix, field, space, ..., newline), whose NUL padding is then stripped.
+(prefix, field, space, ..., newline), whose NUL padding is then stripped;
+the row builders yield their chunks, so each is written before the next
+is built.
 A chunk of coordinate rows may run across curves; its coordinates are made
 unique by their bits, so each distinct value goes through
 :func:`~quador.writers.format_values` once (marching-cubes vertices have
@@ -24,7 +26,10 @@ import numpy as np
 
 from .algebra import _BATCH, _cross3
 from .errors import StlRangeError
-from .writers import _OBJ_ROWS, _STL_RECORD, format_values
+from .writers import _STL_RECORD, format_values
+
+# OBJ rows per chunk handed to write_output: at most _BATCH numbers, 3 a row.
+_OBJ_ROWS = _BATCH // 4
 
 
 def stl_records(mesh) -> np.ndarray:
@@ -112,34 +117,38 @@ def _polyline_row(first: int, count: int, closed: bool) -> bytes:
     return _rows(b"l ", _integers(numbers)[None]) if len(numbers) else b"l \n"
 
 
-def obj_mesh_rows(mesh) -> list[bytes]:
-    """The mesh's OBJ ``v`` and ``f`` rows (1-based indices), in chunks."""
-    chunks = [_rows(b"v ", text) for text in _coordinate_text([mesh.vertices])]
+def obj_mesh_rows(mesh) -> Iterator[bytes]:
+    """The mesh's OBJ ``v`` and ``f`` rows (1-based indices), in chunks; an
+    empty mesh is one newline."""
+    if not len(mesh.vertices) and not len(mesh.triangles):
+        yield b"\n"
+    for text in _coordinate_text([mesh.vertices]):
+        yield _rows(b"v ", text)
     numbers = _integers(np.arange(1, len(mesh.vertices) + 1))
     for start in range(0, len(mesh.triangles), _OBJ_ROWS):
-        chunks.append(_rows(b"f ", numbers[mesh.triangles[start : start + _OBJ_ROWS]]))
-    return chunks
+        yield _rows(b"f ", numbers[mesh.triangles[start : start + _OBJ_ROWS]])
 
 
-def obj_polyline_rows(curves) -> list[bytes]:
+def obj_polyline_rows(curves) -> Iterator[bytes]:
     """The OBJ ``v`` and ``l`` rows of (points, closed, comment) curves, in
-    chunks, each curve's after its ``# comment`` line."""
+    chunks, each curve's after its ``# comment`` line; no curves is one
+    newline."""
     curves = [(np.asarray(points, dtype=float).reshape(-1, 3), closed, comment)
               for points, closed, comment in curves]
+    if not curves:
+        yield b"\n"
     texts = _coordinate_text([points for points, _, _ in curves])
     text = np.empty((0, 3), dtype="S1")  # formatted rows not yet written
-    chunks = []
     base = 1
     for points, closed, comment in curves:
         if comment:
-            chunks.append(f"# {comment}\n".encode("utf-8"))
+            yield f"# {comment}\n".encode("utf-8")
         left = len(points)
         while left:
             if not len(text):
                 text = next(texts)
             piece, text = text[:left], text[left:]
-            chunks.append(_rows(b"v ", piece))
+            yield _rows(b"v ", piece)
             left -= len(piece)
-        chunks.append(_polyline_row(base, len(points), closed))
+        yield _polyline_row(base, len(points), closed)
         base += len(points)
-    return chunks

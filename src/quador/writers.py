@@ -10,27 +10,30 @@ deterministic: identical input produces byte-identical output.
 The STL records and OBJ rows are built in :mod:`quador.formats`.
 
 Every output, including the CLI's CSV and JSON, goes through
-:func:`write_output`: the bytes go to a fresh sibling temp file, which is
-then renamed onto the output name, so no run leaves a partial output.  An
-existing output is unlinked before the rename rather than replaced by it:
-on ext4, truncating a file or renaming over one whose blocks are not yet
-written forces a synchronous flush (50-150 ms per rewrite), and a rename
-onto a free name does not.  Symlinks, devices, FIFOs, read-only files and
-directories that cannot hold the temp file are written in place, as by
-``open(path, "wb")``.
+:func:`write_output`, which takes one iterable of chunks and writes each as
+it comes: OBJ rows and ``sample``'s CSV rows are made a block at a time as
+they are written, so neither file is ever held whole.  The bytes go to a
+fresh sibling temp file, which is then renamed onto the output name, so no
+run leaves a partial output.  An existing output is unlinked before the
+rename rather than replaced by it: on ext4, truncating a file or renaming
+over one whose blocks are not yet written forces a synchronous flush
+(50-150 ms per rewrite), and a rename onto a free name does not.
+Symlinks, devices, FIFOs, read-only files and directories that cannot hold
+the temp file are written in place, as by ``open(path, "wb")``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import shutil
 import stat
 import struct
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import _BATCH
 from .solid import Mesh
 
 __all__ = [
@@ -58,19 +61,21 @@ def write_stl(mesh: Mesh, path: str | Path) -> int:
 
     records = stl_records(mesh)
     # The record array goes out through the buffer protocol, not as a copy.
-    write_output(path, _STL_HEADER, struct.pack("<I", len(records)), records)
+    write_output(path, (_STL_HEADER, struct.pack("<I", len(records)), records))
     return len(records)
 
 
-def write_output(path: str | os.PathLike, *chunks) -> None:
-    """Write the bytes-like ``chunks`` to ``path`` as one fresh file.
+def write_output(path: str | os.PathLike, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks``, an iterable that may make each one
+    as it is asked for, to ``path`` as one fresh file.
 
     A missing path or a writable regular file gets a new file: the chunks
     go to ``.{name}.{pid}.{random}.tmp`` beside it, which takes the old
     file's permission bits and, once the old file is unlinked, its name.
     The temp file is removed again if anything fails.  Any other path is
-    written in place, as is one whose directory cannot hold the temp file
-    or will not let the old file be unlinked.
+    written in place, as is one whose directory cannot hold the temp file;
+    one whose directory will not let the old file be unlinked is written
+    in place from the finished temp file, as the chunks are taken once.
     """
     path = os.fspath(path)
     if _replaceable(path) and _write_fresh(path, chunks):
@@ -98,17 +103,19 @@ def _write_fresh(path: str, chunks) -> bool:
     try:
         with fh:
             fh.writelines(chunks)
-        with contextlib.suppress(FileNotFoundError):
-            os.chmod(temp, stat.S_IMODE(os.stat(path).st_mode))
-            os.unlink(path)
-        os.rename(temp, path)
-    except BaseException as exc:
+        try:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(temp, stat.S_IMODE(os.stat(path).st_mode))
+                os.unlink(path)
+            os.rename(temp, path)
+        except PermissionError:
+            # A sticky directory lets another user's file be written, not unlinked.
+            shutil.copyfile(temp, path)
+            os.unlink(temp)
+    except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(temp)
-        # A sticky directory lets another user's file be written, not unlinked.
-        if not isinstance(exc, PermissionError):
-            raise
-        return False
+        raise
     return True
 
 
@@ -127,15 +134,11 @@ def format_values(values: np.ndarray) -> list[str]:
     return text.replace(".0,", ",").replace("-0,", "0,")[:-1].split(", ")
 
 
-# Rows of text per chunk handed to write_output: _BATCH numbers, 4 a sample row.
-_OBJ_ROWS = _BATCH // 4
-
-
 def write_obj_mesh(mesh: Mesh, path: str | Path) -> int:
     """Write OBJ ``v``/``f`` records (1-based indices); returns the triangle count."""
     from .formats import obj_mesh_rows  # only mesh and conics compile it
 
-    write_output(path, *(obj_mesh_rows(mesh) or [b"\n"]))
+    write_output(path, obj_mesh_rows(mesh))
     return len(mesh.triangles)
 
 
@@ -149,5 +152,5 @@ def write_obj_polylines(
     """
     from .formats import obj_polyline_rows  # only mesh and conics compile it
 
-    write_output(path, *(obj_polyline_rows(curves) or [b"\n"]))
+    write_output(path, obj_polyline_rows(curves))
     return len(curves)

@@ -14,6 +14,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy.testing as npt
 import pytest
 
 import quador
+import quador.cli
 import quador.conics
 import quador.formats
 import quador.latticefile
@@ -989,6 +991,81 @@ class TestCli:
             f"quador: malformed point row 4: {first.split(',')}\n")
         assert not out.exists()
 
+    # 120,009 bytes of good rows, more than one 64 KiB read block: a
+    # byte-order mark, a header (CSV record 0) and records 1 to 20,000.
+    LONG_HEAD = b"\xef\xbb\xbfx,y,z\n" + b"0,0,0\n" * 20_000
+
+    # In 7-byte blocks, the tail starts at byte 1 of a block: each "\r\n" of
+    # 7-byte rows is split between blocks, and an inner mark after one
+    # 6-byte row starts a block.
+    @pytest.mark.parametrize("size", [7, None], ids=["blocks-of-7", "default-blocks"])
+    @pytest.mark.parametrize("tail,error", [
+        (b"0,0,\xe9\n", "file {pts}: not UTF-8 at byte 120013"),  # counting the mark
+        (b"1,2\n" + b"0,0,0\n" * 20_000 + b"\xff", "file {pts}: not UTF-8 at byte 240013"),
+        (b"0,0,0\n1,2\n0,0,0\n", "row 20003: ['1', '2']"),
+        (b"0,0,nan\n0,zero,0\n", "row 20002: ['0', '0', 'nan']"),
+        (b"0,0,0\r\n" * 5 + b"1,2\r\n", "row 20007: ['1', '2']"),
+        (b"0,0,0\n\xef\xbb\xbf0,0,0\n", "row 20003: ['\\ufeff0', '0', '0']"),
+    ], ids=["byte", "byte-after-row", "field-count", "not-finite", "crlf", "inner-mark"])
+    def test_sample_error_past_the_first_block(self, tail, error, size, tmp_path, monkeypatch,
+                                               capsys):
+        if size:
+            monkeypatch.setattr(quador.cli, "_READ_BYTES", size)
+            monkeypatch.setattr(quador.cli, "_SAMPLE_ROWS", size)
+        pts = tmp_path / "pts.csv"
+        pts.write_bytes(self.LONG_HEAD + tail)
+        out = tmp_path / "o.csv"
+        assert main(["sample", str(BETA1), "--points", str(pts), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"quador: malformed point {error.format(pts=pts)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("link", [False, True], ids=["file", "symlink"])
+    def test_sample_bad_last_row_leaves_output(self, link, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_bytes(b"0,0,0\n" * 12_000 + b"0,0,-inf")  # with no line end
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"old")
+        out = tmp_path / "out.csv" if link else old
+        if link:  # written in place, not through a temp file
+            out.symlink_to(old)
+        assert main(["sample", str(BETA1), "--points", str(pts), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "quador: malformed point row 12001: ['0', '0', '-inf']\n")
+        assert old.read_bytes() == b"old"
+        assert out.is_symlink() == link
+        assert temp_files(tmp_path) == []
+
+    @pytest.mark.parametrize("link", [False, True], ids=["file", "symlink"])
+    def test_sample_points_file_is_the_output(self, link, tmp_path, capsys):
+        pts, ref = tmp_path / "pts.csv", tmp_path / "ref.csv"
+        rows = np.random.default_rng(5).uniform(-2, 5, size=(3000, 3)).tolist()
+        pts.write_text("".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rows))
+        assert len(pts.read_bytes()) > 2 * quador.cli._READ_BYTES
+        assert main(["sample", str(BETA1), "--points", str(pts), "-o", str(ref)]) == 0
+        out = tmp_path / "link.csv" if link else pts
+        if link:  # written in place: the points are read before it is opened
+            out.symlink_to(pts)
+        assert main(["sample", str(BETA1), "--points", str(out), "-o", str(out)]) == 0
+        assert pts.read_bytes() == ref.read_bytes()
+
+    def test_sample_memory_does_not_grow_with_the_points(self, tmp_path, capsys):
+        # A hub of radius 10 at the origin has auto bounds +-11, so on these
+        # grids every coordinate and value is a short binary fraction, quick
+        # to format.  The first run fills the caches that later runs reuse.
+        lattice = tmp_path / "hub.json"
+        lattice.write_text(json.dumps(
+            {"hubs": [{"id": "h", "center": [0, 0, 0], "radius": 10}], "beams": [], "fillets": []}))
+        argv = ["sample", str(lattice), "-o", str(tmp_path / "o.csv"), "--grid"]
+        assert main([*argv, "89,45,1"]) == 0
+        peaks = []
+        for grid in ("89,45,1", "89,89,5"):  # 4,005 and 39,605 points
+            tracemalloc.start()
+            assert main([*argv, grid]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # Holding the grid alone would add 24 bytes a point, 0.85 MB here.
+        assert abs(peaks[1] - peaks[0]) < 128 * quador.cli._SAMPLE_ROWS, peaks
+
     def test_sample_grid(self, tmp_path):
         out = tmp_path / "grid.csv"
         assert main(["sample", str(BETA1), "--grid", "3,3,3", "-o", str(out)]) == 0
@@ -996,12 +1073,12 @@ class TestCli:
 
     @pytest.mark.parametrize("case", ["edge-values", "quoted-label", "byte-order-mark",
                                       "header-only", "grid"])
-    def test_sample_bytes_match_row_by_row_writer(self, case, tmp_path):
+    def test_sample_bytes_match_row_by_row_writer(self, case, tmp_path, monkeypatch):
         lattice = BETA1
         rows = [(-0.0, 3.0, 1e16), (5e-324, -12.5, 0.0), (0.0, 0.0, 1.0), (1.05, 1.05, 0.0),
                 (0.9, 0.9, 0.3), (1e160, 1e160, 0.0), (-12.5, -0.0, 5e-324)]
-        # More rows than one formatting chunk, so chunk seams are covered too.
-        rows += [tuple(p) for p in np.random.default_rng(71).uniform(-2, 5, size=(4100, 3)).tolist()]
+        # More rows than one block, so block seams are covered too.
+        rows += [tuple(p) for p in np.random.default_rng(71).uniform(-2, 5, size=(1100, 3)).tolist()]
         text = "x,y,z\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rows)
         if case == "quoted-label":
             lattice = tmp_path / "lattice.json"
@@ -1013,13 +1090,23 @@ class TestCli:
         source = ["--points", str(pts)]
         asm = build_assembly(load_lattice(lattice.read_bytes()))
         if case == "grid":
-            source = ["--grid", "3,4,5"]
+            # 1,170 points: neither a multiple of 7 nor of the default block.
+            source = ["--grid", "13,9,10"]
             lo, hi = auto_bounds(asm)
-            rows = [(x, y, z) for z in np.linspace(lo[2], hi[2], 5)
-                    for y in np.linspace(lo[1], hi[1], 4) for x in np.linspace(lo[0], hi[0], 3)]
+            rows = [(x, y, z) for z in np.linspace(lo[2], hi[2], 10)
+                    for y in np.linspace(lo[1], hi[1], 9) for x in np.linspace(lo[0], hi[0], 13)]
+        expect = sample_csv_reference(asm, rows)
         out = tmp_path / "out.csv"
-        assert main(["sample", str(lattice), *source, "-o", str(out)]) == 0
-        assert out.read_bytes() == sample_csv_reference(asm, rows)
+        # Blocks of 1 byte split the byte-order mark, and blocks of 7 bytes
+        # split the lines, at different places in each row.
+        for size in (1, 7, None):
+            if size:
+                monkeypatch.setattr(quador.cli, "_READ_BYTES", size)
+                monkeypatch.setattr(quador.cli, "_SAMPLE_ROWS", size)
+            else:
+                monkeypatch.undo()
+            assert main(["sample", str(lattice), *source, "-o", str(out)]) == 0
+            assert out.read_bytes() == expect, size
 
     def test_sample_requires_exactly_one_source(self, tmp_path):
         assert main(["sample", str(BETA1), "-o", str(tmp_path / "o.csv")]) == 1
@@ -1546,11 +1633,12 @@ class TestWriteContract:
         assert f"cannot write {out}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_unlink_refused_writes_in_place(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("kind", OUTPUTS)
+    def test_unlink_refused_writes_in_place(self, kind, tmp_path, monkeypatch, capsys):
         # A sticky directory lets a writable file of another user be
         # written but not unlinked.
-        ref, out = tmp_path / "ref.stl", tmp_path / "out.stl"
-        assert main(OUTPUTS["stl"](str(ref))) == 0
+        ref, out = tmp_path / "ref", tmp_path / "out"
+        assert main(OUTPUTS[kind](str(ref))) == 0
         out.write_bytes(b"old")
         inode = out.stat().st_ino
         unlink = os.unlink
@@ -1561,7 +1649,7 @@ class TestWriteContract:
             return unlink(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "unlink", refuse)
-        assert main(OUTPUTS["stl"](str(out))) == 0
+        assert main(OUTPUTS[kind](str(out))) == 0
         assert out.stat().st_ino == inode
         assert out.read_bytes() == ref.read_bytes()
         assert temp_files(tmp_path) == []

@@ -432,8 +432,9 @@ class TestValidation:
 
 
 # sha256 of json.dumps([[severity, code, subject, message], ...]) of each
-# lattice's validation entries.  None of these lattices has an error, so
-# each digest is that of an empty list.
+# lattice's validation entries.  The fixtures and generated lattices build,
+# so their digest is that of an empty list; each of _FAILING's fails, and
+# its digest pins the codes, subjects and messages.
 FROZEN_ENTRIES = {
     "asymmetric_beam": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "perpendicular_beta05": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
@@ -444,10 +445,28 @@ FROZEN_ENTRIES = {
     "cubic-2x2x2-s2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "cubic-3x3x2-s1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "jittered-5": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "mixed": "bbe90c864fc0b3f6278c233dab3bf08ab4500fc247ba8d2cae248df899263d41",
+    "DUPLICATE_ID": "ad99e483ac9c7be07cff4cb28fbbf67134f7885a4f7579ae83768b8c6d3d34d2",
+    "SELF_LOOP": "cbac7be52924e073206eb0e41ecd49d8e80e8a86ac5fb154c36a3eb137c6b53a",
+    "COINCIDENT_HUBS": "9fd147ac7297de6c05a325d2bbcd164f4d58fa3d7b1d2278242ab563d29b3744",
+    "MISSING_ID": "85c4411e55ba6cf15d328465af1081b4097523851f1d9b62b883d6b824a32975",
+    "NONPOSITIVE_RADIUS": "41f106905b3148c64c8c1a6a0434510c186cde178b865719e4456cc8a55a7032",
+    "RADIUS_OVERFLOW": "b29ab57af6006eee97b173c3ad65fe990492df875fd6ae5f54456defff0aeced",
+    "CENTER_OVERFLOW": "90739188688edf960578046bfbaa34caa2e2cc57131940ce5f94a216f92a6786",
+    "DEGENERATE_K": "278faef6c66cd23346baffb3f13a94d23dfff2db9c602f4e4751443caca5eec8",
+    "PLANE_MISSES_SPHERE": "5636043c60819c8376068558349fc35c8a7f8cc9560ff4d46fb29942613d0313",
+    "NONPOSITIVE_BETA": "beeee7e9065c9e75c0dfd31bcabb6dfc35427325b1632d08c9f2be816983f448",
+    "FILLET_PAIR_MISMATCH": "3ef2deaca222cc3ad5919a9503736c108b78870fd336a661fec5f320946562bc",
+    "IDENTITY_VIOLATION": "114dbad7c6fc7426c6517a2b79048b228dd520f3616152a3365bdb415f3e7a43",
+    "PARALLEL_STUBS": "5ce6347b5889f79219ae039fda40621b4649fbc8345904d60b3137ccc44df7d4",
+    "WEDGE_ORIENTATION": "7dbc186501d7ec2d2a8ee84f2a692ddb501a2a0872da332beb5e1eb44ff9236a",
+    "EMPTY_CONIC": "30c8317d7874f54f35d0c0411f595a3c19f98d0c919b21b8363867a7ac9a6393",
 }
 
 
 def _frozen_lattice(name: str) -> Lattice:
+    if name in _FAILING:
+        return _FAILING[name]()
     if name.startswith("cubic-"):
         _, shape, seed = name.split("-")
         doc = cubic_lattice(tuple(map(int, shape.split("x"))), int(seed[1:]))
@@ -467,6 +486,54 @@ def _mixed_document() -> dict:
     doc["beams"].append({"id": "b3", "hubs": ["h1", "h3"], "k": 0})
     doc["fillets"].append({"hub": "h0", "beams": ["b1", "ghost"], "beta": 1})
     return doc
+
+
+def _unvalidated(doc: dict) -> Lattice:
+    """The lattice of a document, built without ``load_lattice``'s validation."""
+    return Lattice(
+        tuple(Hub(h["id"], tuple(map(float, h["center"])), float(h["radius"]))
+              for h in doc["hubs"]),
+        tuple(Beam(b["id"], *b["hubs"], float(b["k"])) for b in doc["beams"]),
+        tuple(FilletSpec(f["hub"], *f["beams"], float(f["beta"])) for f in doc["fillets"]))
+
+
+def _beta1_with(make) -> Lattice:
+    """``perpendicular_beta1.json`` as one of the ``_with_*`` helpers changes it."""
+    return make(_frozen_lattice("perpendicular_beta1"))[0]
+
+
+def _pair(a: Hub, b: Hub, *beams: Beam) -> Lattice:
+    return Lattice((a, b), beams, ())
+
+
+_A, _B = Hub("a", (0, 0, 0), 1.0), Hub("b", (4, 0, 0), 1.0)
+# A lattice that fails to build, per build-time error code, and the mixed
+# document with two failing parts among parts that build.
+_FAILING = {
+    "mixed": lambda: _unvalidated(_mixed_document()),
+    "DUPLICATE_ID": lambda: _pair(_A, _B, Beam("ab", "a", "b", 4.0), Beam("ab", "b", "a", 4.0)),
+    "SELF_LOOP": lambda: _pair(_A, _B, Beam("loop", "a", "a", 4.0)),
+    "COINCIDENT_HUBS": lambda: _pair(_A, Hub("b", (0, 0, 0), 1.0), Beam("ab", "a", "b", 1.0)),
+    "MISSING_ID": lambda: _beta1_with(_with_fillet(beam_j="ghost")),
+    "NONPOSITIVE_RADIUS": lambda: _beta1_with(_with_hub0(radius=-1.0)),
+    "RADIUS_OVERFLOW": lambda: _beta1_with(_with_hub0(radius=_BIG)),
+    "CENTER_OVERFLOW": lambda: _beta1_with(_with_hub0(center=(1e200, 0.0, 0.0))),
+    "DEGENERATE_K": lambda: _beta1_with(_with_k(0.0)),
+    "PLANE_MISSES_SPHERE": lambda: _beta1_with(lambda lat: (dataclasses.replace(
+        lat, hubs=lat.hubs + (Hub("h3", (0, 0, 4), 1.0),),
+        beams=lat.beams + (Beam("b3", "h0", "h3", 0.5),)),)),
+    "NONPOSITIVE_BETA": lambda: _beta1_with(_with_fillet(beta=0.0)),
+    "FILLET_PAIR_MISMATCH": lambda: _beta1_with(_with_fillet(hub="h1")),
+    "IDENTITY_VIOLATION": lambda: _beta1_with(_with_fillet(beta=1e-300)),
+    "PARALLEL_STUBS": lambda: Lattice(
+        (Hub("h0", (0, 0, 0), 1.0), Hub("h1", (4, 0, 0), 1.0), Hub("h2", (-4, 0, 0), 1.0)),
+        (Beam("b1", "h0", "h1", 4.0), Beam("b2", "h0", "h2", 4.0)),
+        (FilletSpec("h0", "b1", "b2", 1.0),)),
+    "WEDGE_ORIENTATION": lambda: three_hub_lattice(
+        2.1277, 3.6779, 2.7134, 1.1658, 0.9304, 2.98, 2.6749, 2.0),
+    "EMPTY_CONIC": lambda: three_hub_lattice(
+        0.2838, 2.2495, 3.8226, 1.3711, 0.8038, 2.2393, 4.3766, 1.5),
+}
 
 
 class TestValidationOnDemand:
