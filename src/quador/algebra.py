@@ -297,7 +297,7 @@ def jacobi_eigen3(A) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Classification into canonical form
+# Classification
 # ---------------------------------------------------------------------------
 
 class QuadricClass(Enum):
@@ -320,29 +320,19 @@ class QuadricClass(Enum):
 
 @dataclass(frozen=True, eq=False)
 class QuadricClassification:
-    """Canonical frame and coefficients of a classified quadric.
+    """The class of a quadric ``x^T A x + 2 b^T x + c`` and the eigenvalues
+    of its ``A``.
 
-    In canonical coordinates ``y = R^T (x - t)`` the quadric reads
-
-        diag[0] y0^2 + diag[1] y1^2 + diag[2] y2^2
-            (+ 2 * scalar * y[parabolic_axis])  if parabolic_axis is not None
-            (+ scalar)                          otherwise
-
-    ``diag`` is sorted descending with sub-tolerance entries snapped to 0.
+    ``diag`` is sorted descending with entries ``|lam| <= CLASSIFY_TOL *
+    max|lam|`` snapped to 0, and all zero where ``A`` is negligible beside
+    ``b`` and ``c``: a plane ``2 b^T x + c = 0``, or none.
     """
 
     label: QuadricClass
-    rotation: np.ndarray
-    translation: np.ndarray
     diag: tuple[float, float, float]
-    scalar: float
-    parabolic_axis: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", _freeze(self.rotation))
-        object.__setattr__(self, "translation", _freeze(self.translation))
         object.__setattr__(self, "diag", tuple(float(d) for d in self.diag))
-        object.__setattr__(self, "scalar", float(self.scalar))
 
 
 #: The definite classes of ranks 3, 2 and 1: the degenerate one, where the
@@ -366,29 +356,28 @@ def _axis_complement(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def classify_quadric(q: Quadric) -> QuadricClassification:
-    """Classify a quadric into one of 15 canonical classes.
+    """Classify a quadric into one of 15 classes, with the eigenvalues of its ``A``.
 
     ``CLASSIFY_TOL`` is the relative rank threshold: eigenvalues with
-    ``|lam| <= CLASSIFY_TOL * max|lam|`` are treated as zero, and residual
-    linear and constant terms are zeroed relative to the overall coefficient
-    scale.  Degenerate translations are resolved by the least-squares center
-    (zero component along null axes).  Raises :class:`AllZeroError` when
-    every coefficient is negligible.
+    ``|lam| <= CLASSIFY_TOL * max|lam|`` are treated as zero, and the linear
+    term along the null axes and the constant left after completing the
+    square are zeroed relative to the overall coefficient scale.  Raises
+    :class:`AllZeroError` when every coefficient is negligible.
 
     It works at any finite scale: ``q`` is classified scaled by the power of
     two that brings its largest coefficient into [0.5, 1), which is exact,
-    so no square of a coefficient underflows or overflows; ``diag`` and
-    ``scalar`` are scaled back.
+    so no square of a coefficient underflows or overflows; ``diag`` is
+    scaled back.
     """
     e = _exponent(q.coeffs())
-    label, R, t, diag, scalar, axis = _classify_unit(
+    label, diag = _classify_unit(
         np.ldexp(q.A, -e), np.ldexp(q.b, -e), math.ldexp(q.c, -e), math.ldexp(1e-300, -e))
-    return QuadricClassification(label, R, t, np.ldexp(diag, e), np.ldexp(scalar, e), axis)
+    return QuadricClassification(label, np.ldexp(diag, e))
 
 
 def _classify_unit(A: np.ndarray, b: np.ndarray, c: float, all_zero: float) -> tuple:
-    """:func:`classify_quadric`'s fields for ``x^T A x + 2 b^T x + c``, whose
-    coefficient scale is negligible at ``all_zero`` and below."""
+    """:func:`classify_quadric`'s label and eigenvalues for ``x^T A x + 2 b^T x
+    + c``, whose coefficient scale is negligible at ``all_zero`` and below."""
     evals, V = jacobi_eigen3(A)
     lam_max = float(np.max(np.abs(evals)))
     b_norm = _norm(b)
@@ -399,55 +388,28 @@ def _classify_unit(A: np.ndarray, b: np.ndarray, c: float, all_zero: float) -> t
 
     if lam_max <= thr:
         # No quadratic part: a plane, or empty, depending on the linear part.
-        if b_norm > thr:
-            n = b / b_norm
-            t = -c * b / (2.0 * b_norm * b_norm)
-            R = np.column_stack([n, *_axis_complement(n)])
-            return QuadricClass.SINGLE_PLANE, R, t, (0.0, 0.0, 0.0), b_norm, 0
-        return QuadricClass.EMPTY, np.eye(3), np.zeros(3), (0.0, 0.0, 0.0), c, None
+        return QuadricClass.SINGLE_PLANE if b_norm > thr else QuadricClass.EMPTY, np.zeros(3)
 
     zero = np.abs(evals) <= CLASSIFY_TOL * lam_max
     lam = np.where(zero, 0.0, evals)
     nz = [i for i in range(3) if not zero[i]]
-    null = [i for i in range(3) if zero[i]]
     rank = len(nz)
 
     b2 = V.T @ b
-    # Least-squares center: complete the square along non-null axes only.
-    y0 = np.zeros(3)
-    for i in nz:
-        y0[i] = -b2[i] / lam[i]
-    c_t = c + sum(b2[i] * y0[i] for i in nz)
-    lin = np.array([b2[i] if i in null else 0.0 for i in range(3)])
-    lin_mag = _norm(lin)
-    has_linear = lin_mag > thr
+    # The constant left by completing the square along the non-null axes.
+    c_t = c + sum(b2[i] * (-b2[i] / lam[i]) for i in nz)
+    has_linear = _norm(np.where(zero, b2, 0.0)) > thr  # the linear term along the null axes
     c_zero = abs(c_t) <= thr
 
-    diag = tuple(lam)
     pos = sum(1 for i in nz if lam[i] > 0)
     definite = pos in (0, rank)
 
-    if has_linear and rank == 2:
-        d = null[0]
-        s = b2[d]
-        # Translate along the null axis so the constant vanishes.
-        y0[d] = -c_t / (2.0 * s)
+    if has_linear and rank == 1:
+        label = QuadricClass.PARABOLIC_CYLINDER
+    elif has_linear:
         label = (QuadricClass.ELLIPTIC_PARABOLOID if definite
                  else QuadricClass.HYPERBOLIC_PARABOLOID)
-        return label, V, V @ y0, diag, s, d
-    if has_linear:
-        # Rank 1: rotate within the null plane so the linear term lies along
-        # one axis.  The nonzero eigenvalue sorts to index 0 or 2, so the
-        # columns q, d, q x d come in cyclic order and R is right-handed.
-        q_world = V[:, nz[0]]
-        d_world = (lin[null[0]] * V[:, null[0]] + lin[null[1]] * V[:, null[1]]) / lin_mag
-        f_world = _cross3(q_world, d_world)
-        R = np.column_stack([q_world, d_world, f_world] if nz[0] == 0
-                            else [d_world, f_world, q_world])
-        y0n = R.T @ (V @ y0)
-        y0n[null[0]] -= c_t / (2.0 * lin_mag)
-        return QuadricClass.PARABOLIC_CYLINDER, R, R @ y0n, diag, lin_mag, null[0]
-    if definite:
+    elif definite:
         degenerate, solid = _DEFINITE[rank]
         if c_zero:
             label = degenerate
@@ -466,7 +428,7 @@ def _classify_unit(A: np.ndarray, b: np.ndarray, c: float, all_zero: float) -> t
             label = QuadricClass.HYPERBOLOID_TWO_SHEETS
     else:
         label = QuadricClass.CROSSING_PLANES if c_zero else QuadricClass.HYPERBOLIC_CYLINDER
-    return label, V, V @ y0, diag, 0.0 if c_zero else c_t, None
+    return label, lam
 
 
 # ---------------------------------------------------------------------------

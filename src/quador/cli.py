@@ -259,7 +259,7 @@ def _read_points_csv(path: str) -> list[np.ndarray]:
     """
     lines = _point_lines(path)
     # Each data row's CSV record number and fields.
-    rows = ((i, row) for i, row in enumerate(csv.reader(lines))
+    rows = ((i, row) for i, row in enumerate(_csv_records(lines))
             if row and (i or [c.strip().lower() for c in row[:3]] != ["x", "y", "z"]))
     blocks = []
     while block := list(itertools.islice(rows, _SAMPLE_ROWS)):
@@ -281,6 +281,15 @@ def _read_points_csv(path: str) -> list[np.ndarray]:
             print(f"quador: malformed point row {i + 1}: {row}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
     return blocks
+
+
+def _csv_records(lines: Iterator[str]) -> Iterator[list[str]]:
+    """``csv.reader(lines)``, ending at a record it cannot read (a field over
+    ``csv.field_size_limit()``) with one field, its error: a bad point row."""
+    try:
+        yield from csv.reader(lines)
+    except csv.Error as exc:
+        yield [str(exc)]
 
 
 def _csv_field(text: str) -> str:

@@ -2,8 +2,8 @@
 ``LinearForm`` methods and of ``subtract_square`` before they became one-row
 calls of ``quador.algebra``'s row functions, and the object operations that
 only tests use: scaling, sums and differences of linear forms, the product
-of two linear forms, the relative coefficient residual, the stacking of
-objects for ``stacked_values`` and the quadric a classification describes.
+of two linear forms, the relative coefficient residual and the stacking of
+objects for ``stacked_values``.
 
 The tests hold each one-row call to these bit for bit, and build expected
 forms with the rest.
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from quador.algebra import LinearForm, Quadric, QuadricClassification
+from quador.algebra import LinearForm, Quadric
 
 
 def _vec(x) -> np.ndarray:
@@ -90,17 +90,3 @@ def stack_forms(forms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A, b, c = (np.array([r[i] for r in rows], dtype=float) for i in range(3))
     return A.reshape(-1, 3, 3), b.reshape(-1, 1, 3), c
 
-
-def reconstruct(cls: QuadricClassification) -> Quadric:
-    """The quadric of a classification's frame and canonical coefficients."""
-    R, t = cls.rotation, cls.translation
-    A = R @ np.diag(np.asarray(cls.diag)) @ R.T
-    b = -A @ t
-    c = float(t @ A @ t)
-    if cls.parabolic_axis is not None:
-        u = R[:, cls.parabolic_axis]
-        b = b + cls.scalar * u
-        c -= 2.0 * cls.scalar * float(u @ t)
-    else:
-        c += cls.scalar
-    return Quadric(A, b, c)

@@ -9,6 +9,7 @@ and each module's ``__all__`` and imports against its code.
 """
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import types
@@ -19,8 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quador
-from quador.algebra import (LinearForm, Quadric, _rel_residual, _stack_rows, stacked_values,
-                            subtract_square)
+from quador.algebra import (LinearForm, Quadric, QuadricClassification, _rel_residual,
+                            _stack_rows, stacked_values, subtract_square)
 
 import form_reference as ref
 
@@ -162,6 +163,10 @@ def test_every_public_name_is_in_a_modules_all():
     public = [name for name, value in vars(quador).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert sorted(set(public) - declared) == []
+
+
+def test_classification_holds_only_the_class_and_eigenvalues():
+    assert [f.name for f in dataclasses.fields(QuadricClassification)] == ["label", "diag"]
 
 
 REMOVED = [

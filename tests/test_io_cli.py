@@ -1035,6 +1035,18 @@ class TestCli:
         assert out.is_symlink() == link
         assert temp_files(tmp_path) == []
 
+    @pytest.mark.parametrize("tail,error", [
+        (b"", "row 2: ['field larger than field limit (131072)']"),
+        (b"0,0,0\n" * 20_000 + b"\xff", "file {pts}: not UTF-8 at byte 320011"),
+    ], ids=["row", "later-byte"])
+    def test_sample_field_over_the_csv_limit(self, tail, error, tmp_path, capsys):
+        pts, out = tmp_path / "pts.csv", tmp_path / "o.csv"
+        pts.write_bytes(b"0,0,0\n0,0," + b"7" * 200_000 + b"\n" + tail)
+        out.write_bytes(b"old")
+        assert main(["sample", str(BETA1), "--points", str(pts), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"quador: malformed point {error.format(pts=pts)}\n"
+        assert out.read_bytes() == b"old"
+
     @pytest.mark.parametrize("link", [False, True], ids=["file", "symlink"])
     def test_sample_points_file_is_the_output(self, link, tmp_path, capsys):
         pts, ref = tmp_path / "pts.csv", tmp_path / "ref.csv"
